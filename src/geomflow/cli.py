@@ -10,40 +10,23 @@ module structure:
                   boundary, boundingbox, gcheck, sphere, curvature}
     geomflow verify {all, csf, torsion, geo}
 
-Scans honor the GEOFLOW_THREADS environment variable (default 1); results are
-ordered by grid position regardless of the worker count, so repeated runs of
-one configuration produce byte-identical data files.
+Repeated runs of one configuration produce byte-identical data files. The
+manifests of the ODE-driven geo commands record the step control the solver
+actually used.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .errors import GeomflowError
 from .io_utils import ExperimentWriter
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GEOFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(func, items):
-    n = _thread_count()
-    items = list(items)
-    if n == 1 or len(items) <= 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(func, items))
 
 
 # ----------------------------------------------------------------- csf runs
@@ -243,21 +226,20 @@ def cmd_geo_period_table(args) -> int:
     writer = ExperimentWriter(args.out, "geo_period_table",
                               {"beta": args.beta}, {"tol": 1e-10})
     alphas = [round(0.1 * k, 10) for k in range(1, 11)]
-    recs = _parallel_map(lambda a: period_numeric(a, args.beta), alphas)
-    rows = [[a, r.period, math.pi * math.sqrt(2.0) / math.sqrt(a)]
-            for a, r in zip(alphas, recs)]
+    rows = [[a, period_numeric(a, args.beta).period, math.pi * math.sqrt(2.0) / math.sqrt(a)]
+            for a in alphas]
     writer.csv("period_table.csv", ["alpha", "P", "pi_sqrt2_over_sqrt_alpha"], rows)
     writer.finish()
     return 0
 
 
 def cmd_geo_flowline(args) -> int:
-    from .geoflow import flow_tangent, unit_tangent
+    from .geoflow import TIGHT, flow_tangent, unit_tangent
     v0 = unit_tangent(args.vx, args.vy, args.vz, tol=1e-6)
     writer = ExperimentWriter(args.out, "geo_flowline",
                               {"alpha": args.alpha, "v0": [args.vx, args.vy, args.vz],
-                               "T": args.T}, {"abs_tol": 1e-12, "rel_tol": 1e-12})
-    fl = flow_tangent(v0, args.alpha, args.T)
+                               "T": args.T}, {"step_control": asdict(TIGHT)})
+    fl = flow_tangent(v0, args.alpha, args.T, ctrl=TIGHT)
     writer.csv("flowline.csv", ["t", "x", "y", "z", "H"],
                ([t, *map(float, v), h] for t, v, h
                 in zip(fl.times, fl.tangents, fl.level_series)))
@@ -268,12 +250,12 @@ def cmd_geo_flowline(args) -> int:
 
 
 def cmd_geo_geodesic(args) -> int:
-    from .geoflow import geodesic, unit_tangent
+    from .geoflow import TIGHT, geodesic, unit_tangent
     v0 = unit_tangent(args.vx, args.vy, args.vz, tol=1e-6)
     writer = ExperimentWriter(args.out, "geo_geodesic",
                               {"alpha": args.alpha, "v0": [args.vx, args.vy, args.vz],
-                               "T": args.T}, {"abs_tol": 1e-12, "rel_tol": 1e-12})
-    path = geodesic(v0, args.alpha, args.T, n_samples=args.samples)
+                               "T": args.T}, {"step_control": asdict(TIGHT)})
+    path = geodesic(v0, args.alpha, args.T, TIGHT, n_samples=args.samples)
     writer.csv("geodesic.csv", ["t", "vx", "vy", "vz", "x", "y", "z"],
                ([t, *map(float, v), *map(float, p)] for t, v, p
                 in zip(path.times, path.tangents, path.positions)))
@@ -283,11 +265,11 @@ def cmd_geo_geodesic(args) -> int:
 
 
 def cmd_geo_cylinder(args) -> int:
-    from .geoflow import cylinder_invariant, geodesic, v_beta
+    from .geoflow import TIGHT, cylinder_invariant, geodesic, v_beta
     writer = ExperimentWriter(args.out, "geo_cylinder",
                               {"alpha": args.alpha, "beta": args.beta, "T": args.T},
-                              {"setup_tol": 1e-6})
-    path = geodesic(v_beta(args.beta, args.alpha), args.alpha, args.T,
+                              {"setup_tol": 1e-6, "step_control": asdict(TIGHT)})
+    path = geodesic(v_beta(args.beta, args.alpha), args.alpha, args.T, TIGHT,
                     n_samples=args.samples)
     series, drift = cylinder_invariant(path, args.beta)
     writer.csv("cylinder.csv", ["t", "Q"], zip(path.times, series))
@@ -297,12 +279,13 @@ def cmd_geo_cylinder(args) -> int:
 
 
 def cmd_geo_boundary(args) -> int:
-    from .geoflow import boundary_curve
+    from .geoflow import TIGHT, boundary_curve
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
     writer = ExperimentWriter(args.out, "geo_boundary",
                               {"alpha": args.alpha, "x0_min": args.x0_min,
-                               "x0_max": args.x0_max, "step": args.step}, {})
-    bc = boundary_curve(args.alpha, grid)
+                               "x0_max": args.x0_max, "step": args.step},
+                              {"step_control": asdict(TIGHT)})
+    bc = boundary_curve(args.alpha, grid, TIGHT)
     writer.csv("boundary.csv", ["x0", "a", "b", "da_dx0", "db_dx0"],
                ([p.x0, p.a_end, p.b_end, p.da_dx0, p.db_dx0] for p in bc.points))
     writer.parameters["a_increasing"] = bc.a_increasing
@@ -312,13 +295,13 @@ def cmd_geo_boundary(args) -> int:
 
 
 def cmd_geo_boundingbox(args) -> int:
-    from .geoflow import bounding_box_scan
+    from .geoflow import TIGHT, bounding_box_scan
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
     writer = ExperimentWriter(args.out, "geo_boundingbox",
                               {"alpha": args.alpha, "x0_min": args.x0_min,
                                "x0_max": args.x0_max, "step": args.step},
-                              {"pass_floor": -1e-10})
-    recs = bounding_box_scan(args.alpha, grid)
+                              {"pass_floor": -1e-10, "step_control": asdict(TIGHT)})
+    recs = bounding_box_scan(args.alpha, grid, TIGHT)
     writer.csv("boundingbox.csv",
                ["x0", "admissible", "rho", "min_a_prime", "min_b_prime",
                 "b_integral_residual", "passed"],
@@ -343,11 +326,11 @@ def cmd_geo_gcheck(args) -> int:
 
 
 def cmd_geo_sphere(args) -> int:
-    from .geoflow import geodesic_sphere
+    from .geoflow import SPHERE_CONTROL, geodesic_sphere
     writer = ExperimentWriter(args.out, "geo_sphere",
                               {"alpha": args.alpha, "R": args.R, "n_dirs": args.n_dirs},
-                              {"abs_tol": 1e-10, "rel_tol": 1e-10})
-    dirs, ends = geodesic_sphere(args.alpha, args.R, args.n_dirs)
+                              {"step_control": asdict(SPHERE_CONTROL)})
+    dirs, ends = geodesic_sphere(args.alpha, args.R, args.n_dirs, SPHERE_CONTROL)
     writer.csv("sphere.csv", ["dir_x", "dir_y", "dir_z", "end_x", "end_y", "end_z"],
                ([*map(float, d), *map(float, e)] for d, e in zip(dirs, ends)))
     obj_lines = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in ends)
@@ -395,8 +378,6 @@ def cmd_verify(args) -> int:
 
 def _add_out(p):
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", default="csv", choices=["csv", "json"],
-                   help="data format (csv writes CSVs; json is reserved)")
 
 
 def build_parser() -> argparse.ArgumentParser:

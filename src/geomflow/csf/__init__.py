@@ -1,7 +1,7 @@
 """Curve-shortening flow on immersed plane curves with figure-eight diagnostics."""
 
 from .analysis import (BowtieRecord, GrimReaperSeries, ThetaSeries,
-                       affine_rescale_and_bowtie, axis_shrink_products, axis_shrink_products_fd,
+                       affine_rescale_and_bowtie, axis_shrink_products,
                        comparison_solution, grim_reaper_check,
                        grim_reaper_profile_error, reaper_profile_defect,
                        resolvable_frames, theta_monotonicity_series)
@@ -14,7 +14,7 @@ from .evolve import CsfRun, StopRule, csf_evolve, resample_uniform
 __all__ = [
     "BowtieRecord", "CsfRun", "EightDiagnostics", "GrimReaperSeries",
     "PlaneCurve", "StopRule", "ThetaSeries", "affine_rescale_and_bowtie",
-    "axis_shrink_products", "axis_shrink_products_fd", "comparison_solution", "csf_evolve",
+    "axis_shrink_products", "comparison_solution", "csf_evolve",
     "curvature_vector", "curve_geometry", "curve_length", "edge_lengths",
     "enclosed_area", "grim_reaper_check", "grim_reaper_profile_error",
     "lobe_areas", "make_concinnous_eight", "reaper_profile_defect",

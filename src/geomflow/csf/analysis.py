@@ -227,18 +227,3 @@ def axis_shrink_products(run) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         px.append(diag.y_max * diag.k_max)
         py.append(diag.x_max * k_star)
     return times, np.array(px), np.array(py)
-
-
-def axis_shrink_products_fd(times, diagnostics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Finite-difference version of the shrink products, for cross-checking
-    the geometric evaluation on frames where time genuinely advanced."""
-    t = np.asarray(times, dtype=float)
-    x = np.array([d.x_max for d in diagnostics])
-    y = np.array([d.y_max for d in diagnostics])
-    if t.size < 3:
-        raise ValueError("need at least 3 frames")
-    keep = np.concatenate([[True], np.diff(t) > 1e-12])
-    t, x, y = t[keep], x[keep], y[keep]
-    dx = np.gradient(x, t)
-    dy = np.gradient(y, t)
-    return t, -y * dx, -x * dy

@@ -27,7 +27,7 @@ from .curve import (EightDiagnostics, PlaneCurve, curvature_vector, curve_geomet
 
 @dataclass
 class StopRule:
-    """Stopping policy: fixed time, curvature-resolution threshold, area floor.
+    """Stopping policy: fixed time, curvature-resolution threshold, length floor.
 
     ``kmax_spacing`` stops the run once k_max times the mean sample spacing
     exceeds the threshold: past that point the polygon can no longer resolve
@@ -38,7 +38,6 @@ class StopRule:
 
     time: float | None = None
     kmax_spacing: float | None = 0.5
-    area_floor: float | None = None
     length_floor_rel: float = 1e-7
 
 
@@ -48,9 +47,6 @@ class CsfRun:
     frames: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     stop_reason: str = ""
-
-    def pairs(self):
-        return list(zip(self.frames, self.diagnostics))
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(d, name) for d in self.diagnostics])
@@ -105,7 +101,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = 0.4,
     over 2*pi bounds the extinction time of any figure-eight from above.
     """
     stop = stop or StopRule(time=0.1)
-    if stop.time is None and stop.kmax_spacing is None and stop.area_floor is None:
+    if stop.time is None and stop.kmax_spacing is None:
         raise ValueError("stop rule has no active condition")
     P = resample_uniform(c0.points)
     t = 0.0
@@ -147,11 +143,6 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = 0.4,
             if min_gap < 0.3 * mean_gap:
                 run.stop_reason = "singularity reached (resampling degenerate)"
                 break
-        if stop.area_floor is not None:
-            area = enclosed_total_area(P)
-            if area <= stop.area_floor:
-                run.stop_reason = "area floor"
-                break
         if stop.time is not None and t >= stop.time - 1e-15:
             run.stop_reason = "time reached"
             break
@@ -177,16 +168,3 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = 0.4,
     if not run.stop_reason:
         run.stop_reason = "time reached"
     return run
-
-
-def enclosed_total_area(P: np.ndarray) -> float:
-    """Total absolute area: lobe areas if the polygon self-intersects, the
-    plain shoelace area otherwise."""
-    from ..errors import TopologyError
-    from .curve import enclosed_area, lobe_areas
-
-    try:
-        a1, a2 = lobe_areas(P)
-        return a1 + a2
-    except TopologyError:
-        return enclosed_area(P)

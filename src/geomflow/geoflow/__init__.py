@@ -3,14 +3,15 @@ period functions, symmetric/variational flowline systems, and the scans built
 on them.
 """
 
-from .geodesic import (GeodesicPath, concatenation_endpoint, cylinder_invariant,
-                       exponential, fibonacci_directions, geodesic, geodesic_sphere)
+from .geodesic import (SPHERE_CONTROL, GeodesicPath, concatenation_endpoint,
+                       cylinder_invariant, exponential, fibonacci_directions, geodesic,
+                       geodesic_sphere)
 from .group import (CurvatureData, check_alpha, covariant_self_derivative,
                     curvature_data, group_inv, group_mul, scalar_curvature)
 from .perfect import PerfectVectorReport, perfect_vector_checks
 from .periods import (PeriodRecord, endpoint_times, period, period_closed_form,
                       period_numeric)
-from .structure import (Flowline, admissible_x0_interval, beta_from_x0,
+from .structure import (TIGHT, Flowline, admissible_x0_interval, beta_from_x0,
                         equilibrium_tangent, flow_tangent, flow_to_equator,
                         level_value, structure_field, unit_tangent, v_beta)
 from .symmetric import (BoundaryCurve, BoundaryPoint, BoxScanRecord, GCheckPoint,
@@ -21,8 +22,8 @@ from .symmetric import (BoundaryCurve, BoundaryPoint, BoxScanRecord, GCheckPoint
 __all__ = [
     "BoundaryCurve", "BoundaryPoint", "BoxScanRecord", "CurvatureData",
     "Flowline", "GCheckPoint", "GeodesicPath", "PerfectVectorReport",
-    "PeriodRecord", "SymmetricRun", "admissible_x0_interval", "beta_from_x0",
-    "boundary_curve", "bounding_box_scan", "check_alpha",
+    "PeriodRecord", "SPHERE_CONTROL", "SymmetricRun", "TIGHT",
+    "admissible_x0_interval", "beta_from_x0", "boundary_curve", "bounding_box_scan", "check_alpha",
     "concatenation_endpoint", "covariant_self_derivative", "curvature_data",
     "cylinder_invariant", "dP_dx0", "endpoint_times", "equilibrium_tangent",
     "exponential", "fibonacci_directions", "flow_tangent", "flow_to_equator",

@@ -21,9 +21,10 @@ import numpy as np
 from ..errors import SetupError
 from ..numerics import StepControl, integrate_ode
 from .group import check_alpha, group_mul
-from .structure import level_value, v_beta
+from .structure import TIGHT, _flow_rhs, _sigma, level_value, v_beta
 
-_TIGHT = StepControl(initial_step=1e-3, abs_tol=1e-12, rel_tol=1e-12)
+# Default step control of the sphere scan: one geodesic per direction, so looser.
+SPHERE_CONTROL = StepControl(initial_step=1e-3, abs_tol=1e-10, rel_tol=1e-10)
 
 
 @dataclass
@@ -54,14 +55,7 @@ def _geodesic_rhs(alpha: float):
         vx, vy, vz, _, _, z = u
         ez = math.exp(z)
         eaz = math.exp(-alpha * z)
-        return np.array([
-            vx * vz,
-            -alpha * vy * vz,
-            alpha * vy * vy - vx * vx,
-            vx * ez,
-            vy * eaz,
-            vz,
-        ])
+        return np.array([*_sigma(vx, vy, vz, alpha), vx * ez, vy * eaz, vz])
     return rhs
 
 
@@ -77,7 +71,7 @@ def geodesic(v0, alpha: float, T: float, ctrl: StepControl | None = None,
     if T == 0.0:
         return GeodesicPath(alpha, np.array([0.0]), v0[None, :].copy(),
                             np.zeros((1, 3)))
-    ctrl = ctrl or _TIGHT
+    ctrl = ctrl or TIGHT
     y0 = np.concatenate([v0, np.zeros(3)])
     times = np.linspace(0.0, T, n_samples)
     traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), ctrl, output_times=times[1:])
@@ -106,13 +100,7 @@ def concatenation_endpoint(v0, alpha: float, T: float, n_steps: int = 1_000_000,
     """
     check_alpha(alpha)
     v0 = np.asarray(v0, dtype=float)
-    ctrl = ctrl or _TIGHT
-
-    def rhs(t, v):
-        x, y, z = v
-        return np.array([x * z, -alpha * y * z, alpha * y * y - x * x])
-
-    traj = integrate_ode(rhs, v0, (0.0, T), ctrl, dense=True)
+    traj = integrate_ode(_flow_rhs(alpha, +1), v0, (0.0, T), ctrl or TIGHT, dense=True)
     eps = T / n_steps
     mid = (np.arange(n_steps) + 0.5) * eps
     lam = traj.sample(mid)
@@ -177,7 +165,7 @@ def geodesic_sphere(alpha: float, R: float, n_dirs: int = 200,
         raise ValueError("radius must be positive")
     if n_dirs < 100:
         raise ValueError("need at least 100 directions for a meaningful cloud")
-    ctrl = ctrl or StepControl(initial_step=1e-3, abs_tol=1e-10, rel_tol=1e-10)
+    ctrl = ctrl or SPHERE_CONTROL
     dirs = fibonacci_directions(n_dirs)
     ends = np.empty_like(dirs)
     for j, d in enumerate(dirs):

@@ -18,9 +18,7 @@ from ..numerics import StepControl
 from .geodesic import geodesic
 from .group import check_alpha
 from .periods import period
-from .structure import beta_from_x0, flow_tangent, v_beta
-
-_TIGHT = StepControl(initial_step=1e-3, abs_tol=1e-12, rel_tol=1e-12)
+from .structure import TIGHT, beta_from_x0, flow_tangent, v_beta
 
 
 def _holonomy(endpoint: np.ndarray, alpha: float) -> float:
@@ -58,7 +56,7 @@ def perfect_vector_checks(alpha: float, beta: float | None = None,
         beta = beta_from_x0(x0, alpha)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta={beta} outside (0, 1)")
-    ctrl = ctrl or _TIGHT
+    ctrl = ctrl or TIGHT
 
     P = period(alpha, beta).period
     v_plus = v_beta(beta, alpha)

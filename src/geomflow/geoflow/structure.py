@@ -15,13 +15,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SetupError
-from ..numerics import StepControl, Trajectory, find_root, integrate_ode
+from ..numerics import StepControl, find_root, integrate_ode
 from .group import check_alpha
+
+# Default step control of the family's ODE solves (flowlines, geodesics,
+# symmetric and variational systems).
+TIGHT = StepControl(initial_step=1e-3, abs_tol=1e-12, rel_tol=1e-12)
+
+
+def _sigma(x, y, z, alpha: float):
+    """Components of Sigma(v) = (xz, -a yz, a y^2 - x^2): the one copy of the
+    field that every flowline, geodesic and symmetric system is built on."""
+    return x * z, -alpha * y * z, alpha * y * y - x * x
 
 
 def structure_field(v, alpha: float) -> np.ndarray:
     x, y, z = np.asarray(v, dtype=float)
-    return np.array([x * z, -alpha * y * z, alpha * y * y - x * x])
+    return np.array(_sigma(x, y, z, alpha))
+
+
+def _flow_rhs(alpha: float, direction: int):
+    """Right-hand side of v' = +Sigma(v) (direction >= 0) or -Sigma(v)."""
+    sgn = 1.0 if direction >= 0 else -1.0
+
+    def rhs(t, v):
+        return sgn * np.array(_sigma(*v, alpha))
+    return rhs
 
 
 def level_value(v, alpha: float) -> float:
@@ -97,15 +116,9 @@ def flow_tangent(v0, alpha: float, T: float, direction: int = +1,
     v0 = np.asarray(v0, dtype=float)
     if abs(np.linalg.norm(v0) - 1.0) > 1e-8:
         raise SetupError("initial tangent is not a unit vector")
-    sgn = 1.0 if direction >= 0 else -1.0
-    ctrl = ctrl or StepControl(initial_step=1e-3, abs_tol=1e-12, rel_tol=1e-12)
-
-    def rhs(t, v):
-        x, y, z = v
-        return sgn * np.array([x * z, -alpha * y * z, alpha * y * y - x * x])
-
     times = np.linspace(0.0, T, n_samples)
-    traj = integrate_ode(rhs, v0, (0.0, T), ctrl, output_times=times[1:])
+    traj = integrate_ode(_flow_rhs(alpha, direction), v0, (0.0, T), ctrl or TIGHT,
+                         output_times=times[1:])
     all_times = np.concatenate([[0.0], traj.times])
     all_tangents = np.vstack([v0, traj.states])
     return Flowline(alpha=alpha, times=all_times, tangents=all_tangents)
@@ -116,15 +129,8 @@ def flow_to_equator(v0, alpha: float, direction: int = +1, t_max: float = 50.0,
     """First time the flowline from v0 crosses z = 0, with the crossing tangent."""
     check_alpha(alpha)
     v0 = np.asarray(v0, dtype=float)
-    sgn = 1.0 if direction >= 0 else -1.0
-    ctrl = ctrl or StepControl(initial_step=1e-3, abs_tol=1e-12, rel_tol=1e-12)
-
-    def rhs(t, v):
-        x, y, z = v
-        return sgn * np.array([x * z, -alpha * y * z, alpha * y * y - x * x])
-
-    traj = integrate_ode(rhs, v0, (0.0, t_max), ctrl, event=lambda t, v: v[2],
-                         event_min_time=1e-9)
+    traj = integrate_ode(_flow_rhs(alpha, direction), v0, (0.0, t_max), ctrl or TIGHT,
+                         event=lambda t, v: v[2], event_min_time=1e-9)
     if traj.event_time is None:
         raise SetupError("flowline did not reach the equator within t_max")
     return traj.event_time, traj.event_state

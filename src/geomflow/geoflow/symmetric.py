@@ -27,21 +27,14 @@ from ..errors import DetectionError
 from ..numerics import StepControl, Trajectory, integrate_ode
 from .group import check_alpha
 from .periods import period
-from .structure import admissible_x0_interval, beta_from_x0
-
-_TIGHT = StepControl(initial_step=1e-3, abs_tol=1e-12, rel_tol=1e-12)
+from .structure import TIGHT, _sigma, admissible_x0_interval, beta_from_x0
 
 
 def _sym_rhs(alpha: float, with_quadrature: bool = False):
     def rhs(t, u):
         x, y, z, a, b = u[:5]
-        out = [
-            -x * z,
-            alpha * y * z,
-            x * x - alpha * y * y,
-            2.0 * x + a * z,
-            2.0 * y - alpha * b * z,
-        ]
+        sx, sy, sz = _sigma(x, y, z, alpha)
+        out = [-sx, -sy, -sz, 2.0 * x + a * z, 2.0 * y - alpha * b * z]
         if with_quadrature:
             out.append(y * y)
         return np.array(out)
@@ -51,10 +44,9 @@ def _sym_rhs(alpha: float, with_quadrature: bool = False):
 def _var_rhs(alpha: float):
     def rhs(t, u):
         x, y, z, a, b, xb, yb, zb, ab, bb = u
+        sx, sy, sz = _sigma(x, y, z, alpha)
         return np.array([
-            -x * z,
-            alpha * y * z,
-            x * x - alpha * y * y,
+            -sx, -sy, -sz,
             2.0 * x + a * z,
             2.0 * y - alpha * b * z,
             -x * zb - z * xb,
@@ -117,7 +109,7 @@ def symmetric_system(x0: float, alpha: float, ctrl: StepControl | None = None,
     lo, hi = admissible_x0_interval(alpha)
     if not lo < x0 < hi:
         raise ValueError(f"x0={x0} outside the admissible interval ({lo:.6f}, {hi})")
-    ctrl = ctrl or _TIGHT
+    ctrl = ctrl or TIGHT
     y0 = [x0, math.sqrt(1.0 - x0 * x0), 0.0, 0.0, 0.0]
     if with_quadrature:
         y0.append(0.0)
@@ -132,7 +124,7 @@ def variational_system(x0: float, alpha: float,
     lo, hi = admissible_x0_interval(alpha)
     if not lo < x0 < hi:
         raise ValueError(f"x0={x0} outside the admissible interval ({lo:.6f}, {hi})")
-    ctrl = ctrl or _TIGHT
+    ctrl = ctrl or TIGHT
     y0 = np.array([
         x0, math.sqrt(1.0 - x0 * x0), 0.0, 0.0, 0.0,
         1.0, -x0 / math.sqrt(1.0 - x0 * x0), 0.0, 0.0, 0.0,

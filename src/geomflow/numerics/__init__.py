@@ -6,7 +6,7 @@ from .interpolation import MonotoneCubic, PeriodicCubicSpline
 from .ode import StepControl, Trajectory, integrate_ode
 from .periodic import (periodic_derivative, periodic_grid, periodic_primitive,
                        trig_interp)
-from .quadrature import adaptive_simpson, integrate_singular
+from .quadrature import integrate_singular
 from .roots import find_root
 from .special import elliptic_K, erfc
 
@@ -15,7 +15,6 @@ __all__ = [
     "PeriodicCubicSpline",
     "StepControl",
     "Trajectory",
-    "adaptive_simpson",
     "elliptic_K",
     "erfc",
     "find_root",

@@ -46,8 +46,7 @@ class PeriodicCubicSpline:
 class MonotoneCubic:
     """Shape-preserving (Fritsch-Carlson) cubic interpolant of monotone data.
 
-    Evaluation outside the knot range is refused. Derivative evaluation is
-    available (needed when the interpolant feeds a chain rule).
+    Evaluation outside the knot range is refused.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -85,16 +84,12 @@ class MonotoneCubic:
             return 3.0 * d0
         return s
 
-    def _locate(self, s):
+    def __call__(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if s_arr.min() < self.x[0] - 1e-9 or s_arr.max() > self.x[-1] + 1e-9:
             raise ValueError("evaluation point outside the interpolation range")
         s_arr = np.clip(s_arr, self.x[0], self.x[-1])
         j = np.clip(np.searchsorted(self.x, s_arr, side="right") - 1, 0, self.x.size - 2)
-        return s_arr, j
-
-    def __call__(self, s):
-        s_arr, j = self._locate(s)
         h = self.h[j]
         t = (s_arr - self.x[j]) / h
         y0, y1 = self.y[j], self.y[j + 1]
@@ -104,17 +99,4 @@ class MonotoneCubic:
         h01 = t * t * (3 - 2 * t)
         h11 = t * t * (t - 1)
         out = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-        return out[0] if np.ndim(s) == 0 else out
-
-    def derivative(self, s):
-        s_arr, j = self._locate(s)
-        h = self.h[j]
-        t = (s_arr - self.x[j]) / h
-        y0, y1 = self.y[j], self.y[j + 1]
-        d0, d1 = self.d[j], self.d[j + 1]
-        dh00 = 6 * t * t - 6 * t
-        dh10 = 3 * t * t - 4 * t + 1
-        dh01 = -6 * t * t + 6 * t
-        dh11 = 3 * t * t - 2 * t
-        out = (dh00 * y0 / h + dh10 * d0 + dh01 * y1 / h + dh11 * d1)
         return out[0] if np.ndim(s) == 0 else out

@@ -100,15 +100,8 @@ class Trajectory:
         idx = np.clip(np.searchsorted(self.times, t_arr, side="right") - 1, 0, len(self.times) - 2)
         t0 = self.times[idx]
         h = self.times[idx + 1] - t0
-        s = ((t_arr - t0) / h)[:, None]
-        y0, y1 = self.states[idx], self.states[idx + 1]
-        f0, f1 = self.derivs[idx], self.derivs[idx + 1]
-        h = h[:, None]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out = h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+        out = _hermite(t_arr[:, None], t0[:, None], h[:, None], self.states[idx],
+                       self.states[idx + 1], self.derivs[idx], self.derivs[idx + 1])
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
 

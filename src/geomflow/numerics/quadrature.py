@@ -1,5 +1,6 @@
-"""Quadrature: adaptive Simpson for smooth integrands, and a de-singularized
-rule for integrands with inverse-square-root behavior at both endpoints.
+"""Quadrature for integrands with inverse-square-root behavior at both
+endpoints: a sine substitution removes the singularities, and a composite
+Gauss-Legendre rule integrates what remains.
 """
 
 from __future__ import annotations
@@ -18,28 +19,6 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _LEGENDRE_CACHE:
         _LEGENDRE_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _LEGENDRE_CACHE[n]
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12,
-                     max_depth: int = 50) -> float:
-    """Classic recursive adaptive Simpson rule for a smooth integrand."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, fm, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= max_depth:
-            raise QuadratureError("adaptive Simpson recursion depth exceeded")
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, m, fm, flm, left, tol / 2, depth + 1)
-             + recurse(m, fm, b, fb, frm, right, tol / 2, depth + 1))
-
-    return recurse(a, fa, b, fb, fm, whole, tol, 0)
 
 
 def integrate_singular(f: Callable[[float], float], a: float, b: float,

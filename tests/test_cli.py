@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from geomflow.cli import main
+from geomflow.geoflow import SPHERE_CONTROL, TIGHT
 
 
 def read_csv(path: Path):
@@ -70,6 +72,16 @@ class TestGeoCommands:
         obj = (out / "sphere.obj").read_text().strip().split("\n")
         assert len(obj) == 100
         assert all(line.startswith("v ") for line in obj)
+
+    def test_manifests_record_step_control(self, tmp_path):
+        cases = [(["geo", "flowline", "--T", "1"], "geo_flowline", TIGHT),
+                 (["geo", "sphere", "--R", "0.5", "--n-dirs", "100"], "geo_sphere",
+                  SPHERE_CONTROL)]
+        for argv, experiment, ctrl in cases:
+            out = tmp_path / experiment
+            assert main([*argv, "--out", str(out)]) == 0
+            manifest = json.loads((out / f"{experiment}_manifest.json").read_text())
+            assert manifest["tolerances"]["step_control"] == asdict(ctrl)
 
 
 class TestTorsionCommands:

@@ -137,12 +137,6 @@ class TestEvolve:
         L = run.series("length")
         assert np.all(np.diff(L) < 0)
 
-    def test_area_floor_stop(self):
-        run = csf_evolve(unit_circle(), StopRule(time=1.0, kmax_spacing=None,
-                                                 area_floor=math.pi / 2), record_dt=0.02)
-        assert run.stop_reason == "area floor"
-        assert run.diagnostics[-1].total_area <= math.pi / 2 + 0.05
-
     def test_eight_short_run_keeps_symmetry(self):
         eight = make_concinnous_eight(1.0, n_points=256)
         run = csf_evolve(eight, StopRule(time=0.02, kmax_spacing=None),
