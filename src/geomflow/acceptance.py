@@ -10,6 +10,7 @@ pytest suite can share them within a process.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +43,7 @@ class CheckResult:
     status: str       # PASS | FAIL | MEASURED
     gating: bool
     details: str
+    seconds: float = 0.0   # wall time of the check, set by ``run_suite``
 
     @property
     def ok(self) -> bool:
@@ -387,7 +389,8 @@ def check_18_bowtie_trends() -> CheckResult:
     run8 = _eight_run()
     idxs = resolvable_frames(run8)
     tail = idxs[len(idxs) * 2 // 3:]
-    records = [affine_rescale_and_bowtie(run8.frames[k], run8.times[k]) for k in tail]
+    records = [affine_rescale_and_bowtie(run8.frames[k], run8.times[k], run8.diagnostics[k])
+               for k in tail]
     ratios = np.array([rec.ratio_xstar for rec in records])
     ratio_trend = bool(np.all(np.diff(ratios) > -1e-9)) and ratios[-1] > ratios[0]
     dists = np.array([rec.bowtie_distance for rec in records])
@@ -453,9 +456,14 @@ CRITERIA = [
 
 
 def run_suite(suite: str = "all") -> list[CheckResult]:
+    """Run the criteria of ``suite`` in order, timing each. A shared run is
+    paid for by the first criterion that needs it."""
     results = []
     for cid, group, func in CRITERIA:
         if suite != "all" and group != suite:
             continue
-        results.append(func())
+        t0 = time.perf_counter()
+        result = func()
+        result.seconds = time.perf_counter() - t0
+        results.append(result)
     return results

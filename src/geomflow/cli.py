@@ -11,8 +11,10 @@ module structure:
     geomflow verify {all, csf, torsion, geo}
 
 Repeated runs of one configuration produce byte-identical data files. The
-manifests of the ODE-driven geo commands record the step control the solver
-actually used.
+manifests record the controls the run actually used: the step control of the
+ODE-driven geo commands and of ``torsion evolve``, and the CFL number and
+stop rule of the csf commands, with their step count. ``verify`` prints each
+criterion's wall time.
 """
 
 from __future__ import annotations
@@ -50,57 +52,66 @@ def _write_run(writer: ExperimentWriter, run) -> None:
 
 
 def cmd_csf_run(args) -> int:
-    from .csf import StopRule, csf_evolve
+    from .csf import CFL, StopRule, csf_evolve
     curve = _load_eight(args)
     stop = StopRule(time=args.T, kmax_spacing=args.kmax_spacing)
     writer = ExperimentWriter(args.out, "csf_run",
                               {"curve": args.curve, "scale": args.scale, "n": args.n,
                                "T": args.T, "kmax_spacing": args.kmax_spacing},
-                              {"cfl": 0.4})
+                              {"cfl": CFL, "stop_rule": asdict(stop)})
     run = csf_evolve(curve, stop, record_dt=args.record_dt)
     _write_run(writer, run)
     writer.parameters["stop_reason"] = run.stop_reason
+    writer.parameters["steps"] = run.steps
     writer.finish()
     return 0
 
 
-def cmd_csf_bowtie(args) -> int:
-    from .csf import (StopRule, affine_rescale_and_bowtie, axis_shrink_products,
-                      csf_evolve, resolvable_frames)
-    curve = _load_eight(args)
-    writer = ExperimentWriter(args.out, "csf_bowtie",
+def _collapse_writer(args, experiment: str):
+    """Writer and stop rule of the runs to the singularity stop."""
+    from .csf import CFL, MIN_TIP_POINTS, StopRule
+    stop = StopRule(kmax_spacing=0.5)
+    writer = ExperimentWriter(args.out, experiment,
                               {"curve": args.curve, "scale": args.scale, "n": args.n,
                                "record_dt": args.record_dt},
-                              {"cfl": 0.4, "kmax_spacing": 0.5})
-    run = csf_evolve(curve, StopRule(kmax_spacing=0.5), record_dt=args.record_dt,
+                              {"cfl": CFL, "stop_rule": asdict(stop),
+                               "min_tip_points": MIN_TIP_POINTS})
+    return writer, stop
+
+
+def cmd_csf_bowtie(args) -> int:
+    from .csf import (affine_rescale_and_bowtie, axis_shrink_products, csf_evolve,
+                      resolvable_frames)
+    curve = _load_eight(args)
+    writer, stop = _collapse_writer(args, "csf_bowtie")
+    run = csf_evolve(curve, stop, record_dt=args.record_dt,
                      expect_double_point=True)
     _write_run(writer, run)
     idxs = resolvable_frames(run)
     tm, px, py = axis_shrink_products(run)
     rows = []
     for k in idxs:
-        rec = affine_rescale_and_bowtie(run.frames[k], run.times[k])
+        rec = affine_rescale_and_bowtie(run.frames[k], run.times[k], run.diagnostics[k])
         rows.append([run.times[k], rec.bowtie_distance, rec.ratio_xstar, px[k], py[k]])
     writer.csv("bowtie.csv", ["t", "bowtie_distance", "ratio_xstar",
                               "minus_ymax_dxmax_dt", "minus_xmax_dymax_dt"], rows)
     writer.parameters["stop_reason"] = run.stop_reason
+    writer.parameters["steps"] = run.steps
     writer.finish()
     return 0
 
 
 def cmd_csf_grimreaper(args) -> int:
-    from .csf import StopRule, csf_evolve, grim_reaper_check, resolvable_frames
+    from .csf import csf_evolve, grim_reaper_check, resolvable_frames
     curve = _load_eight(args)
-    writer = ExperimentWriter(args.out, "csf_grimreaper",
-                              {"curve": args.curve, "scale": args.scale, "n": args.n,
-                               "record_dt": args.record_dt},
-                              {"min_tip_points": 16})
-    run = csf_evolve(curve, StopRule(kmax_spacing=0.5), record_dt=args.record_dt,
+    writer, stop = _collapse_writer(args, "csf_grimreaper")
+    run = csf_evolve(curve, stop, record_dt=args.record_dt,
                      expect_double_point=True)
     idxs = resolvable_frames(run)
     series = grim_reaper_check(run, idxs)
     writer.csv("grimreaper.csv", ["t", "profile_error", "alpha_angle"],
                zip(series.times, series.errors, series.alphas))
+    writer.parameters["steps"] = run.steps
     writer.finish()
     return 0
 
@@ -126,15 +137,16 @@ def _initial_torsion(name: str, n: int):
 
 
 def cmd_torsion_evolve(args) -> int:
-    from .torsionflow import CurvatureProfile, UNIT_CURVATURE, torsion_evolve
+    from .torsionflow import CurvatureProfile, UNIT_CURVATURE, default_control, torsion_evolve
     tau0 = _initial_torsion(args.initial, args.n)
     kappa = UNIT_CURVATURE if args.kappa == 1.0 else CurvatureProfile(constant=args.kappa)
     times = np.linspace(0.0, args.T, args.frames + 1)[1:]
+    ctrl = default_control(tau0, kappa)
     writer = ExperimentWriter(args.out, "torsion_evolve",
                               {"initial": args.initial, "n": args.n, "T": args.T,
                                "kappa": args.kappa, "frames": args.frames},
-                              {"abs_tol": 1e-10, "rel_tol": 1e-9})
-    fields = torsion_evolve(tau0, kappa, args.T, output_times=times)
+                              {"step_control": asdict(ctrl)})
+    fields = torsion_evolve(tau0, kappa, args.T, output_times=times, ctrl=ctrl)
     rows = []
     grid = tau0.grid
     for s_idx, s in enumerate(grid):
@@ -365,7 +377,7 @@ def cmd_verify(args) -> int:
     width = max(len(r.label) for r in results)
     failed = False
     for r in results:
-        print(f"[{r.status:>8s}] {r.cid:2d}  {r.label:<{width}s}  {r.details}")
+        print(f"[{r.status:>8s}] {r.cid:2d}  {r.label:<{width}s}  {r.seconds:7.1f} s  {r.details}")
         if r.gating and r.status == "FAIL":
             failed = True
     print(f"{sum(r.status == 'PASS' for r in results)} passed, "

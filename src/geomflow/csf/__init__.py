@@ -1,6 +1,6 @@
 """Curve-shortening flow on immersed plane curves with figure-eight diagnostics."""
 
-from .analysis import (BowtieRecord, GrimReaperSeries, ThetaSeries,
+from .analysis import (MIN_TIP_POINTS, BowtieRecord, GrimReaperSeries, ThetaSeries,
                        affine_rescale_and_bowtie, axis_shrink_products,
                        comparison_solution, grim_reaper_check,
                        grim_reaper_profile_error, reaper_profile_defect,
@@ -9,12 +9,12 @@ from .curve import (EightDiagnostics, PlaneCurve, curvature_vector, curve_geomet
                     curve_length, edge_lengths, enclosed_area, lobe_areas,
                     make_concinnous_eight, self_intersection, signed_curvature,
                     tangent_angles_unwrapped, turning_number)
-from .evolve import CsfRun, StopRule, csf_evolve, resample_uniform
+from .evolve import CFL, CsfRun, StopRule, csf_evolve, resample_uniform
 
 __all__ = [
-    "BowtieRecord", "CsfRun", "EightDiagnostics", "GrimReaperSeries",
-    "PlaneCurve", "StopRule", "ThetaSeries", "affine_rescale_and_bowtie",
-    "axis_shrink_products", "comparison_solution", "csf_evolve",
+    "BowtieRecord", "CFL", "CsfRun", "EightDiagnostics", "GrimReaperSeries",
+    "MIN_TIP_POINTS", "PlaneCurve", "StopRule", "ThetaSeries",
+    "affine_rescale_and_bowtie", "axis_shrink_products", "comparison_solution", "csf_evolve",
     "curvature_vector", "curve_geometry", "curve_length", "edge_lengths",
     "enclosed_area", "grim_reaper_check", "grim_reaper_profile_error",
     "lobe_areas", "make_concinnous_eight", "reaper_profile_defect",

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ResolutionError, TopologyError
-from ..numerics import erfc
-from .curve import (PlaneCurve, curve_length, edge_lengths, self_intersection,
-                    signed_curvature, tangent_angles_unwrapped)
+from ..numerics import cyclic_shift, erfc
+from .curve import (EightDiagnostics, PlaneCurve, curve_geometry, edge_lengths,
+                    self_intersection, signed_curvature, tangent_angles_unwrapped)
+
+MIN_TIP_POINTS = 16  # samples a frame needs across its curvature tip to count as resolved
 
 
 @dataclass
@@ -63,7 +65,7 @@ def comparison_solution(x: float, t: float, M: float) -> float:
     return (math.pi / 8.0) * (erfc((rm - x) / root) + erfc((rm + x) / root))
 
 
-def resolvable_frames(run, min_tip_points: int = 16) -> list[int]:
+def resolvable_frames(run, min_tip_points: int = MIN_TIP_POINTS) -> list[int]:
     """Indices of recorded frames that resolve the curvature tip.
 
     A frame resolves the tip when the arc length where the curvature exceeds
@@ -94,7 +96,7 @@ def reaper_profile_defect(theta: np.ndarray, k_ratio: np.ndarray,
     return float(np.max(np.abs(prof - np.sin(phi))))
 
 
-def grim_reaper_profile_error(frame: PlaneCurve, min_tip_points: int = 16,
+def grim_reaper_profile_error(frame: PlaneCurve, min_tip_points: int = MIN_TIP_POINTS,
                               n_phi: int = 256) -> float:
     """Sup over the tangent angle in [0, pi] of |k/k_max - sin(angle)| on the
     right lobe. Raises ResolutionError when fewer than ``min_tip_points``
@@ -130,7 +132,8 @@ class GrimReaperSeries:
         return bool(np.all(np.diff(self.errors) < 0.0))
 
 
-def grim_reaper_check(run, frame_indices=None, min_tip_points: int = 16) -> GrimReaperSeries:
+def grim_reaper_check(run, frame_indices=None,
+                      min_tip_points: int = MIN_TIP_POINTS) -> GrimReaperSeries:
     """Profile error series over the chosen (default: all resolvable) frames."""
     if frame_indices is None:
         frame_indices = resolvable_frames(run, min_tip_points)
@@ -161,7 +164,8 @@ def _dist_points_to_segments(points: np.ndarray, seg_a: np.ndarray, seg_b: np.nd
     return np.min(np.linalg.norm(points[:, None, :] - proj, axis=2), axis=1)
 
 
-def affine_rescale_and_bowtie(frame: PlaneCurve, time: float = 0.0) -> BowtieRecord:
+def affine_rescale_and_bowtie(frame: PlaneCurve, time: float = 0.0,
+                              diag: EightDiagnostics | None = None) -> BowtieRecord:
     """Rescale the frame into the unit box and measure the distance to the bow-tie.
 
     The x axis is scaled by 1/x_max and the y axis by 1/y_max (quarter-curve
@@ -169,10 +173,13 @@ def affine_rescale_and_bowtie(frame: PlaneCurve, time: float = 0.0) -> BowtieRec
     closed four-corner path whose image is the two diagonals plus the two
     vertical edges; the reported distance is the symmetric Hausdorff distance
     between it and the rescaled polygon.
-    """
-    from .curve import curve_geometry
 
-    diag = curve_geometry(frame, time, expect_double_point=True)
+    ``diag`` is the frame's ``curve_geometry`` record when the caller already
+    has it (a recorded run's diagnostics); otherwise it is measured here,
+    with the double point required.
+    """
+    if diag is None:
+        diag = curve_geometry(frame, time, expect_double_point=True)
     if not (diag.x_max > 0.0 and diag.y_max > 0.0) or math.isnan(diag.x_star):
         raise ValueError("degenerate frame extent; cannot rescale")
     Q = frame.points / np.array([diag.x_max, diag.y_max])
@@ -188,7 +195,7 @@ def affine_rescale_and_bowtie(frame: PlaneCurve, time: float = 0.0) -> BowtieRec
         seg_a + tt * (seg_b - seg_a) for tt in np.linspace(0.0, 1.0, 101)[:, None, None]
     ])
     curve_a = Q
-    curve_b = np.roll(Q, -1, axis=0)
+    curve_b = cyclic_shift(Q, 1)
     d_tie_to_curve = float(np.max(_dist_points_to_segments(samples, curve_a, curve_b)))
     return BowtieRecord(
         rescaled=rescaled,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConstructionError, TopologyError
+from ..numerics import cyclic_shift
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,8 +45,15 @@ class PlaneCurve:
         return self.points.shape[0]
 
 
+def row_lengths(V: np.ndarray) -> np.ndarray:
+    """Length of each row of an (m, 2) array: ``np.linalg.norm(V, axis=1)``,
+    bit for bit, without its dispatch cost."""
+    x, y = V[:, 0], V[:, 1]
+    return np.sqrt(x * x + y * y)
+
+
 def edge_lengths(P: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
+    return row_lengths(cyclic_shift(P, 1) - P)
 
 
 def curve_length(P: np.ndarray) -> float:
@@ -53,10 +61,10 @@ def curve_length(P: np.ndarray) -> float:
 
 
 def _three_point(P: np.ndarray):
-    prev = np.roll(P, 1, axis=0)
-    nxt = np.roll(P, -1, axis=0)
-    a = np.linalg.norm(P - prev, axis=1)[:, None]
-    b = np.linalg.norm(nxt - P, axis=1)[:, None]
+    prev = cyclic_shift(P, -1)
+    nxt = cyclic_shift(P, 1)
+    a = row_lengths(P - prev)[:, None]
+    b = row_lengths(nxt - P)[:, None]
     denom = a * b * (a + b)
     first = (a * a * (nxt - P) + b * b * (P - prev)) / denom
     second = 2.0 * (a * (nxt - P) - b * (P - prev)) / denom
@@ -70,7 +78,7 @@ def curvature_vector(P: np.ndarray) -> np.ndarray:
 
 def signed_curvature(P: np.ndarray) -> np.ndarray:
     first, second = _three_point(P)
-    speed = np.linalg.norm(first, axis=1)
+    speed = row_lengths(first)
     cross = first[:, 0] * second[:, 1] - first[:, 1] * second[:, 0]
     return cross / speed ** 3
 
@@ -81,7 +89,7 @@ def turning_number(P: np.ndarray) -> float:
     Exact for polygons, so it is the robust way to evaluate the rotation
     number integral of a sampled curve.
     """
-    edges = np.roll(P, -1, axis=0) - P
+    edges = cyclic_shift(P, 1) - P
     ang = np.arctan2(edges[:, 1], edges[:, 0])
     turns = np.diff(ang, append=ang[:1])
     turns = (turns + math.pi) % TWO_PI - math.pi
@@ -136,44 +144,48 @@ def _refine_extreme_position(xs: np.ndarray, ys: np.ndarray, idx: int) -> tuple[
     return float(y_ref), float(x_ref)
 
 
-def self_intersection(P: np.ndarray, chunk: int = 128):
+_CROSSING_CHUNK = 128  # segments per side of one block of the pair search
+
+
+def self_intersection(P: np.ndarray):
     """The unique proper self-crossing of the closed polygon.
 
     Returns (i, j, point) where segments (i, i+1) and (j, j+1) cross at
     ``point``. Raises TopologyError when there is no crossing or more than
     one distinct crossing. Neighboring segment pairs are excluded.
+
+    Segment pairs i < j are tested in square blocks of ``_CROSSING_CHUNK``,
+    each as broadcast (rows i, columns j) slices of the start points and the
+    edge vectors; blocks are visited in row-major order and the hits within
+    a block in row-major order, so the first hit found is always the same.
     """
     n = P.shape[0]
-    A = P
-    B = np.roll(P, -1, axis=0)
+    x, y = P[:, 0], P[:, 1]
+    E = cyclic_shift(P, 1) - P
+    ex, ey = E[:, 0], E[:, 1]
     found: list[tuple[int, int, np.ndarray]] = []
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        idx_i = np.arange(i0, i1)
-        for j0 in range(i0, n, chunk):
-            j1 = min(j0 + chunk, n)
-            idx_j = np.arange(j0, j1)
-            ii, jj = np.meshgrid(idx_i, idx_j, indexing="ij")
-            sep = (jj - ii) % n
-            mask = (sep >= 2) & (sep <= n - 2) & (jj > ii)
+    for i0 in range(0, n, _CROSSING_CHUNK):
+        i1 = min(i0 + _CROSSING_CHUNK, n)
+        rows = slice(i0, i1)
+        for j0 in range(i0, n, _CROSSING_CHUNK):
+            j1 = min(j0 + _CROSSING_CHUNK, n)
+            sep = np.arange(j0, j1)[None, :] - np.arange(i0, i1)[:, None]
+            mask = (sep >= 2) & (sep <= n - 2)
             if not np.any(mask):
                 continue
-            p1 = A[ii]
-            p2 = B[ii]
-            q1 = A[jj]
-            q2 = B[jj]
-            r = p2 - p1
-            s = q2 - q1
-            denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
-            dq = q1 - p1
+            cols = slice(j0, j1)
+            rx, ry = ex[rows, None], ey[rows, None]
+            sx, sy = ex[None, cols], ey[None, cols]
+            denom = rx * sy - ry * sx
+            dqx = x[None, cols] - x[rows, None]
+            dqy = y[None, cols] - y[rows, None]
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = (dq[..., 0] * s[..., 1] - dq[..., 1] * s[..., 0]) / denom
-                u = (dq[..., 0] * r[..., 1] - dq[..., 1] * r[..., 0]) / denom
+                t = (dqx * sy - dqy * sx) / denom
+                u = (dqx * ry - dqy * rx) / denom
             hit = mask & (denom != 0.0) & (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
             for ci, cj in zip(*np.nonzero(hit)):
-                gi, gj = int(ii[ci, cj]), int(jj[ci, cj])
-                pt = p1[ci, cj] + t[ci, cj] * r[ci, cj]
-                found.append((gi, gj, pt))
+                gi = i0 + int(ci)
+                found.append((gi, j0 + int(cj), P[gi] + t[ci, cj] * E[gi]))
     if not found:
         raise TopologyError("no self-intersection found")
     # merge crossings that coincide geometrically (vertex-grazing duplicates)
@@ -198,14 +210,14 @@ def lobe_areas(P: np.ndarray, crossing=None) -> tuple[float, float]:
 
     def shoelace(Q):
         x, y = Q[:, 0], Q[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        return 0.5 * float(np.sum(x * cyclic_shift(y, 1) - cyclic_shift(x, 1) * y))
 
     return abs(shoelace(arc1)), abs(shoelace(arc2))
 
 
 def enclosed_area(P: np.ndarray) -> float:
     x, y = P[:, 0], P[:, 1]
-    return abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    return abs(0.5 * float(np.sum(x * cyclic_shift(y, 1) - cyclic_shift(x, 1) * y)))
 
 
 @dataclass

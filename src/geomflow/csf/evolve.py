@@ -20,9 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..numerics import PeriodicCubicSpline
+from ..numerics import PeriodicCubicSpline, cyclic_shift
+from ..numerics.interpolation import REFINE
 from .curve import (EightDiagnostics, PlaneCurve, curvature_vector, curve_geometry,
-                    curve_length, edge_lengths)
+                    curve_length, edge_lengths, row_lengths)
+
+
+CFL = 0.4  # step size dt = CFL * (min spacing)^2 / 2
 
 
 @dataclass
@@ -47,31 +51,30 @@ class CsfRun:
     frames: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     stop_reason: str = ""
+    steps: int = 0
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(d, name) for d in self.diagnostics])
 
 
-def resample_uniform(P: np.ndarray, n_out: int | None = None, refine: int = 4) -> np.ndarray:
+def resample_uniform(P: np.ndarray) -> np.ndarray:
     """Redistribute polygon samples uniformly in arc length.
 
-    Fits periodic cubic splines in index space, measures arc length on a
-    refined polyline, anchors the new mesh half a cell past the rightmost
-    x-axis crossing (falling back to the old first point when the curve does
-    not cross), and evaluates the splines at the inverted arc positions.
+    Fits one periodic cubic spline to both coordinates in index space,
+    measures arc length on a refined polyline, anchors the new mesh half a
+    cell past the rightmost x-axis crossing (falling back to the old first
+    point when the curve does not cross), and evaluates the spline at the
+    inverted arc positions.
     """
     n = P.shape[0]
-    n_out = n_out or n
-    sx = PeriodicCubicSpline(P[:, 0], period=float(n))
-    sy = PeriodicCubicSpline(P[:, 1], period=float(n))
-    u_fine = np.arange(n * refine) / refine
-    fine = np.column_stack([sx(u_fine), sy(u_fine)])
-    seg = np.linalg.norm(np.diff(fine, axis=0, append=fine[:1]), axis=1)
+    spline = PeriodicCubicSpline(P, period=float(n))
+    fine = spline.refined()
+    seg = edge_lengths(fine)
     s_cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = s_cum[-1]
 
     y = fine[:, 1]
-    y_next = np.roll(y, -1)
+    y_next = cyclic_shift(y, 1)
     crossing = np.nonzero(((y > 0.0) & (y_next <= 0.0)) | ((y >= 0.0) & (y_next < 0.0)))[0]
     if crossing.size:
         fracs = y[crossing] / (y[crossing] - y_next[crossing])
@@ -82,13 +85,13 @@ def resample_uniform(P: np.ndarray, n_out: int | None = None, refine: int = 4) -
     else:
         s_anchor = 0.0
 
-    h_new = total / n_out
-    targets = (s_anchor + (np.arange(n_out) + 0.5) * h_new) % total
-    u_targets = np.interp(targets, s_cum, np.concatenate([u_fine, [float(n)]]))
-    return np.column_stack([sx(u_targets), sy(u_targets)])
+    h_new = total / n
+    targets = (s_anchor + (np.arange(n) + 0.5) * h_new) % total
+    u_targets = np.interp(targets, s_cum, np.arange(n * REFINE + 1) / REFINE)
+    return spline(u_targets)
 
 
-def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = 0.4,
+def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = CFL,
                record_dt: float | None = None, record_shrink: float = 0.93,
                expect_double_point: bool | None = None) -> CsfRun:
     """Evolve by curve-shortening flow, recording frames and diagnostics.
@@ -130,7 +133,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = 0.4,
         mean_gap = float(np.mean(gaps))
         length = float(np.sum(gaps))
         vel = curvature_vector(P)
-        k_abs = np.linalg.norm(vel, axis=1)
+        k_abs = row_lengths(vel)
         k_max = float(np.max(k_abs))
 
         if length < stop.length_floor_rel * length0:
@@ -167,4 +170,5 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = 0.4,
         record(P, t)
     if not run.stop_reason:
         run.stop_reason = "time reached"
+    run.steps = step
     return run

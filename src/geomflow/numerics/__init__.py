@@ -4,8 +4,8 @@ quadrature with endpoint singularities, and periodic (spectral) differentiation.
 
 from .interpolation import MonotoneCubic, PeriodicCubicSpline
 from .ode import StepControl, Trajectory, integrate_ode
-from .periodic import (periodic_derivative, periodic_grid, periodic_primitive,
-                       trig_interp)
+from .periodic import (cyclic_shift, periodic_derivative, periodic_grid,
+                       periodic_primitive, trig_interp)
 from .quadrature import integrate_singular
 from .roots import find_root
 from .special import elliptic_K, erfc
@@ -15,6 +15,7 @@ __all__ = [
     "PeriodicCubicSpline",
     "StepControl",
     "Trajectory",
+    "cyclic_shift",
     "elliptic_K",
     "erfc",
     "find_root",

@@ -12,6 +12,17 @@ def periodic_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
     return period * np.arange(n) / n
 
 
+def cyclic_shift(a: np.ndarray, k: int) -> np.ndarray:
+    """Rows of ``a`` shifted so that row i holds ``a[(i + k) % n]``.
+
+    The same array as ``np.roll(a, -k, axis=0)``, built by one concatenate:
+    on the short arrays of the per-step CSF kernels, np.roll's argument
+    handling costs several times the copy.
+    """
+    k %= a.shape[0]
+    return np.concatenate((a[k:], a[:k]))
+
+
 def periodic_derivative(samples: np.ndarray, order: int = 1, *,
                         period: float = 2.0 * np.pi, method: str = "spectral") -> np.ndarray:
     """Derivative of given order (1..3) of samples on a uniform periodic mesh.

@@ -32,6 +32,16 @@ def _stability_step(tau0: np.ndarray, kappa: np.ndarray, n: int) -> float:
     return 2.8 / lam
 
 
+def default_control(tau0: TorsionField,
+                    kappa: CurvatureProfile = UNIT_CURVATURE) -> StepControl:
+    """The step control ``torsion_evolve`` uses when it is given none: steps
+    capped at the explicit stability limit of ``tau0``'s mesh."""
+    n = tau0.n
+    cap = _stability_step(tau0.samples, kappa.on_mesh(n), n)
+    return StepControl(initial_step=cap, abs_tol=1e-10, rel_tol=1e-9,
+                       max_steps=50_000_000, max_step=cap)
+
+
 def torsion_evolve(tau0: TorsionField, kappa: CurvatureProfile = UNIT_CURVATURE,
                    T: float = 1.0, output_times=None,
                    ctrl: StepControl | None = None,
@@ -41,21 +51,19 @@ def torsion_evolve(tau0: TorsionField, kappa: CurvatureProfile = UNIT_CURVATURE,
     Positivity is monitored at every right-hand-side evaluation (nonpositive
     trial states force step rejection); a genuine loss of positivity aborts
     with the failure time. Initial data below ``min_initial`` is refused up
-    front (pass a smaller floor explicitly to experiment anyway).
+    front (pass a smaller floor explicitly to experiment anyway). Without
+    ``ctrl`` the step control is ``default_control(tau0, kappa)``.
     """
     if float(np.min(tau0.samples)) < min_initial:
         raise PositivityError(
             f"initial torsion minimum {np.min(tau0.samples):.3g} is below the "
             f"safety floor {min_initial}")
-    n = tau0.n
-    rhs = make_torsion_rhs(kappa, n)
+    rhs = make_torsion_rhs(kappa, tau0.n)
     if output_times is None:
         output_times = [T]
     output_times = np.asarray(output_times, dtype=float)
     if ctrl is None:
-        cap = _stability_step(tau0.samples, kappa.on_mesh(n), n)
-        ctrl = StepControl(initial_step=cap, abs_tol=1e-10, rel_tol=1e-9,
-                           max_steps=50_000_000, max_step=cap)
+        ctrl = default_control(tau0, kappa)
     try:
         traj = integrate_ode(rhs, tau0.samples, (0.0, T), ctrl,
                              output_times=output_times)

@@ -5,6 +5,7 @@ import math
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geomflow.cli import main
@@ -113,6 +114,18 @@ class TestTorsionCommands:
         assert header == ["t", "s", "tau"]
         assert len(rows) == 64 * 3  # initial + 2 frames
 
+    def test_evolve_manifest_records_step_control(self, tmp_path):
+        from geomflow.torsionflow import UNIT_CURVATURE, TorsionField, default_control
+        from geomflow.numerics import periodic_grid
+        out = tmp_path / "ev"
+        assert main(["torsion", "evolve", "--initial", "sin-half", "--n", "32",
+                     "--T", "0.01", "--frames", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "torsion_evolve_manifest.json").read_text())
+        tau0 = TorsionField(10.0 + np.sin(periodic_grid(32)) / 2.0)
+        ctrl = asdict(default_control(tau0, UNIT_CURVATURE))
+        assert ctrl["max_step"] is not None
+        assert manifest["tolerances"]["step_control"] == ctrl
+
     def test_numerical_failure_exit_code(self, tmp_path):
         out = tmp_path / "bad"
         code = main(["torsion", "stationary", "--A", "0.05", "--C", "3.0",
@@ -138,6 +151,30 @@ class TestCsfCommands:
         assert header[0] == "time" and "alpha_angle" in header
         frames_header, frame_rows = read_csv(out / "frames.csv")
         assert frames_header == ["t", "point_index", "x", "y"]
+
+
+    def test_manifest_records_stop_rule_and_steps(self, tmp_path):
+        from geomflow.csf import CFL, StopRule
+        out = tmp_path / "csf"
+        assert main(["csf", "run", "--n", "128", "--T", "0.002",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "csf_run_manifest.json").read_text())
+        assert manifest["tolerances"] == {
+            "cfl": CFL, "stop_rule": asdict(StopRule(time=0.002, kmax_spacing=None))}
+        assert manifest["parameters"]["steps"] > 0
+
+
+class TestVerify:
+    def test_rows_print_wall_time(self, monkeypatch, capsys):
+        from geomflow import acceptance
+
+        def quick():
+            return acceptance.CheckResult(1, "quick check", "PASS", True, "ok")
+
+        monkeypatch.setattr(acceptance, "CRITERIA", [(1, "geo", quick)])
+        assert main(["verify", "geo"]) == 0
+        row = capsys.readouterr().out.splitlines()[0]
+        assert row.split()[-3:] == ["0.0", "s", "ok"]
 
 
 class TestUsageErrors:

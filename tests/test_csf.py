@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from geomflow.csf.curve import row_lengths
 from geomflow.errors import ConstructionError, ResolutionError, TopologyError
 from geomflow.csf import (PlaneCurve, StopRule, affine_rescale_and_bowtie,
                           comparison_solution, csf_evolve, curve_geometry,
@@ -39,6 +40,10 @@ class TestCurveBasics:
         assert math.isnan(d.alpha_angle)
         with pytest.raises(TopologyError):
             curve_geometry(unit_circle(), expect_double_point=True)
+
+    def test_row_lengths_is_norm(self):
+        V = np.random.default_rng(3).standard_normal((1000, 2)) * np.logspace(-8, 8, 1000)[:, None]
+        assert np.array_equal(row_lengths(V), np.linalg.norm(V, axis=1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -113,7 +118,68 @@ class TestConcinnousEight:
             make_concinnous_eight(1.0, family="unknown")
 
 
+def _reference_spline(values, period):
+    """The per-column periodic cubic spline as it was before the batched fit:
+    one transform per coordinate, evaluated through mod/clip/fancy indexing."""
+    y = np.asarray(values, dtype=float)
+    n = y.size
+    h = period / n
+    rhs = 6.0 * (np.roll(y, 1) - 2.0 * y + np.roll(y, -1)) / (h * h)
+    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    m = np.fft.irfft(np.fft.rfft(rhs) / eig, n=n)
+
+    def evaluate(s):
+        u = np.mod(s, period) / h
+        j = np.clip(u.astype(int), 0, n - 1)
+        t = u - j
+        jp = (j + 1) % n
+        h2 = h * h
+        return ((1 - t) * y[j] + t * y[jp]
+                + h2 / 6.0 * ((1 - t) ** 3 - (1 - t)) * m[j]
+                + h2 / 6.0 * (t ** 3 - t) * m[jp])
+    return evaluate
+
+
+def _reference_resample(P, refine=4):
+    """``resample_uniform`` as it was with two splines and four evaluations."""
+    n = P.shape[0]
+    sx = _reference_spline(P[:, 0], float(n))
+    sy = _reference_spline(P[:, 1], float(n))
+    u_fine = np.arange(n * refine) / refine
+    fine = np.column_stack([sx(u_fine), sy(u_fine)])
+    seg = np.linalg.norm(np.diff(fine, axis=0, append=fine[:1]), axis=1)
+    s_cum = np.concatenate([[0.0], np.cumsum(seg)])
+    total = s_cum[-1]
+    y = fine[:, 1]
+    y_next = np.roll(y, -1)
+    crossing = np.nonzero(((y > 0.0) & (y_next <= 0.0)) | ((y >= 0.0) & (y_next < 0.0)))[0]
+    if crossing.size:
+        fracs = y[crossing] / (y[crossing] - y_next[crossing])
+        x_cross = fine[crossing, 0] + fracs * (fine[(crossing + 1) % fine.shape[0], 0]
+                                               - fine[crossing, 0])
+        best = int(np.argmax(x_cross))
+        s_anchor = s_cum[crossing[best]] + fracs[best] * seg[crossing[best]]
+    else:
+        s_anchor = 0.0
+    targets = (s_anchor + (np.arange(n) + 0.5) * (total / n)) % total
+    u_targets = np.interp(targets, s_cum, np.concatenate([u_fine, [float(n)]]))
+    return np.column_stack([sx(u_targets), sy(u_targets)])
+
+
+def _perturbed_eight(n, seed=0, amplitude=1e-3):
+    P = make_concinnous_eight(1.0, n_points=n).points
+    return P + amplitude * np.random.default_rng(seed).standard_normal(P.shape)
+
+
 class TestResample:
+    @pytest.mark.parametrize("n", [128, 512])
+    @pytest.mark.parametrize("shape", ["circle", "eight", "perturbed eight"])
+    def test_matches_two_spline_reference(self, shape, n):
+        P = {"circle": lambda: unit_circle(n).points,
+             "eight": lambda: make_concinnous_eight(1.0, n_points=n).points,
+             "perturbed eight": lambda: _perturbed_eight(n)}[shape]()
+        assert np.array_equal(resample_uniform(P), _reference_resample(P))
+
     def test_preserves_circle(self):
         P = unit_circle(128).points
         Q = resample_uniform(P)
@@ -261,6 +327,17 @@ class TestBowtie:
         tie = PlaneCurve(np.array(pts))
         rec = affine_rescale_and_bowtie(tie)
         assert rec.bowtie_distance < 1e-9
+
+    def test_handed_in_diagnostics_give_same_record(self):
+        eight = make_concinnous_eight(1.0, n_points=256)
+        run = csf_evolve(eight, StopRule(time=0.01, kmax_spacing=None),
+                         record_dt=0.005, expect_double_point=True)
+        frame, t, diag = run.frames[-1], run.times[-1], run.diagnostics[-1]
+        measured = affine_rescale_and_bowtie(frame, t)
+        reused = affine_rescale_and_bowtie(frame, t, diag)
+        assert np.array_equal(reused.rescaled.points, measured.rescaled.points)
+        assert reused.bowtie_distance == measured.bowtie_distance
+        assert reused.ratio_xstar == measured.ratio_xstar
 
     def test_bernoulli_initial_ratio(self):
         c = make_concinnous_eight(1.0, n_points=512)

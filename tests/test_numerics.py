@@ -7,7 +7,7 @@ import pytest
 
 from geomflow.errors import BracketError
 from geomflow.numerics import (MonotoneCubic, PeriodicCubicSpline, StepControl,
-                               elliptic_K, erfc, find_root,
+                               cyclic_shift, elliptic_K, erfc, find_root,
                                integrate_ode, integrate_singular,
                                periodic_derivative, periodic_grid,
                                periodic_primitive, trig_interp)
@@ -234,6 +234,25 @@ class TestInterpolation:
         sp = PeriodicCubicSpline(np.sin(s), 2 * math.pi)
         xs = np.linspace(0.0, 2 * math.pi, 500)
         assert np.max(np.abs(sp(xs) - np.sin(xs))) < 1e-6
+
+    def test_batched_spline_equals_per_column_fits(self):
+        n = 96
+        values = np.random.default_rng(7).standard_normal((n, 3))
+        batched = PeriodicCubicSpline(values, float(n))
+        columns = [PeriodicCubicSpline(values[:, c], float(n)) for c in range(3)]
+        s = np.random.default_rng(8).uniform(-5.0, 2.0 * n, 400)
+        fine = np.arange(4 * n) / 4
+        for c, sp in enumerate(columns):
+            assert np.array_equal(batched.m[:, c], sp.m)
+            assert np.array_equal(batched(s)[:, c], sp(s))
+            assert np.array_equal(batched.refined()[:, c], sp(fine))
+            assert np.array_equal(sp.refined(), sp(fine))
+
+    @pytest.mark.parametrize("k", [-3, -1, 0, 1, 5, 13])
+    def test_cyclic_shift_is_roll(self, k):
+        a = np.arange(26.0).reshape(13, 2)
+        assert np.array_equal(cyclic_shift(a, k), np.roll(a, -k, axis=0))
+        assert np.array_equal(cyclic_shift(a[:, 0], k), np.roll(a[:, 0], -k))
 
     def test_monotone_cubic_preserves_monotonicity(self):
         x = np.linspace(0.0, 1.0, 12)
