@@ -10,10 +10,12 @@ module structure:
                   boundary, boundingbox, gcheck, sphere, curvature}
     geomflow verify {all, csf, torsion, geo}
 
-Repeated runs of one configuration produce byte-identical data files. The
-manifests record the controls the run actually used: the step control of the
-ODE-driven geo commands and of ``torsion evolve``, and the CFL number and
-stop rule of the csf commands, with their step count. ``verify`` prints each
+Repeated runs of one configuration produce byte-identical data files. A
+manifest's parameters are every parsed argument except ``--out``, and its
+tolerances are the controls the run actually used: the step control of the
+ODE-driven geo commands and of ``torsion evolve``, the CFL number and stop
+rule of the csf commands (which also record their step count), and the
+library constants the other commands run with. ``verify`` prints each
 criterion's wall time.
 """
 
@@ -29,6 +31,17 @@ import numpy as np
 from . import __version__
 from .errors import GeomflowError
 from .io_utils import ExperimentWriter
+
+
+_NOT_PARAMETERS = ("func", "out", "command", "experiment")
+
+
+def _writer(args, tolerances: dict | None = None) -> ExperimentWriter:
+    """Writer of one experiment, named after its subcommand; the manifest's
+    ``parameters`` hold every parsed argument except the output directory."""
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    experiment = f"{args.command}_{args.experiment.replace('-', '_')}"
+    return ExperimentWriter(args.out, experiment, parameters, tolerances)
 
 
 # ----------------------------------------------------------------- csf runs
@@ -55,10 +68,7 @@ def cmd_csf_run(args) -> int:
     from .csf import CFL, StopRule, csf_evolve
     curve = _load_eight(args)
     stop = StopRule(time=args.T, kmax_spacing=args.kmax_spacing)
-    writer = ExperimentWriter(args.out, "csf_run",
-                              {"curve": args.curve, "scale": args.scale, "n": args.n,
-                               "T": args.T, "kmax_spacing": args.kmax_spacing},
-                              {"cfl": CFL, "stop_rule": asdict(stop)})
+    writer = _writer(args, {"cfl": CFL, "stop_rule": asdict(stop)})
     run = csf_evolve(curve, stop, record_dt=args.record_dt)
     _write_run(writer, run)
     writer.parameters["stop_reason"] = run.stop_reason
@@ -67,15 +77,12 @@ def cmd_csf_run(args) -> int:
     return 0
 
 
-def _collapse_writer(args, experiment: str):
+def _collapse_writer(args):
     """Writer and stop rule of the runs to the singularity stop."""
     from .csf import CFL, MIN_TIP_POINTS, StopRule
     stop = StopRule(kmax_spacing=0.5)
-    writer = ExperimentWriter(args.out, experiment,
-                              {"curve": args.curve, "scale": args.scale, "n": args.n,
-                               "record_dt": args.record_dt},
-                              {"cfl": CFL, "stop_rule": asdict(stop),
-                               "min_tip_points": MIN_TIP_POINTS})
+    writer = _writer(args, {"cfl": CFL, "stop_rule": asdict(stop),
+                            "min_tip_points": MIN_TIP_POINTS})
     return writer, stop
 
 
@@ -83,7 +90,7 @@ def cmd_csf_bowtie(args) -> int:
     from .csf import (affine_rescale_and_bowtie, axis_shrink_products, csf_evolve,
                       resolvable_frames)
     curve = _load_eight(args)
-    writer, stop = _collapse_writer(args, "csf_bowtie")
+    writer, stop = _collapse_writer(args)
     run = csf_evolve(curve, stop, record_dt=args.record_dt,
                      expect_double_point=True)
     _write_run(writer, run)
@@ -91,7 +98,7 @@ def cmd_csf_bowtie(args) -> int:
     tm, px, py = axis_shrink_products(run)
     rows = []
     for k in idxs:
-        rec = affine_rescale_and_bowtie(run.frames[k], run.times[k], run.diagnostics[k])
+        rec = affine_rescale_and_bowtie(run.frames[k], run.diagnostics[k])
         rows.append([run.times[k], rec.bowtie_distance, rec.ratio_xstar, px[k], py[k]])
     writer.csv("bowtie.csv", ["t", "bowtie_distance", "ratio_xstar",
                               "minus_ymax_dxmax_dt", "minus_xmax_dymax_dt"], rows)
@@ -104,7 +111,7 @@ def cmd_csf_bowtie(args) -> int:
 def cmd_csf_grimreaper(args) -> int:
     from .csf import csf_evolve, grim_reaper_check, resolvable_frames
     curve = _load_eight(args)
-    writer, stop = _collapse_writer(args, "csf_grimreaper")
+    writer, stop = _collapse_writer(args)
     run = csf_evolve(curve, stop, record_dt=args.record_dt,
                      expect_double_point=True)
     idxs = resolvable_frames(run)
@@ -142,10 +149,7 @@ def cmd_torsion_evolve(args) -> int:
     kappa = UNIT_CURVATURE if args.kappa == 1.0 else CurvatureProfile(constant=args.kappa)
     times = np.linspace(0.0, args.T, args.frames + 1)[1:]
     ctrl = default_control(tau0, kappa)
-    writer = ExperimentWriter(args.out, "torsion_evolve",
-                              {"initial": args.initial, "n": args.n, "T": args.T,
-                               "kappa": args.kappa, "frames": args.frames},
-                              {"step_control": asdict(ctrl)})
+    writer = _writer(args, {"step_control": asdict(ctrl)})
     fields = torsion_evolve(tau0, kappa, args.T, output_times=times, ctrl=ctrl)
     rows = []
     grid = tau0.grid
@@ -161,9 +165,7 @@ def cmd_torsion_evolve(args) -> int:
 
 def cmd_torsion_stationary(args) -> int:
     from .torsionflow import stationary_torsion, stationary_torsion_general, torsion_rhs
-    writer = ExperimentWriter(args.out, "torsion_stationary",
-                              {"C": args.C, "A": args.A, "n": args.n},
-                              {"rhs_tolerance": 1e-6})
+    writer = _writer(args)
     if args.A == 0.0:
         tau = stationary_torsion(args.C, n=args.n)
     else:
@@ -177,9 +179,7 @@ def cmd_torsion_stationary(args) -> int:
 
 def cmd_torsion_stability(args) -> int:
     from .torsionflow import helix_stability
-    writer = ExperimentWriter(args.out, "torsion_stability",
-                              {"amplitude": args.amplitude, "T": args.T, "n": args.n},
-                              {})
+    writer = _writer(args)
     series = helix_stability(args.amplitude, args.T, n=args.n)
     writer.csv("stability.csv", ["t", "S"], zip(series.times, series.values))
     writer.finish()
@@ -189,8 +189,7 @@ def cmd_torsion_stability(args) -> int:
 def cmd_torsion_transform(args) -> int:
     from .torsionflow import cdf_transform_roundtrip
     tau0 = _initial_torsion(args.initial, args.n)
-    writer = ExperimentWriter(args.out, "torsion_transform",
-                              {"initial": args.initial, "n": args.n}, {})
+    writer = _writer(args)
     record, err = cdf_transform_roundtrip(tau0)
     writer.csv("transform.csv", ["xi", "eta", "z", "u", "q"],
                zip(record.xi, record.eta, record.z, record.u, record.q))
@@ -204,9 +203,7 @@ def cmd_torsion_transform(args) -> int:
 def cmd_torsion_reconstruct(args) -> int:
     from .torsionflow import CurvatureProfile, frenet_reconstruct
     tau = _initial_torsion(args.initial, args.n)
-    writer = ExperimentWriter(args.out, "torsion_reconstruct",
-                              {"initial": args.initial, "n": args.n,
-                               "kappa": args.kappa, "s_max": args.s_max}, {})
+    writer = _writer(args)
     curve = frenet_reconstruct(CurvatureProfile(constant=args.kappa), tau,
                                s_span=(0.0, args.s_max), n_samples=args.samples)
     writer.csv("curve.csv", ["s", "x", "y", "z"],
@@ -219,9 +216,8 @@ def cmd_torsion_reconstruct(args) -> int:
 # ----------------------------------------------------------------- geo runs
 
 def cmd_geo_period(args) -> int:
-    from .geoflow import period_closed_form, period_numeric
-    writer = ExperimentWriter(args.out, "geo_period",
-                              {"alpha": args.alpha, "beta": args.beta}, {"tol": 1e-10})
+    from .geoflow import PERIOD_TOL, period_closed_form, period_numeric
+    writer = _writer(args, {"tol": PERIOD_TOL})
     rows = []
     rec = period_numeric(args.alpha, args.beta)
     rows.append([rec.alpha, rec.beta, rec.t0, rec.t1, rec.period, rec.source])
@@ -234,9 +230,8 @@ def cmd_geo_period(args) -> int:
 
 
 def cmd_geo_period_table(args) -> int:
-    from .geoflow import period_numeric
-    writer = ExperimentWriter(args.out, "geo_period_table",
-                              {"beta": args.beta}, {"tol": 1e-10})
+    from .geoflow import PERIOD_TOL, period_numeric
+    writer = _writer(args, {"tol": PERIOD_TOL})
     alphas = [round(0.1 * k, 10) for k in range(1, 11)]
     rows = [[a, period_numeric(a, args.beta).period, math.pi * math.sqrt(2.0) / math.sqrt(a)]
             for a in alphas]
@@ -248,9 +243,7 @@ def cmd_geo_period_table(args) -> int:
 def cmd_geo_flowline(args) -> int:
     from .geoflow import TIGHT, flow_tangent, unit_tangent
     v0 = unit_tangent(args.vx, args.vy, args.vz, tol=1e-6)
-    writer = ExperimentWriter(args.out, "geo_flowline",
-                              {"alpha": args.alpha, "v0": [args.vx, args.vy, args.vz],
-                               "T": args.T}, {"step_control": asdict(TIGHT)})
+    writer = _writer(args, {"step_control": asdict(TIGHT)})
     fl = flow_tangent(v0, args.alpha, args.T, ctrl=TIGHT)
     writer.csv("flowline.csv", ["t", "x", "y", "z", "H"],
                ([t, *map(float, v), h] for t, v, h
@@ -264,9 +257,7 @@ def cmd_geo_flowline(args) -> int:
 def cmd_geo_geodesic(args) -> int:
     from .geoflow import TIGHT, geodesic, unit_tangent
     v0 = unit_tangent(args.vx, args.vy, args.vz, tol=1e-6)
-    writer = ExperimentWriter(args.out, "geo_geodesic",
-                              {"alpha": args.alpha, "v0": [args.vx, args.vy, args.vz],
-                               "T": args.T}, {"step_control": asdict(TIGHT)})
+    writer = _writer(args, {"step_control": asdict(TIGHT)})
     path = geodesic(v0, args.alpha, args.T, TIGHT, n_samples=args.samples)
     writer.csv("geodesic.csv", ["t", "vx", "vy", "vz", "x", "y", "z"],
                ([t, *map(float, v), *map(float, p)] for t, v, p
@@ -277,10 +268,8 @@ def cmd_geo_geodesic(args) -> int:
 
 
 def cmd_geo_cylinder(args) -> int:
-    from .geoflow import TIGHT, cylinder_invariant, geodesic, v_beta
-    writer = ExperimentWriter(args.out, "geo_cylinder",
-                              {"alpha": args.alpha, "beta": args.beta, "T": args.T},
-                              {"setup_tol": 1e-6, "step_control": asdict(TIGHT)})
+    from .geoflow import CYLINDER_SETUP_TOL, TIGHT, cylinder_invariant, geodesic, v_beta
+    writer = _writer(args, {"setup_tol": CYLINDER_SETUP_TOL, "step_control": asdict(TIGHT)})
     path = geodesic(v_beta(args.beta, args.alpha), args.alpha, args.T, TIGHT,
                     n_samples=args.samples)
     series, drift = cylinder_invariant(path, args.beta)
@@ -293,10 +282,7 @@ def cmd_geo_cylinder(args) -> int:
 def cmd_geo_boundary(args) -> int:
     from .geoflow import TIGHT, boundary_curve
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
-    writer = ExperimentWriter(args.out, "geo_boundary",
-                              {"alpha": args.alpha, "x0_min": args.x0_min,
-                               "x0_max": args.x0_max, "step": args.step},
-                              {"step_control": asdict(TIGHT)})
+    writer = _writer(args, {"step_control": asdict(TIGHT)})
     bc = boundary_curve(args.alpha, grid, TIGHT)
     writer.csv("boundary.csv", ["x0", "a", "b", "da_dx0", "db_dx0"],
                ([p.x0, p.a_end, p.b_end, p.da_dx0, p.db_dx0] for p in bc.points))
@@ -307,12 +293,9 @@ def cmd_geo_boundary(args) -> int:
 
 
 def cmd_geo_boundingbox(args) -> int:
-    from .geoflow import TIGHT, bounding_box_scan
+    from .geoflow import PASS_FLOOR, TIGHT, bounding_box_scan
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
-    writer = ExperimentWriter(args.out, "geo_boundingbox",
-                              {"alpha": args.alpha, "x0_min": args.x0_min,
-                               "x0_max": args.x0_max, "step": args.step},
-                              {"pass_floor": -1e-10, "step_control": asdict(TIGHT)})
+    writer = _writer(args, {"pass_floor": PASS_FLOOR, "step_control": asdict(TIGHT)})
     recs = bounding_box_scan(args.alpha, grid, TIGHT)
     writer.csv("boundingbox.csv",
                ["x0", "admissible", "rho", "min_a_prime", "min_b_prime",
@@ -324,11 +307,9 @@ def cmd_geo_boundingbox(args) -> int:
 
 
 def cmd_geo_gcheck(args) -> int:
-    from .geoflow import g_function_check
+    from .geoflow import FD_STEP, g_function_check
     grid = np.linspace(args.x0_min, args.x0_max, args.points)
-    writer = ExperimentWriter(args.out, "geo_gcheck",
-                              {"x0_min": args.x0_min, "x0_max": args.x0_max,
-                               "points": args.points}, {"fd_step": 1e-5})
+    writer = _writer(args, {"fd_step": FD_STEP})
     pts = g_function_check(grid)
     writer.csv("gcheck.csv", ["x0", "dP_dx0", "envelope", "G", "fd_error", "conclusive"],
                ([p.x0, p.dP_dx0, p.envelope, p.g_value, p.fd_error_estimate,
@@ -339,9 +320,7 @@ def cmd_geo_gcheck(args) -> int:
 
 def cmd_geo_sphere(args) -> int:
     from .geoflow import SPHERE_CONTROL, geodesic_sphere
-    writer = ExperimentWriter(args.out, "geo_sphere",
-                              {"alpha": args.alpha, "R": args.R, "n_dirs": args.n_dirs},
-                              {"step_control": asdict(SPHERE_CONTROL)})
+    writer = _writer(args, {"step_control": asdict(SPHERE_CONTROL)})
     dirs, ends = geodesic_sphere(args.alpha, args.R, args.n_dirs, SPHERE_CONTROL)
     writer.csv("sphere.csv", ["dir_x", "dir_y", "dir_z", "end_x", "end_y", "end_z"],
                ([*map(float, d), *map(float, e)] for d, e in zip(dirs, ends)))
@@ -354,7 +333,7 @@ def cmd_geo_sphere(args) -> int:
 def cmd_geo_curvature(args) -> int:
     from .geoflow import curvature_data
     data = curvature_data(args.alpha)
-    writer = ExperimentWriter(args.out, "geo_curvature", {"alpha": args.alpha}, {})
+    writer = _writer(args)
     rows = []
     for plane, entries in data.plane_curvatures.items():
         rows.append([plane, entries["sectional"], entries["intrinsic"],

@@ -5,19 +5,18 @@ from .analysis import (MIN_TIP_POINTS, BowtieRecord, GrimReaperSeries, ThetaSeri
                        comparison_solution, grim_reaper_check,
                        grim_reaper_profile_error, reaper_profile_defect,
                        resolvable_frames, theta_monotonicity_series)
-from .curve import (EightDiagnostics, PlaneCurve, curvature_vector, curve_geometry,
-                    curve_length, edge_lengths, enclosed_area, lobe_areas,
-                    make_concinnous_eight, self_intersection, signed_curvature,
-                    tangent_angles_unwrapped, turning_number)
+from .curve import (EightDiagnostics, PlaneCurve, curvature_and_angles, curvature_vector,
+                    curve_geometry, curve_length, edge_lengths, enclosed_area, lobe_areas,
+                    make_concinnous_eight, self_intersection, turning_number)
 from .evolve import CFL, CsfRun, StopRule, csf_evolve, resample_uniform
 
 __all__ = [
     "BowtieRecord", "CFL", "CsfRun", "EightDiagnostics", "GrimReaperSeries",
     "MIN_TIP_POINTS", "PlaneCurve", "StopRule", "ThetaSeries",
     "affine_rescale_and_bowtie", "axis_shrink_products", "comparison_solution", "csf_evolve",
-    "curvature_vector", "curve_geometry", "curve_length", "edge_lengths",
+    "curvature_and_angles", "curvature_vector", "curve_geometry", "curve_length", "edge_lengths",
     "enclosed_area", "grim_reaper_check", "grim_reaper_profile_error",
     "lobe_areas", "make_concinnous_eight", "reaper_profile_defect",
-    "resample_uniform", "resolvable_frames", "self_intersection", "signed_curvature",
-    "tangent_angles_unwrapped", "theta_monotonicity_series", "turning_number",
+    "resample_uniform", "resolvable_frames", "self_intersection",
+    "theta_monotonicity_series", "turning_number",
 ]

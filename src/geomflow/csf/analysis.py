@@ -12,8 +12,7 @@ import numpy as np
 
 from ..errors import ResolutionError, TopologyError
 from ..numerics import cyclic_shift, erfc
-from .curve import (EightDiagnostics, PlaneCurve, curve_geometry, edge_lengths,
-                    self_intersection, signed_curvature, tangent_angles_unwrapped)
+from .curve import EightDiagnostics, PlaneCurve, curvature_and_angles
 
 MIN_TIP_POINTS = 16  # samples a frame needs across its curvature tip to count as resolved
 
@@ -31,8 +30,9 @@ class ThetaSeries:
         return self.max_nonincreasing and self.min_nondecreasing
 
 
-def theta_monotonicity_series(times, diagnostics, tol: float = 1e-3) -> ThetaSeries:
-    """Check that theta_max never increases and theta_min never decreases.
+def theta_monotonicity_series(times, diagnostics) -> ThetaSeries:
+    """Check that theta_max never increases and theta_min never decreases
+    (to 1e-3 between consecutive frames).
 
     The inputs are the recorded diagnostics of a figure-eight run; frames
     without a double point mean the run was not a figure-eight and are
@@ -47,8 +47,8 @@ def theta_monotonicity_series(times, diagnostics, tol: float = 1e-3) -> ThetaSer
     tmin = np.array([d.theta_min for d in diagnostics])
     return ThetaSeries(
         times=times, theta_max=tmax, theta_min=tmin,
-        max_nonincreasing=bool(np.all(np.diff(tmax) <= tol)),
-        min_nondecreasing=bool(np.all(np.diff(tmin) >= -tol)),
+        max_nonincreasing=bool(np.all(np.diff(tmax) <= 1e-3)),
+        min_nondecreasing=bool(np.all(np.diff(tmin) >= -1e-3)),
     )
 
 
@@ -65,60 +65,52 @@ def comparison_solution(x: float, t: float, M: float) -> float:
     return (math.pi / 8.0) * (erfc((rm - x) / root) + erfc((rm + x) / root))
 
 
-def resolvable_frames(run, min_tip_points: int = MIN_TIP_POINTS) -> list[int]:
+def resolvable_frames(run) -> list[int]:
     """Indices of recorded frames that resolve the curvature tip.
 
     A frame resolves the tip when the arc length where the curvature exceeds
     a tenth of its maximum (about 6/k_max for the expected profile) carries
-    at least ``min_tip_points`` samples.
+    at least ``MIN_TIP_POINTS`` samples of the smallest spacing.
     """
-    out = []
-    for idx, frame in enumerate(run.frames):
-        P = frame.points
-        k = np.abs(signed_curvature(P))
-        k_max = float(np.max(k))
-        if k_max == 0.0:
-            continue
-        h = float(np.min(edge_lengths(P)))
-        if 6.0 / (k_max * h) >= min_tip_points:
-            out.append(idx)
-    return out
+    return [idx for idx, d in enumerate(run.diagnostics)
+            if d.k_peak != 0.0 and 6.0 / (d.k_peak * d.h_min) >= MIN_TIP_POINTS]
 
 
-def reaper_profile_defect(theta: np.ndarray, k_ratio: np.ndarray,
-                          n_phi: int = 256) -> float:
-    """Sup over angles in [0, pi] of |profile - sin|, from sampled
+def reaper_profile_defect(theta: np.ndarray, k_ratio: np.ndarray) -> float:
+    """Sup over 256 angles in [0, pi] of |profile - sin|, from sampled
     (tangent angle, curvature ratio) pairs along one lobe."""
     order = np.argsort(theta)
     th, kk = np.asarray(theta)[order], np.asarray(k_ratio)[order]
-    phi = np.linspace(0.0, math.pi, n_phi)
+    phi = np.linspace(0.0, math.pi, 256)
     prof = np.interp(phi, th, kk)
     return float(np.max(np.abs(prof - np.sin(phi))))
 
 
-def grim_reaper_profile_error(frame: PlaneCurve, min_tip_points: int = MIN_TIP_POINTS,
-                              n_phi: int = 256) -> float:
+def grim_reaper_profile_error(frame: PlaneCurve, diag: EightDiagnostics) -> float:
     """Sup over the tangent angle in [0, pi] of |k/k_max - sin(angle)| on the
-    right lobe. Raises ResolutionError when fewer than ``min_tip_points``
-    samples carry the top decade of curvature."""
+    right lobe, split from the other at the double point of the frame's
+    ``curve_geometry`` record ``diag``. Raises ResolutionError when fewer
+    than ``MIN_TIP_POINTS`` samples carry the top decade of curvature, and
+    TopologyError when the record has no double point."""
     P = frame.points
-    k = signed_curvature(P)
+    k, theta = curvature_and_angles(P)
     k_abs = np.abs(k)
     k_max = float(np.max(k_abs))
     in_top_decade = int(np.sum(k_abs >= 0.1 * k_max))
-    if in_top_decade < min_tip_points:
+    if in_top_decade < MIN_TIP_POINTS:
         raise ResolutionError(
             f"only {in_top_decade} samples in the top curvature decade "
-            f"(need {min_tip_points})")
+            f"(need {MIN_TIP_POINTS})")
+    if diag.crossing is None:
+        raise TopologyError("frame has no double point")
 
-    i, j, _ = self_intersection(P)
-    theta = tangent_angles_unwrapped(P)
+    i, j, _ = diag.crossing
     arcs = (np.arange(i + 1, j + 1), np.concatenate([np.arange(j + 1, P.shape[0]),
                                                      np.arange(0, i + 1)]))
     # the right lobe is the arc containing the global curvature maximum
     peak = int(np.argmax(k_abs))
     lobe = arcs[0] if peak in set(arcs[0].tolist()) else arcs[1]
-    return reaper_profile_defect(theta[lobe], k_abs[lobe] / k_max, n_phi)
+    return reaper_profile_defect(theta[lobe], k_abs[lobe] / k_max)
 
 
 @dataclass
@@ -132,16 +124,13 @@ class GrimReaperSeries:
         return bool(np.all(np.diff(self.errors) < 0.0))
 
 
-def grim_reaper_check(run, frame_indices=None,
-                      min_tip_points: int = MIN_TIP_POINTS) -> GrimReaperSeries:
-    """Profile error series over the chosen (default: all resolvable) frames."""
-    if frame_indices is None:
-        frame_indices = resolvable_frames(run, min_tip_points)
+def grim_reaper_check(run, frame_indices) -> GrimReaperSeries:
+    """Profile error series over the chosen frames (resolvable ones, in practice)."""
     if not frame_indices:
         raise ResolutionError("no frame resolves the curvature tip")
     times, errors, alphas = [], [], []
     for idx in frame_indices:
-        err = grim_reaper_profile_error(run.frames[idx], min_tip_points)
+        err = grim_reaper_profile_error(run.frames[idx], run.diagnostics[idx])
         times.append(run.times[idx])
         errors.append(err)
         alphas.append(run.diagnostics[idx].alpha_angle)
@@ -164,26 +153,20 @@ def _dist_points_to_segments(points: np.ndarray, seg_a: np.ndarray, seg_b: np.nd
     return np.min(np.linalg.norm(points[:, None, :] - proj, axis=2), axis=1)
 
 
-def affine_rescale_and_bowtie(frame: PlaneCurve, time: float = 0.0,
-                              diag: EightDiagnostics | None = None) -> BowtieRecord:
+def affine_rescale_and_bowtie(frame: PlaneCurve, diag: EightDiagnostics) -> BowtieRecord:
     """Rescale the frame into the unit box and measure the distance to the bow-tie.
 
     The x axis is scaled by 1/x_max and the y axis by 1/y_max (quarter-curve
     extremes), putting the frame in [-1, 1]^2. The bow-tie target is the
     closed four-corner path whose image is the two diagonals plus the two
     vertical edges; the reported distance is the symmetric Hausdorff distance
-    between it and the rescaled polygon.
-
-    ``diag`` is the frame's ``curve_geometry`` record when the caller already
-    has it (a recorded run's diagnostics); otherwise it is measured here,
-    with the double point required.
+    between it and the rescaled polygon. ``diag`` is the frame's
+    ``curve_geometry`` record.
     """
-    if diag is None:
-        diag = curve_geometry(frame, time, expect_double_point=True)
     if not (diag.x_max > 0.0 and diag.y_max > 0.0) or math.isnan(diag.x_star):
         raise ValueError("degenerate frame extent; cannot rescale")
     Q = frame.points / np.array([diag.x_max, diag.y_max])
-    rescaled = PlaneCurve(Q, orientation=frame.orientation)
+    rescaled = PlaneCurve(Q)
 
     corners = np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
     path = [corners[0], corners[1], corners[2], corners[3], corners[0]]
@@ -215,22 +198,6 @@ def axis_shrink_products(run) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in time would be vacuous.
     """
     times = np.asarray(run.times, dtype=float)
-    px, py = [], []
-    for frame, diag in zip(run.frames, run.diagnostics):
-        P = frame.points
-        k = np.abs(signed_curvature(P))
-        upper_right = (P[:, 0] >= 0.0) & (P[:, 1] >= 0.0)
-        masked_y = np.where(upper_right, P[:, 1], -np.inf)
-        iy = int(np.argmax(masked_y))
-        n = P.shape[0]
-        y0, y1, y2 = masked_y[(iy - 1) % n], masked_y[iy], masked_y[(iy + 1) % n]
-        denom = y0 - 2.0 * y1 + y2
-        delta = 0.0 if (denom == 0.0 or not np.isfinite(denom)) \
-            else float(np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0))
-        k0, k1, k2 = k[(iy - 1) % n], k[iy], k[(iy + 1) % n]
-        # quadratic interpolation of the curvature at the refined top position
-        k_star = (k1 + 0.5 * delta * (k2 - k0)
-                  + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2))
-        px.append(diag.y_max * diag.k_max)
-        py.append(diag.x_max * k_star)
-    return times, np.array(px), np.array(py)
+    px = np.array([d.y_max * d.k_max for d in run.diagnostics])
+    py = np.array([d.x_max * d.k_top for d in run.diagnostics])
+    return times, px, py

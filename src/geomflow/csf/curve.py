@@ -23,10 +23,9 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class PlaneCurve:
-    """Closed oriented polygon; points shape (n, 2), n >= 64."""
+    """Closed polygon; points shape (n, 2), n >= 64."""
 
     points: np.ndarray
-    orientation: int = +1
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -76,11 +75,19 @@ def curvature_vector(P: np.ndarray) -> np.ndarray:
     return _three_point(P)[1]
 
 
-def signed_curvature(P: np.ndarray) -> np.ndarray:
+def curvature_and_angles(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed curvature and unwrapped tangent angle per point, from one stencil.
+
+    The angle branch puts the midrange nearest pi/2 (the natural branch for
+    an eight whose minor axis is the x-axis).
+    """
     first, second = _three_point(P)
     speed = row_lengths(first)
     cross = first[:, 0] * second[:, 1] - first[:, 1] * second[:, 0]
-    return cross / speed ** 3
+    theta = np.unwrap(np.arctan2(first[:, 1], first[:, 0]))
+    mid = 0.5 * (theta.max() + theta.min())
+    shift = TWO_PI * round((0.5 * math.pi - mid) / TWO_PI)
+    return cross / speed ** 3, theta + shift
 
 
 def turning_number(P: np.ndarray) -> float:
@@ -94,17 +101,6 @@ def turning_number(P: np.ndarray) -> float:
     turns = np.diff(ang, append=ang[:1])
     turns = (turns + math.pi) % TWO_PI - math.pi
     return float(np.sum(turns) / TWO_PI)
-
-
-def tangent_angles_unwrapped(P: np.ndarray) -> np.ndarray:
-    """Unwrapped tangent angle per point, normalized so the branch puts the
-    midrange nearest pi/2 (the natural branch for an eight whose minor axis
-    is the x-axis)."""
-    first, _ = _three_point(P)
-    theta = np.unwrap(np.arctan2(first[:, 1], first[:, 0]))
-    mid = 0.5 * (theta.max() + theta.min())
-    shift = TWO_PI * round((0.5 * math.pi - mid) / TWO_PI)
-    return theta + shift
 
 
 def _is_plateau(y0: float, y1: float, y2: float) -> bool:
@@ -202,27 +198,34 @@ def self_intersection(P: np.ndarray):
     return clusters[0]
 
 
+def _shoelace(Q: np.ndarray) -> float:
+    x, y = Q[:, 0], Q[:, 1]
+    return 0.5 * float(np.sum(x * cyclic_shift(y, 1) - cyclic_shift(x, 1) * y))
+
+
 def lobe_areas(P: np.ndarray, crossing=None) -> tuple[float, float]:
     """Absolute areas of the two lobes, split at the double point."""
     i, j, pt = crossing if crossing is not None else self_intersection(P)
     arc1 = np.vstack([pt, P[i + 1:j + 1]])
     arc2 = np.vstack([pt, P[j + 1:], P[:i + 1]])
-
-    def shoelace(Q):
-        x, y = Q[:, 0], Q[:, 1]
-        return 0.5 * float(np.sum(x * cyclic_shift(y, 1) - cyclic_shift(x, 1) * y))
-
-    return abs(shoelace(arc1)), abs(shoelace(arc2))
+    return abs(_shoelace(arc1)), abs(_shoelace(arc2))
 
 
 def enclosed_area(P: np.ndarray) -> float:
-    x, y = P[:, 0], P[:, 1]
-    return abs(0.5 * float(np.sum(x * cyclic_shift(y, 1) - cyclic_shift(x, 1) * y)))
+    return abs(_shoelace(P))
 
 
 @dataclass
 class EightDiagnostics:
-    """Per-frame measurements; eight-specific entries are NaN for embedded curves."""
+    """Per-frame measurements; eight-specific entries are NaN for embedded curves.
+
+    ``FIELDS`` are the columns of ``diagnostics.csv``. The entries after
+    ``k_max`` are what the run analyses read, so that a frame is measured
+    once: the smallest edge length, the raw peak |k| (``k_max`` is its
+    parabolic refinement), the |k| at the refined top of the upper-right lobe,
+    and the double point ``(i, j, point)`` of ``self_intersection`` (None
+    without one).
+    """
 
     time: float
     total_area: float
@@ -235,6 +238,10 @@ class EightDiagnostics:
     theta_max: float
     theta_min: float
     k_max: float
+    h_min: float
+    k_peak: float
+    k_top: float
+    crossing: tuple | None
 
     FIELDS = ("time", "total_area", "length", "isoperimetric", "x_max", "y_max",
               "x_star", "alpha_angle", "theta_max", "theta_min", "k_max")
@@ -243,21 +250,36 @@ class EightDiagnostics:
         return [getattr(self, f) for f in self.FIELDS]
 
 
+def _interpolate_at_top(k_abs: np.ndarray, heights: np.ndarray, iy: int) -> float:
+    """|k| at the parabola vertex through the heights around sample ``iy``,
+    by quadratic interpolation; a non-finite neighbour (a sample outside the
+    quadrant) leaves the vertex at the sample."""
+    n = heights.size
+    y0, y1, y2 = heights[(iy - 1) % n], heights[iy], heights[(iy + 1) % n]
+    denom = y0 - 2.0 * y1 + y2
+    delta = 0.0 if (denom == 0.0 or not np.isfinite(denom)) \
+        else float(np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0))
+    k0, k1, k2 = k_abs[(iy - 1) % n], k_abs[iy], k_abs[(iy + 1) % n]
+    return float(k1 + 0.5 * delta * (k2 - k0) + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2))
+
+
 def curve_geometry(c: PlaneCurve, time: float = 0.0,
                    expect_double_point: bool | None = None) -> EightDiagnostics:
     """Measure a frame: areas, length, curvature and tangent-angle extremes,
-    quarter-curve extremes x_max / y_max / x*, and the double-point half angle.
+    quarter-curve extremes x_max / y_max / x*, the double-point half angle,
+    and the entries the run analyses read (see ``EightDiagnostics``).
 
     ``expect_double_point=True`` raises TopologyError when the curve has no
     self-crossing; ``None`` fills the eight-specific fields with NaN instead.
     """
     P = c.points
-    L = curve_length(P)
-    k = signed_curvature(P)
+    edges = edge_lengths(P)
+    L = float(np.sum(edges))
+    k, theta = curvature_and_angles(P)
     k_abs = np.abs(k)
-    k_max = _refine_extreme(k_abs, int(np.argmax(k_abs)))
+    peak = int(np.argmax(k_abs))
+    k_max = _refine_extreme(k_abs, peak)
 
-    theta = tangent_angles_unwrapped(P)
     theta_max = _refine_extreme(theta, int(np.argmax(theta)))
     theta_min = -_refine_extreme(-theta, int(np.argmin(theta)))
 
@@ -276,19 +298,19 @@ def curve_geometry(c: PlaneCurve, time: float = 0.0,
         total_area = enclosed_area(P)
         alpha = math.nan
 
-    quarter = P[(P[:, 0] >= 0.0)]
-    if crossing is not None and quarter.size >= 6:
-        xs, ys = P[:, 0], P[:, 1]
-        right = np.nonzero(P[:, 0] >= 0.0)[0]
+    xs, ys = P[:, 0], P[:, 1]
+    right = np.nonzero(xs >= 0.0)[0]
+    if crossing is not None and right.size >= 3:
         ix = right[int(np.argmax(xs[right]))]
         x_max, _ = _refine_extreme_position(ys, xs, ix)
-        upper_right = np.nonzero((P[:, 0] >= 0.0) & (P[:, 1] >= 0.0))[0]
-        iy = upper_right[int(np.argmax(ys[upper_right]))]
+        upper_heights = np.where((xs >= 0.0) & (ys >= 0.0), ys, -np.inf)
+        iy = int(np.argmax(upper_heights))
         y_max, x_star = _refine_extreme_position(xs, ys, iy)
+        k_top = _interpolate_at_top(k_abs, upper_heights, iy)
     else:
-        x_max = float(np.max(P[:, 0]))
-        y_max = float(np.max(P[:, 1]))
-        x_star = math.nan
+        x_max = float(np.max(xs))
+        y_max = float(np.max(ys))
+        x_star = k_top = math.nan
 
     return EightDiagnostics(
         time=time,
@@ -302,6 +324,10 @@ def curve_geometry(c: PlaneCurve, time: float = 0.0,
         theta_max=theta_max,
         theta_min=theta_min,
         k_max=k_max,
+        h_min=float(np.min(edges)),
+        k_peak=float(k_abs[peak]),
+        k_top=k_top,
+        crossing=crossing,
     )
 
 
@@ -368,7 +394,7 @@ def make_concinnous_eight(scale: float = 1.0, family: str = "bernoulli",
         block3 = np.column_stack([-xq, yq])
         block4 = np.column_stack([xq[rev], -yq[rev]])
         pts = np.vstack([block1, block2, block3, block4])
-        curve = PlaneCurve(pts, orientation=+1)
+        curve = PlaneCurve(pts)
     elif override is not None or family == "parametric":
         if override is None:
             raise ValueError("parametric family needs an override callable")
@@ -382,7 +408,7 @@ def make_concinnous_eight(scale: float = 1.0, family: str = "bernoulli",
         frac = (targets - s_cum[idx]) / chord[idx]
         nxt = (idx + 1) % t_dense.size
         pts = xy[idx] + frac[:, None] * (xy[nxt] - xy[idx])
-        curve = PlaneCurve(pts, orientation=+1)
+        curve = PlaneCurve(pts)
     else:
         raise ValueError(f"unknown family {family!r}")
 
@@ -401,7 +427,7 @@ def _check_concinnity(curve: PlaneCurve, scale: float) -> None:
     except TopologyError as exc:
         raise ConstructionError(f"not a figure-eight: {exc}") from exc
     L = curve_length(P)
-    k = np.abs(signed_curvature(P))
+    k = np.abs(curvature_and_angles(P)[0])
     dist = np.linalg.norm(P - pt, axis=1)
     away = dist > 0.05 * L
     if not np.any(away):

@@ -27,6 +27,7 @@ from .curve import (EightDiagnostics, PlaneCurve, curvature_vector, curve_geomet
 
 
 CFL = 0.4  # step size dt = CFL * (min spacing)^2 / 2
+RECORD_SHRINK = 0.93  # a frame is recorded once the length shrinks by this factor
 
 
 @dataclass
@@ -91,15 +92,15 @@ def resample_uniform(P: np.ndarray) -> np.ndarray:
     return spline(u_targets)
 
 
-def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = CFL,
-               record_dt: float | None = None, record_shrink: float = 0.93,
+def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
+               record_dt: float | None = None,
                expect_double_point: bool | None = None) -> CsfRun:
     """Evolve by curve-shortening flow, recording frames and diagnostics.
 
     The step size follows the parabolic stability rule
-    dt = cfl * (min spacing)^2 / 2. Frames (with full diagnostics) are
+    dt = CFL * (min spacing)^2 / 2. Frames (with full diagnostics) are
     recorded whenever ``record_dt`` time has passed or the length has shrunk
-    by the factor ``record_shrink`` since the last record, and at the stop.
+    by the factor ``RECORD_SHRINK`` since the last record, and at the stop.
     The default time stride is an estimate of a 250-frame run: total area
     over 2*pi bounds the extinction time of any figure-eight from above.
     """
@@ -111,7 +112,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = CFL,
     run = CsfRun()
 
     def record(frame_P, time):
-        curve = PlaneCurve(frame_P.copy(), orientation=c0.orientation)
+        curve = PlaneCurve(frame_P.copy())
         run.times.append(time)
         run.frames.append(curve)
         run.diagnostics.append(curve_geometry(curve, time, expect_double_point))
@@ -123,7 +124,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = CFL,
         record_dt = horizon / 250.0
     next_record = record_dt
     length0 = curve_length(P)
-    next_length = record_shrink * length0
+    next_length = RECORD_SHRINK * length0
 
     step = 0
     max_steps = 2_000_000
@@ -153,7 +154,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = CFL,
             run.stop_reason = "step budget"
             break
 
-        dt = cfl * min_gap * min_gap / 2.0
+        dt = CFL * min_gap * min_gap / 2.0
         if stop.time is not None:
             dt = min(dt, stop.time - t)
         P = P + dt * vel
@@ -164,7 +165,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None, cfl: float = CFL,
             record(P, t)
             while next_record <= t:
                 next_record += record_dt
-            next_length = record_shrink * length
+            next_length = RECORD_SHRINK * length
     if run.times[-1] < t or run.frames[-1].points.shape != P.shape \
             or not np.array_equal(run.frames[-1].points, P):
         record(P, t)

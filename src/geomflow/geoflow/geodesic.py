@@ -25,6 +25,9 @@ from .structure import TIGHT, _flow_rhs, _sigma, level_value, v_beta
 
 # Default step control of the sphere scan: one geodesic per direction, so looser.
 SPHERE_CONTROL = StepControl(initial_step=1e-3, abs_tol=1e-10, rel_tol=1e-10)
+# How far the initial tangent of a cylinder-invariant geodesic may sit off its
+# level set and off the top/bottom point of its loop.
+CYLINDER_SETUP_TOL = 1e-6
 
 
 @dataclass
@@ -114,8 +117,7 @@ def concatenation_endpoint(v0, alpha: float, T: float, n_steps: int = 1_000_000,
     return np.array([x_end, y_end, z_end])
 
 
-def cylinder_invariant(path: GeodesicPath, beta: float,
-                       setup_tol: float = 1e-6) -> tuple[np.ndarray, float]:
+def cylinder_invariant(path: GeodesicPath, beta: float) -> tuple[np.ndarray, float]:
     """Series of the cylinder quantity along a geodesic and its relative drift.
 
     For a geodesic from the identity whose initial tangent is the reference
@@ -132,9 +134,9 @@ def cylinder_invariant(path: GeodesicPath, beta: float,
     check_alpha(alpha, 0.0, 1.0, open_lo=True)
     v0 = path.tangents[0]
     ref = v_beta(beta, alpha)
-    if abs(level_value(v0, alpha) - level_value(ref, alpha)) > setup_tol:
+    if abs(level_value(v0, alpha) - level_value(ref, alpha)) > CYLINDER_SETUP_TOL:
         raise SetupError("initial tangent is not on the level set labeled by beta")
-    if abs(v0[0] - math.sqrt(alpha) * v0[1]) > setup_tol:
+    if abs(v0[0] - math.sqrt(alpha) * v0[1]) > CYLINDER_SETUP_TOL:
         raise SetupError("initial tangent must sit at the top/bottom point of its loop "
                          "(v_x = sqrt(a) v_y), e.g. V_beta or its partner")
     delta = v0[2] / v0[0]

@@ -22,6 +22,8 @@ from ..errors import BracketError
 from ..numerics import elliptic_K, find_root, integrate_singular
 from .group import check_alpha
 
+PERIOD_TOL = 1e-10  # default tolerance of the period quadrature
+
 
 @dataclass
 class PeriodRecord:
@@ -64,7 +66,7 @@ def endpoint_times(alpha: float, beta: float) -> tuple[float, float]:
     return t0, t1
 
 
-def period_numeric(alpha: float, beta: float, tol: float = 1e-10) -> PeriodRecord:
+def period_numeric(alpha: float, beta: float, tol: float = PERIOD_TOL) -> PeriodRecord:
     """Period by de-singularized quadrature of the defining integral."""
     check_alpha(alpha, 0.0, 1.0, open_lo=True)
     if not 0.0 < beta < 1.0:

@@ -29,6 +29,9 @@ from .group import check_alpha
 from .periods import period
 from .structure import TIGHT, _sigma, admissible_x0_interval, beta_from_x0
 
+PASS_FLOOR = -1e-10  # a bounding-box scan passes when min a' and min b' exceed this
+FD_STEP = 1e-5       # first step of the Richardson difference of the period in x0
+
 
 def _sym_rhs(alpha: float, with_quadrature: bool = False):
     def rhs(t, u):
@@ -158,7 +161,7 @@ class BoxScanRecord:
 
 
 def bounding_box_scan(alpha: float, x0_grid, ctrl: StepControl | None = None,
-                      n_samples: int = 2000, pass_floor: float = -1e-10) -> list[BoxScanRecord]:
+                      n_samples: int = 2000) -> list[BoxScanRecord]:
     """Check min a' and min b' over (0, rho] for each admissible x0.
 
     Grid points at or below the equilibrium abscissa sqrt(a/(1+a)) are
@@ -184,7 +187,7 @@ def bounding_box_scan(alpha: float, x0_grid, ctrl: StepControl | None = None,
             min_a_prime=float(np.min(a_prime)), min_b_prime=float(np.min(b_prime)),
             b_integral_residual=residual,
         )
-        rec.passed = rec.min_a_prime > pass_floor and rec.min_b_prime > pass_floor
+        rec.passed = rec.min_a_prime > PASS_FLOOR and rec.min_b_prime > PASS_FLOOR
         records.append(rec)
     return records
 
@@ -244,32 +247,30 @@ def _period_of_x0(x0: float, alpha: float) -> float:
     return period(alpha, beta_from_x0(x0, alpha)).period
 
 
-def dP_dx0(x0: float, alpha: float = 0.5, step: float = 1e-5) -> tuple[float, float]:
-    """Richardson-extrapolated central difference of P(x0); returns (value, error est)."""
+def dP_dx0(x0: float, alpha: float = 0.5) -> tuple[float, float]:
+    """Richardson-extrapolated central difference of P(x0) with steps
+    ``FD_STEP`` and ``FD_STEP / 2``; returns (value, error est)."""
     def central(h):
         return (_period_of_x0(x0 + h, alpha) - _period_of_x0(x0 - h, alpha)) / (2.0 * h)
 
-    d1 = central(step)
-    d2 = central(step / 2.0)
+    d1 = central(FD_STEP)
+    d2 = central(FD_STEP / 2.0)
     richardson = (4.0 * d2 - d1) / 3.0
     return richardson, abs(richardson - d2)
 
 
-def g_function_check(x0_grid=None, alpha: float = 0.5,
-                     step: float = 1e-5) -> list[GCheckPoint]:
+def g_function_check(x0_grid=None) -> list[GCheckPoint]:
     """Evaluate G(x0) = dP/dx0 - pi (1/(2 sqrt(x0)) + 2 x0 sqrt(x0)/(1-x0^2)).
 
     Only defined for alpha = 1/2, where the closed-form period makes the
     envelope bound meaningful. A point is flagged inconclusive (never a
     silent pass) when the finite-difference noise is within a decade of |G|.
     """
-    if alpha != 0.5:
-        raise ValueError("the envelope bound is specific to alpha = 1/2")
     if x0_grid is None:
         x0_grid = np.linspace(0.59, 0.995, 28)
     out = []
     for x0 in np.atleast_1d(np.asarray(x0_grid, dtype=float)):
-        d, err = dP_dx0(float(x0), alpha, step)
+        d, err = dP_dx0(float(x0), 0.5)
         envelope = math.pi * (0.5 / math.sqrt(x0) + 2.0 * x0 * math.sqrt(x0) / (1.0 - x0 * x0))
         g = d - envelope
         out.append(GCheckPoint(

@@ -31,8 +31,8 @@ def test_bowtie_distance_clause_fails_on_its_own(monkeypatch):
     assert acceptance.check_18_bowtie_trends().status == "PASS"
     real = acceptance.affine_rescale_and_bowtie
 
-    def mirrored(frame, time=0.0, diag=None):
-        rec = real(frame, time, diag)
+    def mirrored(frame, diag):
+        rec = real(frame, diag)
         return dataclasses.replace(rec, bowtie_distance=1.0 - rec.bowtie_distance)
 
     monkeypatch.setattr(acceptance, "affine_rescale_and_bowtie", mirrored)

@@ -164,6 +164,24 @@ class TestCsfCommands:
         assert manifest["parameters"]["steps"] > 0
 
 
+class TestManifests:
+    def test_parameters_hold_every_argument(self, tmp_path):
+        cases = [(["csf", "run", "--n", "128", "--T", "0.002", "--record-dt", "0.001"],
+                  "csf_run", {"curve": "bernoulli", "scale": 1.0, "n": 128, "T": 0.002,
+                              "kmax_spacing": None, "record_dt": 0.001}),
+                 (["geo", "geodesic", "--T", "0.5", "--samples", "11"],
+                  "geo_geodesic", {"alpha": 0.5, "vx": 0.55, "vy": 0.6,
+                                   "vz": math.sqrt(1 - 0.55**2 - 0.6**2), "T": 0.5,
+                                   "samples": 11})]
+        for argv, experiment, expected in cases:
+            out = tmp_path / experiment
+            assert main([*argv, "--out", str(out)]) == 0
+            manifest = json.loads((out / f"{experiment}_manifest.json").read_text())
+            recorded = {k: manifest["parameters"][k] for k in expected}
+            assert recorded == expected
+            assert not {"func", "out", "command", "experiment"} & manifest["parameters"].keys()
+
+
 class TestVerify:
     def test_rows_print_wall_time(self, monkeypatch, capsys):
         from geomflow import acceptance

@@ -9,14 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from geomflow.csf.curve import row_lengths
+from geomflow.csf.curve import _three_point, edge_lengths, row_lengths
 from geomflow.errors import ConstructionError, ResolutionError, TopologyError
-from geomflow.csf import (PlaneCurve, StopRule, affine_rescale_and_bowtie,
-                          comparison_solution, csf_evolve, curve_geometry,
-                          curve_length, grim_reaper_profile_error, lobe_areas,
-                          make_concinnous_eight, resample_uniform,
-                          self_intersection, signed_curvature,
-                          tangent_angles_unwrapped, theta_monotonicity_series,
+from geomflow.csf import (MIN_TIP_POINTS, PlaneCurve, StopRule, affine_rescale_and_bowtie,
+                          axis_shrink_products, comparison_solution, csf_evolve,
+                          curvature_and_angles, curve_geometry, curve_length,
+                          grim_reaper_check, grim_reaper_profile_error, lobe_areas,
+                          make_concinnous_eight, reaper_profile_defect, resample_uniform,
+                          resolvable_frames, self_intersection, theta_monotonicity_series,
                           turning_number)
 
 
@@ -30,14 +30,14 @@ class TestCurveBasics:
         d = curve_geometry(unit_circle(512))
         assert d.total_area == pytest.approx(math.pi, abs=1e-4)
         assert d.length == pytest.approx(2 * math.pi, abs=1e-4)
-        k = signed_curvature(unit_circle(512).points)
+        k, _ = curvature_and_angles(unit_circle(512).points)
         assert np.max(np.abs(np.abs(k) - 1.0)) < 1e-3
 
     def test_circle_has_no_double_point(self):
         with pytest.raises(TopologyError):
             self_intersection(unit_circle().points)
         d = curve_geometry(unit_circle())
-        assert math.isnan(d.alpha_angle)
+        assert math.isnan(d.alpha_angle) and math.isnan(d.k_top) and d.crossing is None
         with pytest.raises(TopologyError):
             curve_geometry(unit_circle(), expect_double_point=True)
 
@@ -58,7 +58,7 @@ class TestConcinnousEight:
     def test_curvature_vanishes_only_near_double_point(self):
         c = make_concinnous_eight(1.0, n_points=512)
         P = c.points
-        k = np.abs(signed_curvature(P))
+        k = np.abs(curvature_and_angles(P)[0])
         _, _, pt = self_intersection(P)
         away = np.linalg.norm(P - pt, axis=1) > 0.05 * curve_length(P)
         assert np.min(k[away]) > 0.1  # bounded well away from zero
@@ -299,19 +299,23 @@ class TestComparisonSolution:
 
 class TestGrimReaper:
     def test_exact_profile_scores_zero(self):
-        from geomflow.csf import reaper_profile_defect
         phi = np.linspace(0.0, math.pi, 256)
-        assert reaper_profile_defect(phi, np.sin(phi), n_phi=256) < 1e-14
+        assert reaper_profile_defect(phi, np.sin(phi)) < 1e-14
 
     def test_initial_lemniscate_is_far_from_profile(self):
         c = make_concinnous_eight(1.0, n_points=512)
-        err = grim_reaper_profile_error(c)
+        err = grim_reaper_profile_error(c, curve_geometry(c, expect_double_point=True))
         assert 0.2 < err < 1.0
 
     def test_resolution_guard(self):
-        c = make_concinnous_eight(1.0, n_points=128)
-        with pytest.raises(ResolutionError):
-            grim_reaper_profile_error(c, min_tip_points=10_000)
+        # moving the far-right sample outward by 5 % leaves a spike that only
+        # 3 samples see in the top curvature decade
+        P = make_concinnous_eight(1.0, n_points=128).points.copy()
+        P[int(np.argmax(P[:, 0]))] *= 1.05
+        spiked = PlaneCurve(P)
+        diag = curve_geometry(spiked, expect_double_point=True)
+        with pytest.raises(ResolutionError, match="only 3 samples"):
+            grim_reaper_profile_error(spiked, diag)
 
 
 class TestBowtie:
@@ -325,23 +329,119 @@ class TestBowtie:
                 pts.append((x0 + u * (x1 - x0), y0 + u * (y1 - y0)))
         # nudge exact corner duplicates apart is not needed: consecutive points distinct
         tie = PlaneCurve(np.array(pts))
-        rec = affine_rescale_and_bowtie(tie)
+        rec = affine_rescale_and_bowtie(tie, curve_geometry(tie, expect_double_point=True))
         assert rec.bowtie_distance < 1e-9
-
-    def test_handed_in_diagnostics_give_same_record(self):
-        eight = make_concinnous_eight(1.0, n_points=256)
-        run = csf_evolve(eight, StopRule(time=0.01, kmax_spacing=None),
-                         record_dt=0.005, expect_double_point=True)
-        frame, t, diag = run.frames[-1], run.times[-1], run.diagnostics[-1]
-        measured = affine_rescale_and_bowtie(frame, t)
-        reused = affine_rescale_and_bowtie(frame, t, diag)
-        assert np.array_equal(reused.rescaled.points, measured.rescaled.points)
-        assert reused.bowtie_distance == measured.bowtie_distance
-        assert reused.ratio_xstar == measured.ratio_xstar
 
     def test_bernoulli_initial_ratio(self):
         c = make_concinnous_eight(1.0, n_points=512)
-        rec = affine_rescale_and_bowtie(c)
+        rec = affine_rescale_and_bowtie(c, curve_geometry(c, expect_double_point=True))
         assert 0.0 < rec.ratio_xstar < 1.0
         assert rec.rescaled.points[:, 0].max() <= 1.0 + 1e-9
         assert rec.rescaled.points[:, 1].max() <= 1.0 + 1e-9
+
+
+# The per-frame analyses as they were before they read the frame's
+# ``curve_geometry`` record: each measured its frames again from the points.
+
+def _reference_signed_curvature(P):
+    first, second = _three_point(P)
+    speed = row_lengths(first)
+    cross = first[:, 0] * second[:, 1] - first[:, 1] * second[:, 0]
+    return cross / speed ** 3
+
+
+def _reference_tangent_angles(P):
+    first, _ = _three_point(P)
+    theta = np.unwrap(np.arctan2(first[:, 1], first[:, 0]))
+    mid = 0.5 * (theta.max() + theta.min())
+    shift = 2.0 * math.pi * round((0.5 * math.pi - mid) / (2.0 * math.pi))
+    return theta + shift
+
+
+def _reference_resolvable_frames(run):
+    out = []
+    for idx, frame in enumerate(run.frames):
+        P = frame.points
+        k = np.abs(_reference_signed_curvature(P))
+        k_max = float(np.max(k))
+        if k_max == 0.0:
+            continue
+        h = float(np.min(edge_lengths(P)))
+        if 6.0 / (k_max * h) >= MIN_TIP_POINTS:
+            out.append(idx)
+    return out
+
+
+def _reference_axis_shrink_products(run):
+    px, py = [], []
+    for frame, diag in zip(run.frames, run.diagnostics):
+        P = frame.points
+        k = np.abs(_reference_signed_curvature(P))
+        upper_right = (P[:, 0] >= 0.0) & (P[:, 1] >= 0.0)
+        masked_y = np.where(upper_right, P[:, 1], -np.inf)
+        iy = int(np.argmax(masked_y))
+        n = P.shape[0]
+        y0, y1, y2 = masked_y[(iy - 1) % n], masked_y[iy], masked_y[(iy + 1) % n]
+        denom = y0 - 2.0 * y1 + y2
+        delta = 0.0 if (denom == 0.0 or not np.isfinite(denom)) \
+            else float(np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0))
+        k0, k1, k2 = k[(iy - 1) % n], k[iy], k[(iy + 1) % n]
+        k_star = (k1 + 0.5 * delta * (k2 - k0)
+                  + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2))
+        px.append(diag.y_max * diag.k_max)
+        py.append(diag.x_max * k_star)
+    return np.asarray(run.times, dtype=float), np.array(px), np.array(py)
+
+
+def _reference_profile_error(frame):
+    P = frame.points
+    k_abs = np.abs(_reference_signed_curvature(P))
+    k_max = float(np.max(k_abs))
+    if int(np.sum(k_abs >= 0.1 * k_max)) < MIN_TIP_POINTS:
+        raise ResolutionError("tip not resolved")
+    i, j, _ = self_intersection(P)
+    theta = _reference_tangent_angles(P)
+    arcs = (np.arange(i + 1, j + 1), np.concatenate([np.arange(j + 1, P.shape[0]),
+                                                     np.arange(0, i + 1)]))
+    peak = int(np.argmax(k_abs))
+    lobe = arcs[0] if peak in set(arcs[0].tolist()) else arcs[1]
+    return reaper_profile_defect(theta[lobe], k_abs[lobe] / k_max)
+
+
+@pytest.fixture(scope="module")
+def collapse_run():
+    # the canonical bench job: the n = 128 eight to the singularity stop,
+    # 274 frames, about half of them resolvable
+    return csf_evolve(make_concinnous_eight(1.0, n_points=128), StopRule(kmax_spacing=0.5),
+                      record_dt=3.2e-3, expect_double_point=True)
+
+
+class TestFrameRecord:
+    def test_curvature_and_angles_match_two_stencils(self, collapse_run):
+        curves = [unit_circle(256).points] + [f.points for f in collapse_run.frames[::10]]
+        for P in curves:
+            k, theta = curvature_and_angles(P)
+            assert np.array_equal(k, _reference_signed_curvature(P))
+            assert np.array_equal(theta, _reference_tangent_angles(P))
+
+    def test_resolvable_frames_match_per_frame_measurement(self, collapse_run):
+        idxs = resolvable_frames(collapse_run)
+        assert 0 < len(idxs) < len(collapse_run.frames)
+        assert idxs == _reference_resolvable_frames(collapse_run)
+
+    def test_axis_shrink_products_match_per_frame_measurement(self, collapse_run):
+        # on the eight turned upright the top sample's left neighbour lies
+        # outside the upper-right quadrant, so its masking matters
+        upright = make_concinnous_eight(1.0, n_points=128).points[:, ::-1]
+        upright_run = csf_evolve(PlaneCurve(upright), StopRule(time=0.01, kmax_spacing=None),
+                                 record_dt=0.005, expect_double_point=True)
+        for run in (collapse_run, upright_run):
+            for got, want in zip(axis_shrink_products(run), _reference_axis_shrink_products(run)):
+                assert np.array_equal(got, want)
+
+    def test_grim_reaper_check_matches_per_frame_measurement(self, collapse_run):
+        idxs = resolvable_frames(collapse_run)
+        series = grim_reaper_check(collapse_run, idxs)
+        assert np.array_equal(series.errors,
+                              [_reference_profile_error(collapse_run.frames[k]) for k in idxs])
+        assert np.array_equal(series.times, [collapse_run.times[k] for k in idxs])

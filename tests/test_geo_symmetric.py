@@ -122,10 +122,6 @@ class TestGFunction:
         p = pts[0]
         assert p.dP_dx0 > 0 and math.isfinite(p.envelope) and p.g_value < 0
 
-    def test_alpha_restriction(self):
-        with pytest.raises(ValueError):
-            g_function_check([0.7], alpha=1.0)
-
     def test_derivative_richardson_error_small(self):
         val, err = dP_dx0(0.8)
         assert err < 1e-7
