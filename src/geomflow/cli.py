@@ -65,10 +65,11 @@ def _write_run(writer: ExperimentWriter, run) -> None:
 
 
 def cmd_csf_run(args) -> int:
-    from .csf import CFL, StopRule, csf_evolve
+    from .csf import CFL, RECORD_SHRINK, StopRule, csf_evolve
     curve = _load_eight(args)
     stop = StopRule(time=args.T, kmax_spacing=args.kmax_spacing)
-    writer = _writer(args, {"cfl": CFL, "stop_rule": asdict(stop)})
+    writer = _writer(args, {"cfl": CFL, "record_shrink": RECORD_SHRINK,
+                            "stop_rule": asdict(stop)})
     run = csf_evolve(curve, stop, record_dt=args.record_dt)
     _write_run(writer, run)
     writer.parameters["stop_reason"] = run.stop_reason
@@ -79,10 +80,10 @@ def cmd_csf_run(args) -> int:
 
 def _collapse_writer(args):
     """Writer and stop rule of the runs to the singularity stop."""
-    from .csf import CFL, MIN_TIP_POINTS, StopRule
+    from .csf import CFL, MIN_TIP_POINTS, RECORD_SHRINK, StopRule
     stop = StopRule(kmax_spacing=0.5)
-    writer = _writer(args, {"cfl": CFL, "stop_rule": asdict(stop),
-                            "min_tip_points": MIN_TIP_POINTS})
+    writer = _writer(args, {"cfl": CFL, "record_shrink": RECORD_SHRINK,
+                            "stop_rule": asdict(stop), "min_tip_points": MIN_TIP_POINTS})
     return writer, stop
 
 
@@ -144,9 +145,9 @@ def _initial_torsion(name: str, n: int):
 
 
 def cmd_torsion_evolve(args) -> int:
-    from .torsionflow import CurvatureProfile, UNIT_CURVATURE, default_control, torsion_evolve
+    from .torsionflow import CurvatureProfile, default_control, torsion_evolve
     tau0 = _initial_torsion(args.initial, args.n)
-    kappa = UNIT_CURVATURE if args.kappa == 1.0 else CurvatureProfile(constant=args.kappa)
+    kappa = CurvatureProfile(constant=args.kappa)
     times = np.linspace(0.0, args.T, args.frames + 1)[1:]
     ctrl = default_control(tau0, kappa)
     writer = _writer(args, {"step_control": asdict(ctrl)})
@@ -241,9 +242,10 @@ def cmd_geo_period_table(args) -> int:
 
 
 def cmd_geo_flowline(args) -> int:
-    from .geoflow import TIGHT, flow_tangent, unit_tangent
-    v0 = unit_tangent(args.vx, args.vy, args.vz, tol=1e-6)
-    writer = _writer(args, {"step_control": asdict(TIGHT)})
+    from .geoflow import TIGHT, UNIT_TANGENT_TOL, flow_tangent, unit_tangent
+    v0 = unit_tangent(args.vx, args.vy, args.vz)
+    writer = _writer(args, {"unit_tangent_tol": UNIT_TANGENT_TOL,
+                            "step_control": asdict(TIGHT)})
     fl = flow_tangent(v0, args.alpha, args.T, ctrl=TIGHT)
     writer.csv("flowline.csv", ["t", "x", "y", "z", "H"],
                ([t, *map(float, v), h] for t, v, h
@@ -255,9 +257,10 @@ def cmd_geo_flowline(args) -> int:
 
 
 def cmd_geo_geodesic(args) -> int:
-    from .geoflow import TIGHT, geodesic, unit_tangent
-    v0 = unit_tangent(args.vx, args.vy, args.vz, tol=1e-6)
-    writer = _writer(args, {"step_control": asdict(TIGHT)})
+    from .geoflow import TIGHT, UNIT_TANGENT_TOL, geodesic, unit_tangent
+    v0 = unit_tangent(args.vx, args.vy, args.vz)
+    writer = _writer(args, {"unit_tangent_tol": UNIT_TANGENT_TOL,
+                            "step_control": asdict(TIGHT)})
     path = geodesic(v0, args.alpha, args.T, TIGHT, n_samples=args.samples)
     writer.csv("geodesic.csv", ["t", "vx", "vy", "vz", "x", "y", "z"],
                ([t, *map(float, v), *map(float, p)] for t, v, p
@@ -413,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", default="sin-half")
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--T", type=float, default=5.0)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=float, default=1.0,
+                   help="constant curvature of the evolving curve (variable "
+                        "curvature is not implemented)")
     p.add_argument("--frames", type=int, default=100)
     _add_out(p)
     p.set_defaults(func=cmd_torsion_evolve)
@@ -441,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = tor_sub.add_parser("reconstruct", help="Frenet-Serret curve reconstruction")
     p.add_argument("--initial", default="tau1")
     p.add_argument("--n", type=int, default=128)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=float, default=1.0,
+                   help="constant curvature of the reconstructed curve")
     p.add_argument("--s-max", type=float, default=8.0 * math.pi)
     p.add_argument("--samples", type=int, default=513)
     _add_out(p)

@@ -8,11 +8,11 @@ from .analysis import (MIN_TIP_POINTS, BowtieRecord, GrimReaperSeries, ThetaSeri
 from .curve import (EightDiagnostics, PlaneCurve, curvature_and_angles, curvature_vector,
                     curve_geometry, curve_length, edge_lengths, enclosed_area, lobe_areas,
                     make_concinnous_eight, self_intersection, turning_number)
-from .evolve import CFL, CsfRun, StopRule, csf_evolve, resample_uniform
+from .evolve import CFL, RECORD_SHRINK, CsfRun, StopRule, csf_evolve, resample_uniform
 
 __all__ = [
     "BowtieRecord", "CFL", "CsfRun", "EightDiagnostics", "GrimReaperSeries",
-    "MIN_TIP_POINTS", "PlaneCurve", "StopRule", "ThetaSeries",
+    "MIN_TIP_POINTS", "PlaneCurve", "RECORD_SHRINK", "StopRule", "ThetaSeries",
     "affine_rescale_and_bowtie", "axis_shrink_products", "comparison_solution", "csf_evolve",
     "curvature_and_angles", "curvature_vector", "curve_geometry", "curve_length", "edge_lengths",
     "enclosed_area", "grim_reaper_check", "grim_reaper_profile_error",

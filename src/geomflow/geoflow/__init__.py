@@ -11,7 +11,7 @@ from .group import (CurvatureData, check_alpha, covariant_self_derivative,
 from .perfect import PerfectVectorReport, perfect_vector_checks
 from .periods import (PERIOD_TOL, PeriodRecord, endpoint_times, period, period_closed_form,
                       period_numeric)
-from .structure import (TIGHT, Flowline, admissible_x0_interval, beta_from_x0,
+from .structure import (TIGHT, UNIT_TANGENT_TOL, Flowline, admissible_x0_interval, beta_from_x0,
                         equilibrium_tangent, flow_tangent, flow_to_equator,
                         level_value, structure_field, unit_tangent, v_beta)
 from .symmetric import (FD_STEP, PASS_FLOOR, BoundaryCurve, BoundaryPoint, BoxScanRecord,
@@ -23,6 +23,7 @@ __all__ = [
     "BoundaryCurve", "BoundaryPoint", "BoxScanRecord", "CYLINDER_SETUP_TOL", "CurvatureData",
     "FD_STEP", "Flowline", "GCheckPoint", "GeodesicPath", "PASS_FLOOR", "PERIOD_TOL",
     "PerfectVectorReport", "PeriodRecord", "SPHERE_CONTROL", "SymmetricRun", "TIGHT",
+    "UNIT_TANGENT_TOL",
     "admissible_x0_interval", "beta_from_x0", "boundary_curve", "bounding_box_scan", "check_alpha",
     "concatenation_endpoint", "covariant_self_derivative", "curvature_data",
     "cylinder_invariant", "dP_dx0", "endpoint_times", "equilibrium_tangent",

@@ -22,6 +22,10 @@ from .group import check_alpha
 # symmetric and variational systems).
 TIGHT = StepControl(initial_step=1e-3, abs_tol=1e-12, rel_tol=1e-12)
 
+# Largest deviation from 1 of a tangent's norm that is still normalized rather
+# than refused: components typed on the command line carry only a few digits.
+UNIT_TANGENT_TOL = 1e-6
+
 
 def _sigma(x, y, z, alpha: float):
     """Components of Sigma(v) = (xz, -a yz, a y^2 - x^2): the one copy of the
@@ -66,11 +70,13 @@ def equilibrium_tangent(alpha: float) -> np.ndarray:
     return v_beta(1.0, alpha)
 
 
-def unit_tangent(x: float, y: float, z: float, tol: float = 1e-10) -> np.ndarray:
+def unit_tangent(x: float, y: float, z: float) -> np.ndarray:
+    """(x, y, z) normalized, refused if its norm is off 1 by more than
+    ``UNIT_TANGENT_TOL``."""
     v = np.array([x, y, z], dtype=float)
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"tangent norm {n} deviates from 1 beyond {tol}")
+    if abs(n - 1.0) > UNIT_TANGENT_TOL:
+        raise ValueError(f"tangent norm {n} deviates from 1 beyond {UNIT_TANGENT_TOL}")
     return v / n
 
 

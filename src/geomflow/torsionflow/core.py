@@ -1,16 +1,15 @@
 """Torsion fields on the periodic arc-length mesh and the evolution right-hand side.
 
 The flow preserving curvature and arc length moves a positive space curve
-along its binormal with speed 1/sqrt(torsion); the induced torsion evolution
-for general curvature kappa is
+along its binormal with speed 1/sqrt(torsion). For a constant curvature
+kappa the induced torsion evolution is the flux form
 
-    tau_t = kappa D_s(tau^{-1/2}) + D_s((D_s^2(tau^{-1/2}) - tau^{3/2}) / kappa),
+    tau_t = D_s(kappa u + (D_s^2 u - tau^{3/2}) / kappa),    u = tau^{-1/2},
 
-which for kappa = 1 collapses to the constant-curvature form
-
-    tau_t = D_s(tau^{-1/2} - tau^{3/2} + D_s^2(tau^{-1/2})).
-
-Spatial derivatives are Fourier collocation on [0, 2*pi).
+which for kappa = 1 is tau_t = D_s(u - tau^{3/2} + D_s^2 u). Only constant
+curvature is implemented: the paper's equation for a curvature that varies
+along the curve is not. Spatial derivatives are Fourier collocation on
+[0, 2*pi).
 """
 
 from __future__ import annotations
@@ -50,72 +49,52 @@ class TorsionField:
     def grid(self) -> np.ndarray:
         return periodic_grid(self.n)
 
-    @classmethod
-    def from_function(cls, f, n: int = 256) -> "TorsionField":
-        return cls(np.asarray(f(periodic_grid(n)), dtype=float))
 
-
-@dataclass
+@dataclass(frozen=True)
 class CurvatureProfile:
-    """Strictly positive curvature: either a constant or periodic samples."""
+    """A strictly positive constant curvature."""
 
-    constant: float | None = None
-    samples: np.ndarray | None = None
+    constant: float
 
     def __post_init__(self):
-        if (self.constant is None) == (self.samples is None):
-            raise ValueError("specify exactly one of constant or samples")
-        if self.constant is not None and self.constant <= 0.0:
-            raise ValueError("curvature must be strictly positive")
-        if self.samples is not None:
-            self.samples = np.asarray(self.samples, dtype=float)
-            if np.min(self.samples) <= 0.0:
-                raise ValueError("curvature must be strictly positive")
-
-    def on_mesh(self, n: int) -> np.ndarray:
-        if self.constant is not None:
-            return np.full(n, float(self.constant))
-        if self.samples.size != n:
-            raise ValueError(f"curvature sampled on {self.samples.size} points, mesh has {n}")
-        return self.samples
-
-    @property
-    def is_constant(self) -> bool:
-        return self.constant is not None
+        if not (math.isfinite(self.constant) and self.constant > 0.0):
+            raise ValueError(f"curvature must be finite and strictly positive, "
+                             f"got {self.constant}")
 
 
 UNIT_CURVATURE = CurvatureProfile(constant=1.0)
 
 
-def _spectral_ops(n: int):
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    ik = 1j * k
-    if n % 2 == 0:
-        ik = ik.copy()
-        ik[-1] = 0.0  # no odd derivative of the Nyquist mode on the grid
-    ik2 = -(k * k)
-    return ik, ik2
-
-
 def make_torsion_rhs(kappa: CurvatureProfile, n: int):
     """Fast closure computing the torsion evolution right-hand side on arrays.
+
+    In Fourier space the right-hand side is A u^ + B (tau^{3/2})^ with the
+    fixed multipliers A = ik (kappa - k^2 / kappa) and B = -ik / kappa, both
+    zero at the Nyquist mode (no odd derivative of it lives on the grid). So
+    one call costs one real FFT of the stacked pair (u, tau^{3/2}) and one
+    inverse FFT.
 
     Nonpositive trial states return NaN so the adaptive integrator retries
     with a smaller step instead of silently evaluating fractional powers of
     negative torsion.
     """
-    ik, ik2 = _spectral_ops(n)
-    kap = kappa.on_mesh(n)
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    ik = 1j * k
+    if n % 2 == 0:
+        ik[-1] = 0.0
+    kap = kappa.constant
+    mult_u = ik * (kap - k * k / kap)
+    mult_p = -ik / kap
+    pair = np.empty((2, n))  # reused by every call: rfft copies it out
 
     def rhs(t, tau):
         if np.min(tau) <= 0.0:
             return np.full(n, np.nan)
         root = np.sqrt(tau)
-        spec_u = np.fft.rfft(1.0 / root)
-        du = np.fft.irfft(ik * spec_u, n)
-        d2u = np.fft.irfft(ik2 * spec_u, n)
-        inner = (d2u - tau * root) / kap
-        return kap * du + np.fft.irfft(ik * np.fft.rfft(inner), n)
+        np.divide(1.0, root, out=pair[0])
+        np.multiply(tau, root, out=pair[1])
+        spec = np.fft.rfft(pair)
+        return np.fft.irfft(mult_u * spec[0] + mult_p * spec[1], n)
 
     return rhs
 

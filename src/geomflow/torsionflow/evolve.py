@@ -17,7 +17,7 @@ from .core import (TWO_PI, CurvatureProfile, TorsionField, UNIT_CURVATURE,
 POSITIVITY_FLOOR = 0.1  # initial data this close to zero is numerically fragile
 
 
-def _stability_step(tau0: np.ndarray, kappa: np.ndarray, n: int) -> float:
+def _stability_step(tau0: np.ndarray, kappa: float, n: int) -> float:
     """Step cap from the linearized dispersion at the largest mesh wavenumber.
 
     The third-derivative term of the right-hand side carries the coefficient
@@ -26,7 +26,7 @@ def _stability_step(tau0: np.ndarray, kappa: np.ndarray, n: int) -> float:
     headroom for the torsion dipping below its initial minimum.
     """
     kmax = n // 2
-    c3 = float(np.max((0.7 * np.minimum(tau0, 4.0 * np.mean(tau0))) ** -1.5 / (2.0 * kappa)))
+    c3 = float(np.max((0.7 * np.minimum(tau0, 4.0 * np.mean(tau0))) ** -1.5) / (2.0 * kappa))
     c1 = float(np.max(0.5 * tau0 ** -1.5 + 1.5 * np.sqrt(tau0)))
     lam = kmax ** 3 * c3 + kmax * c1
     return 2.8 / lam
@@ -37,7 +37,7 @@ def default_control(tau0: TorsionField,
     """The step control ``torsion_evolve`` uses when it is given none: steps
     capped at the explicit stability limit of ``tau0``'s mesh."""
     n = tau0.n
-    cap = _stability_step(tau0.samples, kappa.on_mesh(n), n)
+    cap = _stability_step(tau0.samples, kappa.constant, n)
     return StepControl(initial_step=cap, abs_tol=1e-10, rel_tol=1e-9,
                        max_steps=50_000_000, max_step=cap)
 

@@ -1,4 +1,4 @@
-"""Space-curve reconstruction from curvature and torsion.
+"""Space-curve reconstruction from a constant curvature and a periodic torsion.
 
 Integrates the frame system r' = T, T' = kappa N, N' = -kappa T - tau B,
 B' = tau N as a 12-dimensional ODE. The frame is re-orthonormalized by
@@ -76,23 +76,18 @@ def frenet_reconstruct(kappa: CurvatureProfile, tau: TorsionField,
                        n_samples: int = 513,
                        ctrl: StepControl | None = None,
                        drift_tol: float = 1e-6) -> ReconstructedCurve:
-    """Integrate the Frenet system; curvature/torsion are evaluated by
-    trigonometric interpolation of their periodic samples."""
+    """Integrate the Frenet system at the constant curvature ``kappa``; the
+    torsion is evaluated by trigonometric interpolation of its periodic
+    samples. A curvature that varies along the curve is not supported."""
     init = init or FrenetState.standard()
     ctrl = ctrl or StepControl(initial_step=1e-3, abs_tol=1e-11, rel_tol=1e-11)
     tau_samples = tau.samples
-
-    if kappa.is_constant:
-        kap_of = lambda s: kappa.constant
-    else:
-        kap_samples = kappa.samples
-        kap_of = lambda s: float(trig_interp(kap_samples, s % (2.0 * math.pi)))
+    k = kappa.constant
 
     def rhs(s, y):
         T = y[3:6]
         N = y[6:9]
         B = y[9:12]
-        k = kap_of(s)
         t = float(trig_interp(tau_samples, s % (2.0 * math.pi)))
         return np.concatenate([T, k * N, -k * T - t * B, t * N])
 

@@ -84,6 +84,16 @@ class TestGeoCommands:
             manifest = json.loads((out / f"{experiment}_manifest.json").read_text())
             assert manifest["tolerances"]["step_control"] == asdict(ctrl)
 
+    def test_typed_tangent_manifests_record_its_tolerance(self, tmp_path):
+        from geomflow.geoflow import UNIT_TANGENT_TOL
+        for argv, experiment in [(["geo", "flowline", "--T", "0.5"], "geo_flowline"),
+                                 (["geo", "geodesic", "--T", "0.5", "--samples", "11"],
+                                  "geo_geodesic")]:
+            out = tmp_path / experiment
+            assert main([*argv, "--out", str(out)]) == 0
+            manifest = json.loads((out / f"{experiment}_manifest.json").read_text())
+            assert manifest["tolerances"]["unit_tangent_tol"] == UNIT_TANGENT_TOL
+
 
 class TestTorsionCommands:
     def test_stationary(self, tmp_path):
@@ -154,13 +164,14 @@ class TestCsfCommands:
 
 
     def test_manifest_records_stop_rule_and_steps(self, tmp_path):
-        from geomflow.csf import CFL, StopRule
+        from geomflow.csf import CFL, RECORD_SHRINK, StopRule
         out = tmp_path / "csf"
         assert main(["csf", "run", "--n", "128", "--T", "0.002",
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "csf_run_manifest.json").read_text())
         assert manifest["tolerances"] == {
-            "cfl": CFL, "stop_rule": asdict(StopRule(time=0.002, kmax_spacing=None))}
+            "cfl": CFL, "record_shrink": RECORD_SHRINK,
+            "stop_rule": asdict(StopRule(time=0.002, kmax_spacing=None))}
         assert manifest["parameters"]["steps"] > 0
 
 

@@ -16,6 +16,23 @@ from geomflow.torsionflow import (CurvatureProfile, FrenetState, TorsionField,
                                   tau_one, torsion_invariants, torsion_rhs)
 
 
+def five_fft_rhs(tau, kappa):
+    """kappa D u + D((D^2 u - tau^{3/2}) / kappa), u = tau^{-1/2}, term by
+    term: one FFT for u, two inverse FFTs for D u and D^2 u, and a forward
+    and inverse FFT for the outer derivative. Odd derivatives drop the
+    Nyquist mode."""
+    n = tau.size
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    ik = 1j * k
+    ik[-1] = 0.0
+    root = np.sqrt(tau)
+    spec_u = np.fft.rfft(1.0 / root)
+    du = np.fft.irfft(ik * spec_u, n)
+    d2u = np.fft.irfft(-(k * k) * spec_u, n)
+    inner = (d2u - tau * root) / kappa
+    return kappa * du + np.fft.irfft(ik * np.fft.rfft(inner), n)
+
+
 class TestTorsionField:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -26,14 +43,9 @@ class TestTorsionField:
             TorsionField(np.zeros(64))
 
     def test_curvature_profile_validation(self):
-        with pytest.raises(ValueError):
-            CurvatureProfile()
-        with pytest.raises(ValueError):
-            CurvatureProfile(constant=-1.0)
-        prof = CurvatureProfile(samples=2.0 + np.cos(periodic_grid(64)))
-        assert prof.on_mesh(64).size == 64
-        with pytest.raises(ValueError):
-            prof.on_mesh(128)
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CurvatureProfile(constant=bad)
 
 
 class TestTorsionRhs:
@@ -55,12 +67,17 @@ class TestTorsionRhs:
               - periodic_derivative(tau.samples ** 1.5, 1, method="fd4"))
         assert np.max(np.abs(spec - fd)) < 1e-4
 
-    def test_general_kappa_reduces_to_constant_form(self):
-        s = periodic_grid(128)
-        tau = TorsionField(2.0 + np.sin(s) / 3.0)
-        r1 = torsion_rhs(tau, UNIT_CURVATURE)
-        r2 = torsion_rhs(tau, CurvatureProfile(samples=np.ones(128)))
-        assert np.allclose(r1, r2, atol=1e-14)
+    @pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("profile", ["sin-half", "sin-cos", "tau_one"])
+    def test_matches_five_fft_reference(self, n, kappa, profile):
+        s = periodic_grid(n)
+        samples = {"sin-half": lambda: 10.0 + np.sin(s) / 2.0,
+                   "sin-cos": lambda: 10.0 + np.sin(s) + np.cos(s),
+                   "tau_one": lambda: tau_one(n).samples}[profile]()
+        fused = torsion_rhs(TorsionField(samples), CurvatureProfile(constant=kappa))
+        reference = five_fft_rhs(samples, kappa)
+        assert np.max(np.abs(fused - reference)) < 1e-10
 
 
 class TestInvariants:
