@@ -9,6 +9,10 @@ class IntegrationError(GeomflowError):
     """ODE integration failed (step budget, non-finite field, frame loss)."""
 
 
+class BudgetError(GeomflowError):
+    """A run would take more steps than its budget allows."""
+
+
 class BracketError(GeomflowError):
     """Root finding got a bracket without a sign change."""
 

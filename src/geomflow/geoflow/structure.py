@@ -76,7 +76,7 @@ def unit_tangent(x: float, y: float, z: float) -> np.ndarray:
     v = np.array([x, y, z], dtype=float)
     n = np.linalg.norm(v)
     if abs(n - 1.0) > UNIT_TANGENT_TOL:
-        raise ValueError(f"tangent norm {n} deviates from 1 beyond {UNIT_TANGENT_TOL}")
+        raise SetupError(f"tangent norm {n} deviates from 1 beyond {UNIT_TANGENT_TOL}")
     return v / n
 
 

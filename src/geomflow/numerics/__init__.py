@@ -5,7 +5,7 @@ quadrature with endpoint singularities, and periodic (spectral) differentiation.
 from .interpolation import MonotoneCubic, PeriodicCubicSpline
 from .ode import StepControl, Trajectory, integrate_ode
 from .periodic import (cyclic_shift, periodic_derivative, periodic_grid,
-                       periodic_primitive, trig_interp)
+                       periodic_primitive, trig_interp, trig_interpolant)
 from .quadrature import integrate_singular
 from .roots import find_root
 from .special import elliptic_K, erfc
@@ -25,4 +25,5 @@ __all__ = [
     "periodic_grid",
     "periodic_primitive",
     "trig_interp",
+    "trig_interpolant",
 ]

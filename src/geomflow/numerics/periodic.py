@@ -82,21 +82,32 @@ def periodic_primitive(samples: np.ndarray, period: float = 2.0 * np.pi) -> tupl
     return mean, osc - osc[0]
 
 
-def trig_interp(samples: np.ndarray, s, period: float = 2.0 * np.pi):
-    """Evaluate the trigonometric interpolant of periodic samples at points s.
+def trig_interpolant(samples: np.ndarray, period: float = 2.0 * np.pi):
+    """The trigonometric interpolant of periodic samples, as a function of s.
 
-    Exact for band-limited data; cost O(n) per evaluation point via the
-    explicit mode sum. The Nyquist mode (even n) is treated as a pure cosine.
+    The spectrum and mode weights are taken once; each evaluation costs O(n)
+    per point via the explicit mode sum. Exact for band-limited data. The
+    Nyquist mode (even n) is treated as a pure cosine.
     """
     y = np.asarray(samples, dtype=float)
     n = y.size
     spec = np.fft.rfft(y) / n
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     k = np.arange(spec.size) * (2.0 * np.pi / period)
-    phase = np.exp(1j * np.outer(s_arr, k))
     weights = np.full(spec.size, 2.0)
     weights[0] = 1.0
     if n % 2 == 0:
         weights[-1] = 1.0
-    vals = (phase @ (weights * spec)).real
-    return vals[0] if np.ndim(s) == 0 else vals
+    coef = weights * spec
+
+    def interp(s):
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        vals = (np.exp(1j * np.outer(s_arr, k)) @ coef).real
+        return vals[0] if np.ndim(s) == 0 else vals
+
+    return interp
+
+
+def trig_interp(samples: np.ndarray, s, period: float = 2.0 * np.pi):
+    """Evaluate the trigonometric interpolant of periodic samples at points s
+    (``trig_interpolant`` for one use)."""
+    return trig_interpolant(samples, period)(s)

@@ -10,6 +10,14 @@ which for kappa = 1 is tau_t = D_s(u - tau^{3/2} + D_s^2 u). Only constant
 curvature is implemented: the paper's equation for a curvature that varies
 along the curve is not. Spatial derivatives are Fourier collocation on
 [0, 2*pi).
+
+The right-hand side is A u^ + B (tau^{3/2})^ with the fixed multipliers of
+``flux_multipliers``; its linear part about the mean torsion is diagonal in
+Fourier space. ``torsion_evolve`` integrates that part exactly with ETDRK4
+when the bound rho(tau0) on the remainder, k_max^3 max|c3(tau0) - c3(tau_bar)|
++ k_max max|c1(tau0) - c1(tau_bar)|, allows a step ``ETD_SAFETY / rho`` of at
+least ``ETD_MARGIN`` explicit RK4(5) stability caps, and takes RK4(5) with
+``make_torsion_rhs`` otherwise (see ``evolve.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PositivityError
+from ..errors import PositivityError, SetupError
 from ..numerics import periodic_grid
 
 TWO_PI = 2.0 * math.pi
@@ -58,43 +66,61 @@ class CurvatureProfile:
 
     def __post_init__(self):
         if not (math.isfinite(self.constant) and self.constant > 0.0):
-            raise ValueError(f"curvature must be finite and strictly positive, "
+            raise SetupError(f"curvature must be finite and strictly positive, "
                              f"got {self.constant}")
 
 
 UNIT_CURVATURE = CurvatureProfile(constant=1.0)
 
 
-def make_torsion_rhs(kappa: CurvatureProfile, n: int):
-    """Fast closure computing the torsion evolution right-hand side on arrays.
+def flux_multipliers(kappa: CurvatureProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rfft multipliers (A, B) of the right-hand side A u^ + B (tau^{3/2})^.
 
-    In Fourier space the right-hand side is A u^ + B (tau^{3/2})^ with the
-    fixed multipliers A = ik (kappa - k^2 / kappa) and B = -ik / kappa, both
-    zero at the Nyquist mode (no odd derivative of it lives on the grid). So
-    one call costs one real FFT of the stacked pair (u, tau^{3/2}) and one
-    inverse FFT.
-
-    Nonpositive trial states return NaN so the adaptive integrator retries
-    with a smaller step instead of silently evaluating fractional powers of
-    negative torsion.
+    A = ik (kappa - k^2 / kappa) and B = -ik / kappa, both zero at the
+    Nyquist mode (no odd derivative of it lives on the grid).
     """
     k = np.fft.rfftfreq(n, d=1.0 / n)
     ik = 1j * k
     if n % 2 == 0:
         ik[-1] = 0.0
     kap = kappa.constant
-    mult_u = ik * (kap - k * k / kap)
-    mult_p = -ik / kap
+    return ik * (kap - k * k / kap), -ik / kap
+
+
+def spectral_flux(mult_u: np.ndarray, mult_p: np.ndarray):
+    """Closure mapping positive torsion samples to the rfft of the right-hand
+    side, ``mult_u`` u^ + ``mult_p`` (tau^{3/2})^: one real FFT of the
+    stacked pair (u, tau^{3/2})."""
+    n = 2 * (mult_u.size - 1)
     pair = np.empty((2, n))  # reused by every call: rfft copies it out
 
-    def rhs(t, tau):
-        if np.min(tau) <= 0.0:
-            return np.full(n, np.nan)
+    def flux(tau):
         root = np.sqrt(tau)
         np.divide(1.0, root, out=pair[0])
         np.multiply(tau, root, out=pair[1])
         spec = np.fft.rfft(pair)
-        return np.fft.irfft(mult_u * spec[0] + mult_p * spec[1], n)
+        return mult_u * spec[0] + mult_p * spec[1]
+
+    return flux
+
+
+def make_torsion_rhs(kappa: CurvatureProfile, n: int):
+    """Fast closure computing the torsion evolution right-hand side on arrays.
+
+    In Fourier space the right-hand side is A u^ + B (tau^{3/2})^ with the
+    fixed multipliers of ``flux_multipliers``. So one call costs one real FFT
+    of the stacked pair (u, tau^{3/2}) and one inverse FFT.
+
+    Nonpositive trial states return NaN so the adaptive integrator retries
+    with a smaller step instead of silently evaluating fractional powers of
+    negative torsion.
+    """
+    flux = spectral_flux(*flux_multipliers(kappa, n))
+
+    def rhs(t, tau):
+        if np.min(tau) <= 0.0:
+            return np.full(n, np.nan)
+        return np.fft.irfft(flux(tau), n)
 
     return rhs
 

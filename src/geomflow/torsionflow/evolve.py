@@ -1,20 +1,45 @@
-"""Method-of-lines evolution of the torsion field, and the derived experiments:
-helix perturbation stability and quasi-period detection.
+"""Evolution of the torsion field, and the derived experiments: helix
+perturbation stability and quasi-period detection.
+
+``torsion_evolve`` picks its scheme from one bound computed from tau0 alone.
+The stiff part of the flow is the linear dispersion about the mean torsion,
+which ETDRK4 (``etd.py``) integrates exactly; what limits its step is the
+remainder, whose rate is bounded by
+
+    rho(tau0) = k_max^3 max|c3(tau0) - c3(tau_bar)| + k_max max|c1(tau0) - c1(tau_bar)|,
+
+with c3 = tau^{-3/2} / (2 kappa), c1 = kappa tau^{-3/2} / 2 + (3/2) sqrt(tau) / kappa
+and k_max = N / 2. When ``ETD_SAFETY / rho`` is at least ``ETD_MARGIN`` times
+the explicit stability cap of RK4(5), ETDRK4 runs with that step, shrunk so
+that a whole number of steps fits between output times. Otherwise (a profile
+far from its mean, such as the stationary ``tau_one``) the run takes the
+adaptive RK4(5) core with ``default_control``. Either way a run planned above
+``STEP_BUDGET`` steps fails before its first step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import DetectionError, IntegrationError, PositivityError
+from ..errors import BudgetError, DetectionError, IntegrationError, PositivityError, SetupError
 from ..numerics import StepControl, integrate_ode, periodic_grid
-from .core import (TWO_PI, CurvatureProfile, TorsionField, UNIT_CURVATURE,
-                   l2_norm, make_torsion_rhs)
+from .core import (CurvatureProfile, TorsionField, UNIT_CURVATURE, l2_norm,
+                   make_torsion_rhs)
+from .etd import etdrk4_frames
 
 POSITIVITY_FLOOR = 0.1  # initial data this close to zero is numerically fragile
+# C in the ETDRK4 step C / rho: stable on every profile probed, where C = 4
+# lost positivity on 2 + sin(s)/2 at N = 128.
+ETD_SAFETY = 2.0
+# ETDRK4 runs only when C / rho is at least this multiple of the RK4(5) cap:
+# at tau_one(64) C / rho is 1.6 caps, and C = 6 already loses positivity there.
+ETD_MARGIN = 4.0
+# Most steps one evolution may take: about four minutes of RK4(5) at N = 128
+# on a 2-vCPU host.
+STEP_BUDGET = 1_000_000
 
 
 def _stability_step(tau0: np.ndarray, kappa: float, n: int) -> float:
@@ -32,46 +57,126 @@ def _stability_step(tau0: np.ndarray, kappa: float, n: int) -> float:
     return 2.8 / lam
 
 
+def _remainder_rate(tau0: np.ndarray, kappa: float, n: int) -> float:
+    """rho(tau0): the bound on the remainder about the mean (module docstring)."""
+    kmax = n // 2
+    tau_bar = float(np.mean(tau0))
+
+    def c3(tau):
+        return tau ** -1.5 / (2.0 * kappa)
+
+    def c1(tau):
+        return 0.5 * kappa * tau ** -1.5 + 1.5 * np.sqrt(tau) / kappa
+
+    return float(kmax ** 3 * np.max(np.abs(c3(tau0) - c3(tau_bar)))
+                 + kmax * np.max(np.abs(c1(tau0) - c1(tau_bar))))
+
+
 def default_control(tau0: TorsionField,
                     kappa: CurvatureProfile = UNIT_CURVATURE) -> StepControl:
-    """The step control ``torsion_evolve`` uses when it is given none: steps
-    capped at the explicit stability limit of ``tau0``'s mesh."""
-    n = tau0.n
-    cap = _stability_step(tau0.samples, kappa.constant, n)
+    """The RK4(5) step control of ``torsion_evolve``: steps capped at the
+    explicit stability limit of ``tau0``'s mesh."""
+    cap = _stability_step(tau0.samples, kappa.constant, tau0.n)
     return StepControl(initial_step=cap, abs_tol=1e-10, rel_tol=1e-9,
-                       max_steps=50_000_000, max_step=cap)
+                       max_steps=STEP_BUDGET, max_step=cap)
+
+
+@dataclass(frozen=True)
+class EvolutionPlan:
+    """How ``torsion_evolve`` steps one run: ``scheme`` is "etdrk4" or "rk45".
+
+    ``step`` is the largest step ETDRK4 takes, or the RK4(5) cap; ``steps``
+    is ETDRK4's step count, or T over the cap. ``counts`` holds ETDRK4's
+    steps per interval up to each of the validated output ``times``, and
+    ``control`` the RK4(5) step control.
+    """
+
+    scheme: str
+    step: float
+    steps: int
+    rho: float
+    rk_cap: float
+    times: np.ndarray = field(repr=False, compare=False)
+    counts: tuple[int, ...] = field(default=(), repr=False)
+    control: StepControl | None = None
+
+    def record(self) -> dict:
+        """The plan as a manifest records it."""
+        rec = {"scheme": self.scheme, "step": self.step, "steps": self.steps,
+               "rho": self.rho, "rk_cap": self.rk_cap}
+        if self.control is not None:
+            rec["step_control"] = asdict(self.control)
+        return rec
+
+
+def _output_times(T: float, output_times) -> np.ndarray:
+    times = np.asarray([T] if output_times is None else output_times, dtype=float)
+    if not (math.isfinite(T) and T > 0.0):
+        raise SetupError(f"evolution time must be finite and positive, got {T}")
+    if times.size == 0 or not (0.0 <= times[0] and np.all(np.diff(times) >= 0.0)
+                               and times[-1] <= T):
+        raise SetupError("output times must be sorted and lie in [0, T]")
+    return times
+
+
+def evolution_plan(tau0: TorsionField, kappa: CurvatureProfile = UNIT_CURVATURE,
+                   T: float = 1.0, output_times=None) -> EvolutionPlan:
+    """The scheme and steps ``torsion_evolve`` uses for these arguments.
+
+    Raises ``BudgetError`` when the run would take more than ``STEP_BUDGET``
+    steps.
+    """
+    times = _output_times(T, output_times)
+    rho = _remainder_rate(tau0.samples, kappa.constant, tau0.n)
+    cap = _stability_step(tau0.samples, kappa.constant, tau0.n)
+    bound = ETD_SAFETY / rho if rho > 0.0 else math.inf
+    if bound >= ETD_MARGIN * cap:
+        gaps = np.diff(times, prepend=0.0)
+        counts = np.where(gaps > 0.0, np.maximum(np.ceil(gaps / bound), 1.0), 0.0)
+        steps = float(np.sum(counts))
+        _check_budget(steps, "ETDRK4")
+        step = float(np.max(gaps[counts > 0] / counts[counts > 0])) if steps else 0.0
+        return EvolutionPlan("etdrk4", step, int(steps), rho, cap, times,
+                             counts=tuple(int(c) for c in counts))
+    steps = math.ceil(T / cap)
+    _check_budget(steps, "RK4(5)")
+    return EvolutionPlan("rk45", cap, steps, rho, cap, times,
+                         control=default_control(tau0, kappa))
+
+
+def _check_budget(steps: float, scheme: str) -> None:
+    if steps > STEP_BUDGET:
+        raise BudgetError(f"{scheme} would take {steps:.3g} steps, over the budget "
+                          f"of {STEP_BUDGET}; shorten T or coarsen the mesh")
 
 
 def torsion_evolve(tau0: TorsionField, kappa: CurvatureProfile = UNIT_CURVATURE,
-                   T: float = 1.0, output_times=None,
-                   ctrl: StepControl | None = None,
-                   min_initial: float = POSITIVITY_FLOOR) -> list[TorsionField]:
+                   T: float = 1.0, output_times=None) -> list[TorsionField]:
     """Evolve the torsion field to time T, sampling at ``output_times``.
 
-    Positivity is monitored at every right-hand-side evaluation (nonpositive
-    trial states force step rejection); a genuine loss of positivity aborts
-    with the failure time. Initial data below ``min_initial`` is refused up
-    front (pass a smaller floor explicitly to experiment anyway). Without
-    ``ctrl`` the step control is ``default_control(tau0, kappa)``.
+    The scheme is ``evolution_plan``'s (module docstring). Initial data below
+    ``POSITIVITY_FLOOR`` is refused up front, and so is a run over the step
+    budget (``BudgetError``). ETDRK4 checks positivity at every stage; RK4(5) rejects a step
+    whose trial state is nonpositive. A genuine loss of positivity raises
+    ``PositivityError`` with the failure time.
     """
-    if float(np.min(tau0.samples)) < min_initial:
+    if float(np.min(tau0.samples)) < POSITIVITY_FLOOR:
         raise PositivityError(
             f"initial torsion minimum {np.min(tau0.samples):.3g} is below the "
-            f"safety floor {min_initial}")
-    rhs = make_torsion_rhs(kappa, tau0.n)
-    if output_times is None:
-        output_times = [T]
-    output_times = np.asarray(output_times, dtype=float)
-    if ctrl is None:
-        ctrl = default_control(tau0, kappa)
-    try:
-        traj = integrate_ode(rhs, tau0.samples, (0.0, T), ctrl,
-                             output_times=output_times)
-    except IntegrationError as exc:
-        raise PositivityError(f"torsion evolution failed ({exc}); the usual cause "
-                              "is torsion approaching zero") from exc
+            f"safety floor {POSITIVITY_FLOOR}")
+    plan = evolution_plan(tau0, kappa, T, output_times)
+    if plan.scheme == "etdrk4":
+        rows = etdrk4_frames(tau0.samples, kappa, plan.times, plan.counts)
+    else:
+        rhs = make_torsion_rhs(kappa, tau0.n)
+        try:
+            rows = integrate_ode(rhs, tau0.samples, (0.0, T), plan.control,
+                                 output_times=plan.times).states
+        except IntegrationError as exc:
+            raise PositivityError(f"torsion evolution failed ({exc}); the usual cause "
+                                  "is torsion approaching zero") from exc
     fields = []
-    for row in traj.states:
+    for row in rows:
         if np.min(row) <= 0.0:
             raise PositivityError("torsion positivity lost in an output frame")
         fields.append(TorsionField(row.copy()))
@@ -96,7 +201,7 @@ class StabilitySeries:
 
 
 def helix_stability(amplitude: float = 0.01, T: float = 50.0, n: int = 32,
-                    n_frames: int = 1001, ctrl: StepControl | None = None) -> StabilitySeries:
+                    n_frames: int = 1001) -> StabilitySeries:
     """Evolve tau0 = 1 + amplitude*sin(s) at unit curvature and record S(t).
 
     The default mesh of 32 points fully resolves a single-mode perturbation
@@ -106,7 +211,7 @@ def helix_stability(amplitude: float = 0.01, T: float = 50.0, n: int = 32,
     s = periodic_grid(n)
     tau0 = TorsionField(1.0 + amplitude * np.sin(s))
     times = np.linspace(0.0, T, n_frames)
-    fields = torsion_evolve(tau0, UNIT_CURVATURE, T, output_times=times[1:], ctrl=ctrl)
+    fields = torsion_evolve(tau0, UNIT_CURVATURE, T, output_times=times[1:])
     values = [l2_norm(tau0.samples - 1.0)]
     values.extend(l2_norm(f.samples - 1.0) for f in fields)
     return StabilitySeries(amplitude=amplitude, times=times, values=np.array(values))

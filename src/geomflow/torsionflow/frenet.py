@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import IntegrationError
-from ..numerics import StepControl, integrate_ode, trig_interp
+from ..numerics import StepControl, integrate_ode, trig_interpolant
 from .core import CurvatureProfile, TorsionField
 
 
@@ -81,14 +81,14 @@ def frenet_reconstruct(kappa: CurvatureProfile, tau: TorsionField,
     samples. A curvature that varies along the curve is not supported."""
     init = init or FrenetState.standard()
     ctrl = ctrl or StepControl(initial_step=1e-3, abs_tol=1e-11, rel_tol=1e-11)
-    tau_samples = tau.samples
+    tau_of = trig_interpolant(tau.samples)
     k = kappa.constant
 
     def rhs(s, y):
         T = y[3:6]
         N = y[6:9]
         B = y[9:12]
-        t = float(trig_interp(tau_samples, s % (2.0 * math.pi)))
+        t = float(tau_of(s % (2.0 * math.pi)))
         return np.concatenate([T, k * N, -k * T - t * B, t * N])
 
     s0, s1 = s_span

@@ -125,16 +125,30 @@ class TestTorsionCommands:
         assert len(rows) == 64 * 3  # initial + 2 frames
 
     def test_evolve_manifest_records_step_control(self, tmp_path):
-        from geomflow.torsionflow import UNIT_CURVATURE, TorsionField, default_control
+        # the manifest holds the plan that ran: ETDRK4 for a profile near its
+        # mean, RK4(5) with its step control for the stationary tau_one
+        from geomflow.torsionflow import (UNIT_CURVATURE, TorsionField, default_control,
+                                          evolution_plan, tau_one)
         from geomflow.numerics import periodic_grid
-        out = tmp_path / "ev"
-        assert main(["torsion", "evolve", "--initial", "sin-half", "--n", "32",
-                     "--T", "0.01", "--frames", "1", "--out", str(out)]) == 0
-        manifest = json.loads((out / "torsion_evolve_manifest.json").read_text())
-        tau0 = TorsionField(10.0 + np.sin(periodic_grid(32)) / 2.0)
-        ctrl = asdict(default_control(tau0, UNIT_CURVATURE))
-        assert ctrl["max_step"] is not None
-        assert manifest["tolerances"]["step_control"] == ctrl
+        cases = [("sin-half", 32, TorsionField(10.0 + np.sin(periodic_grid(32)) / 2.0),
+                  "etdrk4"),
+                 ("tau1", 64, tau_one(64), "rk45")]
+        for initial, n, tau0, scheme in cases:
+            out = tmp_path / initial
+            assert main(["torsion", "evolve", "--initial", initial, "--n", str(n),
+                         "--T", "0.01", "--frames", "1", "--out", str(out)]) == 0
+            manifest = json.loads((out / "torsion_evolve_manifest.json").read_text())
+            plan = evolution_plan(tau0, UNIT_CURVATURE, 0.01, [0.01])
+            assert plan.scheme == scheme
+            assert manifest["tolerances"] == plan.record()
+            assert manifest["tolerances"]["scheme"] == scheme
+            if scheme == "rk45":
+                ctrl = asdict(default_control(tau0, UNIT_CURVATURE))
+                assert ctrl["max_step"] == plan.rk_cap
+                assert manifest["tolerances"]["step_control"] == ctrl
+            else:
+                assert "step_control" not in manifest["tolerances"]
+                assert manifest["tolerances"]["step"] <= 0.01
 
     def test_numerical_failure_exit_code(self, tmp_path):
         out = tmp_path / "bad"
@@ -211,6 +225,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["geo", "nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["torsion", "evolve", "--kappa", "-1"],
+        ["torsion", "reconstruct", "--kappa", "0"],
+        ["geo", "flowline", "--vx", "2.0"],
+        ["geo", "geodesic", "--vx", "0.5", "--vy", "0.5", "--vz", "0.5"],
+        ["torsion", "evolve", "--initial", "tau1", "--n", "512", "--T", "1e4"],
+    ])
+    def test_bad_input_prints_error(self, argv, tmp_path, capsys):
+        # typed errors end as "error: ..." and exit code 1, not a traceback
+        assert main(argv + ["--out", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_initial_data(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -10,7 +10,7 @@ from geomflow.numerics import (MonotoneCubic, PeriodicCubicSpline, StepControl,
                                cyclic_shift, elliptic_K, erfc, find_root,
                                integrate_ode, integrate_singular,
                                periodic_derivative, periodic_grid,
-                               periodic_primitive, trig_interp)
+                               periodic_primitive, trig_interp, trig_interpolant)
 
 
 class TestIntegrateOde:
@@ -226,6 +226,27 @@ class TestPeriodicHelpers:
         pts = np.array([0.0, 0.13, 2.9, 6.1])
         exact = np.sin(2 * pts) + 0.5 * np.cos(5 * pts)
         assert np.max(np.abs(trig_interp(data, pts) - exact)) < 1e-13
+
+    def test_interpolant_matches_per_call_spectrum(self):
+        # the spectrum taken once gives the values of an rfft redone at every
+        # evaluation (the explicit mode sum, written out here), at scalar
+        # points as the Frenet right-hand side asks and at point arrays
+        def per_call(samples, s):
+            spec = np.fft.rfft(samples) / samples.size
+            k = np.arange(spec.size)
+            w = np.full(spec.size, 2.0)
+            w[0] = w[-1] = 1.0
+            return float((np.exp(1j * s * k) @ (w * spec)).real)
+
+        rng = np.random.default_rng(7)
+        for n in (32, 128):
+            data = 1.0 + 0.3 * rng.standard_normal(n)
+            interp = trig_interpolant(data)
+            pts = rng.uniform(0.0, 2 * math.pi, 50)
+            for p in pts:
+                assert abs(interp(p) - per_call(data, p)) < 1e-15
+                assert interp(p) == trig_interp(data, p)
+            assert np.max(np.abs(interp(pts) - [per_call(data, p) for p in pts])) < 1e-15
 
 
 class TestInterpolation:

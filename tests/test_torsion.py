@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geomflow.acceptance import linear_mode1_period
-from geomflow.errors import ConstructionError, PositivityError
+from geomflow.errors import ConstructionError, PositivityError, SetupError
 from geomflow.numerics import StepControl, integrate_ode, periodic_derivative, periodic_grid
 from geomflow.torsionflow import (CurvatureProfile, FrenetState, TorsionField,
                                   UNIT_CURVATURE, cdf_transform_roundtrip,
@@ -44,7 +44,7 @@ class TestTorsionField:
 
     def test_curvature_profile_validation(self):
         for bad in (-1.0, 0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(SetupError):
                 CurvatureProfile(constant=bad)
 
 

@@ -4,15 +4,20 @@ short horizons and small meshes.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from geomflow.acceptance import linear_mode1_period
-from geomflow.errors import PositivityError
-from geomflow.numerics import periodic_grid
-from geomflow.torsionflow import (TorsionField, helix_stability, quasi_period, tau_one,
-                                  torsion_evolve, torsion_invariants)
+from geomflow.errors import BudgetError, PositivityError
+from geomflow.numerics import StepControl, integrate_ode, periodic_grid
+from geomflow.torsionflow import (STEP_BUDGET, CurvatureProfile, TorsionField,
+                                  UNIT_CURVATURE, evolution_plan, helix_stability,
+                                  make_torsion_rhs, quasi_period, tau_one, torsion_evolve,
+                                  torsion_invariants)
+from geomflow.torsionflow.etd import etdrk4_frames
+from geomflow.torsionflow.evolve import _remainder_rate
 
 
 class TestEvolve:
@@ -55,6 +60,81 @@ class TestEvolve:
         err_coarse = np.max(np.abs(coarse - fine[::4]))
         err_mid = np.max(np.abs(mid - fine[::2]))
         assert err_coarse / max(err_mid, 1e-15) > 4.0
+
+
+def _profile(name: str, n: int) -> np.ndarray:
+    s = periodic_grid(n)
+    return 10.0 + (np.sin(s) / 2.0 if name == "half" else np.sin(s) + np.cos(s))
+
+
+class TestEtdrk4:
+    # largest difference from RK4(5) at rel_tol = abs_tol = 1e-13 over two
+    # frames to T = 0.2 at N = 128, measured, times 10
+    @pytest.mark.parametrize("name,kappa,tol", [
+        ("half", 0.5, 1.5e-9), ("half", 1.0, 7e-10), ("half", 2.0, 3e-10),
+        ("sincos", 0.5, 2e-10), ("sincos", 1.0, 7e-11), ("sincos", 2.0, 3e-11)])
+    def test_agrees_with_tight_rk45(self, name, kappa, tol):
+        n, times = 128, [0.1, 0.2]
+        tau0 = TorsionField(_profile(name, n))
+        kap = CurvatureProfile(constant=kappa)
+        plan = evolution_plan(tau0, kap, 0.2, times)
+        assert plan.scheme == "etdrk4"
+        fields = torsion_evolve(tau0, kap, 0.2, output_times=times)
+        ctrl = StepControl(initial_step=plan.rk_cap, abs_tol=1e-13, rel_tol=1e-13,
+                           max_step=plan.rk_cap)
+        ref = integrate_ode(make_torsion_rhs(kap, n), tau0.samples, (0.0, 0.2), ctrl,
+                            output_times=times).states
+        assert max(np.max(np.abs(f.samples - r)) for f, r in zip(fields, ref)) < tol
+
+    def test_observed_order_four(self):
+        # halving h divides the error by about 16 (measured 15.6-15.9 here)
+        data = _profile("sincos", 64)
+        ref = etdrk4_frames(data, UNIT_CURVATURE, [0.1], [1024])[0]
+        errs = [np.max(np.abs(etdrk4_frames(data, UNIT_CURVATURE, [0.1], [m])[0] - ref))
+                for m in (8, 16, 32, 64)]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(14.0 < r < 18.0 for r in ratios), ratios
+
+    def test_mean_conserved_to_roundoff(self):
+        data = _profile("sincos", 128)
+        fields = torsion_evolve(TorsionField(data), T=0.5, output_times=[0.25, 0.5])
+        for f in fields:
+            assert abs(np.mean(f.samples) - np.mean(data)) < 4e-15 * np.mean(data)
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
+    def test_constant_is_exact_fixed_point(self, n):
+        tau0 = TorsionField(np.full(n, 3.7))
+        assert evolution_plan(tau0, T=2.0).scheme == "etdrk4"
+        for f in torsion_evolve(tau0, T=2.0, output_times=[0.5, 2.0]):
+            assert np.array_equal(f.samples, tau0.samples)
+
+    def test_strongly_varying_profile_takes_rk45(self):
+        # tau_one's remainder is as stiff as the whole operator: C / rho is
+        # only 1.6 RK caps there, so the run stays on RK4(5)
+        plan = evolution_plan(tau_one(64), T=1.0)
+        assert plan.scheme == "rk45"
+        assert plan.control is not None and plan.control.max_step == plan.rk_cap
+        assert 1.0 < 2.0 / plan.rho / plan.rk_cap < 2.0
+
+    def test_step_fits_output_times(self):
+        tau0 = TorsionField(_profile("half", 128))
+        plan = evolution_plan(tau0, T=0.17, output_times=np.linspace(0.0, 0.17, 18)[1:])
+        assert plan.step <= 2.0 / _remainder_rate(tau0.samples, 1.0, 128)
+        assert plan.counts == (2,) * 17 and plan.steps == 34
+
+    def test_nonpositive_stage_raises_with_time(self):
+        # twice the planned step bound loses positivity on 2 + sin(s)/2 at N = 128
+        data = 2.0 + 0.5 * np.sin(periodic_grid(128))
+        h = 4.0 / _remainder_rate(data, 1.0, 128)
+        with pytest.raises(PositivityError, match="t="):
+            etdrk4_frames(data, UNIT_CURVATURE, [1000 * h], [1000])
+
+    @pytest.mark.parametrize("tau0", [TorsionField(_profile("half", 512)), tau_one(512)])
+    def test_impossible_budget_fails_fast(self, tau0):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=str(STEP_BUDGET)):
+            torsion_evolve(tau0, T=1e4)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestQuasiPeriod:
