@@ -13,9 +13,9 @@ module structure:
 Repeated runs of one configuration produce byte-identical data files. A
 manifest's parameters are every parsed argument except ``--out``, and its
 tolerances are the controls the run actually used: the step control of the
-ODE-driven geo commands, the evolution plan of ``torsion evolve`` (its scheme,
-step, step count, remainder bound and RK4(5) cap, and on the RK4(5) path its
-step control), the CFL number and stop rule of the csf commands (which also record their step count), and the
+ODE-driven geo commands, the step record of ``torsion evolve`` (its scheme,
+tolerances, remainder bounds, step counts and step range), the CFL number and
+stop rule of the csf commands (which also record their step count), and the
 library constants the other commands run with. ``verify`` prints each
 criterion's wall time.
 """
@@ -146,12 +146,13 @@ def _initial_torsion(name: str, n: int):
 
 
 def cmd_torsion_evolve(args) -> int:
-    from .torsionflow import CurvatureProfile, evolution_plan, torsion_evolve
+    from .torsionflow import CurvatureProfile, torsion_evolve
     tau0 = _initial_torsion(args.initial, args.n)
     kappa = CurvatureProfile(constant=args.kappa)
     times = np.linspace(0.0, args.T, args.frames + 1)[1:]
-    writer = _writer(args, evolution_plan(tau0, kappa, args.T, times).record())
+    writer = _writer(args)
     fields = torsion_evolve(tau0, kappa, args.T, output_times=times)
+    writer.tolerances = fields.record
     rows = []
     grid = tau0.grid
     for s_idx, s in enumerate(grid):

@@ -13,11 +13,11 @@ along the curve is not. Spatial derivatives are Fourier collocation on
 
 The right-hand side is A u^ + B (tau^{3/2})^ with the fixed multipliers of
 ``flux_multipliers``; its linear part about the mean torsion is diagonal in
-Fourier space. ``torsion_evolve`` integrates that part exactly with ETDRK4
-when the bound rho(tau0) on the remainder, k_max^3 max|c3(tau0) - c3(tau_bar)|
-+ k_max max|c1(tau0) - c1(tau_bar)|, allows a step ``ETD_SAFETY / rho`` of at
-least ``ETD_MARGIN`` explicit RK4(5) stability caps, and takes RK4(5) with
-``make_torsion_rhs`` otherwise (see ``evolve.py``).
+Fourier space. ``torsion_evolve`` integrates that part exactly with ETDRK4,
+with steps bounded by the rate rho(tau) = k_max^3 max|c3(tau) - c3(tau_bar)|
++ k_max max|c1(tau) - c1(tau_bar)| of the remainder and by a step-doubling
+estimate of the local error (see ``evolve.py``). ``make_torsion_rhs`` is the
+same right-hand side for explicit integrators.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""ETDRK4 for the constant-curvature torsion flow.
+"""ETDRK4 steps of the constant-curvature torsion flow.
 
 In Fourier space the flow is v_t = A u^ + B p^ with u = tau^{-1/2},
 p = tau^{3/2} and the multipliers (A, B) of ``flux_multipliers``. About the
@@ -17,7 +17,8 @@ Sci. Comput. 26, 2005) over the full circle: L is imaginary, so the
 half-circle real-part shortcut of real spectra does not apply.
 
 The mode k = 0 has L = 0 and N = 0, so the mean of tau is conserved to
-roundoff and a constant tau is a fixed point.
+roundoff and a constant tau is a fixed point. The step sizes are chosen in
+``evolve.py``.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .core import CurvatureProfile, flux_multipliers, spectral_flux
 
 CONTOUR_POINTS = 32
 _CONTOUR = np.exp(2j * math.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
-# Output intervals whose fitted steps agree to this relative size reuse the
-# coefficients: equal intervals from ``linspace`` differ in their last bits.
-_SAME_STEP = 1e-12
+# Steps that agree to 12 digits share their coefficients: equal intervals
+# from ``linspace`` differ in their last bits.
+_STEP_DIGITS = 12
+_CACHED_STEPS = 8
 
 
 def _coefficients(L: np.ndarray, h: float):
@@ -56,43 +58,40 @@ def _positive(tau: np.ndarray, t: float) -> np.ndarray:
     return tau
 
 
-def etdrk4_frames(samples: np.ndarray, kappa: CurvatureProfile, output_times,
-                  counts) -> list[np.ndarray]:
-    """Torsion samples at each of ``output_times`` (sorted, from t = 0).
+class Etdrk4:
+    """ETDRK4 steps about the mean ``tau_bar`` on an ``n``-point mesh.
 
-    The interval ending at ``output_times[i]`` is crossed in ``counts[i]``
-    equal steps. A stage that goes nonpositive or non-finite raises
-    ``PositivityError`` with its time.
+    A state is the pair (tau, v) of samples and their rfft. A stage that goes
+    nonpositive or non-finite raises ``PositivityError`` with its time.
     """
-    n = samples.size
-    tau_bar = float(np.mean(samples))
-    mult_u, mult_p = flux_multipliers(kappa, n)
-    L = (-0.5 * tau_bar ** -1.5) * mult_u + (1.5 * math.sqrt(tau_bar)) * mult_p
-    flux = spectral_flux(mult_u, mult_p)
-    irfft = np.fft.irfft
-    tau = np.array(samples, dtype=float)
-    v = np.fft.rfft(tau)
-    frames = []
-    t = 0.0
-    h_coef = None
-    for t_out, count in zip(output_times, counts):
-        if count:
-            h = (t_out - t) / count
-            if h_coef is None or abs(h - h_coef) > _SAME_STEP * h_coef:
-                h_coef = h
-                E, E2, Q, f1, f2x2, f3 = _coefficients(L, h)
-            for j in range(count):
-                ts = t + j * h
-                Nv = flux(tau) - L * v
-                E2v = E2 * v
-                a = E2v + Q * Nv
-                Na = flux(_positive(irfft(a, n), ts + 0.5 * h)) - L * a
-                b = E2v + Q * Na
-                Nb = flux(_positive(irfft(b, n), ts + 0.5 * h)) - L * b
-                c = E2 * a + Q * (2.0 * Nb - Nv)
-                Nc = flux(_positive(irfft(c, n), ts + h)) - L * c
-                v = E * v + f1 * Nv + f2x2 * (Na + Nb) + f3 * Nc
-                tau = _positive(irfft(v, n), ts + h)
-        t = float(t_out)
-        frames.append(tau)
-    return frames
+
+    def __init__(self, kappa: CurvatureProfile, n: int, tau_bar: float):
+        mult_u, mult_p = flux_multipliers(kappa, n)
+        self.n = n
+        self.L = (-0.5 * tau_bar ** -1.5) * mult_u + (1.5 * math.sqrt(tau_bar)) * mult_p
+        self.flux = spectral_flux(mult_u, mult_p)
+        self._coef: dict[float, tuple] = {}
+
+    def _weights(self, h: float) -> tuple:
+        key = float(f"{h:.{_STEP_DIGITS}e}")
+        coef = self._coef.get(key)
+        if coef is None:
+            if len(self._coef) >= _CACHED_STEPS:
+                self._coef.clear()
+            coef = self._coef[key] = _coefficients(self.L, h)
+        return coef
+
+    def step(self, tau: np.ndarray, v: np.ndarray, t: float, h: float):
+        """The state one step h after (tau, v) at time t."""
+        E, E2, Q, f1, f2x2, f3 = self._weights(h)
+        L, flux, n, irfft = self.L, self.flux, self.n, np.fft.irfft
+        Nv = flux(tau) - L * v
+        E2v = E2 * v
+        a = E2v + Q * Nv
+        Na = flux(_positive(irfft(a, n), t + 0.5 * h)) - L * a
+        b = E2v + Q * Na
+        Nb = flux(_positive(irfft(b, n), t + 0.5 * h)) - L * b
+        c = E2 * a + Q * (2.0 * Nb - Nv)
+        Nc = flux(_positive(irfft(c, n), t + h)) - L * c
+        v = E * v + f1 * Nv + f2x2 * (Na + Nb) + f3 * Nc
+        return _positive(irfft(v, n), t + h), v

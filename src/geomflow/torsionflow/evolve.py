@@ -1,112 +1,72 @@
 """Evolution of the torsion field, and the derived experiments: helix
 perturbation stability and quasi-period detection.
 
-``torsion_evolve`` picks its scheme from one bound computed from tau0 alone.
-The stiff part of the flow is the linear dispersion about the mean torsion,
-which ETDRK4 (``etd.py``) integrates exactly; what limits its step is the
-remainder, whose rate is bounded by
+``torsion_evolve`` steps the flow with ETDRK4 (``etd.py``), which integrates
+the linear dispersion about the mean torsion exactly. Each step h is the
+largest that fits a whole number of steps into the rest of its output
+interval under two bounds:
 
-    rho(tau0) = k_max^3 max|c3(tau0) - c3(tau_bar)| + k_max max|c1(tau0) - c1(tau_bar)|,
+- stability: h <= ``ETD_SAFETY`` / rho(tau), where the remainder about the
+  mean has rate at most
 
-with c3 = tau^{-3/2} / (2 kappa), c1 = kappa tau^{-3/2} / 2 + (3/2) sqrt(tau) / kappa
-and k_max = N / 2. When ``ETD_SAFETY / rho`` is at least ``ETD_MARGIN`` times
-the explicit stability cap of RK4(5), ETDRK4 runs with that step, shrunk so
-that a whole number of steps fits between output times. Otherwise (a profile
-far from its mean, such as the stationary ``tau_one``) the run takes the
-adaptive RK4(5) core with ``default_control``. Either way a run planned above
-``STEP_BUDGET`` steps fails before its first step.
+      rho(tau) = k_max^3 max|c3(tau) - c3(tau_bar)| + k_max max|c1(tau) - c1(tau_bar)|,
+
+  with c3 = tau^{-3/2} / (2 kappa), c1 = kappa tau^{-3/2} / 2 + (3/2) sqrt(tau) / kappa
+  and k_max = N / 2, taken from the current tau at each output time and
+  after each check;
+- accuracy: the first step, and one step in every ``CHECK_STEPS`` after it,
+  is also taken as two half steps, which the run keeps. The difference of
+  the two results estimates the local error of one step h to within 1/16,
+  and must stay below ``ABS_TOL + REL_TOL |tau|``; the estimate sets the
+  accuracy bound (a failed check is redone with the smaller step).
+
+The accuracy check also catches the slow growth ETDRK4 shows on dispersive
+problems: on the imaginary axis its amplification factor exceeds 1 by about
+0.02 (h mu)^5 for a remainder rate mu of the same sign as L, which took
+2 + sin(s)/2 at N = 128 nonpositive at t = 1.62 under the stability bound
+alone. A run projected above ``STEP_BUDGET`` steps fails before it takes them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetError, DetectionError, IntegrationError, PositivityError, SetupError
-from ..numerics import StepControl, integrate_ode, periodic_grid
-from .core import (CurvatureProfile, TorsionField, UNIT_CURVATURE, l2_norm,
-                   make_torsion_rhs)
-from .etd import etdrk4_frames
+from ..errors import BudgetError, DetectionError, PositivityError, SetupError
+from ..numerics import periodic_grid
+from .core import CurvatureProfile, TorsionField, UNIT_CURVATURE, l2_norm
+from .etd import Etdrk4
 
 POSITIVITY_FLOOR = 0.1  # initial data this close to zero is numerically fragile
-# C in the ETDRK4 step C / rho: stable on every profile probed, where C = 4
-# lost positivity on 2 + sin(s)/2 at N = 128.
+# C in the stability bound C / rho: twice it loses positivity on 2 + sin(s)/2
+# at N = 128 within 1,000 steps.
 ETD_SAFETY = 2.0
-# ETDRK4 runs only when C / rho is at least this multiple of the RK4(5) cap:
-# at tau_one(64) C / rho is 1.6 caps, and C = 6 already loses positivity there.
-ETD_MARGIN = 4.0
-# Most steps one evolution may take: about four minutes of RK4(5) at N = 128
-# on a 2-vCPU host.
+# Local error target of one step: at these values the default `torsion
+# evolve` run (N = 128, T = 5) ends 1.3e-8 from RK4(5) at tolerance 1e-13.
+REL_TOL = 1e-9
+ABS_TOL = 1e-10
+# Steps between two step-doubling checks; a check costs two extra steps.
+CHECK_STEPS = 8
+# Most steps one evolution may take: about three minutes at N = 256 on a
+# 2-vCPU host.
 STEP_BUDGET = 1_000_000
 
 
-def _stability_step(tau0: np.ndarray, kappa: float, n: int) -> float:
-    """Step cap from the linearized dispersion at the largest mesh wavenumber.
+def remainder_rate(tau: np.ndarray, kappa: float, tau_bar: float) -> float:
+    """rho(tau): the bound on the remainder about the mean ``tau_bar``
+    (module docstring)."""
+    kmax = tau.size // 2
 
-    The third-derivative term of the right-hand side carries the coefficient
-    tau^{-3/2} / (2 kappa); explicit RK4(5) is stable for imaginary
-    eigenvalues up to about 2.8 in magnitude. The floor factor 0.7 leaves
-    headroom for the torsion dipping below its initial minimum.
-    """
-    kmax = n // 2
-    c3 = float(np.max((0.7 * np.minimum(tau0, 4.0 * np.mean(tau0))) ** -1.5) / (2.0 * kappa))
-    c1 = float(np.max(0.5 * tau0 ** -1.5 + 1.5 * np.sqrt(tau0)))
-    lam = kmax ** 3 * c3 + kmax * c1
-    return 2.8 / lam
+    def c3(x):
+        return x ** -1.5 / (2.0 * kappa)
 
+    def c1(x):
+        return 0.5 * kappa * x ** -1.5 + 1.5 * np.sqrt(x) / kappa
 
-def _remainder_rate(tau0: np.ndarray, kappa: float, n: int) -> float:
-    """rho(tau0): the bound on the remainder about the mean (module docstring)."""
-    kmax = n // 2
-    tau_bar = float(np.mean(tau0))
-
-    def c3(tau):
-        return tau ** -1.5 / (2.0 * kappa)
-
-    def c1(tau):
-        return 0.5 * kappa * tau ** -1.5 + 1.5 * np.sqrt(tau) / kappa
-
-    return float(kmax ** 3 * np.max(np.abs(c3(tau0) - c3(tau_bar)))
-                 + kmax * np.max(np.abs(c1(tau0) - c1(tau_bar))))
-
-
-def default_control(tau0: TorsionField,
-                    kappa: CurvatureProfile = UNIT_CURVATURE) -> StepControl:
-    """The RK4(5) step control of ``torsion_evolve``: steps capped at the
-    explicit stability limit of ``tau0``'s mesh."""
-    cap = _stability_step(tau0.samples, kappa.constant, tau0.n)
-    return StepControl(initial_step=cap, abs_tol=1e-10, rel_tol=1e-9,
-                       max_steps=STEP_BUDGET, max_step=cap)
-
-
-@dataclass(frozen=True)
-class EvolutionPlan:
-    """How ``torsion_evolve`` steps one run: ``scheme`` is "etdrk4" or "rk45".
-
-    ``step`` is the largest step ETDRK4 takes, or the RK4(5) cap; ``steps``
-    is ETDRK4's step count, or T over the cap. ``counts`` holds ETDRK4's
-    steps per interval up to each of the validated output ``times``, and
-    ``control`` the RK4(5) step control.
-    """
-
-    scheme: str
-    step: float
-    steps: int
-    rho: float
-    rk_cap: float
-    times: np.ndarray = field(repr=False, compare=False)
-    counts: tuple[int, ...] = field(default=(), repr=False)
-    control: StepControl | None = None
-
-    def record(self) -> dict:
-        """The plan as a manifest records it."""
-        rec = {"scheme": self.scheme, "step": self.step, "steps": self.steps,
-               "rho": self.rho, "rk_cap": self.rk_cap}
-        if self.control is not None:
-            rec["step_control"] = asdict(self.control)
-        return rec
+    return float(kmax ** 3 * np.max(np.abs(c3(tau) - c3(tau_bar)))
+                 + kmax * np.max(np.abs(c1(tau) - c1(tau_bar))))
 
 
 def _output_times(T: float, output_times) -> np.ndarray:
@@ -119,68 +79,98 @@ def _output_times(T: float, output_times) -> np.ndarray:
     return times
 
 
-def evolution_plan(tau0: TorsionField, kappa: CurvatureProfile = UNIT_CURVATURE,
-                   T: float = 1.0, output_times=None) -> EvolutionPlan:
-    """The scheme and steps ``torsion_evolve`` uses for these arguments.
+def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
+                times: np.ndarray) -> tuple[list[np.ndarray], dict]:
+    """Samples at each output time, and the record of the steps taken."""
+    tau_bar = float(np.mean(samples))
+    stepper = Etdrk4(kappa, samples.size, tau_bar)
+    tau = np.array(samples, dtype=float)
+    v = np.fft.rfft(tau)
+    rho0 = remainder_rate(tau, kappa.constant, tau_bar)
+    rec = {"scheme": "etdrk4", "safety": ETD_SAFETY, "rel_tol": REL_TOL,
+           "abs_tol": ABS_TOL, "rho0": rho0, "rho_max": rho0, "steps": 0,
+           "checks": 0, "rejected": 0, "step_min": math.inf, "step_max": 0.0}
+    h_acc = math.inf
+    since_check = CHECK_STEPS  # the first step is checked
+    t = 0.0
+    rows = []
 
-    Raises ``BudgetError`` when the run would take more than ``STEP_BUDGET``
-    steps.
-    """
-    times = _output_times(T, output_times)
-    rho = _remainder_rate(tau0.samples, kappa.constant, tau0.n)
-    cap = _stability_step(tau0.samples, kappa.constant, tau0.n)
-    bound = ETD_SAFETY / rho if rho > 0.0 else math.inf
-    if bound >= ETD_MARGIN * cap:
-        gaps = np.diff(times, prepend=0.0)
-        counts = np.where(gaps > 0.0, np.maximum(np.ceil(gaps / bound), 1.0), 0.0)
-        steps = float(np.sum(counts))
-        _check_budget(steps, "ETDRK4")
-        step = float(np.max(gaps[counts > 0] / counts[counts > 0])) if steps else 0.0
-        return EvolutionPlan("etdrk4", step, int(steps), rho, cap, times,
-                             counts=tuple(int(c) for c in counts))
-    steps = math.ceil(T / cap)
-    _check_budget(steps, "RK4(5)")
-    return EvolutionPlan("rk45", cap, steps, rho, cap, times,
-                         control=default_control(tau0, kappa))
+    def plan(t_out: float) -> tuple[float, int]:
+        """The step and step count for the rest of the interval to t_out."""
+        rho = remainder_rate(tau, kappa.constant, tau_bar)
+        rec["rho_max"] = max(rec["rho_max"], rho)
+        bound = min(ETD_SAFETY / rho if rho > 0.0 else math.inf, h_acc)
+        left = max(1, math.ceil((t_out - t) / bound))
+        projected = rec["steps"] + left + math.ceil((times[-1] - t_out) / bound)
+        if projected > STEP_BUDGET:
+            raise BudgetError(f"ETDRK4 would take {projected:.3g} steps, over the "
+                              f"budget of {STEP_BUDGET}; shorten T or coarsen the mesh")
+        return (t_out - t) / left, left
+
+    for t_out in times:
+        h, left = plan(t_out) if t_out > t else (0.0, 0)
+        while left:
+            if since_check < CHECK_STEPS:
+                tau, v = stepper.step(tau, v, t, h)
+                rec["steps"] += 1
+                since_check += 1
+            else:
+                coarse, _ = stepper.step(tau, v, t, h)
+                half_tau, half_v = stepper.step(tau, v, t, 0.5 * h)
+                fine, fine_v = stepper.step(half_tau, half_v, t + 0.5 * h, 0.5 * h)
+                rec["steps"] += 3
+                rec["checks"] += 1
+                ratio = float(np.max(np.abs(fine - coarse)
+                                     / (ABS_TOL + REL_TOL * np.abs(fine))))
+                h_acc = h * (min(5.0, max(0.2, 0.9 * ratio ** -0.2)) if ratio > 0.0 else 5.0)
+                if ratio > 1.0:
+                    rec["rejected"] += 1
+                    h, left = plan(t_out)
+                    continue
+                tau, v = fine, fine_v
+                since_check = 0
+            rec["step_min"] = min(rec["step_min"], float(h))
+            rec["step_max"] = max(rec["step_max"], float(h))
+            t += h
+            left -= 1
+            if left and since_check == 0:  # shorten the rest after a check
+                shorter, more = plan(t_out)
+                if shorter < h:
+                    h, left = shorter, more
+        t = float(t_out)
+        rows.append(tau)
+    if rec["steps"] == 0:
+        rec["step_min"] = 0.0
+    return rows, rec
 
 
-def _check_budget(steps: float, scheme: str) -> None:
-    if steps > STEP_BUDGET:
-        raise BudgetError(f"{scheme} would take {steps:.3g} steps, over the budget "
-                          f"of {STEP_BUDGET}; shorten T or coarsen the mesh")
+class EvolvedFields(list):
+    """The fields ``torsion_evolve`` returns, in output order, and the
+    ``record`` of how the run was stepped: scheme, tolerances, rho at t = 0
+    and its largest value, steps taken, checks, rejected checks, and the
+    smallest and largest step."""
+
+    def __init__(self, fields: list[TorsionField], record: dict):
+        super().__init__(fields)
+        self.record = record
 
 
 def torsion_evolve(tau0: TorsionField, kappa: CurvatureProfile = UNIT_CURVATURE,
-                   T: float = 1.0, output_times=None) -> list[TorsionField]:
+                   T: float = 1.0, output_times=None) -> EvolvedFields:
     """Evolve the torsion field to time T, sampling at ``output_times``.
 
-    The scheme is ``evolution_plan``'s (module docstring). Initial data below
-    ``POSITIVITY_FLOOR`` is refused up front, and so is a run over the step
-    budget (``BudgetError``). ETDRK4 checks positivity at every stage; RK4(5) rejects a step
-    whose trial state is nonpositive. A genuine loss of positivity raises
-    ``PositivityError`` with the failure time.
+    The steps are ETDRK4's under the stability and accuracy bounds of the
+    module docstring. Initial data below ``POSITIVITY_FLOOR`` is refused up
+    front, and so is a run projected over ``STEP_BUDGET`` steps
+    (``BudgetError``). A stage that goes nonpositive raises
+    ``PositivityError`` with its time.
     """
     if float(np.min(tau0.samples)) < POSITIVITY_FLOOR:
         raise PositivityError(
             f"initial torsion minimum {np.min(tau0.samples):.3g} is below the "
             f"safety floor {POSITIVITY_FLOOR}")
-    plan = evolution_plan(tau0, kappa, T, output_times)
-    if plan.scheme == "etdrk4":
-        rows = etdrk4_frames(tau0.samples, kappa, plan.times, plan.counts)
-    else:
-        rhs = make_torsion_rhs(kappa, tau0.n)
-        try:
-            rows = integrate_ode(rhs, tau0.samples, (0.0, T), plan.control,
-                                 output_times=plan.times).states
-        except IntegrationError as exc:
-            raise PositivityError(f"torsion evolution failed ({exc}); the usual cause "
-                                  "is torsion approaching zero") from exc
-    fields = []
-    for row in rows:
-        if np.min(row) <= 0.0:
-            raise PositivityError("torsion positivity lost in an output frame")
-        fields.append(TorsionField(row.copy()))
-    return fields
+    rows, record = _etdrk4_run(tau0.samples, kappa, _output_times(T, output_times))
+    return EvolvedFields([TorsionField(row.copy()) for row in rows], record)
 
 
 @dataclass

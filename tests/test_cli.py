@@ -125,30 +125,23 @@ class TestTorsionCommands:
         assert len(rows) == 64 * 3  # initial + 2 frames
 
     def test_evolve_manifest_records_step_control(self, tmp_path):
-        # the manifest holds the plan that ran: ETDRK4 for a profile near its
-        # mean, RK4(5) with its step control for the stationary tau_one
-        from geomflow.torsionflow import (UNIT_CURVATURE, TorsionField, default_control,
-                                          evolution_plan, tau_one)
+        # the manifest holds the record of the run that wrote the data: ETDRK4
+        # for a profile near its mean and for the strongly varying tau_one
+        from geomflow.torsionflow import (UNIT_CURVATURE, TorsionField, tau_one,
+                                          torsion_evolve)
         from geomflow.numerics import periodic_grid
-        cases = [("sin-half", 32, TorsionField(10.0 + np.sin(periodic_grid(32)) / 2.0),
-                  "etdrk4"),
-                 ("tau1", 64, tau_one(64), "rk45")]
-        for initial, n, tau0, scheme in cases:
+        cases = [("sin-half", 32, TorsionField(10.0 + np.sin(periodic_grid(32)) / 2.0)),
+                 ("tau1", 64, tau_one(64))]
+        for initial, n, tau0 in cases:
             out = tmp_path / initial
             assert main(["torsion", "evolve", "--initial", initial, "--n", str(n),
                          "--T", "0.01", "--frames", "1", "--out", str(out)]) == 0
             manifest = json.loads((out / "torsion_evolve_manifest.json").read_text())
-            plan = evolution_plan(tau0, UNIT_CURVATURE, 0.01, [0.01])
-            assert plan.scheme == scheme
-            assert manifest["tolerances"] == plan.record()
-            assert manifest["tolerances"]["scheme"] == scheme
-            if scheme == "rk45":
-                ctrl = asdict(default_control(tau0, UNIT_CURVATURE))
-                assert ctrl["max_step"] == plan.rk_cap
-                assert manifest["tolerances"]["step_control"] == ctrl
-            else:
-                assert "step_control" not in manifest["tolerances"]
-                assert manifest["tolerances"]["step"] <= 0.01
+            record = torsion_evolve(tau0, UNIT_CURVATURE, 0.01, [0.01]).record
+            assert manifest["tolerances"] == record
+            assert record["scheme"] == "etdrk4" and record["checks"] >= 1
+            assert record["rel_tol"] == 1e-9 and record["abs_tol"] == 1e-10
+            assert 0.0 < record["step_min"] <= record["step_max"] <= 2.0 / record["rho0"]
 
     def test_numerical_failure_exit_code(self, tmp_path):
         out = tmp_path / "bad"

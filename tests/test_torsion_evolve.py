@@ -13,11 +13,11 @@ from geomflow.acceptance import linear_mode1_period
 from geomflow.errors import BudgetError, PositivityError
 from geomflow.numerics import StepControl, integrate_ode, periodic_grid
 from geomflow.torsionflow import (STEP_BUDGET, CurvatureProfile, TorsionField,
-                                  UNIT_CURVATURE, evolution_plan, helix_stability,
-                                  make_torsion_rhs, quasi_period, tau_one, torsion_evolve,
+                                  UNIT_CURVATURE, helix_stability, make_torsion_rhs,
+                                  quasi_period, tau_one, torsion_evolve,
                                   torsion_invariants)
-from geomflow.torsionflow.etd import etdrk4_frames
-from geomflow.torsionflow.evolve import _remainder_rate
+from geomflow.torsionflow.etd import Etdrk4
+from geomflow.torsionflow.evolve import ABS_TOL, ETD_SAFETY, REL_TOL, remainder_rate
 
 
 class TestEvolve:
@@ -67,31 +67,75 @@ def _profile(name: str, n: int) -> np.ndarray:
     return 10.0 + (np.sin(s) / 2.0 if name == "half" else np.sin(s) + np.cos(s))
 
 
+def _tight_rk45(tau0: np.ndarray, kappa: CurvatureProfile, times) -> list[np.ndarray]:
+    """RK4(5) at rel_tol = abs_tol = 1e-13, its steps capped at the explicit
+    stability bound of the third- and first-derivative terms."""
+    n, kap = tau0.size, kappa.constant
+    kmax = n // 2
+    lam = (kmax ** 3 * np.max(tau0 ** -1.5) / (2.0 * kap)
+           + kmax * np.max(0.5 * kap * tau0 ** -1.5 + 1.5 * np.sqrt(tau0) / kap))
+    cap = 2.0 / lam
+    ctrl = StepControl(initial_step=cap, abs_tol=1e-13, rel_tol=1e-13, max_step=cap)
+    return integrate_ode(make_torsion_rhs(kappa, n), tau0, (0.0, times[-1]), ctrl,
+                         output_times=times).states
+
+
+def _fixed_steps(data: np.ndarray, T: float, m: int) -> np.ndarray:
+    """m equal ETDRK4 steps to time T."""
+    stepper = Etdrk4(UNIT_CURVATURE, data.size, float(np.mean(data)))
+    tau, v, h = data, np.fft.rfft(data), T / m
+    for j in range(m):
+        tau, v = stepper.step(tau, v, j * h, h)
+    return tau
+
+
 class TestEtdrk4:
     # largest difference from RK4(5) at rel_tol = abs_tol = 1e-13 over two
     # frames to T = 0.2 at N = 128, measured, times 10
     @pytest.mark.parametrize("name,kappa,tol", [
-        ("half", 0.5, 1.5e-9), ("half", 1.0, 7e-10), ("half", 2.0, 3e-10),
-        ("sincos", 0.5, 2e-10), ("sincos", 1.0, 7e-11), ("sincos", 2.0, 3e-11)])
+        ("half", 0.5, 1.3e-9), ("half", 1.0, 6e-10), ("half", 2.0, 2.3e-10),
+        ("sincos", 0.5, 1.6e-10), ("sincos", 1.0, 5.5e-11), ("sincos", 2.0, 2.1e-11)])
     def test_agrees_with_tight_rk45(self, name, kappa, tol):
         n, times = 128, [0.1, 0.2]
         tau0 = TorsionField(_profile(name, n))
         kap = CurvatureProfile(constant=kappa)
-        plan = evolution_plan(tau0, kap, 0.2, times)
-        assert plan.scheme == "etdrk4"
         fields = torsion_evolve(tau0, kap, 0.2, output_times=times)
-        ctrl = StepControl(initial_step=plan.rk_cap, abs_tol=1e-13, rel_tol=1e-13,
-                           max_step=plan.rk_cap)
-        ref = integrate_ode(make_torsion_rhs(kap, n), tau0.samples, (0.0, 0.2), ctrl,
-                            output_times=times).states
+        ref = _tight_rk45(tau0.samples, kap, times)
         assert max(np.max(np.abs(f.samples - r)) for f, r in zip(fields, ref)) < tol
+
+    @pytest.mark.parametrize("name,kappa", [("half", 0.5), ("half", 1.0),
+                                            ("sincos", 0.5), ("sincos", 1.0)])
+    def test_coarse_mesh_meets_local_tolerance(self, name, kappa):
+        # at N = 64 the stability bound alone allows steps whose local error
+        # exceeds the tolerance (sin-half at kappa = 0.5 ended 3.0e-7 off with
+        # ten such steps); under the accuracy bound the difference from tight
+        # RK4(5) stays below the sum of the per-step tolerances
+        n, times = 64, [0.1, 0.2]
+        tau0 = TorsionField(_profile(name, n))
+        kap = CurvatureProfile(constant=kappa)
+        fields = torsion_evolve(tau0, kap, 0.2, output_times=times)
+        rec = fields.record
+        ref = _tight_rk45(tau0.samples, kap, times)
+        err = max(np.max(np.abs(f.samples - r)) for f, r in zip(fields, ref))
+        assert err < rec["steps"] * (ABS_TOL + REL_TOL * np.max(tau0.samples))
+        assert rec["step_max"] < ETD_SAFETY / rec["rho0"]
+
+    def test_accuracy_bound_catches_slow_growth(self):
+        # under the stability bound alone, ETDRK4 amplifies high modes of
+        # 2 + sin(s)/2 at N = 128 (its minimum at t = 1 fell to 1.28, and it
+        # went nonpositive at t = 1.62); the checks shrink the step instead,
+        # and the minimum stays at RK4(5)'s 1.54953
+        data = 2.0 + 0.5 * np.sin(periodic_grid(128))
+        fields = torsion_evolve(TorsionField(data), T=1.0)
+        rec = fields.record
+        assert np.min(fields[0].samples) == pytest.approx(1.54953, abs=1e-4)
+        assert rec["step_min"] < 0.5 * ETD_SAFETY / rec["rho0"]
 
     def test_observed_order_four(self):
         # halving h divides the error by about 16 (measured 15.6-15.9 here)
         data = _profile("sincos", 64)
-        ref = etdrk4_frames(data, UNIT_CURVATURE, [0.1], [1024])[0]
-        errs = [np.max(np.abs(etdrk4_frames(data, UNIT_CURVATURE, [0.1], [m])[0] - ref))
-                for m in (8, 16, 32, 64)]
+        ref = _fixed_steps(data, 0.1, 1024)
+        errs = [np.max(np.abs(_fixed_steps(data, 0.1, m) - ref)) for m in (8, 16, 32, 64)]
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         assert all(14.0 < r < 18.0 for r in ratios), ratios
 
@@ -104,30 +148,25 @@ class TestEtdrk4:
     @pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
     def test_constant_is_exact_fixed_point(self, n):
         tau0 = TorsionField(np.full(n, 3.7))
-        assert evolution_plan(tau0, T=2.0).scheme == "etdrk4"
-        for f in torsion_evolve(tau0, T=2.0, output_times=[0.5, 2.0]):
+        fields = torsion_evolve(tau0, T=2.0, output_times=[0.5, 2.0])
+        rec = fields.record
+        assert rec["rho0"] < 1e-9 and rec["rejected"] == 0  # the mean rounds
+        for f in fields:
             assert np.array_equal(f.samples, tau0.samples)
-
-    def test_strongly_varying_profile_takes_rk45(self):
-        # tau_one's remainder is as stiff as the whole operator: C / rho is
-        # only 1.6 RK caps there, so the run stays on RK4(5)
-        plan = evolution_plan(tau_one(64), T=1.0)
-        assert plan.scheme == "rk45"
-        assert plan.control is not None and plan.control.max_step == plan.rk_cap
-        assert 1.0 < 2.0 / plan.rho / plan.rk_cap < 2.0
 
     def test_step_fits_output_times(self):
         tau0 = TorsionField(_profile("half", 128))
-        plan = evolution_plan(tau0, T=0.17, output_times=np.linspace(0.0, 0.17, 18)[1:])
-        assert plan.step <= 2.0 / _remainder_rate(tau0.samples, 1.0, 128)
-        assert plan.counts == (2,) * 17 and plan.steps == 34
+        rec = torsion_evolve(tau0, T=0.17, output_times=np.linspace(0.0, 0.17, 18)[1:]).record
+        assert rec["step_max"] <= ETD_SAFETY / remainder_rate(tau0.samples, 1.0, 10.0)
+        assert rec["step_min"] == pytest.approx(rec["step_max"], rel=1e-12)
+        assert 0.01 / rec["step_max"] == pytest.approx(round(0.01 / rec["step_max"]), abs=1e-9)
 
     def test_nonpositive_stage_raises_with_time(self):
-        # twice the planned step bound loses positivity on 2 + sin(s)/2 at N = 128
+        # twice the stability bound loses positivity on 2 + sin(s)/2 at N = 128
         data = 2.0 + 0.5 * np.sin(periodic_grid(128))
-        h = 4.0 / _remainder_rate(data, 1.0, 128)
+        h = 2.0 * ETD_SAFETY / remainder_rate(data, 1.0, 2.0)
         with pytest.raises(PositivityError, match="t="):
-            etdrk4_frames(data, UNIT_CURVATURE, [1000 * h], [1000])
+            _fixed_steps(data, 1000 * h, 1000)
 
     @pytest.mark.parametrize("tau0", [TorsionField(_profile("half", 512)), tau_one(512)])
     def test_impossible_budget_fails_fast(self, tau0):
