@@ -2,15 +2,16 @@
 
 Subpackages:
 
-- ``numerics``: shared kernels (adaptive RK4(5), elliptic K, erfc, bracketed
-  root finding, de-singularized quadrature, spectral periodic calculus).
+- ``numerics``: shared kernels (adaptive RK4(5), elliptic K, bracketed root
+  finding, de-singularized quadrature, spectral periodic primitive and
+  interpolation).
 - ``csf``: curve-shortening flow on immersed plane curves, with the
   figure-eight diagnostics and the affine bow-tie rescaling.
-- ``torsionflow``: the curvature-preserving flow on space curves — torsion
-  evolution, stationary profiles, linearized solver, variable-change round
+- ``torsionflow``: the curvature-preserving flow on space curves — ETDRK4
+  torsion evolution, stationary profiles, linearized solver, variable-change round
   trip, and Frenet-Serret curve reconstruction.
-- ``geoflow``: the one-parameter solvable-group family — group law, structure
-  field, geodesics, period functions, symmetric/variational flowline systems,
+- ``geoflow``: the one-parameter solvable-group family — curvature data,
+  structure field, geodesics, period functions, symmetric/variational flowline systems,
   and the boundary-curve scans.
 - ``cli``: batch experiment runner with machine-readable CSV/JSON output.
 """

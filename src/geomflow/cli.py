@@ -13,11 +13,13 @@ module structure:
 Repeated runs of one configuration produce byte-identical data files. A
 manifest's parameters are every parsed argument except ``--out``, and its
 tolerances are the controls the run actually used: the step control of the
-ODE-driven geo commands, the step record of ``torsion evolve`` (its scheme,
-tolerances, remainder bounds, step counts and step range), the CFL number and
-stop rule of the csf commands (which also record their step count), and the
-library constants the other commands run with. ``verify`` prints each
-criterion's wall time.
+ODE-driven geo commands and of ``torsion reconstruct`` (with its frame-drift
+tolerance), the step record of ``torsion evolve`` (its scheme, tolerances,
+remainder bounds, step counts and step range), the CFL number and stop rule
+of the csf commands (which also record their step count), and the library
+constants the other commands run with (such as the slope tolerance of ``geo
+boundary`` and the closure tolerance of ``torsion stationary``). ``verify``
+prints each criterion's wall time.
 """
 
 from __future__ import annotations
@@ -49,9 +51,13 @@ def _writer(args, tolerances: dict | None = None) -> ExperimentWriter:
 
 def _load_eight(args):
     from .csf import make_concinnous_eight
-    if args.curve != "bernoulli":
-        raise SystemExit(f"unknown curve family {args.curve!r}")
     return make_concinnous_eight(args.scale, n_points=args.n)
+
+
+def _stop_record(stop) -> dict:
+    """The stop rule of a csf run with the length floor that ends every run."""
+    from .csf import LENGTH_FLOOR
+    return {**asdict(stop), "length_floor_rel": LENGTH_FLOOR}
 
 
 def _write_run(writer: ExperimentWriter, run) -> None:
@@ -70,7 +76,7 @@ def cmd_csf_run(args) -> int:
     curve = _load_eight(args)
     stop = StopRule(time=args.T, kmax_spacing=args.kmax_spacing)
     writer = _writer(args, {"cfl": CFL, "record_shrink": RECORD_SHRINK,
-                            "stop_rule": asdict(stop)})
+                            "stop_rule": _stop_record(stop)})
     run = csf_evolve(curve, stop, record_dt=args.record_dt)
     _write_run(writer, run)
     writer.parameters["stop_reason"] = run.stop_reason
@@ -84,7 +90,7 @@ def _collapse_writer(args):
     from .csf import CFL, MIN_TIP_POINTS, RECORD_SHRINK, StopRule
     stop = StopRule(kmax_spacing=0.5)
     writer = _writer(args, {"cfl": CFL, "record_shrink": RECORD_SHRINK,
-                            "stop_rule": asdict(stop), "min_tip_points": MIN_TIP_POINTS})
+                            "stop_rule": _stop_record(stop), "min_tip_points": MIN_TIP_POINTS})
     return writer, stop
 
 
@@ -166,8 +172,9 @@ def cmd_torsion_evolve(args) -> int:
 
 
 def cmd_torsion_stationary(args) -> int:
-    from .torsionflow import stationary_torsion, stationary_torsion_general, torsion_rhs
-    writer = _writer(args)
+    from .torsionflow import (CLOSURE_TOL, stationary_torsion, stationary_torsion_general,
+                              torsion_rhs)
+    writer = _writer(args, {"closure_tol": CLOSURE_TOL})
     if args.A == 0.0:
         tau = stationary_torsion(args.C, n=args.n)
     else:
@@ -203,9 +210,11 @@ def cmd_torsion_transform(args) -> int:
 
 
 def cmd_torsion_reconstruct(args) -> int:
-    from .torsionflow import CurvatureProfile, frenet_reconstruct
+    from .torsionflow import (FRAME_DRIFT_TOL, FRENET_CONTROL, CurvatureProfile,
+                              frenet_reconstruct)
     tau = _initial_torsion(args.initial, args.n)
-    writer = _writer(args)
+    writer = _writer(args, {"step_control": asdict(FRENET_CONTROL),
+                            "frame_drift_tol": FRAME_DRIFT_TOL})
     curve = frenet_reconstruct(CurvatureProfile(constant=args.kappa), tau,
                                s_span=(0.0, args.s_max), n_samples=args.samples)
     writer.csv("curve.csv", ["s", "x", "y", "z"],
@@ -247,7 +256,7 @@ def cmd_geo_flowline(args) -> int:
     v0 = unit_tangent(args.vx, args.vy, args.vz)
     writer = _writer(args, {"unit_tangent_tol": UNIT_TANGENT_TOL,
                             "step_control": asdict(TIGHT)})
-    fl = flow_tangent(v0, args.alpha, args.T, ctrl=TIGHT)
+    fl = flow_tangent(v0, args.alpha, args.T)
     writer.csv("flowline.csv", ["t", "x", "y", "z", "H"],
                ([t, *map(float, v), h] for t, v, h
                 in zip(fl.times, fl.tangents, fl.level_series)))
@@ -284,10 +293,10 @@ def cmd_geo_cylinder(args) -> int:
 
 
 def cmd_geo_boundary(args) -> int:
-    from .geoflow import TIGHT, boundary_curve
+    from .geoflow import SLOPE_TOL, TIGHT, boundary_curve
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
-    writer = _writer(args, {"step_control": asdict(TIGHT)})
-    bc = boundary_curve(args.alpha, grid, TIGHT)
+    writer = _writer(args, {"step_control": asdict(TIGHT), "slope_tol": SLOPE_TOL})
+    bc = boundary_curve(args.alpha, grid)
     writer.csv("boundary.csv", ["x0", "a", "b", "da_dx0", "db_dx0"],
                ([p.x0, p.a_end, p.b_end, p.da_dx0, p.db_dx0] for p in bc.points))
     writer.parameters["a_increasing"] = bc.a_increasing
@@ -300,7 +309,7 @@ def cmd_geo_boundingbox(args) -> int:
     from .geoflow import PASS_FLOOR, TIGHT, bounding_box_scan
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
     writer = _writer(args, {"pass_floor": PASS_FLOOR, "step_control": asdict(TIGHT)})
-    recs = bounding_box_scan(args.alpha, grid, TIGHT)
+    recs = bounding_box_scan(args.alpha, grid)
     writer.csv("boundingbox.csv",
                ["x0", "admissible", "rho", "min_a_prime", "min_b_prime",
                 "b_integral_residual", "passed"],
@@ -325,7 +334,7 @@ def cmd_geo_gcheck(args) -> int:
 def cmd_geo_sphere(args) -> int:
     from .geoflow import SPHERE_CONTROL, geodesic_sphere
     writer = _writer(args, {"step_control": asdict(SPHERE_CONTROL)})
-    dirs, ends = geodesic_sphere(args.alpha, args.R, args.n_dirs, SPHERE_CONTROL)
+    dirs, ends = geodesic_sphere(args.alpha, args.R, args.n_dirs)
     writer.csv("sphere.csv", ["dir_x", "dir_y", "dir_z", "end_x", "end_y", "end_z"],
                ([*map(float, d), *map(float, e)] for d, e in zip(dirs, ends)))
     obj_lines = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in ends)
@@ -385,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     csf_sub = csf.add_subparsers(dest="experiment", required=True)
 
     p = csf_sub.add_parser("run", help="evolve a figure-eight for a fixed time")
-    p.add_argument("--curve", default="bernoulli")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--T", type=float, default=0.1)
@@ -395,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_csf_run)
 
     p = csf_sub.add_parser("bowtie", help="run to the singularity stop, bow-tie metrics")
-    p.add_argument("--curve", default="bernoulli")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--record-dt", type=float, default=8e-4)
@@ -403,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_csf_bowtie)
 
     p = csf_sub.add_parser("grimreaper", help="collapsing-lobe profile error series")
-    p.add_argument("--curve", default="bernoulli")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--record-dt", type=float, default=8e-4)
@@ -413,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     tor = sub.add_parser("torsion", help="curvature-preserving flow experiments")
     tor_sub = tor.add_subparsers(dest="experiment", required=True)
 
-    p = tor_sub.add_parser("evolve", help="method-of-lines torsion evolution")
+    p = tor_sub.add_parser("evolve", help="ETDRK4 torsion evolution")
     p.add_argument("--initial", default="sin-half")
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--T", type=float, default=5.0)

@@ -1,6 +1,6 @@
 """Figure-eight diagnostics built on recorded flow runs: tangent-angle
-monotonicity, the heat-kernel comparison profile, the collapsing-lobe profile
-check, and the affine bow-tie rescaling.
+monotonicity, tip resolution, the collapsing-lobe profile check, the axis
+shrink products, and the affine bow-tie rescaling.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ResolutionError, TopologyError
-from ..numerics import cyclic_shift, erfc
+from ..numerics import cyclic_shift
 from .curve import EightDiagnostics, PlaneCurve, curvature_and_angles
 
 MIN_TIP_POINTS = 16  # samples a frame needs across its curvature tip to count as resolved
@@ -50,19 +50,6 @@ def theta_monotonicity_series(times, diagnostics) -> ThetaSeries:
         max_nonincreasing=bool(np.all(np.diff(tmax) <= 1e-3)),
         min_nondecreasing=bool(np.all(np.diff(tmin) >= -1e-3)),
     )
-
-
-def comparison_solution(x: float, t: float, M: float) -> float:
-    """Heat evolution of the step profile used to push up the tangent-angle
-    minimum: (pi/8) (erfc((sqrt(M)-x)/(sqrt(2) sqrt(t))) + erfc((sqrt(M)+x)/...)).
-    """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if M <= 0.0:
-        raise ValueError("M must be positive")
-    root = math.sqrt(2.0) * math.sqrt(t)
-    rm = math.sqrt(M)
-    return (math.pi / 8.0) * (erfc((rm - x) / root) + erfc((rm + x) / root))
 
 
 def resolvable_frames(run) -> list[int]:
@@ -118,10 +105,6 @@ class GrimReaperSeries:
     times: np.ndarray
     errors: np.ndarray
     alphas: np.ndarray
-
-    @property
-    def decreasing_tail(self) -> bool:
-        return bool(np.all(np.diff(self.errors) < 0.0))
 
 
 def grim_reaper_check(run, frame_indices) -> GrimReaperSeries:

@@ -39,10 +39,6 @@ class PlaneCurve:
         if np.any(gaps == 0.0):
             raise ValueError("consecutive points must be distinct")
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
 
 def row_lengths(V: np.ndarray) -> np.ndarray:
     """Length of each row of an (m, 2) array: ``np.linalg.norm(V, axis=1)``,
@@ -70,9 +66,15 @@ def _three_point(P: np.ndarray):
     return first, second
 
 
-def curvature_vector(P: np.ndarray) -> np.ndarray:
-    """Discrete second arc-length derivative: the curve-shortening velocity."""
-    return _three_point(P)[1]
+def curvature_vector(P: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Discrete second arc-length derivative, the curve-shortening velocity:
+    the second derivative of ``_three_point`` from the polygon's
+    ``edge_lengths`` ``gaps``, which the step has already measured."""
+    prev = cyclic_shift(P, -1)
+    nxt = cyclic_shift(P, 1)
+    a = cyclic_shift(gaps, -1)[:, None]
+    b = gaps[:, None]
+    return 2.0 * (a * (nxt - P) - b * (P - prev)) / (a * b * (a + b))
 
 
 def curvature_and_angles(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,64 +362,42 @@ def quarter_arc_length(scale: float) -> float:
     return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
 
-def make_concinnous_eight(scale: float = 1.0, family: str = "bernoulli",
-                          n_points: int = 512, override=None,
-                          check: bool = True) -> PlaneCurve:
+def make_concinnous_eight(scale: float = 1.0, n_points: int = 512) -> PlaneCurve:
     """Balanced, doubly reflection-symmetric figure-eight on a uniform arc mesh.
 
-    The default family is the Bernoulli lemniscate r^2 = 2 scale^2 cos(2 phi):
+    The curve is the Bernoulli lemniscate r^2 = 2 scale^2 cos(2 phi):
     double point at the origin, lobes along the x-axis (the minor symmetry
     axis), far ends at x = +- scale*sqrt(2). One quarter is sampled uniformly
     in arc length with a half-cell offset (so neither the double point nor
     the vertices land on a sample) and the other three quarters are exact
     mirror images, which keeps the sample set symmetric to machine precision.
-
-    ``override`` may be a callable t -> (x, y) on [0, 2*pi) tracing a custom
-    figure-eight; it is resampled by chord length and must pass the
-    concinnity check (curvature bounded away from zero except near the
-    double point).
+    The result must pass the concinnity check (a figure-eight whose
+    curvature stays bounded away from zero except near the double point).
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     if n_points < 128:
         raise ValueError("need at least 128 points")
-    if family == "bernoulli" and override is None:
-        m = n_points // 4
-        quarter_len = quarter_arc_length(scale)
-        h = quarter_len / m
-        targets = (np.arange(m) + 0.5) * h
-        q = _bernoulli_quarter(scale, targets)
-        xq, yq = q[:, 0], q[:, 1]
-        rev = slice(None, None, -1)
-        block1 = q
-        block2 = np.column_stack([-xq[rev], -yq[rev]])
-        block3 = np.column_stack([-xq, yq])
-        block4 = np.column_stack([xq[rev], -yq[rev]])
-        pts = np.vstack([block1, block2, block3, block4])
-        curve = PlaneCurve(pts)
-    elif override is not None or family == "parametric":
-        if override is None:
-            raise ValueError("parametric family needs an override callable")
-        t_dense = np.linspace(0.0, TWO_PI, 1 << 15, endpoint=False)
-        xy = np.array([override(t) for t in t_dense], dtype=float)
-        chord = np.linalg.norm(np.diff(xy, axis=0, append=xy[:1]), axis=1)
-        s_cum = np.concatenate([[0.0], np.cumsum(chord)])
-        total = s_cum[-1]
-        targets = (np.arange(n_points) + 0.5) * total / n_points
-        idx = np.searchsorted(s_cum, targets, side="right") - 1
-        frac = (targets - s_cum[idx]) / chord[idx]
-        nxt = (idx + 1) % t_dense.size
-        pts = xy[idx] + frac[:, None] * (xy[nxt] - xy[idx])
-        curve = PlaneCurve(pts)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-    if check:
-        _check_concinnity(curve, scale)
+    m = n_points // 4
+    quarter_len = quarter_arc_length(scale)
+    h = quarter_len / m
+    targets = (np.arange(m) + 0.5) * h
+    q = _bernoulli_quarter(scale, targets)
+    xq, yq = q[:, 0], q[:, 1]
+    rev = slice(None, None, -1)
+    block1 = q
+    block2 = np.column_stack([-xq[rev], -yq[rev]])
+    block3 = np.column_stack([-xq, yq])
+    block4 = np.column_stack([xq[rev], -yq[rev]])
+    curve = PlaneCurve(np.vstack([block1, block2, block3, block4]))
+    _check_concinnity(curve)
     return curve
 
 
-def _check_concinnity(curve: PlaneCurve, scale: float) -> None:
+def _check_concinnity(curve: PlaneCurve) -> None:
+    """Raise ConstructionError unless ``curve`` is a figure-eight (rotation
+    number zero, one double point) whose |k| stays above 1e-3 of its median
+    everywhere farther than 5 % of the length from the double point."""
     P = curve.points
     rot = turning_number(P)
     if abs(rot) > 1e-6:

@@ -22,17 +22,19 @@ import numpy as np
 
 from ..numerics import PeriodicCubicSpline, cyclic_shift
 from ..numerics.interpolation import REFINE
-from .curve import (EightDiagnostics, PlaneCurve, curvature_vector, curve_geometry,
-                    curve_length, edge_lengths, row_lengths)
+from .curve import (PlaneCurve, curvature_vector, curve_geometry, curve_length, edge_lengths,
+                    row_lengths)
 
 
 CFL = 0.4  # step size dt = CFL * (min spacing)^2 / 2
 RECORD_SHRINK = 0.93  # a frame is recorded once the length shrinks by this factor
+LENGTH_FLOOR = 1e-7  # every run stops once its length falls below this share of the initial
 
 
 @dataclass
 class StopRule:
-    """Stopping policy: fixed time, curvature-resolution threshold, length floor.
+    """Stopping policy: fixed time and curvature-resolution threshold, on
+    top of the length floor ``LENGTH_FLOOR`` that ends every run.
 
     ``kmax_spacing`` stops the run once k_max times the mean sample spacing
     exceeds the threshold: past that point the polygon can no longer resolve
@@ -43,7 +45,6 @@ class StopRule:
 
     time: float | None = None
     kmax_spacing: float | None = 0.5
-    length_floor_rel: float = 1e-7
 
 
 @dataclass
@@ -133,11 +134,11 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
         min_gap = float(np.min(gaps))
         mean_gap = float(np.mean(gaps))
         length = float(np.sum(gaps))
-        vel = curvature_vector(P)
+        vel = curvature_vector(P, gaps)
         k_abs = row_lengths(vel)
         k_max = float(np.max(k_abs))
 
-        if length < stop.length_floor_rel * length0:
+        if length < LENGTH_FLOOR * length0:
             run.stop_reason = "extinction reached"
             break
         if stop.kmax_spacing is not None:

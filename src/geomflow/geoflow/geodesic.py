@@ -1,14 +1,14 @@
-"""Geodesics from the identity: frame ODE, concatenation oracle, invariants.
+"""Geodesics from the identity: frame ODE, cylinder invariant, geodesic spheres.
 
-The primary exponential-map evaluator integrates the coupled 6-system
+The exponential map integrates the coupled 6-system
 
     tangent:  v' = Sigma(v)            (development on the unit sphere)
     position: (x', y', z') = (v_x e^z, v_y e^{-a z}, v_z)
 
 so the position components are the left-invariant frame applied to the
-tangent at the current point. A secondary evaluator composes a large but
-finite product of small group elements along the flowline; it converges to
-the same endpoint and serves as an independent oracle for the frame ODE.
+tangent at the current point. The tests check it against an independent
+oracle, the concatenation product of small group elements along the
+flowline.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import numpy as np
 
 from ..errors import SetupError
 from ..numerics import StepControl, integrate_ode
-from .group import check_alpha, group_mul
-from .structure import TIGHT, _flow_rhs, _sigma, level_value, v_beta
+from .group import check_alpha
+from .structure import TIGHT, _sigma, level_value, v_beta
 
-# Default step control of the sphere scan: one geodesic per direction, so looser.
+# Step control of the sphere scan: one geodesic per direction, so looser.
 SPHERE_CONTROL = StepControl(initial_step=1e-3, abs_tol=1e-10, rel_tol=1e-10)
 # How far the initial tangent of a cylinder-invariant geodesic may sit off its
 # level set and off the top/bottom point of its loop.
@@ -83,40 +83,6 @@ def geodesic(v0, alpha: float, T: float, ctrl: StepControl | None = None,
     return GeodesicPath(alpha, all_t, all_y[:, :3], all_y[:, 3:])
 
 
-def exponential(v, alpha: float, ctrl: StepControl | None = None) -> np.ndarray:
-    """Riemannian exponential of an arbitrary (not necessarily unit) vector."""
-    v = np.asarray(v, dtype=float)
-    T = float(np.linalg.norm(v))
-    if T == 0.0:
-        return np.zeros(3)
-    return geodesic(v / T, alpha, T, ctrl, n_samples=2).endpoint
-
-
-def concatenation_endpoint(v0, alpha: float, T: float, n_steps: int = 1_000_000,
-                           ctrl: StepControl | None = None) -> np.ndarray:
-    """Endpoint by a finite product of small group elements along the flowline.
-
-    The flowline lambda(t) of the structure field is sampled at midpoints of
-    n equal subintervals and the product (eps*lambda_1) * ... * (eps*lambda_n)
-    is accumulated. The semidirect group law collapses the left-folded product
-    to prefix sums, so the whole product is three cumulative sums.
-    """
-    check_alpha(alpha)
-    v0 = np.asarray(v0, dtype=float)
-    traj = integrate_ode(_flow_rhs(alpha, +1), v0, (0.0, T), ctrl or TIGHT, dense=True)
-    eps = T / n_steps
-    mid = (np.arange(n_steps) + 0.5) * eps
-    lam = traj.sample(mid)
-    a = eps * lam[:, 0]
-    b = eps * lam[:, 1]
-    c = eps * lam[:, 2]
-    z_prefix = np.concatenate([[0.0], np.cumsum(c)[:-1]])
-    x_end = float(np.sum(a * np.exp(z_prefix)))
-    y_end = float(np.sum(b * np.exp(-alpha * z_prefix)))
-    z_end = float(np.sum(c))
-    return np.array([x_end, y_end, z_end])
-
-
 def cylinder_invariant(path: GeodesicPath, beta: float) -> tuple[np.ndarray, float]:
     """Series of the cylinder quantity along a geodesic and its relative drift.
 
@@ -159,17 +125,17 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def geodesic_sphere(alpha: float, R: float, n_dirs: int = 200,
-                    ctrl: StepControl | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Point cloud of the geodesic sphere of radius R: (directions, endpoints)."""
+def geodesic_sphere(alpha: float, R: float,
+                    n_dirs: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Point cloud of the geodesic sphere of radius R, (directions, endpoints),
+    each geodesic integrated at ``SPHERE_CONTROL``."""
     check_alpha(alpha)
     if R <= 0.0:
         raise ValueError("radius must be positive")
     if n_dirs < 100:
         raise ValueError("need at least 100 directions for a meaningful cloud")
-    ctrl = ctrl or SPHERE_CONTROL
     dirs = fibonacci_directions(n_dirs)
     ends = np.empty_like(dirs)
     for j, d in enumerate(dirs):
-        ends[j] = geodesic(d, alpha, R, ctrl, n_samples=2).endpoint
+        ends[j] = geodesic(d, alpha, R, SPHERE_CONTROL, n_samples=2).endpoint
     return dirs, ends

@@ -1,4 +1,4 @@
-"""Group operations and curvature data for the solvable family.
+"""Parameter range and curvature data of the solvable family.
 
 The underlying set is R^3 with the product
 
@@ -6,7 +6,9 @@ The underlying set is R^3 with the product
 
 and left-invariant metric ds^2 = e^{-2z} dx^2 + e^{2az} dy^2 + dz^2, where
 ``a`` is the interpolation parameter in [-1, 1] (a=1 is Sol, a=0 is H^2 x R,
-a=-1 is hyperbolic 3-space).
+a=-1 is hyperbolic 3-space). The library integrates in the left-invariant
+frame and never multiplies group elements; the product above lives in the
+tests, as the law behind the concatenation oracle of the geodesics.
 """
 
 from __future__ import annotations
@@ -27,27 +29,6 @@ def check_alpha(alpha: float, lo: float = -1.0, hi: float = 1.0, *, open_lo: boo
         lo_br = "(" if open_lo else "["
         raise ValueError(f"alpha={alpha} outside admissible range {lo_br}{lo}, {hi}]")
     return alpha
-
-
-def group_mul(p, q, alpha: float) -> np.ndarray:
-    """Product p * q in group coordinates."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return np.array([
-        q[0] * math.exp(p[2]) + p[0],
-        q[1] * math.exp(-alpha * p[2]) + p[1],
-        q[2] + p[2],
-    ])
-
-
-def group_inv(p, alpha: float) -> np.ndarray:
-    """Inverse element: p * inv(p) is the identity (0, 0, 0)."""
-    p = np.asarray(p, dtype=float)
-    return np.array([
-        -p[0] * math.exp(-p[2]),
-        -p[1] * math.exp(alpha * p[2]),
-        -p[2],
-    ])
 
 
 def scalar_curvature(alpha: float) -> float:

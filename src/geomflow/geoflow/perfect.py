@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import StepControl
 from .geodesic import geodesic
 from .group import check_alpha
 from .periods import period
@@ -40,12 +39,12 @@ class PerfectVectorReport:
 
 
 def perfect_vector_checks(alpha: float, beta: float | None = None,
-                          x0: float | None = None,
-                          ctrl: StepControl | None = None) -> PerfectVectorReport:
+                          x0: float | None = None) -> PerfectVectorReport:
     """Run the full slate of perfect-vector identities for one loop level set.
 
     Exactly one of ``beta`` or ``x0`` selects the loop. The partner endpoints
-    come from two independent geodesic integrations of length P; the holonomy
+    come from two independent geodesic integrations of length P at
+    ``TIGHT``; the holonomy
     is compared between circuits started at V_beta and at a point reached by
     flowing 30% of the way around the loop.
     """
@@ -56,14 +55,13 @@ def perfect_vector_checks(alpha: float, beta: float | None = None,
         beta = beta_from_x0(x0, alpha)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta={beta} outside (0, 1)")
-    ctrl = ctrl or TIGHT
 
     P = period(alpha, beta).period
     v_plus = v_beta(beta, alpha)
     v_minus = v_plus * np.array([1.0, 1.0, -1.0])
 
-    end_plus = geodesic(v_plus, alpha, P, ctrl, n_samples=2).endpoint
-    end_minus = geodesic(v_minus, alpha, P, ctrl, n_samples=2).endpoint
+    end_plus = geodesic(v_plus, alpha, P, TIGHT, n_samples=2).endpoint
+    end_minus = geodesic(v_minus, alpha, P, TIGHT, n_samples=2).endpoint
     partner_mismatch = float(np.linalg.norm(end_plus - end_minus))
     endpoint_z = max(abs(end_plus[2]), abs(end_minus[2]))
 
@@ -74,9 +72,9 @@ def perfect_vector_checks(alpha: float, beta: float | None = None,
         np.linalg.norm(e2d) * np.linalg.norm(recip))
 
     # holonomy from a second starting point on the same loop
-    shifted = flow_tangent(v_plus, alpha, 0.3 * P, ctrl=ctrl, n_samples=3).end
+    shifted = flow_tangent(v_plus, alpha, 0.3 * P, n_samples=3).end
     shifted = shifted / np.linalg.norm(shifted)
-    end_shifted = geodesic(shifted, alpha, P, ctrl, n_samples=2).endpoint
+    end_shifted = geodesic(shifted, alpha, P, TIGHT, n_samples=2).endpoint
     h1 = _holonomy(end_plus, alpha)
     h2 = _holonomy(end_shifted, alpha)
 

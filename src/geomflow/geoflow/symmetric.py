@@ -24,13 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DetectionError
-from ..numerics import StepControl, Trajectory, integrate_ode
+from ..numerics import Trajectory, integrate_ode
 from .group import check_alpha
 from .periods import period
-from .structure import TIGHT, _sigma, admissible_x0_interval, beta_from_x0
+from .structure import (TIGHT, VARIATIONAL_CONTROL, _sigma, admissible_x0_interval,
+                        beta_from_x0)
 
 PASS_FLOOR = -1e-10  # a bounding-box scan passes when min a' and min b' exceed this
 FD_STEP = 1e-5       # first step of the Richardson difference of the period in x0
+SLOPE_TOL = 1e-9     # largest rise of b between grid points that still counts as nonincreasing
+RHO_TOL = 1e-4       # largest relative gap between the detected and predicted half period
+BOX_SAMPLES = 2000   # samples over [0, rho] of each bounding-box run
 
 
 def _sym_rhs(alpha: float, with_quadrature: bool = False):
@@ -85,25 +89,24 @@ def _predicted_half_period(x0: float, alpha: float) -> tuple[float, float]:
     return beta, 0.5 * period(alpha, beta).period
 
 
-def _integrate_to_return(rhs, y0, alpha, x0, ctrl, rho_tol=1e-4):
+def _integrate_to_return(rhs, y0, alpha, x0, ctrl):
     beta, predicted = _predicted_half_period(x0, alpha)
     traj = integrate_ode(rhs, y0, (0.0, 10.0 * predicted), ctrl, dense=True,
-                         event=lambda t, u: u[2], event_direction=-1,
-                         event_min_time=0.05 * predicted)
+                         event=lambda t, u: u[2], event_min_time=0.05 * predicted)
     if traj.event_time is None:
         raise DetectionError(f"no z-return within 10x the predicted half period "
                              f"(x0={x0}, alpha={alpha})")
     rho = traj.event_time
-    if abs(rho - predicted) > rho_tol * max(1.0, predicted):
+    if abs(rho - predicted) > RHO_TOL * max(1.0, predicted):
         raise DetectionError(
             f"detected half period {rho} disagrees with P(beta)/2 = {predicted}")
     return SymmetricRun(alpha=alpha, x0=x0, beta=beta, rho=rho,
                         predicted_rho=predicted, trajectory=traj)
 
 
-def symmetric_system(x0: float, alpha: float, ctrl: StepControl | None = None,
-                     with_quadrature: bool = False) -> SymmetricRun:
-    """Integrate the 5-system from (x0, sqrt(1-x0^2), 0, 0, 0) to the z-return.
+def symmetric_system(x0: float, alpha: float, with_quadrature: bool = False) -> SymmetricRun:
+    """Integrate the 5-system from (x0, sqrt(1-x0^2), 0, 0, 0) to the z-return,
+    at ``TIGHT``.
 
     ``with_quadrature`` appends a running integral of y^2 as a sixth state,
     used to verify the closed-form b(t) = (2/y) * integral of y^2.
@@ -112,32 +115,31 @@ def symmetric_system(x0: float, alpha: float, ctrl: StepControl | None = None,
     lo, hi = admissible_x0_interval(alpha)
     if not lo < x0 < hi:
         raise ValueError(f"x0={x0} outside the admissible interval ({lo:.6f}, {hi})")
-    ctrl = ctrl or TIGHT
     y0 = [x0, math.sqrt(1.0 - x0 * x0), 0.0, 0.0, 0.0]
     if with_quadrature:
         y0.append(0.0)
     return _integrate_to_return(_sym_rhs(alpha, with_quadrature), np.array(y0),
-                                alpha, x0, ctrl)
+                                alpha, x0, TIGHT)
 
 
-def variational_system(x0: float, alpha: float,
-                       ctrl: StepControl | None = None) -> SymmetricRun:
-    """The 10-system with x0-derivatives; bars start at d/dx0 of the initial point."""
+def variational_system(x0: float, alpha: float) -> SymmetricRun:
+    """The 10-system with x0-derivatives, at ``VARIATIONAL_CONTROL``; bars
+    start at d/dx0 of the initial point."""
     check_alpha(alpha, 0.0, 1.0, open_lo=True)
     lo, hi = admissible_x0_interval(alpha)
     if not lo < x0 < hi:
         raise ValueError(f"x0={x0} outside the admissible interval ({lo:.6f}, {hi})")
-    ctrl = ctrl or TIGHT
     y0 = np.array([
         x0, math.sqrt(1.0 - x0 * x0), 0.0, 0.0, 0.0,
         1.0, -x0 / math.sqrt(1.0 - x0 * x0), 0.0, 0.0, 0.0,
     ])
-    return _integrate_to_return(_var_rhs(alpha), y0, alpha, x0, ctrl)
+    return _integrate_to_return(_var_rhs(alpha), y0, alpha, x0, VARIATIONAL_CONTROL)
 
 
-def variational_residuals(run: SymmetricRun, n_samples: int = 1200) -> dict:
-    """Max residuals of the three algebraic identities along a variational run."""
-    ts = np.linspace(0.0, run.rho, n_samples)
+def variational_residuals(run: SymmetricRun) -> dict:
+    """Max residuals of the three algebraic identities along a variational
+    run, over 1200 samples of [0, rho]."""
+    ts = np.linspace(0.0, run.rho, 1200)
     u = run.sample(ts)
     x, y, z, a, b = (u[:, i] for i in range(5))
     xb, yb, zb, ab, bb = (u[:, i] for i in range(5, 10))
@@ -160,9 +162,9 @@ class BoxScanRecord:
     passed: bool | None = None
 
 
-def bounding_box_scan(alpha: float, x0_grid, ctrl: StepControl | None = None,
-                      n_samples: int = 2000) -> list[BoxScanRecord]:
-    """Check min a' and min b' over (0, rho] for each admissible x0.
+def bounding_box_scan(alpha: float, x0_grid) -> list[BoxScanRecord]:
+    """Check min a' and min b' over ``BOX_SAMPLES`` points of (0, rho] for
+    each admissible x0.
 
     Grid points at or below the equilibrium abscissa sqrt(a/(1+a)) are
     reported as inadmissible and skipped rather than failing the scan: the
@@ -175,8 +177,8 @@ def bounding_box_scan(alpha: float, x0_grid, ctrl: StepControl | None = None,
         if x0 <= lo + 1e-9 or x0 >= 1.0:
             records.append(BoxScanRecord(alpha=alpha, x0=float(x0), admissible=False))
             continue
-        run = symmetric_system(float(x0), alpha, ctrl, with_quadrature=True)
-        ts = np.linspace(0.0, run.rho, n_samples)[1:]
+        run = symmetric_system(float(x0), alpha, with_quadrature=True)
+        ts = np.linspace(0.0, run.rho, BOX_SAMPLES)[1:]
         u = run.sample(ts)
         x, y, z, a, b, q = (u[:, i] for i in range(6))
         a_prime = 2.0 * x + a * z
@@ -209,13 +211,14 @@ class BoundaryCurve:
     b_nonincreasing: bool
 
 
-def boundary_curve(alpha: float, x0_grid, ctrl: StepControl | None = None,
-                   slope_tol: float = 1e-9) -> BoundaryCurve:
-    """Endpoints (a(rho), b(rho)) over the grid plus monotonicity verdicts."""
+def boundary_curve(alpha: float, x0_grid) -> BoundaryCurve:
+    """Endpoints (a(rho), b(rho)) over the grid plus monotonicity verdicts;
+    b may rise by up to ``SLOPE_TOL`` between grid points and still count
+    as nonincreasing."""
     xs = np.atleast_1d(np.asarray(x0_grid, dtype=float))
     pts = []
     for x0 in xs:
-        run = symmetric_system(float(x0), alpha, ctrl)
+        run = symmetric_system(float(x0), alpha)
         end = run.end_state
         pts.append(BoundaryPoint(x0=float(x0), a_end=float(end[3]), b_end=float(end[4])))
     a_vals = np.array([p.a_end for p in pts])
@@ -229,7 +232,7 @@ def boundary_curve(alpha: float, x0_grid, ctrl: StepControl | None = None,
         alpha=alpha,
         points=pts,
         a_increasing=bool(np.all(np.diff(a_vals) > 0.0)),
-        b_nonincreasing=bool(np.all(np.diff(b_vals) <= slope_tol)),
+        b_nonincreasing=bool(np.all(np.diff(b_vals) <= SLOPE_TOL)),
     )
 
 

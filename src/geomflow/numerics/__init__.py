@@ -1,14 +1,15 @@
-"""Shared numerical kernels: ODE integration, special functions, root finding,
-quadrature with endpoint singularities, and periodic (spectral) differentiation.
+"""Shared numerical kernels: ODE integration, the elliptic integral K, root
+finding, quadrature with endpoint singularities, and periodic (spectral)
+calculus.
 """
 
 from .interpolation import MonotoneCubic, PeriodicCubicSpline
 from .ode import StepControl, Trajectory, integrate_ode
-from .periodic import (cyclic_shift, periodic_derivative, periodic_grid,
-                       periodic_primitive, trig_interp, trig_interpolant)
+from .periodic import (cyclic_shift, periodic_grid, periodic_primitive, trig_interp,
+                       trig_interpolant)
 from .quadrature import integrate_singular
 from .roots import find_root
-from .special import elliptic_K, erfc
+from .special import elliptic_K
 
 __all__ = [
     "MonotoneCubic",
@@ -17,11 +18,9 @@ __all__ = [
     "Trajectory",
     "cyclic_shift",
     "elliptic_K",
-    "erfc",
     "find_root",
     "integrate_ode",
     "integrate_singular",
-    "periodic_derivative",
     "periodic_grid",
     "periodic_primitive",
     "trig_interp",

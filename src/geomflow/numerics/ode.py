@@ -33,6 +33,7 @@ _E = np.array([1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55])
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_EVENT_TOL = 1e-12  # width in time to which an event crossing is bisected
 
 
 @dataclass
@@ -83,10 +84,6 @@ class Trajectory:
             raise ValueError("states contain non-finite entries")
 
     @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def y_end(self) -> np.ndarray:
         return self.states[-1]
 
@@ -125,9 +122,7 @@ def integrate_ode(
     dense: bool = False,
     output_times: Sequence[float] | None = None,
     event: Callable[[float, np.ndarray], float] | None = None,
-    event_direction: int = 0,
     event_min_time: float = 0.0,
-    event_tol: float = 1e-12,
 ) -> Trajectory:
     """Integrate ``y' = field(t, y)`` over ``t_span``.
 
@@ -136,10 +131,9 @@ def integrate_ode(
     ``dense=True`` additionally keeps node derivatives for interpolation.
 
     ``event`` is a scalar functional of the state; integration stops at its
-    first zero crossing after ``event_min_time`` (located by bisection on the
-    local Hermite interpolant to ``event_tol`` in time). ``event_direction``
-    restricts to sign changes from negative to positive (+1), positive to
-    negative (-1), or either (0).
+    first downward zero crossing (positive to nonpositive) after
+    ``event_min_time``, located by bisection on the local Hermite
+    interpolant to ``_EVENT_TOL`` in time.
     """
     ctrl = ctrl or StepControl()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -213,22 +207,14 @@ def integrate_ode(
 
         if event is not None:
             g_new = event(t_new, y_new)
-            crossed = (
-                t_new > event_min_time
-                and g_prev is not None
-                and np.sign(g_new) != np.sign(g_prev)
-                and g_prev != 0.0
-                and (event_direction == 0
-                     or (event_direction > 0 and g_new > g_prev)
-                     or (event_direction < 0 and g_new < g_prev))
-            )
+            crossed = t_new > event_min_time and g_prev > 0.0 and g_new <= 0.0
             if crossed:
                 lo, hi = max(t, event_min_time), t_new
                 g_lo = event(lo, _hermite(lo, t, h, y, y_new, f, f_new)) if lo > t else g_prev
                 if np.sign(g_lo) == np.sign(g_new):
                     crossed = False  # crossing happened before event_min_time
                 else:
-                    while hi - lo > event_tol:
+                    while hi - lo > _EVENT_TOL:
                         mid = 0.5 * (lo + hi)
                         g_mid = event(mid, _hermite(mid, t, h, y, y_new, f, f_new))
                         if np.sign(g_mid) == np.sign(g_lo) and g_mid != 0.0:

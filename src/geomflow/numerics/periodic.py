@@ -23,44 +23,6 @@ def cyclic_shift(a: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((a[k:], a[:k]))
 
 
-def periodic_derivative(samples: np.ndarray, order: int = 1, *,
-                        period: float = 2.0 * np.pi, method: str = "spectral") -> np.ndarray:
-    """Derivative of given order (1..3) of samples on a uniform periodic mesh.
-
-    The default is Fourier collocation: differentiate by multiplying mode k
-    by (i*k)^order, zeroing the Nyquist mode for odd orders so the result
-    stays real-consistent. ``method="fd4"`` switches to 4th-order central
-    differences.
-    """
-    y = np.asarray(samples, dtype=float)
-    n = y.size
-    if n < 8:
-        raise ValueError("grid size must be at least 8")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("samples contain non-finite entries")
-    if order not in (1, 2, 3):
-        raise ValueError(f"unsupported derivative order {order}")
-
-    if method == "spectral":
-        k = np.fft.rfftfreq(n, d=1.0 / n) * (2.0 * np.pi / period)
-        mult = (1j * k) ** order
-        if order % 2 == 1 and n % 2 == 0:
-            mult[-1] = 0.0
-        return np.fft.irfft(np.fft.rfft(y) * mult, n=n)
-
-    if method == "fd4":
-        h = period / n
-        if order == 1:
-            return (-np.roll(y, -2) + 8 * np.roll(y, -1) - 8 * np.roll(y, 1) + np.roll(y, 2)) / (12 * h)
-        if order == 2:
-            return (-np.roll(y, -2) + 16 * np.roll(y, -1) - 30 * y
-                    + 16 * np.roll(y, 1) - np.roll(y, 2)) / (12 * h * h)
-        return (-np.roll(y, -3) + 8 * np.roll(y, -2) - 13 * np.roll(y, -1)
-                + 13 * np.roll(y, 1) - 8 * np.roll(y, 2) + np.roll(y, 3)) / (8 * h ** 3)
-
-    raise ValueError(f"unknown method {method!r}")
-
-
 def periodic_primitive(samples: np.ndarray, period: float = 2.0 * np.pi) -> tuple[float, np.ndarray]:
     """Antiderivative of a periodic grid function, split as mean*s + periodic part.
 

@@ -1,6 +1,5 @@
-"""Special functions: complete elliptic integral K and complementary error function.
+"""Special functions: the complete elliptic integral K.
 
-Both are written against the conventions used throughout the package:
 K takes the *parameter* m (so K(m) = integral of 1/sqrt(1 - m sin^2 t) over
 [0, pi/2]), not the modulus k = sqrt(m).
 """
@@ -27,49 +26,3 @@ def elliptic_K(m: float) -> float:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (a + b)
 
-
-def erfc(x: float) -> float:
-    """Complementary error function, total on finite inputs.
-
-    For |x| <= 1 the Maclaurin series of erf is summed and erfc = 1 - erf.
-    For x > 1 the Laplace continued fraction
-
-        sqrt(pi) exp(x^2) erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-
-    is evaluated with the modified Lentz algorithm, which stays accurate deep
-    into the tail (erfc(10) ~ 2e-45). Negative arguments use the reflection
-    erfc(-x) = 2 - erfc(x).
-    """
-    if x != x:  # NaN propagates
-        return x
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x <= 1.0:
-        # erf(x) = 2/sqrt(pi) * sum over n of (-1)^n x^(2n+1) / (n! (2n+1))
-        term = x  # (-1)^n x^(2n+1) / n!
-        total = x
-        x2 = x * x
-        n = 0
-        while abs(term) > 1e-18:
-            n += 1
-            term *= -x2 / n
-            total += term / (2 * n + 1)
-        return 1.0 - (2.0 / math.sqrt(math.pi)) * total
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    for j in range(1, 400):
-        a = 1.0 if j == 1 else 0.5 * (j - 1)
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) * f / math.sqrt(math.pi)

@@ -52,6 +52,9 @@ CHECK_STEPS = 8
 # Most steps one evolution may take: about three minutes at N = 256 on a
 # 2-vCPU host.
 STEP_BUDGET = 1_000_000
+# Earliest time ``quasi_period`` searches for a recurrence: the start of the
+# run, where the distance to tau(., 0) is also small, lies before it.
+RECURRENCE_WINDOW_START = 0.5
 
 
 def remainder_rate(tau: np.ndarray, kappa: float, tau_bar: float) -> float:
@@ -190,9 +193,9 @@ class StabilitySeries:
         return float(np.max(self.values))
 
 
-def helix_stability(amplitude: float = 0.01, T: float = 50.0, n: int = 32,
-                    n_frames: int = 1001) -> StabilitySeries:
-    """Evolve tau0 = 1 + amplitude*sin(s) at unit curvature and record S(t).
+def helix_stability(amplitude: float = 0.01, T: float = 50.0, n: int = 32) -> StabilitySeries:
+    """Evolve tau0 = 1 + amplitude*sin(s) at unit curvature and record S(t)
+    at 1001 equally spaced times of [0, T].
 
     The default mesh of 32 points fully resolves a single-mode perturbation
     of this size: nonlinearity feeds harmonic k at roughly amplitude^k, which
@@ -200,7 +203,7 @@ def helix_stability(amplitude: float = 0.01, T: float = 50.0, n: int = 32,
     """
     s = periodic_grid(n)
     tau0 = TorsionField(1.0 + amplitude * np.sin(s))
-    times = np.linspace(0.0, T, n_frames)
+    times = np.linspace(0.0, T, 1001)
     fields = torsion_evolve(tau0, UNIT_CURVATURE, T, output_times=times[1:])
     values = [l2_norm(tau0.samples - 1.0)]
     values.extend(l2_norm(f.samples - 1.0) for f in fields)
@@ -215,13 +218,13 @@ class QuasiPeriodResult:
     distances: np.ndarray
 
 
-def quasi_period(times, fields: list[TorsionField], window_start: float = 0.5) -> QuasiPeriodResult:
+def quasi_period(times, fields: list[TorsionField]) -> QuasiPeriodResult:
     """First near-recurrence time of the evolved torsion.
 
-    t* minimizes ||tau(., t) - tau(., 0)||_2 over sampled times beyond
-    ``window_start``, refined by a parabola through the discrete minimum. A
-    run whose distance series never leaves the noise floor is reported as
-    stationary with t* at the window start.
+    t* minimizes ||tau(., t) - tau(., 0)||_2 over sampled times from
+    ``RECURRENCE_WINDOW_START`` on, refined by a parabola through the
+    discrete minimum. A run whose distance series never leaves the noise
+    floor is reported as stationary with t* at the window start.
     """
     times = np.asarray(times, dtype=float)
     if len(fields) != times.size or times.size < 5:
@@ -232,10 +235,10 @@ def quasi_period(times, fields: list[TorsionField], window_start: float = 0.5) -
     osc = l2_norm(base - float(np.mean(base)))
     noise = max(1e-3 * osc, 1e-8 * l2_norm(base))
     if float(np.max(dists)) < noise:
-        return QuasiPeriodResult(t_star=float(window_start), stationary=True,
+        return QuasiPeriodResult(t_star=RECURRENCE_WINDOW_START, stationary=True,
                                  times=times, distances=dists)
 
-    mask = times >= window_start
+    mask = times >= RECURRENCE_WINDOW_START
     if not np.any(mask):
         raise DetectionError("no frames beyond the search window start")
     idx_window = np.nonzero(mask)[0]

@@ -11,13 +11,16 @@ trustworthy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import IntegrationError
 from ..numerics import StepControl, integrate_ode, trig_interpolant
 from .core import CurvatureProfile, TorsionField
+
+FRENET_CONTROL = StepControl(initial_step=1e-3, abs_tol=1e-11, rel_tol=1e-11)
+FRAME_DRIFT_TOL = 1e-6  # largest orthonormality drift of the frame before correction
 
 
 @dataclass
@@ -56,10 +59,6 @@ class ReconstructedCurve:
     binormals: np.ndarray
     frame_drift: float = 0.0
 
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.positions[-1]
-
 
 def _orthonormalize(T, N, B):
     T = T / np.linalg.norm(T)
@@ -71,16 +70,13 @@ def _orthonormalize(T, N, B):
 
 
 def frenet_reconstruct(kappa: CurvatureProfile, tau: TorsionField,
-                       init: FrenetState | None = None,
                        s_span: tuple[float, float] = (0.0, 4.0 * math.pi),
-                       n_samples: int = 513,
-                       ctrl: StepControl | None = None,
-                       drift_tol: float = 1e-6) -> ReconstructedCurve:
-    """Integrate the Frenet system at the constant curvature ``kappa``; the
-    torsion is evaluated by trigonometric interpolation of its periodic
-    samples. A curvature that varies along the curve is not supported."""
-    init = init or FrenetState.standard()
-    ctrl = ctrl or StepControl(initial_step=1e-3, abs_tol=1e-11, rel_tol=1e-11)
+                       n_samples: int = 513) -> ReconstructedCurve:
+    """Integrate the Frenet system at the constant curvature ``kappa`` from
+    the standard frame at the origin, at ``FRENET_CONTROL``; the torsion is
+    evaluated by trigonometric interpolation of its periodic samples. A
+    curvature that varies along the curve is not supported."""
+    init = FrenetState.standard()
     tau_of = trig_interpolant(tau.samples)
     k = kappa.constant
 
@@ -98,14 +94,14 @@ def frenet_reconstruct(kappa: CurvatureProfile, tau: TorsionField,
     out[0] = y
     drift = 0.0
     for i in range(1, n_samples):
-        traj = integrate_ode(rhs, y, (grid[i - 1], grid[i]), ctrl)
+        traj = integrate_ode(rhs, y, (grid[i - 1], grid[i]), FRENET_CONTROL)
         y = traj.y_end.copy()
         frame = y[3:].reshape(3, 3)
         gram = frame @ frame.T
         drift = max(drift, float(np.max(np.abs(gram - np.eye(3)))))
-        if drift > drift_tol:
+        if drift > FRAME_DRIFT_TOL:
             raise IntegrationError(
-                f"frame orthonormality drift {drift:.3g} exceeds {drift_tol} "
+                f"frame orthonormality drift {drift:.3g} exceeds {FRAME_DRIFT_TOL} "
                 f"at s={grid[i]:.4f}")
         T, N, B = _orthonormalize(frame[0], frame[1], frame[2])
         y[3:6], y[6:9], y[9:12] = T, N, B

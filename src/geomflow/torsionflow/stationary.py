@@ -22,6 +22,8 @@ from ..numerics import (StepControl, find_root, integrate_ode,
                         integrate_singular, periodic_grid)
 from .core import TWO_PI, TorsionField
 
+CLOSURE_TOL = 1e-6  # largest distance of 2*pi / (orbit period) from a whole number
+
 
 def stationary_torsion(C: float, k_shift: float = 0.0, sign: int = +1,
                        n: int = 256) -> TorsionField:
@@ -68,13 +70,13 @@ def _orbit_turning_points(A: float, C: float) -> tuple[float, float]:
     return u_min, u_max
 
 
-def stationary_torsion_general(A: float, C: float, n: int = 256,
-                               closure_tol: float = 1e-6) -> TorsionField:
+def stationary_torsion_general(A: float, C: float, n: int = 256) -> TorsionField:
     """Stationary profile by quadrature of the reduced first-order equation.
 
     The orbit of u oscillates between the turning points; its s-period must
-    divide 2*pi for the profile to live on the periodic mesh, otherwise the
-    constants are rejected. The profile is phased so tau is maximal at s = 0.
+    divide 2*pi to within ``CLOSURE_TOL`` cycles for the profile to live on
+    the periodic mesh, otherwise the constants are rejected. The profile is
+    phased so tau is maximal at s = 0.
     """
     u_min, u_max = _orbit_turning_points(A, C)
 
@@ -86,7 +88,7 @@ def stationary_torsion_general(A: float, C: float, n: int = 256,
     orbit_period = 2.0 * half_period
     cycles = TWO_PI / orbit_period
     m = round(cycles)
-    if m < 1 or abs(cycles - m) > closure_tol:
+    if m < 1 or abs(cycles - m) > CLOSURE_TOL:
         raise ConstructionError(
             f"orbit period {orbit_period:.12g} does not divide 2*pi "
             f"({cycles:.9g} cycles); the profile cannot close on the mesh")

@@ -15,7 +15,6 @@ territory instead of the interpolant's own h^3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -1,0 +1,75 @@
+"""Independent oracles the tests hold the library to.
+
+- ``group_mul`` and ``group_inv``: the group law of the solvable family,
+  which the library never needs (it integrates in the left-invariant frame).
+- ``concatenation_endpoint``: the paper's concatenation product, an endpoint
+  of a geodesic that shares no code with the frame ODE of ``geodesic``.
+- ``spectral_derivative`` and ``fd4_derivative``: derivatives of samples on
+  a uniform periodic mesh, by Fourier collocation and by fourth-order central
+  differences.
+"""
+
+import math
+
+import numpy as np
+
+from geomflow.geoflow import TIGHT, structure_field
+from geomflow.numerics import integrate_ode
+
+
+def group_mul(p, q, alpha):
+    """Product p * q = (q_x e^{p_z} + p_x, q_y e^{-a p_z} + p_y, q_z + p_z)."""
+    return np.array([
+        q[0] * math.exp(p[2]) + p[0],
+        q[1] * math.exp(-alpha * p[2]) + p[1],
+        q[2] + p[2],
+    ])
+
+
+def group_inv(p, alpha):
+    """Inverse element: p * inv(p) is the identity (0, 0, 0)."""
+    return np.array([
+        -p[0] * math.exp(-p[2]),
+        -p[1] * math.exp(alpha * p[2]),
+        -p[2],
+    ])
+
+
+def concatenation_endpoint(v0, alpha, T, n_steps=1_000_000):
+    """Endpoint of the geodesic from the identity with unit tangent v0 and
+    length T, as the product (eps*lambda_1) * ... * (eps*lambda_n) of small
+    group elements along the flowline lambda of the structure field, sampled
+    at the midpoints of n equal subintervals. The group law collapses the
+    left-folded product to prefix sums, so the whole product is three
+    cumulative sums."""
+    traj = integrate_ode(lambda t, v: structure_field(v, alpha), np.asarray(v0, dtype=float),
+                         (0.0, T), TIGHT, dense=True)
+    eps = T / n_steps
+    lam = traj.sample((np.arange(n_steps) + 0.5) * eps)
+    a, b, c = eps * lam[:, 0], eps * lam[:, 1], eps * lam[:, 2]
+    z_prefix = np.concatenate([[0.0], np.cumsum(c)[:-1]])
+    return np.array([np.sum(a * np.exp(z_prefix)), np.sum(b * np.exp(-alpha * z_prefix)),
+                     np.sum(c)])
+
+
+def spectral_derivative(samples, order=1):
+    """Derivative of the given order on [0, 2*pi): mode k times (ik)^order,
+    with the Nyquist mode dropped for odd orders so the result stays real."""
+    y = np.asarray(samples, dtype=float)
+    n = y.size
+    mult = (1j * np.fft.rfftfreq(n, d=1.0 / n)) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        mult[-1] = 0.0
+    return np.fft.irfft(np.fft.rfft(y) * mult, n=n)
+
+
+def fd4_derivative(samples, order):
+    """First or third derivative on [0, 2*pi) by fourth-order central differences."""
+    y = np.asarray(samples, dtype=float)
+    h = 2.0 * math.pi / y.size
+    if order == 1:
+        return (-np.roll(y, -2) + 8 * np.roll(y, -1) - 8 * np.roll(y, 1) + np.roll(y, 2)) / (12 * h)
+    if order == 3:
+        return (-np.roll(y, -3) + 8 * np.roll(y, -2) - 13 * np.roll(y, -1)
+                + 13 * np.roll(y, 1) - 8 * np.roll(y, 2) + np.roll(y, 3)) / (8 * h ** 3)
+    raise ValueError(f"no fd4 stencil of order {order}")

@@ -2,14 +2,19 @@
 
 import json
 import math
+import re
+import shlex
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geomflow.cli import main
-from geomflow.geoflow import SPHERE_CONTROL, TIGHT
+from geomflow.cli import build_parser, main
+from geomflow.geoflow import SLOPE_TOL, SPHERE_CONTROL, TIGHT, UNIT_TANGENT_TOL
+from geomflow.torsionflow import CLOSURE_TOL, FRAME_DRIFT_TOL, FRENET_CONTROL
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read_csv(path: Path):
@@ -75,17 +80,25 @@ class TestGeoCommands:
         assert all(line.startswith("v ") for line in obj)
 
     def test_manifests_record_step_control(self, tmp_path):
-        cases = [(["geo", "flowline", "--T", "1"], "geo_flowline", TIGHT),
+        # every control a command runs with is in its manifest's tolerances
+        cases = [(["geo", "flowline", "--T", "1"], "geo_flowline",
+                  {"step_control": asdict(TIGHT), "unit_tangent_tol": UNIT_TANGENT_TOL}),
                  (["geo", "sphere", "--R", "0.5", "--n-dirs", "100"], "geo_sphere",
-                  SPHERE_CONTROL)]
-        for argv, experiment, ctrl in cases:
+                  {"step_control": asdict(SPHERE_CONTROL)}),
+                 (["geo", "boundary", "--x0-min", "0.8", "--x0-max", "0.84"], "geo_boundary",
+                  {"step_control": asdict(TIGHT), "slope_tol": SLOPE_TOL}),
+                 (["torsion", "reconstruct", "--initial", "helix", "--n", "64",
+                   "--s-max", "1", "--samples", "5"], "torsion_reconstruct",
+                  {"step_control": asdict(FRENET_CONTROL), "frame_drift_tol": FRAME_DRIFT_TOL}),
+                 (["torsion", "stationary", "--n", "64"], "torsion_stationary",
+                  {"closure_tol": CLOSURE_TOL})]
+        for argv, experiment, tolerances in cases:
             out = tmp_path / experiment
             assert main([*argv, "--out", str(out)]) == 0
             manifest = json.loads((out / f"{experiment}_manifest.json").read_text())
-            assert manifest["tolerances"]["step_control"] == asdict(ctrl)
+            assert manifest["tolerances"] == tolerances
 
     def test_typed_tangent_manifests_record_its_tolerance(self, tmp_path):
-        from geomflow.geoflow import UNIT_TANGENT_TOL
         for argv, experiment in [(["geo", "flowline", "--T", "0.5"], "geo_flowline"),
                                  (["geo", "geodesic", "--T", "0.5", "--samples", "11"],
                                   "geo_geodesic")]:
@@ -171,21 +184,23 @@ class TestCsfCommands:
 
 
     def test_manifest_records_stop_rule_and_steps(self, tmp_path):
-        from geomflow.csf import CFL, RECORD_SHRINK, StopRule
+        from geomflow.csf import CFL, LENGTH_FLOOR, RECORD_SHRINK, StopRule
         out = tmp_path / "csf"
         assert main(["csf", "run", "--n", "128", "--T", "0.002",
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "csf_run_manifest.json").read_text())
         assert manifest["tolerances"] == {
             "cfl": CFL, "record_shrink": RECORD_SHRINK,
-            "stop_rule": asdict(StopRule(time=0.002, kmax_spacing=None))}
+            "stop_rule": {**asdict(StopRule(time=0.002, kmax_spacing=None)),
+                          "length_floor_rel": LENGTH_FLOOR}}
         assert manifest["parameters"]["steps"] > 0
+        assert "curve" not in manifest["parameters"]
 
 
 class TestManifests:
     def test_parameters_hold_every_argument(self, tmp_path):
         cases = [(["csf", "run", "--n", "128", "--T", "0.002", "--record-dt", "0.001"],
-                  "csf_run", {"curve": "bernoulli", "scale": 1.0, "n": 128, "T": 0.002,
+                  "csf_run", {"scale": 1.0, "n": 128, "T": 0.002,
                               "kmax_spacing": None, "record_dt": 0.001}),
                  (["geo", "geodesic", "--T", "0.5", "--samples", "11"],
                   "geo_geodesic", {"alpha": 0.5, "vx": 0.55, "vy": 0.6,
@@ -235,3 +250,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit):
             main(["torsion", "evolve", "--initial", "garbage",
                   "--out", str(tmp_path)])
+
+
+def _readme_commands():
+    """Each ``geomflow ...`` line of README.md's fenced code blocks, as argv."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("geomflow ")]
+
+
+class TestReadme:
+    def test_commands_found(self):
+        assert len(_readme_commands()) >= 7
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_parses(self, argv):
+        # parsed only, not run: a flag the CLI no longer has fails here
+        build_parser().parse_args(argv)

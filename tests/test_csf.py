@@ -9,11 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from geomflow.csf.curve import _three_point, edge_lengths, row_lengths
+from geomflow.csf.curve import _check_concinnity, _three_point, edge_lengths, row_lengths
 from geomflow.errors import ConstructionError, ResolutionError, TopologyError
 from geomflow.csf import (MIN_TIP_POINTS, PlaneCurve, StopRule, affine_rescale_and_bowtie,
-                          axis_shrink_products, comparison_solution, csf_evolve,
-                          curvature_and_angles, curve_geometry, curve_length,
+                          axis_shrink_products, csf_evolve, curvature_and_angles,
+                          curvature_vector, curve_geometry, curve_length,
                           grim_reaper_check, grim_reaper_profile_error, lobe_areas,
                           make_concinnous_eight, reaper_profile_defect, resample_uniform,
                           resolvable_frames, self_intersection, theta_monotonicity_series,
@@ -23,6 +23,21 @@ from geomflow.csf import (MIN_TIP_POINTS, PlaneCurve, StopRule, affine_rescale_a
 def unit_circle(n=256, r=1.0):
     th = (np.arange(n) + 0.5) * 2 * math.pi / n
     return PlaneCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]))
+
+
+def parametric_curve(xy_of_t, n_points):
+    """The closed curve t -> (x, y) on [0, 2*pi), traced on 2^15 parameter
+    samples and resampled uniformly in chord length (half a cell from the
+    start), so a custom figure-eight can enter the flow."""
+    t_dense = np.linspace(0.0, 2 * math.pi, 1 << 15, endpoint=False)
+    xy = np.array([xy_of_t(t) for t in t_dense], dtype=float)
+    chord = np.linalg.norm(np.diff(xy, axis=0, append=xy[:1]), axis=1)
+    s_cum = np.concatenate([[0.0], np.cumsum(chord)])
+    targets = (np.arange(n_points) + 0.5) * s_cum[-1] / n_points
+    idx = np.searchsorted(s_cum, targets, side="right") - 1
+    frac = (targets - s_cum[idx]) / chord[idx]
+    nxt = (idx + 1) % t_dense.size
+    return PlaneCurve(xy[idx] + frac[:, None] * (xy[nxt] - xy[idx]))
 
 
 class TestCurveBasics:
@@ -97,25 +112,21 @@ class TestConcinnousEight:
             x = math.sqrt(2.0) * math.cos(t) / den
             return x, 0.8 * x * math.sin(t)
 
-        c = make_concinnous_eight(1.0, family="parametric", override=squashed,
-                                  n_points=256)
+        c = parametric_curve(squashed, 256)
+        _check_concinnity(c)
         a1, a2 = lobe_areas(c.points)
         assert abs(a1 - a2) < 1e-6
 
     def test_override_rejected_when_not_concinnous(self):
         # an embedded ellipse is not a figure-eight at all
         with pytest.raises(ConstructionError):
-            make_concinnous_eight(1.0, family="parametric",
-                                  override=lambda t: (2 * math.cos(t), math.sin(t)),
-                                  n_points=256)
+            _check_concinnity(parametric_curve(lambda t: (2 * math.cos(t), math.sin(t)), 256))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             make_concinnous_eight(-1.0)
         with pytest.raises(ValueError):
             make_concinnous_eight(1.0, n_points=64)
-        with pytest.raises(ValueError):
-            make_concinnous_eight(1.0, family="unknown")
 
 
 def _reference_spline(values, period):
@@ -247,8 +258,7 @@ class TestThetaSeries:
             y = x * math.sin(t)
             return x, y + 0.1 * x * x
 
-        curve = make_concinnous_eight(1.0, family="parametric", override=bent,
-                                      n_points=256, check=False)
+        curve = parametric_curve(bent, 256)
         a1, a2 = lobe_areas(curve.points)
         assert abs(a1 - a2) < 1e-6
         run = csf_evolve(curve, StopRule(time=0.03, kmax_spacing=None),
@@ -260,41 +270,6 @@ class TestThetaSeries:
                          record_dt=0.005)
         with pytest.raises(TopologyError):
             theta_monotonicity_series(run.times, run.diagnostics)
-
-
-class TestComparisonSolution:
-    def test_initial_limit_at_origin(self):
-        # away from the step, the profile starts at zero
-        assert comparison_solution(0.0, 1e-12, 1.0) == pytest.approx(0.0, abs=1e-30)
-
-    def test_center_value_formula(self):
-        from geomflow.numerics import erfc
-        M, t = 0.7, 0.3
-        expected = (math.pi / 4.0) * erfc(math.sqrt(M) / (math.sqrt(2) * math.sqrt(t)))
-        assert comparison_solution(0.0, t, M) == pytest.approx(expected, rel=1e-14)
-
-    def test_range(self):
-        for x in np.linspace(-3, 3, 31):
-            for t in (0.01, 0.5, 5.0):
-                v = comparison_solution(float(x), t, 1.0)
-                assert 0.0 <= v <= math.pi / 4 + 1e-12
-
-    def test_heat_equation_residual(self):
-        # finite-difference residual of f_t = f_xx / 2 on a grid
-        M, t, h, dt = 1.0, 0.4, 1e-3, 1e-6
-        worst = 0.0
-        for x in np.linspace(-2.0, 2.0, 21):
-            ft = (comparison_solution(x, t + dt, M) - comparison_solution(x, t - dt, M)) / (2 * dt)
-            fxx = (comparison_solution(x + h, t, M) - 2 * comparison_solution(x, t, M)
-                   + comparison_solution(x - h, t, M)) / (h * h)
-            worst = max(worst, abs(ft - 0.5 * fxx))
-        assert worst < 1e-6
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            comparison_solution(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            comparison_solution(0.0, 1.0, -1.0)
 
 
 class TestGrimReaper:
@@ -423,6 +398,13 @@ class TestFrameRecord:
             k, theta = curvature_and_angles(P)
             assert np.array_equal(k, _reference_signed_curvature(P))
             assert np.array_equal(theta, _reference_tangent_angles(P))
+
+    def test_curvature_vector_matches_three_point_stencil(self, collapse_run):
+        # the step's velocity from its measured gaps has the bits of the
+        # second derivative of the full stencil
+        curves = [unit_circle(256).points] + [f.points for f in collapse_run.frames[::10]]
+        for P in curves:
+            assert np.array_equal(curvature_vector(P, edge_lengths(P)), _three_point(P)[1])
 
     def test_resolvable_frames_match_per_frame_measurement(self, collapse_run):
         idxs = resolvable_frames(collapse_run)

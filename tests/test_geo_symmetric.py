@@ -5,14 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from geomflow.errors import DetectionError
 from geomflow.geoflow import (boundary_curve, bounding_box_scan, dP_dx0,
                               g_function_check, geodesic, perfect_vector_checks,
                               symmetric_system, variational_residuals,
                               variational_system)
-from geomflow.numerics import StepControl
-
-TIGHT = StepControl(initial_step=1e-3, abs_tol=3e-14, rel_tol=3e-14)
 
 
 class TestSymmetricSystem:
@@ -56,14 +52,14 @@ class TestVariationalSystem:
         (0.25, 0.7), (0.25, 0.9), (0.5, 0.8), (0.75, 0.9), (1.0, 0.8),
     ])
     def test_algebraic_identities(self, alpha, x0):
-        run = variational_system(x0, alpha, TIGHT)
+        run = variational_system(x0, alpha)
         res = variational_residuals(run)
         assert res["sphere_orthogonality"] < 1e-8
         assert res["endpoint_identity"] < 1e-8
         assert res["bar_orthogonality"] < 1e-8
 
     def test_bar_initial_conditions(self):
-        run = variational_system(0.8, 0.5, TIGHT)
+        run = variational_system(0.8, 0.5)
         u0 = run.trajectory.states[0]
         assert u0[5] == 1.0
         assert u0[6] == pytest.approx(-0.8 / math.sqrt(1 - 0.64))
@@ -71,9 +67,9 @@ class TestVariationalSystem:
     def test_bars_track_finite_differences(self):
         # independent check: bars vs central differences of neighboring runs
         alpha, x0, h = 0.5, 0.8, 1e-6
-        run = variational_system(x0, alpha, TIGHT)
-        lo = symmetric_system(x0 - h, alpha, TIGHT)
-        hi = symmetric_system(x0 + h, alpha, TIGHT)
+        run = variational_system(x0, alpha)
+        lo = symmetric_system(x0 - h, alpha)
+        hi = symmetric_system(x0 + h, alpha)
         t_probe = 0.5 * run.rho
         fd = (hi.sample(t_probe) - lo.sample(t_probe)) / (2 * h)
         bars = run.sample(t_probe)[5:]

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomflow.errors import BracketError
 from geomflow.numerics import (MonotoneCubic, PeriodicCubicSpline, StepControl,
-                               cyclic_shift, elliptic_K, erfc, find_root,
-                               integrate_ode, integrate_singular,
-                               periodic_derivative, periodic_grid,
+                               cyclic_shift, elliptic_K, find_root,
+                               integrate_ode, integrate_singular, periodic_grid,
                                periodic_primitive, trig_interp, trig_interpolant)
+from oracles import fd4_derivative, spectral_derivative
 
 
 class TestIntegrateOde:
@@ -39,7 +40,7 @@ class TestIntegrateOde:
     def test_event_detection(self):
         tr = integrate_ode(lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.0], (0.0, 10.0),
                            StepControl(abs_tol=1e-12, rel_tol=1e-12),
-                           event=lambda t, y: y[0], event_direction=-1)
+                           event=lambda t, y: y[0])
         assert tr.event_time == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_dense_output_sampling(self):
@@ -92,27 +93,6 @@ class TestEllipticK:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 elliptic_K(bad)
-
-
-class TestErfc:
-    def test_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_tail(self):
-        v = erfc(10.0)
-        assert 0.0 < v < 1e-40
-
-    def test_against_quadrature_oracle(self):
-        special = pytest.importorskip("scipy.special")
-        assert erfc(1.0) == pytest.approx(float(special.erfc(1.0)), rel=1e-12)
-
-    def test_reflection(self):
-        for x in (0.2, 0.9, 1.7, 3.0):
-            assert erfc(-x) == pytest.approx(2.0 - erfc(x), abs=1e-15)
-
-    def test_matches_stdlib(self):
-        for x in np.linspace(-4.0, 6.0, 41):
-            assert erfc(float(x)) == pytest.approx(math.erfc(x), rel=1e-12, abs=1e-300)
 
 
 class TestFindRoot:
@@ -178,39 +158,71 @@ class TestIntegrateSingular:
 
 
 class TestPeriodicDerivative:
+    """The derivative oracles of ``oracles.py`` against closed forms, before
+    they check the library."""
+
     def test_first_derivative_of_sine(self):
         s = periodic_grid(64)
-        err = np.max(np.abs(periodic_derivative(np.sin(s), 1) - np.cos(s)))
+        err = np.max(np.abs(spectral_derivative(np.sin(s), 1) - np.cos(s)))
         assert err < 1e-10
 
     def test_constant_annihilated(self):
         c = np.full(32, 2.7)
         for order in (1, 2, 3):
-            assert np.max(np.abs(periodic_derivative(c, order))) < 1e-12
+            assert np.max(np.abs(spectral_derivative(c, order))) < 1e-12
 
     def test_third_derivative_of_sine(self):
         s = periodic_grid(64)
-        err = np.max(np.abs(periodic_derivative(np.sin(s), 3) + np.cos(s)))
+        err = np.max(np.abs(spectral_derivative(np.sin(s), 3) + np.cos(s)))
         assert err < 1e-8
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
         u, v = rng.standard_normal(64), rng.standard_normal(64)
-        lhs = periodic_derivative(2.0 * u + 3.0 * v, 1)
-        rhs = 2.0 * periodic_derivative(u, 1) + 3.0 * periodic_derivative(v, 1)
+        lhs = spectral_derivative(2.0 * u + 3.0 * v, 1)
+        rhs = 2.0 * spectral_derivative(u, 1) + 3.0 * spectral_derivative(v, 1)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_fd4_fallback(self):
         s = periodic_grid(128)
-        for order, exact in ((1, np.cos(s)), (2, -np.sin(s)), (3, -np.cos(s))):
-            err = np.max(np.abs(periodic_derivative(np.sin(s), order, method="fd4") - exact))
+        for order, exact in ((1, np.cos(s)), (3, -np.cos(s))):
+            err = np.max(np.abs(fd4_derivative(np.sin(s), order) - exact))
             assert err < 1e-5
 
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            periodic_derivative(np.zeros(16), 4)
-        with pytest.raises(ValueError):
-            periodic_derivative(np.zeros(4), 1)
+
+def _trig_polynomial(n, mean, modes):
+    """mean + sum over m of a_m cos(m s) + b_m sin(m s) on the n-point grid,
+    for the pairs (a_m, b_m) of ``modes`` below the Nyquist mode."""
+    s = periodic_grid(n)
+    ab = np.array(modes[:n // 2 - 1])
+    m = np.arange(1, ab.shape[0] + 1)[:, None]
+    return mean + np.sum(ab[:, :1] * np.cos(m * s) + ab[:, 1:] * np.sin(m * s), axis=0)
+
+
+_MESHES = st.sampled_from([16, 32, 64, 128, 256])
+_MODES = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=7)
+
+
+class TestPeriodicPrimitive:
+    """``periodic_primitive`` against the spectral derivative oracle, on
+    random trigonometric polynomials below the Nyquist mode."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=_MESHES, mean=st.floats(-5.0, 5.0), modes=_MODES)
+    def test_derivative_of_primitive_is_the_samples(self, n, mean, modes):
+        f = _trig_polynomial(n, mean, modes)
+        mean_got, osc = periodic_primitive(f)
+        assert mean_got == pytest.approx(mean, abs=1e-14)
+        assert osc[0] == 0.0
+        assert np.max(np.abs(mean_got + spectral_derivative(osc, 1) - f)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=_MESHES, modes=_MODES)
+    def test_primitive_of_derivative_is_the_oscillation(self, n, modes):
+        g = _trig_polynomial(n, 0.0, modes)
+        mean, osc = periodic_primitive(spectral_derivative(g, 1))
+        assert abs(mean) < 1e-12
+        assert np.max(np.abs(osc - (g - g[0]))) < 1e-12
 
 
 class TestPeriodicHelpers:

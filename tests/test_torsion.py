@@ -8,12 +8,13 @@ import pytest
 
 from geomflow.acceptance import linear_mode1_period
 from geomflow.errors import ConstructionError, PositivityError, SetupError
-from geomflow.numerics import StepControl, integrate_ode, periodic_derivative, periodic_grid
+from geomflow.numerics import StepControl, integrate_ode, periodic_grid
 from geomflow.torsionflow import (CurvatureProfile, FrenetState, TorsionField,
                                   UNIT_CURVATURE, cdf_transform_roundtrip,
                                   frenet_reconstruct, l2_norm, linearized_solution,
                                   stationary_torsion, stationary_torsion_general,
                                   tau_one, torsion_invariants, torsion_rhs)
+from oracles import fd4_derivative, spectral_derivative
 
 
 def five_fft_rhs(tau, kappa):
@@ -62,9 +63,8 @@ class TestTorsionRhs:
         tau = TorsionField(10.0 + np.sin(s) / 2.0)
         spec = torsion_rhs(tau)
         u = tau.samples ** -0.5
-        fd = (periodic_derivative(u, 1, method="fd4")
-              + periodic_derivative(u, 3, method="fd4")
-              - periodic_derivative(tau.samples ** 1.5, 1, method="fd4"))
+        fd = (fd4_derivative(u, 1) + fd4_derivative(u, 3)
+              - fd4_derivative(tau.samples ** 1.5, 1))
         assert np.max(np.abs(spec - fd)) < 1e-4
 
     @pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
@@ -147,7 +147,7 @@ class TestLinearized:
         t_end = 0.5
 
         def rhs(t, w):
-            return -2.0 * periodic_derivative(w, 1) - 0.5 * periodic_derivative(w, 3)
+            return -2.0 * spectral_derivative(w, 1) - 0.5 * spectral_derivative(w, 3)
 
         cap = 2.8 / (0.5 * (n // 2) ** 3 + 2.0 * (n // 2))
         ctrl = StepControl(initial_step=cap, abs_tol=1e-11, rel_tol=1e-11,

@@ -235,14 +235,14 @@ class TestQuasiPeriod:
 
 class TestHelixStability:
     def test_initial_norm_value(self):
-        ser = helix_stability(amplitude=0.01, T=0.2, n_frames=21)
+        ser = helix_stability(amplitude=0.01, T=0.2)
         assert ser.initial == pytest.approx(math.sqrt(math.pi) / 100.0, abs=1e-9)
         assert ser.initial == pytest.approx(0.0177245, abs=1e-6)
 
     def test_zero_amplitude(self):
-        ser = helix_stability(amplitude=0.0, T=0.2, n_frames=11)
+        ser = helix_stability(amplitude=0.0, T=0.2)
         assert ser.peak < 1e-10
 
     def test_short_run_stays_bounded(self):
-        ser = helix_stability(amplitude=0.01, T=2.0, n_frames=101)
+        ser = helix_stability(amplitude=0.01, T=2.0)
         assert ser.peak <= 2.0 * ser.initial
