@@ -104,7 +104,7 @@ def check_02_closed_form_cross_check() -> CheckResult:
     worst = 0.0
     for alpha in (1.0, 0.5):
         for beta in np.arange(0.1, 0.95, 0.1):
-            num = period_numeric(alpha, float(beta), tol=1e-10).period
+            num = period_numeric(alpha, float(beta)).period
             closed = period_closed_form(alpha, float(beta)).period
             worst = max(worst, abs(num - closed))
     return _verdict(2, "period numeric vs closed form (1e-6)",
@@ -188,7 +188,7 @@ def check_08_perfect_vectors() -> CheckResult:
     worst = {"partner": 0.0, "z": 0.0, "collinearity": 0.0, "holonomy": 0.0}
     for alpha in (0.5, 1.0):
         for beta in (0.5, 0.8):
-            rep = perfect_vector_checks(alpha, beta=beta)
+            rep = perfect_vector_checks(alpha, beta)
             worst["partner"] = max(worst["partner"], rep.partner_mismatch)
             worst["z"] = max(worst["z"], rep.endpoint_z)
             worst["collinearity"] = max(worst["collinearity"], rep.collinearity_defect)

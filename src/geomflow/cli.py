@@ -227,8 +227,9 @@ def cmd_torsion_reconstruct(args) -> int:
 # ----------------------------------------------------------------- geo runs
 
 def cmd_geo_period(args) -> int:
-    from .geoflow import PERIOD_TOL, period_closed_form, period_numeric
-    writer = _writer(args, {"tol": PERIOD_TOL})
+    from .geoflow import period_closed_form, period_numeric
+    from .numerics import QUAD_TOL
+    writer = _writer(args, {"tol": QUAD_TOL})
     rows = []
     rec = period_numeric(args.alpha, args.beta)
     rows.append([rec.alpha, rec.beta, rec.t0, rec.t1, rec.period, rec.source])
@@ -241,8 +242,9 @@ def cmd_geo_period(args) -> int:
 
 
 def cmd_geo_period_table(args) -> int:
-    from .geoflow import PERIOD_TOL, period_numeric
-    writer = _writer(args, {"tol": PERIOD_TOL})
+    from .geoflow import period_numeric
+    from .numerics import QUAD_TOL
+    writer = _writer(args, {"tol": QUAD_TOL})
     alphas = [round(0.1 * k, 10) for k in range(1, 11)]
     rows = [[a, period_numeric(a, args.beta).period, math.pi * math.sqrt(2.0) / math.sqrt(a)]
             for a in alphas]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConstructionError, TopologyError
+from ..errors import ConstructionError, SetupError, TopologyError
 from ..numerics import cyclic_shift
 
 TWO_PI = 2.0 * math.pi
@@ -375,9 +375,9 @@ def make_concinnous_eight(scale: float = 1.0, n_points: int = 512) -> PlaneCurve
     curvature stays bounded away from zero except near the double point).
     """
     if scale <= 0.0:
-        raise ValueError("scale must be positive")
+        raise SetupError("scale must be positive")
     if n_points < 128:
-        raise ValueError("need at least 128 points")
+        raise SetupError("need at least 128 points")
     m = n_points // 4
     quarter_len = quarter_arc_length(scale)
     h = quarter_len / m

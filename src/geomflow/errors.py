@@ -37,8 +37,10 @@ class ConstructionError(GeomflowError):
     """A curve or field constructor received parameters it cannot honor."""
 
 
-class SetupError(GeomflowError):
-    """Inputs are mutually inconsistent (e.g. tangent not on the claimed level set)."""
+class SetupError(GeomflowError, ValueError):
+    """Inputs are out of range or mutually inconsistent (e.g. tangent not on
+    the claimed level set). Also a ValueError, so that callers which catch
+    bad arguments as ValueError keep working."""
 
 
 class DetectionError(GeomflowError):

@@ -8,8 +8,7 @@ from .geodesic import (CYLINDER_SETUP_TOL, SPHERE_CONTROL, GeodesicPath, cylinde
 from .group import (CurvatureData, check_alpha, covariant_self_derivative,
                     curvature_data, scalar_curvature)
 from .perfect import PerfectVectorReport, perfect_vector_checks
-from .periods import (PERIOD_TOL, PeriodRecord, endpoint_times, period, period_closed_form,
-                      period_numeric)
+from .periods import PeriodRecord, endpoint_times, period, period_closed_form, period_numeric
 from .structure import (TIGHT, UNIT_TANGENT_TOL, VARIATIONAL_CONTROL, Flowline,
                         admissible_x0_interval, beta_from_x0, flow_tangent, level_value,
                         structure_field, unit_tangent, v_beta)
@@ -20,7 +19,7 @@ from .symmetric import (FD_STEP, PASS_FLOOR, SLOPE_TOL, BoundaryCurve, BoundaryP
 
 __all__ = [
     "BoundaryCurve", "BoundaryPoint", "BoxScanRecord", "CYLINDER_SETUP_TOL", "CurvatureData",
-    "FD_STEP", "Flowline", "GCheckPoint", "GeodesicPath", "PASS_FLOOR", "PERIOD_TOL",
+    "FD_STEP", "Flowline", "GCheckPoint", "GeodesicPath", "PASS_FLOOR",
     "PerfectVectorReport", "PeriodRecord", "SLOPE_TOL", "SPHERE_CONTROL", "SymmetricRun",
     "TIGHT", "UNIT_TANGENT_TOL", "VARIATIONAL_CONTROL",
     "admissible_x0_interval", "beta_from_x0", "boundary_curve", "bounding_box_scan", "check_alpha",

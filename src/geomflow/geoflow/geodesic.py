@@ -131,9 +131,9 @@ def geodesic_sphere(alpha: float, R: float,
     each geodesic integrated at ``SPHERE_CONTROL``."""
     check_alpha(alpha)
     if R <= 0.0:
-        raise ValueError("radius must be positive")
+        raise SetupError("radius must be positive")
     if n_dirs < 100:
-        raise ValueError("need at least 100 directions for a meaningful cloud")
+        raise SetupError("need at least 100 directions for a meaningful cloud")
     dirs = fibonacci_directions(n_dirs)
     ends = np.empty_like(dirs)
     for j, d in enumerate(dirs):

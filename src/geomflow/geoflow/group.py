@@ -18,16 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import SetupError
+
 _BASIS = ("X", "Y", "Z")
 
 
 def check_alpha(alpha: float, lo: float = -1.0, hi: float = 1.0, *, open_lo: bool = False) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+        raise SetupError("alpha must be finite")
     if alpha > hi or alpha < lo or (open_lo and alpha == lo):
         lo_br = "(" if open_lo else "["
-        raise ValueError(f"alpha={alpha} outside admissible range {lo_br}{lo}, {hi}]")
+        raise SetupError(f"alpha={alpha} outside admissible range {lo_br}{lo}, {hi}]")
     return alpha
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .geodesic import geodesic
 from .group import check_alpha
 from .periods import period
-from .structure import TIGHT, beta_from_x0, flow_tangent, v_beta
+from .structure import TIGHT, flow_tangent, v_beta
 
 
 def _holonomy(endpoint: np.ndarray, alpha: float) -> float:
@@ -38,21 +38,16 @@ class PerfectVectorReport:
     holonomy_mismatch: float
 
 
-def perfect_vector_checks(alpha: float, beta: float | None = None,
-                          x0: float | None = None) -> PerfectVectorReport:
-    """Run the full slate of perfect-vector identities for one loop level set.
+def perfect_vector_checks(alpha: float, beta: float) -> PerfectVectorReport:
+    """Run the full slate of perfect-vector identities for the loop level set
+    of ``beta``.
 
-    Exactly one of ``beta`` or ``x0`` selects the loop. The partner endpoints
-    come from two independent geodesic integrations of length P at
-    ``TIGHT``; the holonomy
-    is compared between circuits started at V_beta and at a point reached by
-    flowing 30% of the way around the loop.
+    The partner endpoints come from two independent geodesic integrations of
+    length P at ``TIGHT``; the holonomy is compared between circuits started
+    at V_beta and at a point reached by flowing 30% of the way around the
+    loop.
     """
     check_alpha(alpha, 0.0, 1.0, open_lo=True)
-    if (beta is None) == (x0 is None):
-        raise ValueError("specify exactly one of beta or x0")
-    if beta is None:
-        beta = beta_from_x0(x0, alpha)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta={beta} outside (0, 1)")
 

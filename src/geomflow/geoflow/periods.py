@@ -22,8 +22,6 @@ from ..errors import BracketError
 from ..numerics import elliptic_K, find_root, integrate_singular
 from .group import check_alpha
 
-PERIOD_TOL = 1e-10  # default tolerance of the period quadrature
-
 
 @dataclass
 class PeriodRecord:
@@ -48,8 +46,8 @@ def _radicand(alpha: float, beta: float):
     return R
 
 
-def _grow_bracket(f, hi0: float = 1e-3) -> float:
-    hi = hi0
+def _grow_bracket(f) -> float:
+    hi = 1e-3  # first trial endpoint, doubled until f changes sign
     for _ in range(80):
         if f(hi) < 0.0:
             return hi
@@ -66,8 +64,9 @@ def endpoint_times(alpha: float, beta: float) -> tuple[float, float]:
     return t0, t1
 
 
-def period_numeric(alpha: float, beta: float, tol: float = PERIOD_TOL) -> PeriodRecord:
-    """Period by de-singularized quadrature of the defining integral."""
+def period_numeric(alpha: float, beta: float) -> PeriodRecord:
+    """Period by de-singularized quadrature of the defining integral, to the
+    quadrature's ``QUAD_TOL``."""
     check_alpha(alpha, 0.0, 1.0, open_lo=True)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta={beta} outside (0, 1)")
@@ -85,7 +84,7 @@ def period_numeric(alpha: float, beta: float, tol: float = PERIOD_TOL) -> Period
             r = 1e-300
         return 2.0 / math.sqrt(r)
 
-    period = integrate_singular(integrand, -t1, t0, tol)
+    period = integrate_singular(integrand, -t1, t0)
     return PeriodRecord(alpha=alpha, beta=beta, t0=t0, t1=t1, period=period, source="numeric")
 
 

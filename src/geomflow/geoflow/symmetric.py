@@ -91,7 +91,7 @@ def _predicted_half_period(x0: float, alpha: float) -> tuple[float, float]:
 
 def _integrate_to_return(rhs, y0, alpha, x0, ctrl):
     beta, predicted = _predicted_half_period(x0, alpha)
-    traj = integrate_ode(rhs, y0, (0.0, 10.0 * predicted), ctrl, dense=True,
+    traj = integrate_ode(rhs, y0, (0.0, 10.0 * predicted), ctrl,
                          event=lambda t, u: u[2], event_min_time=0.05 * predicted)
     if traj.event_time is None:
         raise DetectionError(f"no z-return within 10x the predicted half period "
@@ -250,11 +250,11 @@ def _period_of_x0(x0: float, alpha: float) -> float:
     return period(alpha, beta_from_x0(x0, alpha)).period
 
 
-def dP_dx0(x0: float, alpha: float = 0.5) -> tuple[float, float]:
-    """Richardson-extrapolated central difference of P(x0) with steps
-    ``FD_STEP`` and ``FD_STEP / 2``; returns (value, error est)."""
+def dP_dx0(x0: float) -> tuple[float, float]:
+    """Richardson-extrapolated central difference of P(x0) at alpha = 1/2 with
+    steps ``FD_STEP`` and ``FD_STEP / 2``; returns (value, error est)."""
     def central(h):
-        return (_period_of_x0(x0 + h, alpha) - _period_of_x0(x0 - h, alpha)) / (2.0 * h)
+        return (_period_of_x0(x0 + h, 0.5) - _period_of_x0(x0 - h, 0.5)) / (2.0 * h)
 
     d1 = central(FD_STEP)
     d2 = central(FD_STEP / 2.0)
@@ -273,7 +273,7 @@ def g_function_check(x0_grid=None) -> list[GCheckPoint]:
         x0_grid = np.linspace(0.59, 0.995, 28)
     out = []
     for x0 in np.atleast_1d(np.asarray(x0_grid, dtype=float)):
-        d, err = dP_dx0(float(x0), 0.5)
+        d, err = dP_dx0(float(x0))
         envelope = math.pi * (0.5 / math.sqrt(x0) + 2.0 * x0 * math.sqrt(x0) / (1.0 - x0 * x0))
         g = d - envelope
         out.append(GCheckPoint(

@@ -3,16 +3,15 @@ finding, quadrature with endpoint singularities, and periodic (spectral)
 calculus.
 """
 
-from .interpolation import MonotoneCubic, PeriodicCubicSpline
+from .interpolation import PeriodicCubicSpline
 from .ode import StepControl, Trajectory, integrate_ode
-from .periodic import (cyclic_shift, periodic_grid, periodic_primitive, trig_interp,
-                       trig_interpolant)
-from .quadrature import integrate_singular
+from .periodic import cyclic_shift, periodic_grid, periodic_primitive, trig_interpolant
+from .quadrature import QUAD_TOL, integrate_singular
 from .roots import find_root
 from .special import elliptic_K
 
 __all__ = [
-    "MonotoneCubic",
+    "QUAD_TOL",
     "PeriodicCubicSpline",
     "StepControl",
     "Trajectory",
@@ -23,6 +22,5 @@ __all__ = [
     "integrate_singular",
     "periodic_grid",
     "periodic_primitive",
-    "trig_interp",
     "trig_interpolant",
 ]

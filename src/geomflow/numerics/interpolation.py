@@ -1,7 +1,7 @@
-"""Interpolation helpers: periodic cubic splines and monotone cubics.
+"""Periodic cubic spline interpolation.
 
-Both are small classical constructions kept local so the package depends on
-nothing beyond numpy.
+A small classical construction kept local so the package depends on nothing
+beyond numpy.
 """
 
 from __future__ import annotations
@@ -86,61 +86,3 @@ def _interval_weights(h: float) -> np.ndarray:
     w.setflags(write=False)
     return w
 
-
-class MonotoneCubic:
-    """Shape-preserving (Fritsch-Carlson) cubic interpolant of monotone data.
-
-    Evaluation outside the knot range is refused.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.size != y.size or x.size < 3:
-            raise ValueError("need matching arrays of at least 3 points")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("x must be strictly increasing")
-        self.x = x
-        self.y = y
-        h = np.diff(x)
-        delta = np.diff(y) / h
-        d = np.zeros_like(y)
-        # interior: weighted harmonic mean of neighbor slopes where they agree in sign
-        mask = delta[:-1] * delta[1:] > 0
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        num = w1 + w2
-        den = np.ones_like(num)
-        den[mask] = w1[mask] / delta[:-1][mask] + w2[mask] / delta[1:][mask]
-        d[1:-1] = np.where(mask, num / den, 0.0)
-        d[0] = self._edge_slope(h[0], h[1], delta[0], delta[1])
-        d[-1] = self._edge_slope(h[-1], h[-2], delta[-1], delta[-2])
-        self.d = d
-        self.h = h
-        self.delta = delta
-
-    @staticmethod
-    def _edge_slope(h0, h1, d0, d1):
-        s = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-        if s * d0 <= 0:
-            return 0.0
-        if d0 * d1 < 0 and abs(s) > 3.0 * abs(d0):
-            return 3.0 * d0
-        return s
-
-    def __call__(self, s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if s_arr.min() < self.x[0] - 1e-9 or s_arr.max() > self.x[-1] + 1e-9:
-            raise ValueError("evaluation point outside the interpolation range")
-        s_arr = np.clip(s_arr, self.x[0], self.x[-1])
-        j = np.clip(np.searchsorted(self.x, s_arr, side="right") - 1, 0, self.x.size - 2)
-        h = self.h[j]
-        t = (s_arr - self.x[j]) / h
-        y0, y1 = self.y[j], self.y[j + 1]
-        d0, d1 = self.d[j], self.d[j + 1]
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        out = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-        return out[0] if np.ndim(s) == 0 else out

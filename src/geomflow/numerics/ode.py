@@ -61,14 +61,13 @@ class StepControl:
 class Trajectory:
     """Sampled solution of an ODE.
 
-    ``states[i]`` is the state at ``times[i]``. When ``dense`` is true the
-    stored node derivatives allow cubic Hermite interpolation between nodes
-    via :meth:`sample`.
+    ``states[i]`` is the state at ``times[i]``. A run that stores its nodes
+    also keeps the node derivatives ``derivs``, which allow cubic Hermite
+    interpolation between nodes via :meth:`sample`.
     """
 
     times: np.ndarray
     states: np.ndarray
-    dense: bool = False
     derivs: np.ndarray | None = None
     event_time: float | None = None
     event_state: np.ndarray | None = None
@@ -89,8 +88,8 @@ class Trajectory:
 
     def sample(self, t) -> np.ndarray:
         """Cubic Hermite interpolation at times ``t`` (scalar or array)."""
-        if not self.dense or self.derivs is None:
-            raise ValueError("trajectory was not stored with dense output")
+        if self.derivs is None:
+            raise ValueError("trajectory holds output-time samples, not nodes")
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.min() < self.times[0] - 1e-12 or t_arr.max() > self.times[-1] + 1e-12:
             raise ValueError("sample time outside the integrated span")
@@ -113,13 +112,30 @@ def _hermite(t, t0, h, y0, y1, f0, f1):
             + s * s * (3 - 2 * s) * y1 + s * s * (s - 1) * h * f1)
 
 
+def _event_crossing(event, event_min_time, t, h, y, y_new, f, f_new, g_prev, g_new):
+    """Time in (max(t, event_min_time), t + h] where ``event`` turns
+    nonpositive on the step's Hermite interpolant, bisected to ``_EVENT_TOL``;
+    None when the crossing lies before ``event_min_time``."""
+    lo, hi = max(t, event_min_time), t + h
+    g_lo = event(lo, _hermite(lo, t, h, y, y_new, f, f_new)) if lo > t else g_prev
+    if np.sign(g_lo) == np.sign(g_new):
+        return None
+    while hi - lo > _EVENT_TOL:
+        mid = 0.5 * (lo + hi)
+        g_mid = event(mid, _hermite(mid, t, h, y, y_new, f, f_new))
+        if np.sign(g_mid) == np.sign(g_lo) and g_mid != 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def integrate_ode(
     field: Callable[[float, np.ndarray], np.ndarray],
     y0,
     t_span: tuple[float, float],
     ctrl: StepControl | None = None,
     *,
-    dense: bool = False,
     output_times: Sequence[float] | None = None,
     event: Callable[[float, np.ndarray], float] | None = None,
     event_min_time: float = 0.0,
@@ -127,8 +143,8 @@ def integrate_ode(
     """Integrate ``y' = field(t, y)`` over ``t_span``.
 
     With ``output_times`` the trajectory holds exactly those samples
-    (interpolated on the fly); otherwise every accepted node is stored and
-    ``dense=True`` additionally keeps node derivatives for interpolation.
+    (interpolated on the fly); otherwise every accepted node is stored with
+    its derivative, for interpolation.
 
     ``event`` is a scalar functional of the state; integration stops at its
     first downward zero crossing (positive to nonpositive) after
@@ -205,48 +221,31 @@ def integrate_ode(
         if not np.all(np.isfinite(f_new)):
             raise IntegrationError(f"field returned non-finite values at t={t_new:.6g}")
 
+        t_end, y_end, f_end = t_new, y_new, f_new  # last point this step emits
         if event is not None:
             g_new = event(t_new, y_new)
-            crossed = t_new > event_min_time and g_prev > 0.0 and g_new <= 0.0
-            if crossed:
-                lo, hi = max(t, event_min_time), t_new
-                g_lo = event(lo, _hermite(lo, t, h, y, y_new, f, f_new)) if lo > t else g_prev
-                if np.sign(g_lo) == np.sign(g_new):
-                    crossed = False  # crossing happened before event_min_time
-                else:
-                    while hi - lo > _EVENT_TOL:
-                        mid = 0.5 * (lo + hi)
-                        g_mid = event(mid, _hermite(mid, t, h, y, y_new, f, f_new))
-                        if np.sign(g_mid) == np.sign(g_lo) and g_mid != 0.0:
-                            lo, g_lo = mid, g_mid
-                        else:
-                            hi = mid
-                    event_time = 0.5 * (lo + hi)
-                    event_state = _hermite(event_time, t, h, y, y_new, f, f_new)
-            if crossed:
-                if out_req is not None:
-                    while next_out < out_req.size and out_req[next_out] <= event_time + 1e-15:
-                        tq = float(out_req[next_out])
-                        out_ts.append(tq)
-                        out_vals.append(_hermite(tq, t, h, y, y_new, f, f_new))
-                        next_out += 1
-                ts.append(event_time)
-                ys.append(event_state.copy())
-                fs.append(np.asarray(field(event_time, event_state), dtype=float))
-                break
+            if t_new > event_min_time and g_prev > 0.0 and g_new <= 0.0:
+                event_time = _event_crossing(event, event_min_time, t, h, y, y_new, f, f_new,
+                                             g_prev, g_new)
+            if event_time is not None:
+                event_state = _hermite(event_time, t, h, y, y_new, f, f_new)
+                t_end, y_end = event_time, event_state
+                if out_req is None:
+                    f_end = np.asarray(field(event_time, event_state), dtype=float)
             g_prev = g_new
 
         if out_req is not None:
-            while next_out < out_req.size and out_req[next_out] <= t_new + 1e-15:
+            while next_out < out_req.size and out_req[next_out] <= t_end + 1e-15:
                 tq = float(out_req[next_out])
                 out_ts.append(tq)
                 out_vals.append(_hermite(tq, t, h, y, y_new, f, f_new))
                 next_out += 1
         else:
-            ts.append(t_new)
-            ys.append(y_new.copy())
-            if dense:
-                fs.append(f_new.copy())
+            ts.append(t_end)
+            ys.append(y_end.copy())
+            fs.append(f_end.copy())
+        if event_time is not None:
+            break
 
         t, y, f = t_new, y_new, f_new
         factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm ** (-0.2))
@@ -259,14 +258,9 @@ def integrate_ode(
         states = np.array(out_vals) if out_vals else np.empty((0, y.size))
         if times.size == 0:
             raise DetectionError("no output times fell inside the integrated span")
-        traj = Trajectory(times, states, dense=False)
+        traj = Trajectory(times, states)
     else:
-        traj = Trajectory(
-            np.array(ts),
-            np.array(ys),
-            dense=dense,
-            derivs=np.array(fs) if dense else None,
-        )
+        traj = Trajectory(np.array(ts), np.array(ys), derivs=np.array(fs))
     traj.event_time = event_time
     traj.event_state = event_state
     return traj

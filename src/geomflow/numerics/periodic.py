@@ -8,8 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def periodic_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
-    return period * np.arange(n) / n
+def periodic_grid(n: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(n) / n
 
 
 def cyclic_shift(a: np.ndarray, k: int) -> np.ndarray:
@@ -68,8 +68,3 @@ def trig_interpolant(samples: np.ndarray, period: float = 2.0 * np.pi):
 
     return interp
 
-
-def trig_interp(samples: np.ndarray, s, period: float = 2.0 * np.pi):
-    """Evaluate the trigonometric interpolant of periodic samples at points s
-    (``trig_interpolant`` for one use)."""
-    return trig_interpolant(samples, period)(s)

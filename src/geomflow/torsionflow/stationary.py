@@ -5,9 +5,10 @@ autonomous second-order equation u'' = A - u + u^{-3}; reduction of order
 gives u' = sqrt(C + 2Au - u^2 - u^{-2}). For A = 0 this integrates in closed
 form to
 
-    tau(s) = 2 / (C +- sqrt(C^2 - 4) sin(2(s + k))),    C >= 2,
+    tau(s) = 2 / (C + sqrt(C^2 - 4) sin(2 s)),    C >= 2
 
-and for general A the orbit between two simple turning points of the
+(up to a shift of s, which also covers the other sign of the sine), and for
+general A the orbit between two simple turning points of the
 radicand is integrated numerically and resampled onto the periodic mesh.
 """
 
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConstructionError
+from ..errors import ConstructionError, SetupError
 from ..numerics import (StepControl, find_root, integrate_ode,
                         integrate_singular, periodic_grid)
 from .core import TWO_PI, TorsionField
@@ -25,20 +26,18 @@ from .core import TWO_PI, TorsionField
 CLOSURE_TOL = 1e-6  # largest distance of 2*pi / (orbit period) from a whole number
 
 
-def stationary_torsion(C: float, k_shift: float = 0.0, sign: int = +1,
-                       n: int = 256) -> TorsionField:
-    """Closed-form stationary profile tau = 2/(C + sign*sqrt(C^2-4) sin(2(s+k)))."""
+def stationary_torsion(C: float, n: int = 256) -> TorsionField:
+    """Closed-form stationary profile tau = 2/(C + sqrt(C^2-4) sin(2s))."""
     if C < 2.0:
-        raise ValueError(f"need C >= 2 for a positive stationary profile, got {C}")
+        raise SetupError(f"need C >= 2 for a positive stationary profile, got {C}")
     s = periodic_grid(n)
     amp = math.sqrt(C * C - 4.0)
-    sgn = 1.0 if sign >= 0 else -1.0
-    return TorsionField(2.0 / (C + sgn * amp * np.sin(2.0 * (s + k_shift))))
+    return TorsionField(2.0 / (C + amp * np.sin(2.0 * s)))
 
 
 def tau_one(n: int = 256) -> TorsionField:
     """The reference non-constant stationary profile 2/(3 + sqrt(5) sin 2s)."""
-    return stationary_torsion(3.0, 0.0, +1, n)
+    return stationary_torsion(3.0, n)
 
 
 def _orbit_turning_points(A: float, C: float) -> tuple[float, float]:
@@ -84,7 +83,7 @@ def stationary_torsion_general(A: float, C: float, n: int = 256) -> TorsionField
         return C + 2.0 * A * u - u * u - u ** -2
 
     half_period = integrate_singular(lambda u: 1.0 / math.sqrt(max(g(u), 1e-300)),
-                                     u_min, u_max, 1e-10)
+                                     u_min, u_max)
     orbit_period = 2.0 * half_period
     cycles = TWO_PI / orbit_period
     m = round(cycles)

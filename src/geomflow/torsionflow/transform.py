@@ -7,10 +7,10 @@ their right endpoint so the periodicity identities (u(0) = u(M)) can be
 read off directly. The inverse chain reconstructs tau from z and the
 round-trip sup error is the fidelity measure of the whole construction.
 
-Inversions seed a monotone cubic interpolant of the sampled monotone map and
-polish each point with a few Newton steps on the trigonometric representation
-(exact for band-limited data), which is what pushes the round trip to 1e-10
-territory instead of the interpolant's own h^3.
+Inversions seed each point by linear interpolation of the sampled monotone
+map and polish it with ``NEWTON_ITERS`` Newton steps on the trigonometric
+representation (exact for band-limited data), which is what pushes the round
+trip to 1e-10 territory instead of the seed's own h^2.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PositivityError
-from ..numerics import MonotoneCubic, periodic_grid, periodic_primitive, trig_interp
+from ..numerics import periodic_grid, periodic_primitive, trig_interpolant
 from .core import TWO_PI, TorsionField
+
+NEWTON_ITERS = 4  # Newton steps that polish each seeded inversion
 
 
 @dataclass
@@ -53,17 +55,16 @@ class TransformRecord:
 
 
 def _invert_monotone(sample_x: np.ndarray, sample_y: np.ndarray, targets: np.ndarray,
-                     fwd, fwd_deriv, newton_iters: int = 4) -> np.ndarray:
+                     fwd, fwd_deriv) -> np.ndarray:
     """Solve fwd(y) = x for each target x.
 
-    ``sample_x``/``sample_y`` are strictly increasing samples of the map used
-    to seed a monotone cubic; ``fwd``/``fwd_deriv`` evaluate the map and its
-    derivative anywhere (spectral representation).
+    ``sample_x``/``sample_y`` are strictly increasing samples of the map,
+    interpolated linearly for the seed; ``fwd``/``fwd_deriv`` evaluate the
+    map and its derivative anywhere (spectral representation).
     """
-    seed = MonotoneCubic(sample_x, sample_y)
-    y = seed(targets)
+    y = np.interp(targets, sample_x, sample_y)
     lo, hi = sample_y[0], sample_y[-1]
-    for _ in range(newton_iters):
+    for _ in range(NEWTON_ITERS):
         y = y - (fwd(y) - targets) / fwd_deriv(y)
         y = np.clip(y, lo, hi)
     return y
@@ -81,11 +82,11 @@ def cdf_transform_roundtrip(tau0: TorsionField) -> tuple[TransformRecord, float]
     w = mean_v * s + osc_full
     M = mean_v * TWO_PI
 
-    def w_of(sv):
-        return mean_v * sv + trig_interp(osc_v, sv)
+    osc_v_of = trig_interpolant(osc_v)
+    v_of = trig_interpolant(v_per)
 
-    def v_of(sv):
-        return trig_interp(v_per, sv)
+    def w_of(sv):
+        return mean_v * sv + osc_v_of(sv)
 
     xi = np.linspace(0.0, M, n + 1)
     eta = _invert_monotone(w, s, xi, w_of, v_of)
@@ -100,11 +101,11 @@ def cdf_transform_roundtrip(tau0: TorsionField) -> tuple[TransformRecord, float]
     z_per = z[:-1]
     mean_z, osc_z = periodic_primitive(z_per, period=M)
 
-    def eta_of(xiv):
-        return mean_z * xiv + trig_interp(osc_z, xiv, period=M)
+    osc_z_of = trig_interpolant(osc_z, period=M)
+    z_of = trig_interpolant(z_per, period=M)
 
-    def z_of(xiv):
-        return trig_interp(z_per, xiv, period=M)
+    def eta_of(xiv):
+        return mean_z * xiv + osc_z_of(xiv)
 
     eta_hat = eta_of(xi)
     s_per = s[:-1]

@@ -43,7 +43,7 @@ def concatenation_endpoint(v0, alpha, T, n_steps=1_000_000):
     left-folded product to prefix sums, so the whole product is three
     cumulative sums."""
     traj = integrate_ode(lambda t, v: structure_field(v, alpha), np.asarray(v0, dtype=float),
-                         (0.0, T), TIGHT, dense=True)
+                         (0.0, T), TIGHT)
     eps = T / n_steps
     lam = traj.sample((np.arange(n_steps) + 0.5) * eps)
     a, b, c = eps * lam[:, 0], eps * lam[:, 1], eps * lam[:, 2]

@@ -240,11 +240,16 @@ class TestUsageErrors:
         ["geo", "flowline", "--vx", "2.0"],
         ["geo", "geodesic", "--vx", "0.5", "--vy", "0.5", "--vz", "0.5"],
         ["torsion", "evolve", "--initial", "tau1", "--n", "512", "--T", "1e4"],
+        ["geo", "sphere", "--n-dirs", "20"],
+        ["geo", "period", "--alpha", "2"],
+        ["csf", "run", "--n", "64"],
+        ["torsion", "stationary", "--C", "1"],
     ])
     def test_bad_input_prints_error(self, argv, tmp_path, capsys):
         # typed errors end as "error: ..." and exit code 1, not a traceback
         assert main(argv + ["--out", str(tmp_path / "bad")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unknown_initial_data(self, tmp_path):
         with pytest.raises(SystemExit):

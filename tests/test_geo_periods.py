@@ -27,11 +27,6 @@ class TestPeriodNumeric:
         rec = period_numeric(alpha, 0.999)
         assert rec.period == pytest.approx(expected, abs=5e-3)
 
-    def test_quadrature_tolerance_consistency(self):
-        a = period_numeric(0.3, 0.6, tol=1e-8).period
-        b = period_numeric(0.3, 0.6, tol=1e-12).period
-        assert abs(a - b) < 1e-8
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             period_numeric(0.5, 1.0)
@@ -52,7 +47,7 @@ class TestPeriodClosedForm:
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_matches_numeric_across_betas(self, alpha):
         for beta in np.arange(0.1, 0.95, 0.1):
-            num = period_numeric(alpha, float(beta), tol=1e-12).period
+            num = period_numeric(alpha, float(beta)).period
             closed = period_closed_form(alpha, float(beta)).period
             assert abs(num - closed) < 1e-6
 

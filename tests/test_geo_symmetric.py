@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geomflow.geoflow import (boundary_curve, bounding_box_scan, dP_dx0,
+from geomflow.geoflow import (beta_from_x0, boundary_curve, bounding_box_scan, dP_dx0,
                               g_function_check, geodesic, perfect_vector_checks,
                               symmetric_system, variational_residuals,
                               variational_system)
@@ -127,19 +127,18 @@ class TestGFunction:
 class TestPerfectVectors:
     @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.5, 0.8), (1.0, 0.5), (1.0, 0.8)])
     def test_full_slate(self, alpha, beta):
-        rep = perfect_vector_checks(alpha, beta=beta)
+        rep = perfect_vector_checks(alpha, beta)
         assert rep.partner_mismatch < 1e-5
         assert rep.endpoint_z < 1e-6
         assert rep.collinearity_defect < 1e-5
         assert rep.holonomy_mismatch < 1e-6
 
     def test_x0_entry_point(self):
-        rep = perfect_vector_checks(0.5, x0=0.8)
+        rep = perfect_vector_checks(0.5, beta_from_x0(0.8, 0.5))
         assert 0.0 < rep.beta < 1.0
         assert rep.partner_mismatch < 1e-5
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            perfect_vector_checks(0.5)
-        with pytest.raises(ValueError):
-            perfect_vector_checks(0.5, beta=0.5, x0=0.8)
+        for alpha, beta in ((0.5, 0.0), (0.5, 1.0), (0.0, 0.5), (1.5, 0.5)):
+            with pytest.raises(ValueError):
+                perfect_vector_checks(alpha, beta)
