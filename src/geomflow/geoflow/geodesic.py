@@ -54,21 +54,27 @@ class GeodesicPath:
 
 
 def _geodesic_rhs(alpha: float):
+    """Right-hand side on a state (vx, vy, vz, x, y, z) of shape (6,) or on a
+    batch of rows of shape (m, 6)."""
     def rhs(t, u):
-        vx, vy, vz, _, _, z = u
-        ez = math.exp(z)
-        eaz = math.exp(-alpha * z)
-        return np.array([*_sigma(vx, vy, vz, alpha), vx * ez, vy * eaz, vz])
+        vx, vy, vz, _, _, z = u.T
+        return np.array([*_sigma(vx, vy, vz, alpha), vx * np.exp(z), vy * np.exp(-alpha * z),
+                         vz]).T
     return rhs
+
+
+def _check_unit(v0) -> np.ndarray:
+    v0 = np.asarray(v0, dtype=float)
+    if np.any(np.abs(np.linalg.norm(v0, axis=-1) - 1.0) > 1e-8):
+        raise SetupError("initial tangent is not a unit vector")
+    return v0
 
 
 def geodesic(v0, alpha: float, T: float, ctrl: StepControl | None = None,
              n_samples: int = 401) -> GeodesicPath:
     """Geodesic from the identity with initial unit tangent v0, length T."""
     check_alpha(alpha)
-    v0 = np.asarray(v0, dtype=float)
-    if abs(np.linalg.norm(v0) - 1.0) > 1e-8:
-        raise SetupError("initial tangent is not a unit vector")
+    v0 = _check_unit(v0)
     if T < 0.0:
         raise ValueError("geodesic length must be nonnegative")
     if T == 0.0:
@@ -81,6 +87,15 @@ def geodesic(v0, alpha: float, T: float, ctrl: StepControl | None = None,
     all_t = np.concatenate([[0.0], traj.times])
     all_y = np.vstack([y0, traj.states])
     return GeodesicPath(alpha, all_t, all_y[:, :3], all_y[:, 3:])
+
+
+def geodesic_endpoints(v0s, alpha: float, T: float, ctrl: StepControl) -> np.ndarray:
+    """Endpoints at length T > 0 of the geodesics from the identity with the
+    unit tangents ``v0s`` (shape (m, 3)), integrated together as one batch."""
+    v0s = _check_unit(v0s)
+    y0 = np.hstack([v0s, np.zeros_like(v0s)])
+    traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), ctrl, output_times=[T])
+    return traj.y_end[:, 3:]
 
 
 def cylinder_invariant(path: GeodesicPath, beta: float) -> tuple[np.ndarray, float]:
@@ -128,14 +143,11 @@ def fibonacci_directions(n: int) -> np.ndarray:
 def geodesic_sphere(alpha: float, R: float,
                     n_dirs: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Point cloud of the geodesic sphere of radius R, (directions, endpoints),
-    each geodesic integrated at ``SPHERE_CONTROL``."""
+    all geodesics integrated as one batch at ``SPHERE_CONTROL``."""
     check_alpha(alpha)
     if R <= 0.0:
         raise SetupError("radius must be positive")
     if n_dirs < 100:
         raise SetupError("need at least 100 directions for a meaningful cloud")
     dirs = fibonacci_directions(n_dirs)
-    ends = np.empty_like(dirs)
-    for j, d in enumerate(dirs):
-        ends[j] = geodesic(d, alpha, R, SPHERE_CONTROL, n_samples=2).endpoint
-    return dirs, ends
+    return dirs, geodesic_endpoints(dirs, alpha, R, SPHERE_CONTROL)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesic import geodesic
+from .geodesic import geodesic_endpoints
 from .group import check_alpha
 from .periods import period
 from .structure import TIGHT, flow_tangent, v_beta
@@ -42,10 +42,10 @@ def perfect_vector_checks(alpha: float, beta: float) -> PerfectVectorReport:
     """Run the full slate of perfect-vector identities for the loop level set
     of ``beta``.
 
-    The partner endpoints come from two independent geodesic integrations of
-    length P at ``TIGHT``; the holonomy is compared between circuits started
-    at V_beta and at a point reached by flowing 30% of the way around the
-    loop.
+    The partner endpoints come from geodesics of length P at ``TIGHT``; the
+    holonomy is compared between circuits started at V_beta and at a point
+    reached by flowing 30% of the way around the loop. The three geodesics
+    are integrated as one batch.
     """
     check_alpha(alpha, 0.0, 1.0, open_lo=True)
     if not 0.0 < beta < 1.0:
@@ -55,8 +55,11 @@ def perfect_vector_checks(alpha: float, beta: float) -> PerfectVectorReport:
     v_plus = v_beta(beta, alpha)
     v_minus = v_plus * np.array([1.0, 1.0, -1.0])
 
-    end_plus = geodesic(v_plus, alpha, P, TIGHT, n_samples=2).endpoint
-    end_minus = geodesic(v_minus, alpha, P, TIGHT, n_samples=2).endpoint
+    # holonomy from a second starting point on the same loop
+    shifted = flow_tangent(v_plus, alpha, 0.3 * P, n_samples=3).end
+    shifted = shifted / np.linalg.norm(shifted)
+    end_plus, end_minus, end_shifted = geodesic_endpoints(
+        np.array([v_plus, v_minus, shifted]), alpha, P, TIGHT)
     partner_mismatch = float(np.linalg.norm(end_plus - end_minus))
     endpoint_z = max(abs(end_plus[2]), abs(end_minus[2]))
 
@@ -66,10 +69,6 @@ def perfect_vector_checks(alpha: float, beta: float) -> PerfectVectorReport:
     collinearity = abs(e2d[0] * recip[1] - e2d[1] * recip[0]) / (
         np.linalg.norm(e2d) * np.linalg.norm(recip))
 
-    # holonomy from a second starting point on the same loop
-    shifted = flow_tangent(v_plus, alpha, 0.3 * P, n_samples=3).end
-    shifted = shifted / np.linalg.norm(shifted)
-    end_shifted = geodesic(shifted, alpha, P, TIGHT, n_samples=2).endpoint
     h1 = _holonomy(end_plus, alpha)
     h2 = _holonomy(end_shifted, alpha)
 

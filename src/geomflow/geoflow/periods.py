@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import BracketError
+import numpy as np
+
+from ..errors import BracketError, SetupError
 from ..numerics import elliptic_K, find_root, integrate_singular
 from .group import check_alpha
 
@@ -69,20 +71,18 @@ def period_numeric(alpha: float, beta: float) -> PeriodRecord:
     quadrature's ``QUAD_TOL``."""
     check_alpha(alpha, 0.0, 1.0, open_lo=True)
     if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta={beta} outside (0, 1)")
+        raise SetupError(f"beta={beta} outside (0, 1)")
     t0, t1 = endpoint_times(alpha, beta)
     c = beta * beta / (alpha + 1.0)
     split = 0.5 * (t0 - t1)
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
         # Radicand anchored at the nearer root: R(t) = R(t) - R(s) written with
         # expm1 so no catastrophic cancellation occurs near the endpoints.
-        s = t0 if t >= split else -t1
-        r = c * (alpha * math.exp(2.0 * t) * math.expm1(2.0 * (s - t))
-                 + math.exp(-2.0 * alpha * t) * math.expm1(-2.0 * alpha * (s - t)))
-        if r <= 0.0:
-            r = 1e-300
-        return 2.0 / math.sqrt(r)
+        s = np.where(t >= split, t0, -t1)
+        r = c * (alpha * np.exp(2.0 * t) * np.expm1(2.0 * (s - t))
+                 + np.exp(-2.0 * alpha * t) * np.expm1(-2.0 * alpha * (s - t)))
+        return 2.0 / np.sqrt(np.where(r > 0.0, r, 1e-300))
 
     period = integrate_singular(integrand, -t1, t0)
     return PeriodRecord(alpha=alpha, beta=beta, t0=t0, t1=t1, period=period, source="numeric")
@@ -114,7 +114,7 @@ def _closed_form_half(beta: float) -> PeriodRecord:
 def period_closed_form(alpha: float, beta: float) -> PeriodRecord:
     """Closed-form period; only a = 1 (Sol) and a = 1/2 admit one."""
     if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta={beta} outside (0, 1)")
+        raise SetupError(f"beta={beta} outside (0, 1)")
     if alpha == 1.0:
         return _closed_form_sol(beta)
     if alpha == 0.5:

@@ -58,7 +58,7 @@ def v_beta(beta: float, alpha: float) -> np.ndarray:
     """Reference tangent on the loop level set labeled by beta in (0, 1]."""
     check_alpha(alpha, 0.0, 1.0, open_lo=True)
     if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta={beta} outside (0, 1]")
+        raise SetupError(f"beta={beta} outside (0, 1]")
     return np.array([
         beta * math.sqrt(alpha / (1.0 + alpha)),
         beta / math.sqrt(1.0 + alpha),

@@ -61,15 +61,23 @@ class StepControl:
 class Trajectory:
     """Sampled solution of an ODE.
 
-    ``states[i]`` is the state at ``times[i]``. A run that stores its nodes
-    also keeps the node derivatives ``derivs``, which allow cubic Hermite
+    ``states[i]`` is the state at ``times[i]``, of shape ``(d,)`` for a single
+    system and ``(m, d)`` for a batch of ``m`` rows, so ``states`` is
+    ``(n, d)`` or ``(n, m, d)``. A run that stores its nodes also keeps the
+    node derivatives ``derivs`` (same shape), which allow cubic Hermite
     interpolation between nodes via :meth:`sample`.
+
+    With an event, a single system's ``event_time`` is a float and its
+    ``event_state`` a ``(d,)`` array, both None when the event never
+    happened. A batch holds one ``event_time`` per row, shape ``(m,)``, and
+    ``event_state`` of shape ``(m, d)``, NaN in the rows whose event never
+    happened.
     """
 
     times: np.ndarray
     states: np.ndarray
     derivs: np.ndarray | None = None
-    event_time: float | None = None
+    event_time: float | np.ndarray | None = None
     event_state: np.ndarray | None = None
 
     def __post_init__(self):
@@ -87,18 +95,29 @@ class Trajectory:
         return self.states[-1]
 
     def sample(self, t) -> np.ndarray:
-        """Cubic Hermite interpolation at times ``t`` (scalar or array)."""
+        """Cubic Hermite interpolation at times ``t`` (scalar or array); an
+        array ``t`` of length k gives ``(k,) + state shape``."""
         if self.derivs is None:
             raise ValueError("trajectory holds output-time samples, not nodes")
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.min() < self.times[0] - 1e-12 or t_arr.max() > self.times[-1] + 1e-12:
             raise ValueError("sample time outside the integrated span")
         idx = np.clip(np.searchsorted(self.times, t_arr, side="right") - 1, 0, len(self.times) - 2)
+        col = (slice(None),) + (None,) * (self.states.ndim - 1)  # broadcast times over the state
         t0 = self.times[idx]
         h = self.times[idx + 1] - t0
-        out = _hermite(t_arr[:, None], t0[:, None], h[:, None], self.states[idx],
+        out = _hermite(t_arr[col], t0[col], h[col], self.states[idx],
                        self.states[idx + 1], self.derivs[idx], self.derivs[idx + 1])
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+
+    def row(self, r: int) -> Trajectory:
+        """Row ``r`` of a batch trajectory, as the trajectory of a single
+        system (views of this one's arrays)."""
+        hit = self.event_time is not None and not np.isnan(self.event_time[r])
+        return Trajectory(self.times, self.states[:, r],
+                          None if self.derivs is None else self.derivs[:, r],
+                          float(self.event_time[r]) if hit else None,
+                          self.event_state[r] if hit else None)
 
 
 def _error_norm(err, y_old, y_new, ctrl):
@@ -137,25 +156,52 @@ def integrate_ode(
     ctrl: StepControl | None = None,
     *,
     output_times: Sequence[float] | None = None,
-    event: Callable[[float, np.ndarray], float] | None = None,
-    event_min_time: float = 0.0,
+    event: Callable[[float, np.ndarray], float | np.ndarray] | None = None,
+    event_min_time: float | Sequence[float] = 0.0,
 ) -> Trajectory:
     """Integrate ``y' = field(t, y)`` over ``t_span``.
+
+    ``y0`` is one state of shape ``(d,)`` or a batch of ``m`` states of shape
+    ``(m, d)``; ``field`` receives and returns arrays of that shape. A batch
+    is stepped as one system: the error norm is the max over all entries, so
+    the rows share one step sequence and each row is held at least as
+    tightly as it would be alone.
 
     With ``output_times`` the trajectory holds exactly those samples
     (interpolated on the fly); otherwise every accepted node is stored with
     its derivative, for interpolation.
 
-    ``event`` is a scalar functional of the state; integration stops at its
-    first downward zero crossing (positive to nonpositive) after
-    ``event_min_time``, located by bisection on the local Hermite
-    interpolant to ``_EVENT_TOL`` in time.
+    ``event`` maps the state to one value per row (a scalar for a ``(d,)``
+    state), and ``event_min_time`` is a scalar or one time per row. Each
+    row's first downward zero crossing (positive to nonpositive) after its
+    ``event_min_time`` is located by bisection on that row's Hermite
+    interpolant in the step where it happens, to ``_EVENT_TOL`` in time. The
+    run ends at ``t_span[1]`` or once every row has had its event, with the
+    last step cut at the latest event time.
     """
     ctrl = ctrl or StepControl()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be a nonempty forward interval")
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.array(y0, dtype=float)
+    shape = y.shape
+    if y.ndim not in (1, 2):
+        raise ValueError("the state must have shape (d,) or (m, d)")
+    batch = y.ndim == 2
+    n_rows, width = shape if batch else (1, shape[0])
+    if batch:  # the steps run on the flattened state; the field sees the rows
+        row_field = field
+        y = y.reshape(-1)
+
+        def field(t, u):
+            return np.asarray(row_field(t, u.reshape(shape)), dtype=float).reshape(-1)
+
+    def nonfinite(where: str, values: np.ndarray) -> IntegrationError:
+        msg = f"field returned non-finite values {where}"
+        if batch:
+            bad = ~np.all(np.isfinite(values.reshape(n_rows, width)), axis=1)
+            msg += f" in row(s) {np.flatnonzero(bad).tolist()}"
+        return IntegrationError(msg)
 
     out_req = None
     if output_times is not None:
@@ -165,7 +211,7 @@ def integrate_ode(
 
     f = np.asarray(field(t0, y), dtype=float)
     if not np.all(np.isfinite(f)):
-        raise IntegrationError("field returned non-finite values at the initial point")
+        raise nonfinite("at the initial point", f)
 
     ts = [t0]
     ys = [y.copy()]
@@ -179,9 +225,15 @@ def integrate_ode(
             out_vals.append(y.copy())
             next_out += 1
 
-    g_prev = event(t0, y) if event is not None else None
-    event_time = None
-    event_state = None
+    if event is not None:
+        def row_events(t, u):
+            return np.reshape(event(t, u.reshape(shape)), -1)
+
+        min_times = np.broadcast_to(np.asarray(event_min_time, dtype=float), (n_rows,))
+        event_times = np.full(n_rows, np.nan)
+        event_states = np.full((n_rows, width), np.nan)
+        g_prev = row_events(t0, y)
+    finished = False
 
     h = min(ctrl.initial_step, t1 - t0)
     if ctrl.max_step is not None:
@@ -199,14 +251,14 @@ def integrate_ode(
         for i in range(1, 6):
             yi = y + h * (_A[i] @ k[:i])
             ki = np.asarray(field(t + _C[i] * h, yi), dtype=float)
-            if not np.all(np.isfinite(ki)):
+            if not np.isfinite(ki).all():
                 h *= 0.25
                 failed_shrink = True
                 break
             k[i] = ki
         if failed_shrink:
             if h < 1e-15 * max(abs(t), 1.0):
-                raise IntegrationError(f"field became non-finite near t={t:.6g}")
+                raise nonfinite(f"near t={t:.6g}", ki)
             continue
         y_new = y + h * (_B5 @ k)
         err = h * (_E @ k)
@@ -218,21 +270,27 @@ def integrate_ode(
 
         t_new = t + h
         f_new = np.asarray(field(t_new, y_new), dtype=float)
-        if not np.all(np.isfinite(f_new)):
-            raise IntegrationError(f"field returned non-finite values at t={t_new:.6g}")
+        if not np.isfinite(f_new).all():
+            raise nonfinite(f"at t={t_new:.6g}", f_new)
 
         t_end, y_end, f_end = t_new, y_new, f_new  # last point this step emits
         if event is not None:
-            g_new = event(t_new, y_new)
-            if t_new > event_min_time and g_prev > 0.0 and g_new <= 0.0:
-                event_time = _event_crossing(event, event_min_time, t, h, y, y_new, f, f_new,
-                                             g_prev, g_new)
-            if event_time is not None:
-                event_state = _hermite(event_time, t, h, y, y_new, f, f_new)
-                t_end, y_end = event_time, event_state
-                if out_req is None:
-                    f_end = np.asarray(field(event_time, event_state), dtype=float)
+            g_new = row_events(t_new, y_new)
+            hits = np.isnan(event_times) & (t_new > min_times) & (g_prev > 0.0) & (g_new <= 0.0)
+            for r in np.flatnonzero(hits):
+                crossing = _event_crossing(lambda tq, u, r=r: row_events(tq, u)[r], min_times[r],
+                                           t, h, y, y_new, f, f_new, g_prev[r], g_new[r])
+                if crossing is not None:
+                    event_times[r] = crossing
+                    state = _hermite(crossing, t, h, y, y_new, f, f_new)
+                    event_states[r] = state.reshape(n_rows, width)[r]
             g_prev = g_new
+            finished = hits.any() and not np.isnan(event_times).any()
+            if finished:
+                t_end = float(event_times.max())
+                y_end = _hermite(t_end, t, h, y, y_new, f, f_new)
+                if out_req is None:
+                    f_end = np.asarray(field(t_end, y_end), dtype=float)
 
         if out_req is not None:
             while next_out < out_req.size and out_req[next_out] <= t_end + 1e-15:
@@ -244,7 +302,7 @@ def integrate_ode(
             ts.append(t_end)
             ys.append(y_end.copy())
             fs.append(f_end.copy())
-        if event_time is not None:
+        if finished:
             break
 
         t, y, f = t_new, y_new, f_new
@@ -254,13 +312,12 @@ def integrate_ode(
             h = min(h, ctrl.max_step)
 
     if out_req is not None:
-        times = np.array(out_ts)
-        states = np.array(out_vals) if out_vals else np.empty((0, y.size))
-        if times.size == 0:
+        if not out_ts:
             raise DetectionError("no output times fell inside the integrated span")
-        traj = Trajectory(times, states)
+        traj = Trajectory(np.array(out_ts), np.array(out_vals).reshape((-1, n_rows, width)))
     else:
-        traj = Trajectory(np.array(ts), np.array(ys), derivs=np.array(fs))
-    traj.event_time = event_time
-    traj.event_state = event_state
-    return traj
+        traj = Trajectory(np.array(ts), np.array(ys).reshape((-1, n_rows, width)),
+                          derivs=np.array(fs).reshape((-1, n_rows, width)))
+    if event is not None:
+        traj.event_time, traj.event_state = event_times, event_states
+    return traj if batch else traj.row(0)

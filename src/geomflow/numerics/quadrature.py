@@ -24,8 +24,11 @@ def _gauss32() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(32)
 
 
-def integrate_singular(f: Callable[[float], float], a: float, b: float) -> float:
+def integrate_singular(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Integral of ``f`` over (a, b) where f blows up like 1/sqrt((t-a)(b-t)).
+
+    ``f`` maps an array of nodes to the array of its values; it is called
+    once per resolution.
 
     The substitution t = mid + half*sin(u) maps (a, b) to (-pi/2, pi/2) and
     contributes a factor half*cos(u) that exactly cancels simple
@@ -49,7 +52,7 @@ def integrate_singular(f: Callable[[float], float], a: float, b: float) -> float
         centers = 0.5 * (edges[:-1] + edges[1:])
         u = (centers[:, None] + halfw * x32[None, :]).ravel()
         t = np.clip(mid + half * np.sin(u), a, b)
-        vals = np.array([f(ti) for ti in t], dtype=float) * half * np.cos(u)
+        vals = np.asarray(f(t), dtype=float) * half * np.cos(u)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand is not integrable after the sine substitution "
                                   "(non-finite values at interior nodes)")

@@ -23,7 +23,9 @@ def find_root(f: Callable[[float], float], bracket: tuple[float, float], tol: fl
         return a
     if fb == 0.0:
         return b
-    if fa * fb > 0:
+    # signs are compared, never multiplied: a product of two tiny values
+    # underflows to zero and would pass for a sign change
+    if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fa:.3g}, f(b)={fb:.3g}")
 
     for _ in range(500):
@@ -40,7 +42,7 @@ def find_root(f: Callable[[float], float], bracket: tuple[float, float], tol: fl
         fx = f(x)
         if fx == 0.0:
             return x
-        if fa * fx < 0:
+        if (fa > 0.0) != (fx > 0.0):
             b, fb = x, fx
         else:
             a, fa = x, fx
@@ -49,7 +51,7 @@ def find_root(f: Callable[[float], float], bracket: tuple[float, float], tol: fl
             fm = f(m)
             if fm == 0.0:
                 return m
-            if fa * fm < 0:
+            if (fa > 0.0) != (fm > 0.0):
                 b, fb = m, fm
             else:
                 a, fa = m, fm

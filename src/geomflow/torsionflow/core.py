@@ -43,7 +43,7 @@ class TorsionField:
         self.samples = np.asarray(self.samples, dtype=float)
         n = self.samples.size
         if n < 32 or n % 2 != 0:
-            raise ValueError(f"mesh size must be even and at least 32, got {n}")
+            raise SetupError(f"mesh size must be even and at least 32, got {n}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("torsion samples must be finite")
         if np.min(self.samples) <= 0.0:

@@ -79,10 +79,10 @@ def stationary_torsion_general(A: float, C: float, n: int = 256) -> TorsionField
     """
     u_min, u_max = _orbit_turning_points(A, C)
 
-    def g(u: float) -> float:
+    def g(u: np.ndarray) -> np.ndarray:
         return C + 2.0 * A * u - u * u - u ** -2
 
-    half_period = integrate_singular(lambda u: 1.0 / math.sqrt(max(g(u), 1e-300)),
+    half_period = integrate_singular(lambda u: 1.0 / np.sqrt(np.maximum(g(u), 1e-300)),
                                      u_min, u_max)
     orbit_period = 2.0 * half_period
     cycles = TWO_PI / orbit_period

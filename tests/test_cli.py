@@ -41,11 +41,18 @@ class TestGeoCommands:
         assert manifest["parameters"]["beta"] == 0.999
 
     def test_determinism_byte_identical(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["geo", "period-table", "--beta", "0.9", "--out", str(out1)])
-        main(["geo", "period-table", "--beta", "0.9", "--out", str(out2)])
-        assert (out1 / "period_table.csv").read_bytes() == \
-               (out2 / "period_table.csv").read_bytes()
+        # the batched scans (sphere, boundary, bounding box) repeat bit for bit too
+        cases = [(["geo", "period-table", "--beta", "0.9"], ["period_table.csv"]),
+                 (["geo", "sphere", "--R", "2", "--n-dirs", "100"], ["sphere.csv", "sphere.obj"]),
+                 (["geo", "boundary", "--x0-min", "0.8", "--x0-max", "0.9"], ["boundary.csv"]),
+                 (["geo", "boundingbox", "--x0-min", "0.7", "--x0-max", "0.8", "--step", "0.05"],
+                  ["boundingbox.csv"])]
+        for i, (argv, files) in enumerate(cases):
+            out1, out2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            assert main([*argv, "--out", str(out1)]) == 0
+            assert main([*argv, "--out", str(out2)]) == 0
+            for name in files:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_curvature_tables(self, tmp_path):
         out = tmp_path / "curv"
@@ -244,6 +251,10 @@ class TestUsageErrors:
         ["geo", "period", "--alpha", "2"],
         ["csf", "run", "--n", "64"],
         ["torsion", "stationary", "--C", "1"],
+        ["geo", "period", "--beta", "1.5"],
+        ["geo", "cylinder", "--beta", "1.5"],
+        ["torsion", "evolve", "--n", "30"],
+        ["geo", "boundary", "--x0-min", "0.5"],
     ])
     def test_bad_input_prints_error(self, argv, tmp_path, capsys):
         # typed errors end as "error: ..." and exit code 1, not a traceback

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geomflow.errors import BracketError
 from geomflow.numerics import (PeriodicCubicSpline, StepControl, cyclic_shift, elliptic_K,
@@ -66,7 +66,9 @@ class TestIntegrateOde:
 
 
 def _van_der_pol(t, y):
-    return np.array([y[1], (1.0 - y[0] ** 2) * y[1] - y[0]])
+    """Van der Pol field on one state (2,) or on a batch of rows (m, 2)."""
+    x, v = y.T
+    return np.array([v, (1.0 - x ** 2) * v - x]).T
 
 
 class TestIntegrateOdeAgainstDop853:
@@ -108,6 +110,61 @@ class TestIntegrateOdeAgainstDop853:
         assert tr.derivs.shape == tr.states.shape
         for t, y, f in zip(tr.times, tr.states, tr.derivs):
             assert np.array_equal(f, _van_der_pol(t, y))
+
+
+class TestIntegrateOdeBatch:
+    """A state of shape (m, d) is stepped as one system of m rows with shared
+    steps, per-row events and per-row event_min_time."""
+
+    @pytest.mark.parametrize("output_times", [None, np.linspace(0.0, 20.0, 41)])
+    def test_one_row_batch_equals_single_state(self, output_times):
+        ctrl = StepControl(abs_tol=1e-10, rel_tol=1e-10)
+        crossing = lambda t, y: y[..., 0]
+        single = integrate_ode(_van_der_pol, [2.0, 0.0], (0.0, 20.0), ctrl,
+                               output_times=output_times, event=crossing, event_min_time=3.0)
+        batch = integrate_ode(_van_der_pol, [[2.0, 0.0]], (0.0, 20.0), ctrl,
+                              output_times=output_times, event=crossing, event_min_time=[3.0])
+        assert batch.states.shape == (single.times.size, 1, 2)
+        assert np.array_equal(batch.times, single.times)
+        assert np.array_equal(batch.states[:, 0], single.states)
+        if output_times is None:
+            assert np.array_equal(batch.derivs[:, 0], single.derivs)
+        assert batch.event_time[0] == single.event_time
+        assert np.array_equal(batch.event_state[0], single.event_state)
+
+    def test_rows_match_dop853(self):
+        # each row's event after its own min time, and every row's state at
+        # the end of the run (the latest event), against DOP853 on that row;
+        # events sit on cubic Hermite interpolants, good to about 1e-11 here
+        integrate = pytest.importorskip("scipy.integrate")
+        y0 = np.array([[2.0, 0.0], [1.0, 0.0], [0.5, 1.5]])
+        min_times = np.array([3.0, 0.0, 1.0])
+        tr = integrate_ode(_van_der_pol, y0, (0.0, 20.0), StepControl(abs_tol=1e-14, rel_tol=1e-14),
+                           event=lambda t, y: y[..., 0], event_min_time=min_times)
+        assert tr.times[-1] == np.max(tr.event_time)
+        crossing = lambda t, y: y[0]
+        crossing.direction = -1
+        for row in range(3):
+            ref = integrate.solve_ivp(_van_der_pol, (0.0, 20.0), y0[row], method="DOP853",
+                                      rtol=1e-13, atol=1e-13, events=crossing)
+            after = ref.t_events[0] > min_times[row]
+            assert tr.event_time[row] == pytest.approx(ref.t_events[0][after][0], abs=1e-11)
+            assert np.max(np.abs(tr.event_state[row] - ref.y_events[0][after][0])) < 1e-10
+            end = integrate.solve_ivp(_van_der_pol, (0.0, tr.times[-1]), y0[row],
+                                      method="DOP853", rtol=1e-13, atol=1e-13)
+            assert np.max(np.abs(tr.y_end[row] - end.y[:, -1])) < 1e-10
+
+    def test_nonfinite_row_is_named(self):
+        from geomflow.errors import IntegrationError
+
+        def field(t, y):
+            out = _van_der_pol(t, y)
+            if t > 0.5:
+                out[1] = np.nan
+            return out
+
+        with pytest.raises(IntegrationError, match=r"row\(s\) \[1\]"):
+            integrate_ode(field, [[2.0, 0.0], [1.0, 0.0], [0.5, 1.5]], (0.0, 2.0))
 
 
 class TestEllipticK:
@@ -163,18 +220,38 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, (-1.0, 1.0), 1e-10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(root=st.floats(-10.0, 10.0), left=st.floats(1e-6, 10.0), right=st.floats(1e-6, 10.0),
+           slope=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]))
+    @example(root=2.2250738585e-313, left=1.0, right=1.0, slope=1.0, sign=-1.0)
+    def test_sign_change_gives_root_inside(self, root, left, right, slope, sign):
+        # tanh saturates away from the root, so secant proposals often fail;
+        # the example's root makes f(a) * f(x) underflow to zero near it
+        a, b = root - left, root + right
+        x = find_root(lambda x: sign * math.tanh(slope * (x - root)), (a, b), 1e-12)
+        assert a <= x <= b
+        assert abs(x - root) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(root=st.floats(-10.0, 10.0), gap=st.floats(1e-3, 10.0), width=st.floats(1e-3, 10.0),
+           above=st.booleans())
+    def test_bracket_without_sign_change_raises(self, root, gap, width, above):
+        a = root + gap if above else root - gap - width
+        with pytest.raises(BracketError):
+            find_root(lambda x: math.tanh(x - root), (a, a + width), 1e-12)
+
 
 def _period_integrand(alpha, beta):
     def radicand(t):
-        return 1.0 - beta**2 / (alpha + 1.0) * (alpha * math.exp(2 * t) + math.exp(-2 * alpha * t))
+        return 1.0 - beta**2 / (alpha + 1.0) * (alpha * np.exp(2 * t) + np.exp(-2 * alpha * t))
     def f(t):
-        return 2.0 / math.sqrt(radicand(t))
+        return 2.0 / np.sqrt(radicand(t))
     return radicand, f
 
 
 class TestIntegrateSingular:
     def test_arcsine(self):
-        v = integrate_singular(lambda t: 1.0 / math.sqrt(1.0 - t * t), -1.0, 1.0)
+        v = integrate_singular(lambda t: 1.0 / np.sqrt(1.0 - t * t), -1.0, 1.0)
         assert v == pytest.approx(math.pi, abs=1e-10)
 
     def test_period_integral_matches_elliptic_formula(self):
@@ -197,7 +274,7 @@ class TestIntegrateSingular:
     def test_cosine_weight_matches_bessel_closed_form(self):
         # the integral of cos(3t)/sqrt(1-t^2) over (-1, 1) is pi J0(3)
         special = pytest.importorskip("scipy.special")
-        f = lambda t: (2.0 + math.cos(3 * t)) / math.sqrt((t + 1.0) * (1.0 - t))
+        f = lambda t: (2.0 + np.cos(3 * t)) / np.sqrt((t + 1.0) * (1.0 - t))
         exact = math.pi * (2.0 + float(special.j0(3.0)))
         assert integrate_singular(f, -1.0, 1.0) == pytest.approx(exact, abs=1e-9)
 
