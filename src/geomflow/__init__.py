@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``numerics``: shared kernels (adaptive RK4(5), elliptic K, bracketed root
+- ``numerics``: shared kernels (adaptive DOP853 with dense output, elliptic K, bracketed root
   finding, de-singularized quadrature, spectral periodic primitive and
   interpolation).
 - ``csf``: curve-shortening flow on immersed plane curves, with the

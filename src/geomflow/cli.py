@@ -18,13 +18,19 @@ tolerance), the step record of ``torsion evolve`` (its scheme, tolerances,
 remainder bounds, step counts and step range), the CFL number and stop rule
 of the csf commands (which also record their step count), and the library
 constants the other commands run with (such as the slope tolerance of ``geo
-boundary`` and the closure tolerance of ``torsion stationary``). ``verify``
-prints each criterion's wall time.
+boundary`` and the closure tolerance of ``torsion stationary``). The
+ODE-driven commands (``geo sphere``, ``boundary``, ``boundingbox``,
+``flowline``, ``geodesic``, ``cylinder``, ``torsion reconstruct`` and
+``stationary``) also record the solver statistics of their integrations:
+accepted and rejected steps, field evaluations and the step range.
+``verify`` prints each criterion's wall time, or with ``--json`` one JSON
+object per criterion.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import asdict
@@ -37,6 +43,12 @@ from .io_utils import ExperimentWriter
 
 
 _NOT_PARAMETERS = ("func", "out", "command", "experiment")
+
+
+def _solver_stats():
+    """An empty solver-statistics record (imported on use, like the layers)."""
+    from .numerics import SolverStats
+    return SolverStats()
 
 
 def _writer(args, tolerances: dict | None = None) -> ExperimentWriter:
@@ -175,13 +187,15 @@ def cmd_torsion_stationary(args) -> int:
     from .torsionflow import (CLOSURE_TOL, stationary_torsion, stationary_torsion_general,
                               torsion_rhs)
     writer = _writer(args, {"closure_tol": CLOSURE_TOL})
+    stats = _solver_stats()  # the closed form (A = 0) integrates nothing
     if args.A == 0.0:
         tau = stationary_torsion(args.C, n=args.n)
     else:
-        tau = stationary_torsion_general(args.A, args.C, n=args.n)
+        tau = stationary_torsion_general(args.A, args.C, n=args.n, stats=stats)
     residual = float(np.max(np.abs(torsion_rhs(tau))))
     writer.csv("stationary.csv", ["s", "tau"], zip(tau.grid, tau.samples))
     writer.parameters["rhs_sup_norm"] = residual
+    writer.parameters["solver_stats"] = asdict(stats)
     writer.finish()
     return 0
 
@@ -215,11 +229,13 @@ def cmd_torsion_reconstruct(args) -> int:
     tau = _initial_torsion(args.initial, args.n)
     writer = _writer(args, {"step_control": asdict(FRENET_CONTROL),
                             "frame_drift_tol": FRAME_DRIFT_TOL})
+    stats = _solver_stats()
     curve = frenet_reconstruct(CurvatureProfile(constant=args.kappa), tau,
-                               s_span=(0.0, args.s_max), n_samples=args.samples)
+                               s_span=(0.0, args.s_max), n_samples=args.samples, stats=stats)
     writer.csv("curve.csv", ["s", "x", "y", "z"],
                ([s, *map(float, p)] for s, p in zip(curve.s, curve.positions)))
     writer.parameters["frame_drift"] = curve.frame_drift
+    writer.parameters["solver_stats"] = asdict(stats)
     writer.finish()
     return 0
 
@@ -258,12 +274,14 @@ def cmd_geo_flowline(args) -> int:
     v0 = unit_tangent(args.vx, args.vy, args.vz)
     writer = _writer(args, {"unit_tangent_tol": UNIT_TANGENT_TOL,
                             "step_control": asdict(TIGHT)})
-    fl = flow_tangent(v0, args.alpha, args.T)
+    stats = _solver_stats()
+    fl = flow_tangent(v0, args.alpha, args.T, stats=stats)
     writer.csv("flowline.csv", ["t", "x", "y", "z", "H"],
                ([t, *map(float, v), h] for t, v, h
                 in zip(fl.times, fl.tangents, fl.level_series)))
     writer.parameters["level_drift"] = fl.level_drift
     writer.parameters["norm_drift"] = fl.norm_drift
+    writer.parameters["solver_stats"] = asdict(stats)
     writer.finish()
     return 0
 
@@ -273,11 +291,13 @@ def cmd_geo_geodesic(args) -> int:
     v0 = unit_tangent(args.vx, args.vy, args.vz)
     writer = _writer(args, {"unit_tangent_tol": UNIT_TANGENT_TOL,
                             "step_control": asdict(TIGHT)})
-    path = geodesic(v0, args.alpha, args.T, TIGHT, n_samples=args.samples)
+    stats = _solver_stats()
+    path = geodesic(v0, args.alpha, args.T, TIGHT, n_samples=args.samples, stats=stats)
     writer.csv("geodesic.csv", ["t", "vx", "vy", "vz", "x", "y", "z"],
                ([t, *map(float, v), *map(float, p)] for t, v, p
                 in zip(path.times, path.tangents, path.positions)))
     writer.parameters["speed_drift"] = path.speed_drift
+    writer.parameters["solver_stats"] = asdict(stats)
     writer.finish()
     return 0
 
@@ -285,11 +305,13 @@ def cmd_geo_geodesic(args) -> int:
 def cmd_geo_cylinder(args) -> int:
     from .geoflow import CYLINDER_SETUP_TOL, TIGHT, cylinder_invariant, geodesic, v_beta
     writer = _writer(args, {"setup_tol": CYLINDER_SETUP_TOL, "step_control": asdict(TIGHT)})
+    stats = _solver_stats()
     path = geodesic(v_beta(args.beta, args.alpha), args.alpha, args.T, TIGHT,
-                    n_samples=args.samples)
+                    n_samples=args.samples, stats=stats)
     series, drift = cylinder_invariant(path, args.beta)
     writer.csv("cylinder.csv", ["t", "Q"], zip(path.times, series))
     writer.parameters["relative_drift"] = drift
+    writer.parameters["solver_stats"] = asdict(stats)
     writer.finish()
     return 0
 
@@ -298,11 +320,13 @@ def cmd_geo_boundary(args) -> int:
     from .geoflow import SLOPE_TOL, TIGHT, boundary_curve
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
     writer = _writer(args, {"step_control": asdict(TIGHT), "slope_tol": SLOPE_TOL})
-    bc = boundary_curve(args.alpha, grid)
+    stats = _solver_stats()
+    bc = boundary_curve(args.alpha, grid, stats=stats)
     writer.csv("boundary.csv", ["x0", "a", "b", "da_dx0", "db_dx0"],
                ([p.x0, p.a_end, p.b_end, p.da_dx0, p.db_dx0] for p in bc.points))
     writer.parameters["a_increasing"] = bc.a_increasing
     writer.parameters["b_nonincreasing"] = bc.b_nonincreasing
+    writer.parameters["solver_stats"] = asdict(stats)
     writer.finish()
     return 0
 
@@ -311,12 +335,14 @@ def cmd_geo_boundingbox(args) -> int:
     from .geoflow import PASS_FLOOR, TIGHT, bounding_box_scan
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
     writer = _writer(args, {"pass_floor": PASS_FLOOR, "step_control": asdict(TIGHT)})
-    recs = bounding_box_scan(args.alpha, grid)
+    stats = _solver_stats()
+    recs = bounding_box_scan(args.alpha, grid, stats=stats)
     writer.csv("boundingbox.csv",
                ["x0", "admissible", "rho", "min_a_prime", "min_b_prime",
                 "b_integral_residual", "passed"],
                ([r.x0, r.admissible, r.rho, r.min_a_prime, r.min_b_prime,
                  r.b_integral_residual, r.passed] for r in recs))
+    writer.parameters["solver_stats"] = asdict(stats)
     writer.finish()
     return 0
 
@@ -336,11 +362,13 @@ def cmd_geo_gcheck(args) -> int:
 def cmd_geo_sphere(args) -> int:
     from .geoflow import SPHERE_CONTROL, geodesic_sphere
     writer = _writer(args, {"step_control": asdict(SPHERE_CONTROL)})
-    dirs, ends = geodesic_sphere(args.alpha, args.R, args.n_dirs)
+    stats = _solver_stats()
+    dirs, ends = geodesic_sphere(args.alpha, args.R, args.n_dirs, stats=stats)
     writer.csv("sphere.csv", ["dir_x", "dir_y", "dir_z", "end_x", "end_y", "end_z"],
                ([*map(float, d), *map(float, e)] for d, e in zip(dirs, ends)))
     obj_lines = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in ends)
     writer.text("sphere.obj", obj_lines)
+    writer.parameters["solver_stats"] = asdict(stats)
     writer.finish()
     return 0
 
@@ -368,12 +396,13 @@ def cmd_geo_curvature(args) -> int:
 def cmd_verify(args) -> int:
     from .acceptance import run_suite
     results = run_suite(args.suite)
+    failed = any(r.gating and r.status == "FAIL" for r in results)
+    if args.json:
+        print(json.dumps([asdict(r) for r in results], indent=2))
+        return 1 if failed else 0
     width = max(len(r.label) for r in results)
-    failed = False
     for r in results:
         print(f"[{r.status:>8s}] {r.cid:2d}  {r.label:<{width}s}  {r.seconds:7.1f} s  {r.details}")
-        if r.gating and r.status == "FAIL":
-            failed = True
     print(f"{sum(r.status == 'PASS' for r in results)} passed, "
           f"{sum(r.status == 'FAIL' for r in results)} failed, "
           f"{sum(r.status == 'MEASURED' for r in results)} measured")
@@ -541,6 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance-criteria suite")
     p.add_argument("suite", nargs="?", default="all",
                    choices=["all", "csf", "torsion", "geo"])
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object per criterion (cid, label, status, gating, "
+                        "seconds, details) instead of the table")
     p.set_defaults(func=cmd_verify)
 
     return parser

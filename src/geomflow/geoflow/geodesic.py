@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SetupError
-from ..numerics import StepControl, integrate_ode
+from ..numerics import SolverStats, StepControl, integrate_ode
 from .group import check_alpha
 from .structure import TIGHT, _sigma, level_value, v_beta
 
@@ -71,8 +71,9 @@ def _check_unit(v0) -> np.ndarray:
 
 
 def geodesic(v0, alpha: float, T: float, ctrl: StepControl | None = None,
-             n_samples: int = 401) -> GeodesicPath:
-    """Geodesic from the identity with initial unit tangent v0, length T."""
+             n_samples: int = 401, stats: SolverStats | None = None) -> GeodesicPath:
+    """Geodesic from the identity with initial unit tangent v0, length T; the
+    integration's counts are added to ``stats`` when it is given."""
     check_alpha(alpha)
     v0 = _check_unit(v0)
     if T < 0.0:
@@ -84,17 +85,23 @@ def geodesic(v0, alpha: float, T: float, ctrl: StepControl | None = None,
     y0 = np.concatenate([v0, np.zeros(3)])
     times = np.linspace(0.0, T, n_samples)
     traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), ctrl, output_times=times[1:])
+    if stats is not None:
+        stats.add(traj.stats)
     all_t = np.concatenate([[0.0], traj.times])
     all_y = np.vstack([y0, traj.states])
     return GeodesicPath(alpha, all_t, all_y[:, :3], all_y[:, 3:])
 
 
-def geodesic_endpoints(v0s, alpha: float, T: float, ctrl: StepControl) -> np.ndarray:
+def geodesic_endpoints(v0s, alpha: float, T: float, ctrl: StepControl,
+                       stats: SolverStats | None = None) -> np.ndarray:
     """Endpoints at length T > 0 of the geodesics from the identity with the
-    unit tangents ``v0s`` (shape (m, 3)), integrated together as one batch."""
+    unit tangents ``v0s`` (shape (m, 3)), integrated together as one batch
+    whose counts are added to ``stats`` when it is given."""
     v0s = _check_unit(v0s)
     y0 = np.hstack([v0s, np.zeros_like(v0s)])
     traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), ctrl, output_times=[T])
+    if stats is not None:
+        stats.add(traj.stats)
     return traj.y_end[:, 3:]
 
 
@@ -140,14 +147,15 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def geodesic_sphere(alpha: float, R: float,
-                    n_dirs: int = 200) -> tuple[np.ndarray, np.ndarray]:
+def geodesic_sphere(alpha: float, R: float, n_dirs: int = 200,
+                    stats: SolverStats | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Point cloud of the geodesic sphere of radius R, (directions, endpoints),
-    all geodesics integrated as one batch at ``SPHERE_CONTROL``."""
+    all geodesics integrated as one batch at ``SPHERE_CONTROL``; the batch's
+    counts are added to ``stats`` when it is given."""
     check_alpha(alpha)
     if R <= 0.0:
         raise SetupError("radius must be positive")
     if n_dirs < 100:
         raise SetupError("need at least 100 directions for a meaningful cloud")
     dirs = fibonacci_directions(n_dirs)
-    return dirs, geodesic_endpoints(dirs, alpha, R, SPHERE_CONTROL)
+    return dirs, geodesic_endpoints(dirs, alpha, R, SPHERE_CONTROL, stats)

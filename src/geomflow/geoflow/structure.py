@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SetupError
-from ..numerics import StepControl, find_root, integrate_ode
+from ..numerics import SolverStats, StepControl, find_root, integrate_ode
 from .group import check_alpha
 
 # Step control of the family's ODE solves (flowlines, geodesics and the
@@ -106,11 +106,13 @@ class Flowline:
         return self.tangents[-1]
 
 
-def flow_tangent(v0, alpha: float, T: float, n_samples: int = 1001) -> Flowline:
+def flow_tangent(v0, alpha: float, T: float, n_samples: int = 1001,
+                 stats: SolverStats | None = None) -> Flowline:
     """Integrate v' = Sigma(v) for time T without renormalization.
 
     The sphere constraint and the level H are not enforced; their drift is
     what the returned series measure, so the integration runs at ``TIGHT``.
+    Its counts are added to ``stats`` when it is given.
     """
     check_alpha(alpha)
     v0 = np.asarray(v0, dtype=float)
@@ -118,6 +120,8 @@ def flow_tangent(v0, alpha: float, T: float, n_samples: int = 1001) -> Flowline:
         raise SetupError("initial tangent is not a unit vector")
     times = np.linspace(0.0, T, n_samples)
     traj = integrate_ode(_flow_rhs(alpha), v0, (0.0, T), TIGHT, output_times=times[1:])
+    if stats is not None:
+        stats.add(traj.stats)
     all_times = np.concatenate([[0.0], traj.times])
     all_tangents = np.vstack([v0, traj.states])
     return Flowline(alpha=alpha, times=all_times, tangents=all_tangents)

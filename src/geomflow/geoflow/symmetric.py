@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DetectionError, SetupError
-from ..numerics import Trajectory, integrate_ode
+from ..numerics import SolverStats, Trajectory, integrate_ode
 from .group import check_alpha
 from .periods import period
 from .structure import (TIGHT, VARIATIONAL_CONTROL, _sigma, admissible_x0_interval,
@@ -97,9 +97,11 @@ def _predicted_half_period(x0: float, alpha: float) -> tuple[float, float]:
     return beta, 0.5 * period(alpha, beta).period
 
 
-def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl) -> list[SymmetricRun]:
+def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl,
+                         stats: SolverStats | None = None) -> list[SymmetricRun]:
     """Integrate the rows ``y0s`` (one per x0 in ``x0s``) as one batch to
-    their first z-returns, each row checked against its own P(beta)/2.
+    their first z-returns, each row checked against its own P(beta)/2; the
+    batch's counts are added to ``stats`` when it is given.
 
     A lone row is integrated as a plain (d,) state: the same bits as its
     one-row batch, at less than half the cost per step (scalar arithmetic
@@ -110,6 +112,8 @@ def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl) -> list[SymmetricRun]:
     lone = len(x0s) == 1
     traj = integrate_ode(rhs, y0s[0] if lone else y0s, (0.0, 10.0 * predicted.max()), ctrl,
                          event=lambda t, u: u[..., 2], event_min_time=0.05 * predicted)
+    if stats is not None:
+        stats.add(traj.stats)
     rows = [traj] if lone else [traj.row(r) for r in range(len(x0s))]
     runs = []
     for x0, beta, pred, row in zip(x0s, betas, predicted, rows):
@@ -135,14 +139,16 @@ def _check_x0(x0s, alpha: float) -> np.ndarray:
     return x0s
 
 
-def _symmetric_runs(x0s, alpha: float, with_quadrature: bool = False) -> list[SymmetricRun]:
+def _symmetric_runs(x0s, alpha: float, with_quadrature: bool = False,
+                    stats: SolverStats | None = None) -> list[SymmetricRun]:
     """The 5-system (6 with ``with_quadrature``) from (x0, sqrt(1-x0^2), 0, 0, 0)
     for every x0 of ``x0s``, integrated as one batch at ``TIGHT``."""
     x0s = _check_x0(x0s, alpha)
     y0s = np.zeros((x0s.size, 6 if with_quadrature else 5))
     y0s[:, 0] = x0s
     y0s[:, 1] = np.sqrt(1.0 - x0s * x0s)
-    return _integrate_to_return(_sym_rhs(alpha, with_quadrature), y0s, alpha, x0s, TIGHT)
+    return _integrate_to_return(_sym_rhs(alpha, with_quadrature), y0s, alpha, x0s, TIGHT,
+                                stats)
 
 
 def symmetric_system(x0: float, alpha: float, with_quadrature: bool = False) -> SymmetricRun:
@@ -192,9 +198,11 @@ class BoxScanRecord:
     passed: bool | None = None
 
 
-def bounding_box_scan(alpha: float, x0_grid) -> list[BoxScanRecord]:
+def bounding_box_scan(alpha: float, x0_grid,
+                      stats: SolverStats | None = None) -> list[BoxScanRecord]:
     """Check min a' and min b' over ``BOX_SAMPLES`` points of (0, rho] for
-    each admissible x0, all of them integrated as one batch.
+    each admissible x0, all of them integrated as one batch whose counts are
+    added to ``stats`` when it is given.
 
     Grid points at or below the equilibrium abscissa sqrt(a/(1+a)) are
     reported as inadmissible and skipped rather than failing the scan: the
@@ -204,7 +212,7 @@ def bounding_box_scan(alpha: float, x0_grid) -> list[BoxScanRecord]:
     lo, _ = admissible_x0_interval(alpha)
     grid = np.atleast_1d(np.asarray(x0_grid, dtype=float))
     admissible = (grid > lo + 1e-9) & (grid < 1.0)
-    runs = iter(_symmetric_runs(grid[admissible], alpha, with_quadrature=True)
+    runs = iter(_symmetric_runs(grid[admissible], alpha, with_quadrature=True, stats=stats)
                 if admissible.any() else [])
     records = []
     for x0, ok in zip(grid, admissible):
@@ -245,13 +253,14 @@ class BoundaryCurve:
     b_nonincreasing: bool
 
 
-def boundary_curve(alpha: float, x0_grid) -> BoundaryCurve:
+def boundary_curve(alpha: float, x0_grid, stats: SolverStats | None = None) -> BoundaryCurve:
     """Endpoints (a(rho), b(rho)) over the grid, integrated as one batch, plus
     monotonicity verdicts; b may rise by up to ``SLOPE_TOL`` between grid
-    points and still count as nonincreasing."""
+    points and still count as nonincreasing. The batch's counts are added to
+    ``stats`` when it is given."""
     xs = np.atleast_1d(np.asarray(x0_grid, dtype=float))
     pts = [BoundaryPoint(x0=run.x0, a_end=float(run.end_state[3]), b_end=float(run.end_state[4]))
-           for run in _symmetric_runs(xs, alpha)]
+           for run in _symmetric_runs(xs, alpha, stats=stats)]
     a_vals = np.array([p.a_end for p in pts])
     b_vals = np.array([p.b_end for p in pts])
     slopes_a = np.gradient(a_vals, xs)

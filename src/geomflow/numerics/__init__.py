@@ -4,7 +4,7 @@ calculus.
 """
 
 from .interpolation import PeriodicCubicSpline
-from .ode import StepControl, Trajectory, integrate_ode
+from .ode import SolverStats, StepControl, Trajectory, integrate_ode
 from .periodic import cyclic_shift, periodic_grid, periodic_primitive, trig_interpolant
 from .quadrature import QUAD_TOL, integrate_singular
 from .roots import find_root
@@ -13,6 +13,7 @@ from .special import elliptic_K
 __all__ = [
     "QUAD_TOL",
     "PeriodicCubicSpline",
+    "SolverStats",
     "StepControl",
     "Trajectory",
     "cyclic_shift",

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import IntegrationError
-from ..numerics import StepControl, integrate_ode, trig_interpolant
+from ..numerics import SolverStats, StepControl, integrate_ode, trig_interpolant
 from .core import CurvatureProfile, TorsionField
 
-FRENET_CONTROL = StepControl(initial_step=1e-3, abs_tol=1e-11, rel_tol=1e-11)
+# Each integration spans one grid interval, and its first trial step is the whole interval.
+FRENET_CONTROL = StepControl(initial_step=None, abs_tol=1e-11, rel_tol=1e-11)
 FRAME_DRIFT_TOL = 1e-6  # largest orthonormality drift of the frame before correction
 
 
@@ -71,11 +72,14 @@ def _orthonormalize(T, N, B):
 
 def frenet_reconstruct(kappa: CurvatureProfile, tau: TorsionField,
                        s_span: tuple[float, float] = (0.0, 4.0 * math.pi),
-                       n_samples: int = 513) -> ReconstructedCurve:
+                       n_samples: int = 513,
+                       stats: SolverStats | None = None) -> ReconstructedCurve:
     """Integrate the Frenet system at the constant curvature ``kappa`` from
-    the standard frame at the origin, at ``FRENET_CONTROL``; the torsion is
-    evaluated by trigonometric interpolation of its periodic samples. A
-    curvature that varies along the curve is not supported."""
+    the standard frame at the origin, at ``FRENET_CONTROL``, one integration
+    per grid interval; the torsion is evaluated by trigonometric
+    interpolation of its periodic samples. A curvature that varies along the
+    curve is not supported. The integrations' counts are added to ``stats``
+    when it is given."""
     init = FrenetState.standard()
     tau_of = trig_interpolant(tau.samples)
     k = kappa.constant
@@ -94,7 +98,10 @@ def frenet_reconstruct(kappa: CurvatureProfile, tau: TorsionField,
     out[0] = y
     drift = 0.0
     for i in range(1, n_samples):
-        traj = integrate_ode(rhs, y, (grid[i - 1], grid[i]), FRENET_CONTROL)
+        traj = integrate_ode(rhs, y, (grid[i - 1], grid[i]), FRENET_CONTROL,
+                             output_times=[grid[i]])
+        if stats is not None:
+            stats.add(traj.stats)
         y = traj.y_end.copy()
         frame = y[3:].reshape(3, 3)
         gram = frame @ frame.T

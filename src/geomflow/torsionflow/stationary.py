@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from ..errors import ConstructionError, SetupError
-from ..numerics import (StepControl, find_root, integrate_ode,
+from ..numerics import (SolverStats, StepControl, find_root, integrate_ode,
                         integrate_singular, periodic_grid)
 from .core import TWO_PI, TorsionField
 
@@ -69,13 +69,15 @@ def _orbit_turning_points(A: float, C: float) -> tuple[float, float]:
     return u_min, u_max
 
 
-def stationary_torsion_general(A: float, C: float, n: int = 256) -> TorsionField:
+def stationary_torsion_general(A: float, C: float, n: int = 256,
+                               stats: SolverStats | None = None) -> TorsionField:
     """Stationary profile by quadrature of the reduced first-order equation.
 
     The orbit of u oscillates between the turning points; its s-period must
     divide 2*pi to within ``CLOSURE_TOL`` cycles for the profile to live on
     the periodic mesh, otherwise the constants are rejected. The profile is
-    phased so tau is maximal at s = 0.
+    phased so tau is maximal at s = 0. The counts of the orbit's integration
+    are added to ``stats`` when it is given.
     """
     u_min, u_max = _orbit_turning_points(A, C)
 
@@ -99,5 +101,7 @@ def stationary_torsion_general(A: float, C: float, n: int = 256) -> TorsionField
     ctrl = StepControl(initial_step=1e-4, abs_tol=1e-13, rel_tol=1e-13)
     grid = periodic_grid(n)
     traj = integrate_ode(rhs, [u_min, 0.0], (0.0, TWO_PI), ctrl, output_times=grid[1:])
+    if stats is not None:
+        stats.add(traj.stats)
     u_samples = np.concatenate([[u_min], traj.states[:, 0]])
     return TorsionField(u_samples ** -2.0)

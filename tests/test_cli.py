@@ -222,7 +222,68 @@ class TestManifests:
             assert not {"func", "out", "command", "experiment"} & manifest["parameters"].keys()
 
 
+class TestSolverStats:
+    # every ODE-driven command records what its integrations did
+    CASES = [(["geo", "sphere", "--R", "0.5", "--n-dirs", "100"], "geo_sphere"),
+             (["geo", "boundary", "--x0-min", "0.8", "--x0-max", "0.84"], "geo_boundary"),
+             (["geo", "boundingbox", "--x0-min", "0.7", "--x0-max", "0.8"], "geo_boundingbox"),
+             (["geo", "flowline", "--T", "1"], "geo_flowline"),
+             (["geo", "geodesic", "--T", "0.5", "--samples", "11"], "geo_geodesic"),
+             (["geo", "cylinder", "--T", "0.5", "--samples", "11"], "geo_cylinder"),
+             (["torsion", "reconstruct", "--initial", "helix", "--n", "64",
+               "--s-max", "1", "--samples", "5"], "torsion_reconstruct"),
+             (["torsion", "stationary", "--A", "1e-9", "--C", "3", "--n", "64"],
+              "torsion_stationary")]
+
+    @pytest.mark.parametrize("argv,experiment", CASES, ids=[c[1] for c in CASES])
+    def test_manifest_records_solver_stats(self, argv, experiment, tmp_path):
+        stats = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main([*argv, "--out", str(out)]) == 0
+            manifest = json.loads((out / f"{experiment}_manifest.json").read_text())
+            stats.append(manifest["parameters"]["solver_stats"])
+        assert stats[0] == stats[1]  # counts only: repeated runs record the same
+        assert set(stats[0]) == {"accepted", "rejected", "rhs_evals", "min_step", "max_step"}
+        assert stats[0]["accepted"] > 0 and stats[0]["rhs_evals"] >= 12 * stats[0]["accepted"]
+        assert 0.0 < stats[0]["min_step"] <= stats[0]["max_step"]
+
+    def test_closed_form_stationary_integrates_nothing(self, tmp_path):
+        assert main(["torsion", "stationary", "--n", "64", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "torsion_stationary_manifest.json").read_text())
+        assert manifest["parameters"]["solver_stats"] == {
+            "accepted": 0, "rejected": 0, "rhs_evals": 0, "min_step": None, "max_step": None}
+
+    def test_reconstruct_evaluation_budget(self, tmp_path):
+        # 512 grid intervals at the defaults: 17,036 field evaluations with
+        # RK4(5) from a 1e-3 first step, 6,397 with DOP853 from the interval
+        assert main(["torsion", "reconstruct", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "torsion_reconstruct_manifest.json").read_text())
+        assert manifest["parameters"]["solver_stats"]["rhs_evals"] <= 6397
+
+
 class TestVerify:
+    def test_json_rows(self, monkeypatch, capsys):
+        from geomflow import acceptance
+
+        def passing():
+            return acceptance.CheckResult(1, "quick check", "PASS", True, "ok")
+
+        def failing():
+            return acceptance.CheckResult(2, "gating check", "FAIL", True, "off by 1")
+
+        monkeypatch.setattr(acceptance, "CRITERIA", [(1, "geo", passing)])
+        assert main(["verify", "geo", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 1
+        assert rows[0].keys() == {"cid", "label", "status", "gating", "seconds", "details"}
+        assert (rows[0]["cid"], rows[0]["status"], rows[0]["details"]) == (1, "PASS", "ok")
+        assert rows[0]["seconds"] >= 0.0
+        # a gating failure sets the exit code as it does for the table
+        monkeypatch.setattr(acceptance, "CRITERIA", [(1, "geo", passing), (2, "geo", failing)])
+        assert main(["verify", "geo", "--json"]) == 1
+        assert [r["status"] for r in json.loads(capsys.readouterr().out)] == ["PASS", "FAIL"]
+
     def test_rows_print_wall_time(self, monkeypatch, capsys):
         from geomflow import acceptance
 

@@ -65,10 +65,60 @@ class TestIntegrateOde:
             StepControl(max_steps=0)
 
 
+class TestDop853Core:
+    """The DOP853 tableau, its observed order and the solver statistics."""
+
+    def test_tableau_matches_scipy(self):
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        from geomflow.numerics import ode
+        assert np.max(np.abs(ode._A - coefficients.A)) <= 1e-15
+        assert np.max(np.abs(ode._B - coefficients.B)) <= 1e-15
+        assert np.max(np.abs(ode._C - coefficients.C)) <= 1e-15
+        assert np.max(np.abs(ode._D - coefficients.D)) <= 1e-15
+        # scipy's error weights carry a zero for the stage at the new point
+        for ours, theirs in ((ode._E3, coefficients.E3), (ode._E5, coefficients.E5)):
+            assert theirs[12] == 0.0
+            assert np.max(np.abs(ours - theirs[:12])) <= 1e-15
+
+    def test_observed_order_is_eight(self):
+        # fixed steps: max_step = initial_step = h and tolerances no step fails
+        def end_error(h):
+            tr = integrate_ode(lambda t, y: np.cos(t) * y, [1.0], (0.0, 4.0),
+                               StepControl(initial_step=h, max_step=h, abs_tol=1.0, rel_tol=1.0))
+            assert tr.stats.rejected == 0 and tr.stats.max_step == h
+            return abs(tr.y_end[0] - math.exp(math.sin(4.0)))
+
+        ratio = end_error(0.5) / end_error(0.25)
+        assert 7.5 < math.log2(ratio) < 8.5
+
+    def test_stats_count_every_field_call(self):
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return _van_der_pol(t, y)
+
+        for output_times in (None, [4.0, 8.0]):
+            calls.clear()
+            tr = integrate_ode(field, [2.0, 0.0], (0.0, 8.0), StepControl(abs_tol=1e-10, rel_tol=1e-10),
+                               output_times=output_times)
+            assert tr.stats.rhs_evals == len(calls)
+            assert tr.stats.accepted > 0 and tr.stats.rejected > 0
+            assert 0.0 < tr.stats.min_step <= tr.stats.max_step
+
+    def test_output_time_at_a_step_end_needs_no_dense_stages(self):
+        # one step over the whole span: the initial field, 11 stages and no more
+        tr = integrate_ode(lambda t, y: -y, [1.0], (0.0, 0.1),
+                           StepControl(initial_step=None, abs_tol=1e-8, rel_tol=1e-8),
+                           output_times=[0.1])
+        assert (tr.stats.accepted, tr.stats.rejected, tr.stats.rhs_evals) == (1, 0, 12)
+
+
 def _van_der_pol(t, y):
-    """Van der Pol field on one state (2,) or on a batch of rows (m, 2)."""
+    """Van der Pol field on one state (2,) or on a batch of rows (m, 2), with
+    the same bits on both (numpy's scalar ``x ** 2`` is not always ``x * x``)."""
     x, v = y.T
-    return np.array([v, (1.0 - x ** 2) * v - x]).T
+    return np.array([v, (1.0 - x * x) * v - x]).T
 
 
 class TestIntegrateOdeAgainstDop853:
@@ -104,12 +154,21 @@ class TestIntegrateOdeAgainstDop853:
             assert np.array_equal(tr.times, output_times[output_times <= tr.event_time])
 
     def test_stored_derivatives_are_the_field(self):
+        # each step's stored polynomial runs from node to node, and its slope
+        # at both ends is the field there (at the start only for the last
+        # step, which is cut at the event), to rounding in the stage weights
+        # (up to about 500 in size)
         tr = integrate_ode(_van_der_pol, [2.0, 0.0], (0.0, 20.0),
                            StepControl(abs_tol=1e-10, rel_tol=1e-10),
                            event=lambda t, y: y[0], event_min_time=3.0)
-        assert tr.derivs.shape == tr.states.shape
-        for t, y, f in zip(tr.times, tr.states, tr.derivs):
-            assert np.array_equal(f, _van_der_pol(t, y))
+        c = tr.coeffs
+        assert c.shape == (tr.times.size - 1, 7, 2)
+        h = np.diff(tr.times)[:, None]
+        fields = np.array([_van_der_pol(t, y) for t, y in zip(tr.times, tr.states)])
+        assert np.max(np.abs(tr.states[:-1] + c.sum(axis=1) - tr.states[1:])) < 5e-13
+        assert np.max(np.abs(c[:, 0] / h - fields[:-1])) < 1e-12
+        end_slopes = (np.arange(1, 8)[:, None] * c).sum(axis=1) / h
+        assert np.max(np.abs(end_slopes[:-1] - fields[1:-1])) < 5e-11
 
 
 class TestIntegrateOdeBatch:
@@ -128,14 +187,17 @@ class TestIntegrateOdeBatch:
         assert np.array_equal(batch.times, single.times)
         assert np.array_equal(batch.states[:, 0], single.states)
         if output_times is None:
-            assert np.array_equal(batch.derivs[:, 0], single.derivs)
+            assert np.array_equal(batch.coeffs[:, :, 0], single.coeffs)
+            ts = np.linspace(0.0, single.times[-1], 77)
+            assert np.array_equal(batch.sample(ts)[:, 0], single.sample(ts))
         assert batch.event_time[0] == single.event_time
         assert np.array_equal(batch.event_state[0], single.event_state)
 
     def test_rows_match_dop853(self):
         # each row's event after its own min time, and every row's state at
         # the end of the run (the latest event), against DOP853 on that row;
-        # events sit on cubic Hermite interpolants, good to about 1e-11 here
+        # events sit on the 7th-order continuous extension, so they are as
+        # good as the states (see test_event_times_match_lone_runs)
         integrate = pytest.importorskip("scipy.integrate")
         y0 = np.array([[2.0, 0.0], [1.0, 0.0], [0.5, 1.5]])
         min_times = np.array([3.0, 0.0, 1.0])
@@ -153,6 +215,42 @@ class TestIntegrateOdeBatch:
             end = integrate.solve_ivp(_van_der_pol, (0.0, tr.times[-1]), y0[row],
                                       method="DOP853", rtol=1e-13, atol=1e-13)
             assert np.max(np.abs(tr.y_end[row] - end.y[:, -1])) < 1e-10
+
+    def test_event_times_match_lone_runs(self):
+        # a row's event sits as close to its lone run's and to DOP853's as the
+        # bisection width _EVENT_TOL = 1e-12 allows (measured: at most 2.7e-13
+        # from the lone runs, 3.4e-13 from scipy)
+        integrate = pytest.importorskip("scipy.integrate")
+        y0 = np.array([[2.0, 0.0], [1.0, 0.0], [0.5, 1.5]])
+        min_times = np.array([3.0, 0.0, 1.0])
+        ctrl = StepControl(abs_tol=1e-14, rel_tol=1e-14)
+        tr = integrate_ode(_van_der_pol, y0, (0.0, 20.0), ctrl,
+                           event=lambda t, y: y[..., 0], event_min_time=min_times)
+        crossing = lambda t, y: y[0]
+        crossing.direction = -1
+        for row in range(3):
+            lone = integrate_ode(_van_der_pol, y0[row], (0.0, 20.0), ctrl,
+                                 event=crossing, event_min_time=min_times[row])
+            ref = integrate.solve_ivp(_van_der_pol, (0.0, 20.0), y0[row], method="DOP853",
+                                      rtol=1e-13, atol=1e-13, events=crossing)
+            expected = ref.t_events[0][ref.t_events[0] > min_times[row]][0]
+            assert abs(tr.event_time[row] - lone.event_time) < 1e-12
+            assert abs(tr.event_time[row] - expected) < 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(x0=st.floats(-2.0, 2.0), v0=st.floats(-2.0, 2.0),
+           tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    # a state near 0 gives error estimates whose squares underflow
+    @example(x0=0.0, v0=6.817434441174966e-292, tol=1e-6, fractions=[0.0])
+    def test_one_row_batch_is_bit_identical(self, x0, v0, tol, fractions):
+        ctrl = StepControl(abs_tol=tol, rel_tol=tol)
+        single = integrate_ode(_van_der_pol, [x0, v0], (0.0, 6.0), ctrl)
+        batch = integrate_ode(_van_der_pol, [[x0, v0]], (0.0, 6.0), ctrl)
+        assert np.array_equal(batch.times, single.times)
+        assert np.array_equal(batch.states[:, 0], single.states)
+        ts = 6.0 * np.array(fractions)
+        assert np.array_equal(batch.sample(ts)[:, 0], single.sample(ts))
 
     def test_nonfinite_row_is_named(self):
         from geomflow.errors import IntegrationError

@@ -67,8 +67,8 @@ def _profile(name: str, n: int) -> np.ndarray:
     return 10.0 + (np.sin(s) / 2.0 if name == "half" else np.sin(s) + np.cos(s))
 
 
-def _tight_rk45(tau0: np.ndarray, kappa: CurvatureProfile, times) -> list[np.ndarray]:
-    """RK4(5) at rel_tol = abs_tol = 1e-13, its steps capped at the explicit
+def _tight_dop853(tau0: np.ndarray, kappa: CurvatureProfile, times) -> list[np.ndarray]:
+    """DOP853 at rel_tol = abs_tol = 1e-13, its steps capped at the explicit
     stability bound of the third- and first-derivative terms."""
     n, kap = tau0.size, kappa.constant
     kmax = n // 2
@@ -90,8 +90,10 @@ def _fixed_steps(data: np.ndarray, T: float, m: int) -> np.ndarray:
 
 
 class TestEtdrk4:
-    # largest difference from RK4(5) at rel_tol = abs_tol = 1e-13 over two
-    # frames to T = 0.2 at N = 128, measured, times 10
+    # largest difference from the tight reference over two frames to T = 0.2
+    # at N = 128, measured against RK4(5) at rel_tol = abs_tol = 1e-13, times
+    # 10; DOP853 at the same tolerances measures 1.3e-10, 5.9e-11, 2.3e-11,
+    # 1.6e-11, 5.7e-12 and 2.3e-12
     @pytest.mark.parametrize("name,kappa,tol", [
         ("half", 0.5, 1.3e-9), ("half", 1.0, 6e-10), ("half", 2.0, 2.3e-10),
         ("sincos", 0.5, 1.6e-10), ("sincos", 1.0, 5.5e-11), ("sincos", 2.0, 2.1e-11)])
@@ -100,7 +102,7 @@ class TestEtdrk4:
         tau0 = TorsionField(_profile(name, n))
         kap = CurvatureProfile(constant=kappa)
         fields = torsion_evolve(tau0, kap, 0.2, output_times=times)
-        ref = _tight_rk45(tau0.samples, kap, times)
+        ref = _tight_dop853(tau0.samples, kap, times)
         assert max(np.max(np.abs(f.samples - r)) for f, r in zip(fields, ref)) < tol
 
     @pytest.mark.parametrize("name,kappa", [("half", 0.5), ("half", 1.0),
@@ -109,13 +111,13 @@ class TestEtdrk4:
         # at N = 64 the stability bound alone allows steps whose local error
         # exceeds the tolerance (sin-half at kappa = 0.5 ended 3.0e-7 off with
         # ten such steps); under the accuracy bound the difference from tight
-        # RK4(5) stays below the sum of the per-step tolerances
+        # DOP853 stays below the sum of the per-step tolerances
         n, times = 64, [0.1, 0.2]
         tau0 = TorsionField(_profile(name, n))
         kap = CurvatureProfile(constant=kappa)
         fields = torsion_evolve(tau0, kap, 0.2, output_times=times)
         rec = fields.record
-        ref = _tight_rk45(tau0.samples, kap, times)
+        ref = _tight_dop853(tau0.samples, kap, times)
         err = max(np.max(np.abs(f.samples - r)) for f, r in zip(fields, ref))
         assert err < rec["steps"] * (ABS_TOL + REL_TOL * np.max(tau0.samples))
         assert rec["step_max"] < ETD_SAFETY / rec["rho0"]
