@@ -5,8 +5,9 @@ Subpackages:
 - ``numerics``: shared kernels (adaptive DOP853 with dense output, elliptic K, bracketed root
   finding, de-singularized quadrature, spectral periodic primitive and
   interpolation).
-- ``csf``: curve-shortening flow on immersed plane curves, with the
-  figure-eight diagnostics and the affine bow-tie rescaling.
+- ``csf``: curve-shortening flow on immersed plane curves in
+  tangent-angle/length form, with the figure-eight diagnostics and the
+  affine bow-tie rescaling.
 - ``torsionflow``: the curvature-preserving flow on space curves — ETDRK4
   torsion evolution, stationary profiles, linearized solver, variable-change round
   trip, and Frenet-Serret curve reconstruction.

@@ -15,10 +15,12 @@ manifest's parameters are every parsed argument except ``--out``, and its
 tolerances are the controls the run actually used: the step control of the
 ODE-driven geo commands and of ``torsion reconstruct`` (with its frame-drift
 tolerance), the step record of ``torsion evolve`` (its scheme, tolerances,
-remainder bounds, step counts and step range), the CFL number and stop rule
-of the csf commands (which also record their step count), and the library
-constants the other commands run with (such as the slope tolerance of ``geo
-boundary`` and the closure tolerance of ``torsion stationary``). The
+remainder bounds, step counts and step range), the step control and stop
+rule of the csf commands (which also record their accepted steps, checks,
+rejections and the symmetries they held, and time their steps, projections
+and frame diagnostics in ``wall_time_seconds``), and the library constants
+the other commands run with (such as the slope tolerance of ``geo boundary``
+and the closure tolerance of ``torsion stationary``). The
 ODE-driven commands (``geo sphere``, ``boundary``, ``boundingbox``,
 ``flowline``, ``geodesic``, ``cylinder``, ``torsion reconstruct`` and
 ``stationary``) also record the solver statistics of their integrations:
@@ -73,36 +75,41 @@ def _stop_record(stop) -> dict:
 
 
 def _write_run(writer: ExperimentWriter, run) -> None:
-    frame_rows = []
-    for fi, (t, frame) in enumerate(zip(run.times, run.frames)):
-        for pi, (x, y) in enumerate(frame.points):
-            frame_rows.append([t, pi, float(x), float(y)])
+    frame_rows = ((t, pi, x, y) for t, frame in zip(run.times, run.frames)
+                  for pi, x, y in zip(range(len(frame.points)), frame.points[:, 0].tolist(),
+                                      frame.points[:, 1].tolist()))
     writer.csv("frames.csv", ["t", "point_index", "x", "y"], frame_rows)
     diag_rows = [d.row() for d in run.diagnostics]
     from .csf import EightDiagnostics
     writer.csv("diagnostics.csv", list(EightDiagnostics.FIELDS), diag_rows)
 
 
+def _finish_run(writer: ExperimentWriter, run) -> None:
+    """Record how a csf run was stepped, and write its manifest with the
+    seconds of each phase of the run next to the total wall time."""
+    writer.parameters.update(stop_reason=run.stop_reason, steps=run.steps, checks=run.checks,
+                             rejected=run.rejected, symmetries=run.symmetries)
+    writer.phase_seconds = {f"csf_{phase}": s for phase, s in run.seconds.items()}
+    writer.finish()
+
+
 def cmd_csf_run(args) -> int:
-    from .csf import CFL, RECORD_SHRINK, StopRule, csf_evolve
+    from .csf import StopRule, csf_evolve, step_control
     curve = _load_eight(args)
     stop = StopRule(time=args.T, kmax_spacing=args.kmax_spacing)
-    writer = _writer(args, {"cfl": CFL, "record_shrink": RECORD_SHRINK,
-                            "stop_rule": _stop_record(stop)})
+    writer = _writer(args, {**step_control(), "stop_rule": _stop_record(stop)})
     run = csf_evolve(curve, stop, record_dt=args.record_dt)
     _write_run(writer, run)
-    writer.parameters["stop_reason"] = run.stop_reason
-    writer.parameters["steps"] = run.steps
-    writer.finish()
+    _finish_run(writer, run)
     return 0
 
 
 def _collapse_writer(args):
     """Writer and stop rule of the runs to the singularity stop."""
-    from .csf import CFL, MIN_TIP_POINTS, RECORD_SHRINK, StopRule
+    from .csf import MIN_TIP_POINTS, StopRule, step_control
     stop = StopRule(kmax_spacing=0.5)
-    writer = _writer(args, {"cfl": CFL, "record_shrink": RECORD_SHRINK,
-                            "stop_rule": _stop_record(stop), "min_tip_points": MIN_TIP_POINTS})
+    writer = _writer(args, {**step_control(), "stop_rule": _stop_record(stop),
+                            "min_tip_points": MIN_TIP_POINTS})
     return writer, stop
 
 
@@ -122,9 +129,7 @@ def cmd_csf_bowtie(args) -> int:
         rows.append([run.times[k], rec.bowtie_distance, rec.ratio_xstar, px[k], py[k]])
     writer.csv("bowtie.csv", ["t", "bowtie_distance", "ratio_xstar",
                               "minus_ymax_dxmax_dt", "minus_xmax_dymax_dt"], rows)
-    writer.parameters["stop_reason"] = run.stop_reason
-    writer.parameters["steps"] = run.steps
-    writer.finish()
+    _finish_run(writer, run)
     return 0
 
 
@@ -138,8 +143,7 @@ def cmd_csf_grimreaper(args) -> int:
     series = grim_reaper_check(run, idxs)
     writer.csv("grimreaper.csv", ["t", "profile_error", "alpha_angle"],
                zip(series.times, series.errors, series.alphas))
-    writer.parameters["steps"] = run.steps
-    writer.finish()
+    _finish_run(writer, run)
     return 0
 
 

@@ -7,16 +7,16 @@ from .analysis import (MIN_TIP_POINTS, BowtieRecord, GrimReaperSeries, ThetaSeri
 from .curve import (EightDiagnostics, PlaneCurve, curvature_and_angles, curvature_vector,
                     curve_geometry, curve_length, edge_lengths, enclosed_area, lobe_areas,
                     make_concinnous_eight, self_intersection, turning_number)
-from .evolve import (CFL, LENGTH_FLOOR, RECORD_SHRINK, CsfRun, StopRule, csf_evolve,
-                     resample_uniform)
+from .evolve import (LENGTH_FLOOR, RECORD_SHRINK, CsfRun, StopRule, csf_evolve,
+                     resample_uniform, step_control)
 
 __all__ = [
-    "BowtieRecord", "CFL", "CsfRun", "EightDiagnostics", "GrimReaperSeries",
+    "BowtieRecord", "CsfRun", "EightDiagnostics", "GrimReaperSeries",
     "LENGTH_FLOOR", "MIN_TIP_POINTS", "PlaneCurve", "RECORD_SHRINK", "StopRule", "ThetaSeries",
     "affine_rescale_and_bowtie", "axis_shrink_products", "csf_evolve",
     "curvature_and_angles", "curvature_vector", "curve_geometry", "curve_length", "edge_lengths",
     "enclosed_area", "grim_reaper_check", "grim_reaper_profile_error",
     "lobe_areas", "make_concinnous_eight", "reaper_profile_defect",
-    "resample_uniform", "resolvable_frames", "self_intersection",
+    "resample_uniform", "resolvable_frames", "self_intersection", "step_control",
     "theta_monotonicity_series", "turning_number",
 ]

@@ -127,13 +127,17 @@ class BowtieRecord:
     ratio_xstar: float
 
 
-def _dist_points_to_segments(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest of the given segments."""
-    d = seg_b - seg_a                      # (m, 2)
-    pa = points[:, None, :] - seg_a[None, :, :]   # (n, m, 2)
-    tt = np.clip(np.einsum("nmk,mk->nm", pa, d) / np.sum(d * d, axis=1)[None, :], 0.0, 1.0)
-    proj = seg_a[None, :, :] + tt[:, :, None] * d[None, :, :]
-    return np.min(np.linalg.norm(points[:, None, :] - proj, axis=2), axis=1)
+def _dist_points_to_segments(px, py, ax, ay, bx, by) -> np.ndarray:
+    """Distance from each point (px, py) to the nearest of the segments from
+    (ax, ay) to (bx, by): the square root of the least squared distance, on
+    (points, segments) arrays of one coordinate each."""
+    dx, dy = bx - ax, by - ay
+    pax = px[:, None] - ax
+    pay = py[:, None] - ay
+    tt = np.clip((pax * dx + pay * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+    ex = px[:, None] - (ax + tt * dx)
+    ey = py[:, None] - (ay + tt * dy)
+    return np.sqrt(np.min(ex * ex + ey * ey, axis=1))
 
 
 def affine_rescale_and_bowtie(frame: PlaneCurve, diag: EightDiagnostics) -> BowtieRecord:
@@ -156,13 +160,14 @@ def affine_rescale_and_bowtie(frame: PlaneCurve, diag: EightDiagnostics) -> Bowt
     seg_a = np.array(path[:-1])
     seg_b = np.array(path[1:])
 
-    d_curve_to_tie = float(np.max(_dist_points_to_segments(Q, seg_a, seg_b)))
+    qx, qy = Q[:, 0], Q[:, 1]
+    ax, ay, bx, by = seg_a[:, 0], seg_a[:, 1], seg_b[:, 0], seg_b[:, 1]
+    d_curve_to_tie = float(np.max(_dist_points_to_segments(qx, qy, ax, ay, bx, by)))
     samples = np.concatenate([
         seg_a + tt * (seg_b - seg_a) for tt in np.linspace(0.0, 1.0, 101)[:, None, None]
     ])
-    curve_a = Q
-    curve_b = cyclic_shift(Q, 1)
-    d_tie_to_curve = float(np.max(_dist_points_to_segments(samples, curve_a, curve_b)))
+    d_tie_to_curve = float(np.max(_dist_points_to_segments(
+        samples[:, 0], samples[:, 1], qx, qy, cyclic_shift(qx, 1), cyclic_shift(qy, 1))))
     return BowtieRecord(
         rescaled=rescaled,
         bowtie_distance=max(d_curve_to_tie, d_tie_to_curve),

@@ -67,9 +67,14 @@ def _three_point(P: np.ndarray):
 
 
 def curvature_vector(P: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Discrete second arc-length derivative, the curve-shortening velocity:
-    the second derivative of ``_three_point`` from the polygon's
-    ``edge_lengths`` ``gaps``, which the step has already measured."""
+    """Discrete second arc-length derivative, the curve-shortening velocity
+    of a polygon: the second derivative of ``_three_point`` from its
+    ``edge_lengths`` ``gaps``.
+
+    The flow no longer calls it (it steps the tangent angle, ``evolve.py``).
+    It is kept because the benchmark's tracer in ``bench/tracer.py`` looks
+    it up by name when it installs, and every traced run would fail without
+    it; a change to the tracer can drop that lookup and this function."""
     prev = cyclic_shift(P, -1)
     nxt = cyclic_shift(P, 1)
     a = cyclic_shift(gaps, -1)[:, None]

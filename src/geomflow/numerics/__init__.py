@@ -1,6 +1,6 @@
-"""Shared numerical kernels: ODE integration, the elliptic integral K, root
-finding, quadrature with endpoint singularities, and periodic (spectral)
-calculus.
+"""Shared numerical kernels: ODE integration, the ETDRK4 coefficients of the
+spectral flows (``numerics.etd``), the elliptic integral K, root finding,
+quadrature with endpoint singularities, and periodic (spectral) calculus.
 """
 
 from .interpolation import PeriodicCubicSpline

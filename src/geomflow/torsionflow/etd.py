@@ -12,9 +12,9 @@ zero at k = 0 and at the Nyquist mode, and the remainder
 N(v) = A u^ + B p^ - L v. The fourth-order exponential time differencing
 scheme of Cox & Matthews (J. Comput. Phys. 176, 2002) integrates L exactly,
 so its step is limited only by the remainder. Its phi-function coefficients
-are taken as contour means around each h L (Kassam & Trefethen, SIAM J.
-Sci. Comput. 26, 2005) over the full circle: L is imaginary, so the
-half-circle real-part shortcut of real spectra does not apply.
+are the contour means of ``numerics.etd``, over the full circle: L is
+imaginary, so the half-circle real-part shortcut of real spectra does not
+apply.
 
 The mode k = 0 has L = 0 and N = 0, so the mean of tau is conserved to
 roundoff and a constant tau is a fixed point. The step sizes are chosen in
@@ -28,27 +28,13 @@ import math
 import numpy as np
 
 from ..errors import PositivityError
+from ..numerics.etd import etdrk4_coefficients
 from .core import CurvatureProfile, flux_multipliers, spectral_flux
 
-CONTOUR_POINTS = 32
-_CONTOUR = np.exp(2j * math.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
 # Steps that agree to 12 digits share their coefficients: equal intervals
 # from ``linspace`` differ in their last bits.
 _STEP_DIGITS = 12
 _CACHED_STEPS = 8
-
-
-def _coefficients(L: np.ndarray, h: float):
-    """exp(hL), exp(hL/2) and the weights Q, f1, 2 f2, f3 of one step h."""
-    hL = h * L
-    z = hL[:, None] + _CONTOUR
-    ez = np.exp(z)
-    z3 = z ** 3
-    q = h * np.mean((np.exp(0.5 * z) - 1.0) / z, axis=1)
-    f1 = h * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3, axis=1)
-    f2 = h * np.mean((2.0 + z + ez * (z - 2.0)) / z3, axis=1)
-    f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3, axis=1)
-    return np.exp(hL), np.exp(0.5 * hL), q, f1, 2.0 * f2, f3
 
 
 def _positive(tau: np.ndarray, t: float) -> np.ndarray:
@@ -78,7 +64,7 @@ class Etdrk4:
         if coef is None:
             if len(self._coef) >= _CACHED_STEPS:
                 self._coef.clear()
-            coef = self._coef[key] = _coefficients(self.L, h)
+            coef = self._coef[key] = etdrk4_coefficients(self.L, h)
         return coef
 
     def step(self, tau: np.ndarray, v: np.ndarray, t: float, h: float):

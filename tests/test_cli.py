@@ -191,17 +191,35 @@ class TestCsfCommands:
 
 
     def test_manifest_records_stop_rule_and_steps(self, tmp_path):
-        from geomflow.csf import CFL, LENGTH_FLOOR, RECORD_SHRINK, StopRule
+        from geomflow.csf import LENGTH_FLOOR, StopRule, step_control
         out = tmp_path / "csf"
         assert main(["csf", "run", "--n", "128", "--T", "0.002",
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "csf_run_manifest.json").read_text())
         assert manifest["tolerances"] == {
-            "cfl": CFL, "record_shrink": RECORD_SHRINK,
+            **step_control(),
             "stop_rule": {**asdict(StopRule(time=0.002, kmax_spacing=None)),
                           "length_floor_rel": LENGTH_FLOOR}}
-        assert manifest["parameters"]["steps"] > 0
-        assert "curve" not in manifest["parameters"]
+        assert {"tol", "ladder_steps_per_octave", "check_steps"} <= manifest["tolerances"].keys()
+        params = manifest["parameters"]
+        assert params["steps"] > 0 and params["checks"] >= 1 and params["rejected"] >= 0
+        assert params["symmetries"] == ["conj", "neg_conj", "neg"]
+        assert params["stop_reason"] == "time reached"
+        assert "curve" not in params
+        seconds = manifest["wall_time_seconds"]
+        assert set(seconds) == {"total", "csf_steps", "csf_projections", "csf_diagnostics"}
+        assert all(s >= 0.0 for s in seconds.values())
+        assert seconds["csf_steps"] + seconds["csf_diagnostics"] <= seconds["total"]
+
+    def test_run_ends_exactly_at_T(self, tmp_path):
+        out = tmp_path / "csf"
+        assert main(["csf", "run", "--n", "128", "--T", "0.0123", "--record-dt", "0.005",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out / "diagnostics.csv")
+        times = [float(r[header.index("time")]) for r in rows]
+        assert times[-1] == 0.0123 and times[-2] < 0.0123
+        _, frame_rows = read_csv(out / "frames.csv")
+        assert float(frame_rows[-1][0]) == 0.0123
 
 
 class TestManifests:
