@@ -381,8 +381,8 @@ def make_concinnous_eight(scale: float = 1.0, n_points: int = 512) -> PlaneCurve
     """
     if scale <= 0.0:
         raise SetupError("scale must be positive")
-    if n_points < 128:
-        raise SetupError("need at least 128 points")
+    if n_points < 128 or n_points % 4:
+        raise SetupError(f"need a multiple of 4, at least 128, points; got {n_points}")
     m = n_points // 4
     quarter_len = quarter_arc_length(scale)
     h = quarter_len / m

@@ -18,9 +18,9 @@ e^{i theta}. The time is carried as q = t + L^2 / (8 pi^2), whose rate
 (L / 2 pi)^2 (1 - mean(theta_alpha^2)) vanishes on a circle, so the circle's
 L^2 = L0^2 - 8 pi^2 t holds to roundoff.
 
-Each step is one step of the ETDRK4 scheme of Cox & Matthews (J. Comput.
-Phys. 176, 2002) in tau, with the coefficients of ``numerics.etd``: the
-stiff part -k^2 of phi is exact, W theta_alpha is the remainder, and the
+Each step is one step in tau of the ETDRK4 stepper of ``numerics.etd``
+(Cox & Matthews, J. Comput. Phys. 176, 2002): the stiff part -k^2 of phi is
+exact, W theta_alpha is the remainder, and the
 same stages advance ln L, q and c with multiplier 0. After every step two
 projections keep the discrete curve on its constraints:
 
@@ -34,13 +34,14 @@ projections keep the discrete curve on its constraints:
   Math. 96, 1989), so roundoff alone would otherwise unbalance its lobes
   near extinction on fine meshes.
 
-Steps are powers 2^(j / ``LADDER``) in tau, so the coefficients of each
-step are computed once. The first step and one in every ``CHECK_STEPS``
-after it are also taken as two half steps, which the run keeps; their
-difference bounds the local error of phi and ln L by ``TOL`` and sets the
-next steps. Every step is further capped so that it advances t by about one
-frame stride and L by at most ``MAX_LENGTH_DROP``. A run to a fixed time
-sizes its last step off the ladder to end exactly there.
+Steps are powers 2^(j / ``LADDER``) in tau, so the stepper's cache computes
+the coefficients of each step once. The stepper's step-doubling check bounds
+the local error of phi and ln L by ``TOL`` and sets the next steps. Every
+step is further capped so that it advances t by at most one frame stride and
+L by at most ``MAX_LENGTH_DROP``. A run to a fixed time sizes its last step
+off the ladder to end exactly there, with coefficients that bypass the
+cache. A run fails with ``BudgetError`` at ``MAX_STEPS`` steps, and a run to
+a time more than ``MAX_STEPS`` strides away before its first step.
 
 Frames are recorded whenever the frame stride in time has passed or the
 length has shrunk by ``RECORD_SHRINK`` since the last frame, and at the
@@ -57,9 +58,9 @@ from time import perf_counter
 
 import numpy as np
 
-from ..errors import IntegrationError
+from ..errors import BudgetError, IntegrationError, SetupError
 from ..numerics import PeriodicCubicSpline, cyclic_shift
-from ..numerics.etd import etdrk4_coefficients
+from ..numerics.etd import CHECK_STEPS, Etdrk4, etdrk4_coefficients
 from ..numerics.interpolation import REFINE
 from .curve import PlaneCurve, curve_geometry, edge_lengths, row_lengths, turning_number
 
@@ -68,10 +69,9 @@ RECORD_SHRINK = 0.93  # a frame is recorded once the length shrinks by this fact
 LENGTH_FLOOR = 1e-7  # every run stops once its length falls below this share of the initial
 TOL = 1e-8  # bound on the step-doubling error of phi and ln L
 LADDER = 8  # steps per octave: every ladder step is 2 ** (j / LADDER)
-CHECK_STEPS = 8  # steps between two step-doubling checks
 MAX_LENGTH_DROP = 0.07  # largest share of its length a curve may lose in one step
 SYMMETRY_TOL = 1e-9  # a symmetry of the initial samples holds to this share of L
-MAX_STEPS = 2_000_000
+MAX_STEPS = 2_000_000  # most accepted steps one run may take
 # Reflections and half-turn about the centroid that ``detect_symmetries``
 # tries, as the signs they put on (x, y).
 SYMMETRY_CANDIDATES = {"conj": (1.0, -1.0), "neg_conj": (-1.0, 1.0), "neg": (-1.0, -1.0)}
@@ -90,6 +90,12 @@ class StopRule:
 
     time: float | None = None
     kmax_spacing: float | None = 0.5
+
+    def __post_init__(self):
+        for name in ("time", "kmax_spacing"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise SetupError(f"stop rule {name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -216,7 +222,7 @@ def close_angles(theta: np.ndarray) -> np.ndarray:
 class ThetaLengthFlow:
     """The flow on an n-point equal-arclength mesh: the state is the complex
     vector [rfft(phi), ln L, q, c], with the linear multipliers -k^2 of phi
-    and 0 of the scalars."""
+    and 0 of the scalars, stepped in tau by ``etd``."""
 
     def __init__(self, P: np.ndarray):
         n = P.shape[0]
@@ -231,7 +237,7 @@ class ThetaLengthFlow:
         if n % 2 == 0:  # the Nyquist mode has no odd derivative or primitive on the grid
             self.ik[-1] = 0.0
             self.inv_ik[-1] = 0.0
-        self._coef: dict[int, tuple] = {}
+        self.etd = Etdrk4(self.linear, lambda _, v: self.rate(v))
         self._spectra = np.empty((2, M), dtype=complex)
 
         dx, dy = np.fft.irfft(self.ik * np.fft.rfft(P.T), n)
@@ -311,32 +317,13 @@ class ThetaLengthFlow:
             out[M + 2] = (scale / n) * ((1j * theta_alpha + W) * np.exp(1j * theta)).sum()
         return out
 
-    def coefficients(self, j: int) -> tuple:
-        coef = self._coef.get(j)
-        if coef is None:
-            coef = self._coef[j] = etdrk4_coefficients(self.linear, 2.0 ** (j / LADDER))
-        return coef
-
-    def step(self, v: np.ndarray, coef: tuple, Nv: np.ndarray | None = None) -> np.ndarray:
-        """One ETDRK4 step from ``v``; ``Nv`` is its rate, if already known."""
-        E, E2, Q, f1, f2x2, f3 = coef
-        rate = self.rate
-        if Nv is None:
-            Nv = rate(v)
-        E2v = E2 * v
-        a = E2v + Q * Nv
-        Na = rate(a)
-        b = E2v + Q * Na
-        Nb = rate(b)
-        c = E2 * a + Q * (2.0 * Nb - Nv)
-        Nc = rate(c)
-        return E * v + f1 * Nv + f2x2 * (Na + Nb) + f3 * Nc
-
     def error(self, fine: np.ndarray, coarse: np.ndarray) -> float:
-        """Largest difference of phi and ln L between two results of one step."""
+        """Largest difference of phi and ln L between two results of one
+        step, as a share of ``TOL``."""
         M = self.M
         diff = fine - coarse
-        return max(float(np.max(np.abs(np.fft.irfft(diff[:M], self.n)))), abs(diff[M].real))
+        return max(float(np.max(np.abs(np.fft.irfft(diff[:M], self.n)))),
+                   abs(diff[M].real)) / TOL
 
     def step_to_time(self, h: float, t_over: float, t_end: float) -> np.ndarray:
         """The state one step after ``self.v`` that ends at time ``t_end``,
@@ -346,7 +333,8 @@ class ThetaLengthFlow:
         best = None
         for _ in range(12):
             trial = lo[0] + (hi[0] - lo[0]) * (t_end - lo[1]) / (hi[1] - lo[1])
-            v = self.step(self.v, etdrk4_coefficients(self.linear, trial))
+            # trial steps agree to 12 digits near convergence: no cache
+            v = self.etd.step(self.v, 0.0, trial, coef=etdrk4_coefficients(self.linear, trial))
             t = self.time(v)
             if best is None or abs(t - t_end) < abs(best[1] - t_end):
                 best = (v, t)
@@ -371,10 +359,21 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
     ``RECORD_SHRINK`` since the last record, and at the stop. The default
     time stride is an estimate of a 250-frame run: total area over 2*pi
     bounds the extinction time of any figure-eight from above.
+
+    A ``record_dt`` that is not finite and positive raises ``SetupError``.
+    Each step advances t by at most one stride, so a run to a time more than
+    ``MAX_STEPS`` strides away raises ``BudgetError`` before its first step,
+    and so does any run once it has taken ``MAX_STEPS`` steps.
     """
     stop = stop or StopRule(time=0.1)
     if stop.time is None and stop.kmax_spacing is None:
         raise ValueError("stop rule has no active condition")
+    if record_dt is not None:
+        if not (math.isfinite(record_dt) and record_dt > 0.0):
+            raise SetupError(f"record_dt must be finite and positive, got {record_dt}")
+        if stop.time is not None and stop.time / record_dt > MAX_STEPS:
+            raise BudgetError(f"a run to t={stop.time:g} in strides of {record_dt:g} would "
+                              f"take over {MAX_STEPS} steps")
     clock = perf_counter()
     flow = ThetaLengthFlow(resample_uniform(c0.points))
     run = CsfRun(symmetries=[s.name for s in flow.symmetries])
@@ -400,8 +399,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
     next_length = RECORD_SHRINK * length0
     max_drop = -math.log1p(-MAX_LENGTH_DROP)
 
-    h_acc = math.inf
-    since_check = CHECK_STEPS  # the first step is checked
+    etd = flow.etd
     while True:
         length = flow.length()
         theta_alpha = flow.theta_alpha()
@@ -416,41 +414,25 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
             run.stop_reason = "time reached"
             break
         if run.steps >= MAX_STEPS:
-            run.stop_reason = "step budget"
-            break
+            raise BudgetError(f"CSF run took {MAX_STEPS} steps by t={t:.6g} without stopping")
 
         start = perf_counter()
         mu = float(theta_alpha @ theta_alpha) / flow.n
-        bound = min(h_acc, record_dt * (TWO_PI / length) ** 2, max_drop / mu)
+        bound = min(etd.h_acc, record_dt * (TWO_PI / length) ** 2, max_drop / mu)
         j = math.floor(LADDER * math.log2(bound))
         if j < -60 * LADDER:
             raise IntegrationError(f"CSF step fell below 2^-60 at t={t:.6g}")
-        coef = flow.coefficients(j)
-        if since_check >= CHECK_STEPS:
-            Nv = flow.rate(flow.v)
-            coarse = flow.step(flow.v, coef, Nv)
-            half = flow.coefficients(j - LADDER)
-            v = flow.step(flow.step(flow.v, half, Nv), half)
-            run.checks += 1
-            ratio = flow.error(v, coarse) / TOL
-            if not math.isfinite(ratio):  # a non-finite result is rejected
-                ratio = math.inf
-            h = 2.0 ** (j / LADDER)
-            h_acc = h * (min(5.0, max(0.2, 0.9 * ratio ** -0.2)) if ratio > 0.0 else 5.0)
-            if ratio > 1.0:
-                run.rejected += 1
-                seconds["steps"] += perf_counter() - start
-                continue
-            since_check = 0
-        else:
-            v = flow.step(flow.v, coef)
-            if not np.all(np.isfinite(v)):
-                raise IntegrationError(f"CSF state went non-finite after t={t:.6g}")
-            since_check += 1
+        h = 2.0 ** (j / LADDER)
+        v = etd.advance(flow.v, 0.0, h, flow.error)
+        if v is None:  # a rejected check
+            seconds["steps"] += perf_counter() - start
+            continue
+        if not np.all(np.isfinite(v)):
+            raise IntegrationError(f"CSF state went non-finite after t={t:.6g}")
         t = flow.time(v)
         final = stop.time is not None and t >= stop.time
         if final:
-            v = flow.step_to_time(2.0 ** (j / LADDER), t, stop.time)
+            v = flow.step_to_time(h, t, stop.time)
         mid = perf_counter()
         seconds["steps"] += mid - start
         flow.accept(v)
@@ -465,4 +447,5 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
             next_length = RECORD_SHRINK * length
     if run.times[-1] != t:
         record(t)
+    run.checks, run.rejected = etd.checks, etd.rejected
     return run

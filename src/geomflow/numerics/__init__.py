@@ -1,4 +1,4 @@
-"""Shared numerical kernels: ODE integration, the ETDRK4 coefficients of the
+"""Shared numerical kernels: ODE integration, the ETDRK4 stepper of the
 spectral flows (``numerics.etd``), the elliptic integral K, root finding,
 quadrature with endpoint singularities, and periodic (spectral) calculus.
 """

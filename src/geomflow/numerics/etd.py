@@ -1,6 +1,6 @@
-"""Coefficients of the fourth-order exponential time differencing Runge-Kutta
-scheme (ETDRK4) of Cox & Matthews (J. Comput. Phys. 176, 2002) for a
-diagonal linear part.
+"""The fourth-order exponential time differencing Runge-Kutta scheme (ETDRK4)
+of Cox & Matthews (J. Comput. Phys. 176, 2002) for v' = L v + N(t, v) with a
+diagonal linear part L, which it integrates exactly.
 
 The phi-function weights are taken as means over a circle of
 ``CONTOUR_POINTS`` points around each h L (Kassam & Trefethen, SIAM J. Sci.
@@ -17,16 +17,16 @@ import numpy as np
 
 CONTOUR_POINTS = 32
 _CONTOUR = np.exp(2j * math.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
+CHECK_STEPS = 8  # steps between two step-doubling checks; a check costs two extra steps
+# Steps that agree to this many digits share their coefficients: equal
+# intervals from ``linspace`` differ in their last bits.
+STEP_DIGITS = 12
+CACHED_STEPS = 32  # a full cache starts over: a CSF run uses at most 27 ladder steps
 
 
 def etdrk4_coefficients(L: np.ndarray, h: float):
-    """exp(hL), exp(hL/2) and the weights Q, f1, 2 f2, f3 of one step h.
-
-    One step of u' = L u + N(u) from u with these is
-
-        a = E2 u + Q N(u),  b = E2 u + Q N(a),  c = E2 a + Q (2 N(b) - N(u)),
-        u + h = E u + f1 N(u) + 2 f2 (N(a) + N(b)) + f3 N(c).
-    """
+    """exp(hL), exp(hL/2) and the weights Q, f1, 2 f2, f3 of one step h
+    (``Etdrk4.step``)."""
     hL = h * L
     z = hL[:, None] + _CONTOUR
     ez = np.exp(z)
@@ -36,3 +36,74 @@ def etdrk4_coefficients(L: np.ndarray, h: float):
     f2 = h * np.mean((2.0 + z + ez * (z - 2.0)) / z3, axis=1)
     f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3, axis=1)
     return np.exp(hL), np.exp(0.5 * hL), q, f1, 2.0 * f2, f3
+
+
+class Etdrk4:
+    """ETDRK4 steps of v' = L v + ``remainder``(t, v), with the counts of
+    steps taken (a check counts as three), checks and rejected checks."""
+
+    def __init__(self, L: np.ndarray, remainder):
+        self.L = L
+        self.remainder = remainder
+        self.h_acc = math.inf
+        self.since_check = CHECK_STEPS  # the first step is checked
+        self.steps = self.checks = self.rejected = 0
+        self._coef = {}
+
+    def coefficients(self, h: float) -> tuple:
+        key = float(f"{h:.{STEP_DIGITS}e}")
+        coef = self._coef.get(key)
+        if coef is None:
+            if len(self._coef) >= CACHED_STEPS:
+                self._coef.clear()
+            coef = self._coef[key] = etdrk4_coefficients(self.L, h)
+        return coef
+
+    def step(self, v: np.ndarray, t: float, h: float, Nv: np.ndarray | None = None,
+             coef: tuple | None = None) -> np.ndarray:
+        """The state one step h after v at time t. ``Nv`` is the remainder at
+        v, if already known, and ``coef`` the coefficients of h, if they are
+        not to come from the cache:
+
+            a = E2 v + Q N(v),  b = E2 v + Q N(a),  c = E2 a + Q (2 N(b) - N(v)),
+            v + h = E v + f1 N(v) + 2 f2 (N(a) + N(b)) + f3 N(c).
+        """
+        E, E2, Q, f1, f2x2, f3 = coef or self.coefficients(h)
+        N = self.remainder
+        if Nv is None:
+            Nv = N(t, v)
+        E2v = E2 * v
+        a = E2v + Q * Nv
+        Na = N(t + 0.5 * h, a)
+        b = E2v + Q * Na
+        Nb = N(t + 0.5 * h, b)
+        c = E2 * a + Q * (2.0 * Nb - Nv)
+        Nc = N(t + h, c)
+        return E * v + f1 * Nv + f2x2 * (Na + Nb) + f3 * Nc
+
+    def advance(self, v: np.ndarray, t: float, h: float, error,
+                Nv: np.ndarray | None = None) -> np.ndarray | None:
+        """One step h from v at time t. The first step and one in every
+        ``CHECK_STEPS`` after it are also taken as two half steps, which are
+        kept: ``error``(fine, coarse) is then their error ratio against the
+        single step, which sets the accuracy bound ``h_acc`` on the next
+        steps, and a ratio above 1 (or not finite) rejects the step (None)."""
+        if self.since_check < CHECK_STEPS:
+            self.steps += 1
+            self.since_check += 1
+            return self.step(v, t, h, Nv)
+        if Nv is None:
+            Nv = self.remainder(t, v)
+        coarse = self.step(v, t, h, Nv)
+        fine = self.step(self.step(v, t, 0.5 * h, Nv), t + 0.5 * h, 0.5 * h)
+        self.steps += 3
+        self.checks += 1
+        ratio = error(fine, coarse)
+        if not math.isfinite(ratio):
+            ratio = math.inf
+        self.h_acc = h * (min(5.0, max(0.2, 0.9 * ratio ** -0.2)) if ratio > 0.0 else 5.0)
+        if ratio > 1.0:
+            self.rejected += 1
+            return None
+        self.since_check = 0
+        return fine

@@ -1,10 +1,24 @@
 """Evolution of the torsion field, and the derived experiments: helix
 perturbation stability and quasi-period detection.
 
-``torsion_evolve`` steps the flow with ETDRK4 (``etd.py``), which integrates
-the linear dispersion about the mean torsion exactly. Each step h is the
-largest that fits a whole number of steps into the rest of its output
-interval under two bounds:
+``torsion_evolve`` steps the flow with the ETDRK4 stepper of
+``numerics.etd``. In Fourier space the flow is v_t = A u^ + B p^ with
+u = tau^{-1/2}, p = tau^{3/2} and the multipliers (A, B) of
+``flux_multipliers``. About the mean tau_bar it splits into the diagonal
+dispersion
+
+    L = -tau_bar^{-3/2} / 2 * A + (3/2) sqrt(tau_bar) * B
+      = -ik (kappa tau_bar^{-3/2} / 2 + (3/2) sqrt(tau_bar) / kappa
+             - k^2 tau_bar^{-3/2} / (2 kappa)),
+
+zero at k = 0 and at the Nyquist mode, which ETDRK4 integrates exactly, and
+the remainder N(v) = A u^ + B p^ - L v, which limits its step. L is
+imaginary, so the contour means of its coefficients run over the full
+circle. The mode k = 0 has L = 0 and N = 0, so the mean of tau is conserved
+to roundoff and a constant tau is a fixed point.
+
+Each step h is the largest that fits a whole number of steps into the rest
+of its output interval under two bounds:
 
 - stability: h <= ``ETD_SAFETY`` / rho(tau), where the remainder about the
   mean has rate at most
@@ -14,10 +28,9 @@ interval under two bounds:
   with c3 = tau^{-3/2} / (2 kappa), c1 = kappa tau^{-3/2} / 2 + (3/2) sqrt(tau) / kappa
   and k_max = N / 2, taken from the current tau at each output time and
   after each check;
-- accuracy: the first step, and one step in every ``CHECK_STEPS`` after it,
-  is also taken as two half steps, which the run keeps. The difference of
-  the two results estimates the local error of one step h to within 1/16,
-  and must stay below ``ABS_TOL + REL_TOL |tau|``; the estimate sets the
+- accuracy: the stepper's step-doubling check (``numerics.etd``), whose
+  difference of the two results estimates the local error of one step h to
+  within 1/16 and must stay below ``ABS_TOL + REL_TOL |tau|``; it sets the
   accuracy bound (a failed check is redone with the smaller step).
 
 The accuracy check also catches the slow growth ETDRK4 shows on dispersive
@@ -36,8 +49,9 @@ import numpy as np
 
 from ..errors import BudgetError, DetectionError, PositivityError, SetupError
 from ..numerics import periodic_grid
-from .core import CurvatureProfile, TorsionField, UNIT_CURVATURE, l2_norm
-from .etd import Etdrk4
+from ..numerics.etd import Etdrk4
+from .core import (CurvatureProfile, TorsionField, UNIT_CURVATURE, flux_multipliers, l2_norm,
+                   spectral_flux)
 
 POSITIVITY_FLOOR = 0.1  # initial data this close to zero is numerically fragile
 # C in the stability bound C / rho: twice it loses positivity on 2 + sin(s)/2
@@ -47,8 +61,6 @@ ETD_SAFETY = 2.0
 # evolve` run (N = 128, T = 5) ends 1.2e-8 from DOP853 at tolerance 1e-13.
 REL_TOL = 1e-9
 ABS_TOL = 1e-10
-# Steps between two step-doubling checks; a check costs two extra steps.
-CHECK_STEPS = 8
 # Most steps one evolution may take: about three minutes at N = 256 on a
 # 2-vCPU host.
 STEP_BUDGET = 1_000_000
@@ -82,29 +94,61 @@ def _output_times(T: float, output_times) -> np.ndarray:
     return times
 
 
+def _positive(tau: np.ndarray, t: float) -> np.ndarray:
+    low = tau.min()
+    if not low > 0.0:  # also catches NaN
+        raise PositivityError(f"torsion positivity lost at t={t:.6g} (minimum {low:.3g})")
+    return tau
+
+
+def torsion_stepper(kappa: CurvatureProfile, n: int, tau_bar: float):
+    """The ETDRK4 stepper about the mean ``tau_bar`` on an ``n``-point mesh,
+    whose states are the rfft of the samples, and the flux A u^ + B p^ of
+    samples. A stage that goes nonpositive or non-finite raises
+    ``PositivityError`` with its time."""
+    mult_u, mult_p = flux_multipliers(kappa, n)
+    L = (-0.5 * tau_bar ** -1.5) * mult_u + (1.5 * math.sqrt(tau_bar)) * mult_p
+    flux = spectral_flux(mult_u, mult_p)
+
+    def remainder(t: float, v: np.ndarray) -> np.ndarray:
+        return flux(_positive(np.fft.irfft(v, n), t)) - L * v
+
+    return Etdrk4(L, remainder), flux
+
+
 def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
                 times: np.ndarray) -> tuple[list[np.ndarray], dict]:
     """Samples at each output time, and the record of the steps taken."""
+    n = samples.size
     tau_bar = float(np.mean(samples))
-    stepper = Etdrk4(kappa, samples.size, tau_bar)
-    tau = np.array(samples, dtype=float)
+    stepper, flux = torsion_stepper(kappa, n, tau_bar)
+    tau = np.array(samples, dtype=float)  # the samples of v, or None until needed
     v = np.fft.rfft(tau)
+    Nv = flux(tau) - stepper.L * v  # the first step starts from the samples themselves
     rho0 = remainder_rate(tau, kappa.constant, tau_bar)
     rec = {"scheme": "etdrk4", "safety": ETD_SAFETY, "rel_tol": REL_TOL,
            "abs_tol": ABS_TOL, "rho0": rho0, "rho_max": rho0, "steps": 0,
            "checks": 0, "rejected": 0, "step_min": math.inf, "step_max": 0.0}
-    h_acc = math.inf
-    since_check = CHECK_STEPS  # the first step is checked
     t = 0.0
     rows = []
 
+    def samples_now() -> np.ndarray:
+        nonlocal tau
+        if tau is None:
+            tau = _positive(np.fft.irfft(v, n), t)
+        return tau
+
+    def error(fine: np.ndarray, coarse: np.ndarray) -> float:
+        fine, coarse = np.fft.irfft(fine, n), np.fft.irfft(coarse, n)
+        return float(np.max(np.abs(fine - coarse) / (ABS_TOL + REL_TOL * np.abs(fine))))
+
     def plan(t_out: float) -> tuple[float, int]:
         """The step and step count for the rest of the interval to t_out."""
-        rho = remainder_rate(tau, kappa.constant, tau_bar)
+        rho = remainder_rate(samples_now(), kappa.constant, tau_bar)
         rec["rho_max"] = max(rec["rho_max"], rho)
-        bound = min(ETD_SAFETY / rho if rho > 0.0 else math.inf, h_acc)
+        bound = min(ETD_SAFETY / rho if rho > 0.0 else math.inf, stepper.h_acc)
         left = max(1, math.ceil((t_out - t) / bound))
-        projected = rec["steps"] + left + math.ceil((times[-1] - t_out) / bound)
+        projected = stepper.steps + left + math.ceil((times[-1] - t_out) / bound)
         if projected > STEP_BUDGET:
             raise BudgetError(f"ETDRK4 would take {projected:.3g} steps, over the "
                               f"budget of {STEP_BUDGET}; shorten T or coarsen the mesh")
@@ -113,35 +157,22 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     for t_out in times:
         h, left = plan(t_out) if t_out > t else (0.0, 0)
         while left:
-            if since_check < CHECK_STEPS:
-                tau, v = stepper.step(tau, v, t, h)
-                rec["steps"] += 1
-                since_check += 1
-            else:
-                coarse, _ = stepper.step(tau, v, t, h)
-                half_tau, half_v = stepper.step(tau, v, t, 0.5 * h)
-                fine, fine_v = stepper.step(half_tau, half_v, t + 0.5 * h, 0.5 * h)
-                rec["steps"] += 3
-                rec["checks"] += 1
-                ratio = float(np.max(np.abs(fine - coarse)
-                                     / (ABS_TOL + REL_TOL * np.abs(fine))))
-                h_acc = h * (min(5.0, max(0.2, 0.9 * ratio ** -0.2)) if ratio > 0.0 else 5.0)
-                if ratio > 1.0:
-                    rec["rejected"] += 1
-                    h, left = plan(t_out)
-                    continue
-                tau, v = fine, fine_v
-                since_check = 0
+            stepped = stepper.advance(v, t, h, error, Nv)
+            if stepped is None:
+                h, left = plan(t_out)
+                continue
+            v, tau, Nv = stepped, None, None
             rec["step_min"] = min(rec["step_min"], float(h))
             rec["step_max"] = max(rec["step_max"], float(h))
             t += h
             left -= 1
-            if left and since_check == 0:  # shorten the rest after a check
+            if left and stepper.since_check == 0:  # shorten the rest after a check
                 shorter, more = plan(t_out)
                 if shorter < h:
                     h, left = shorter, more
         t = float(t_out)
-        rows.append(tau)
+        rows.append(samples_now())
+    rec.update(steps=stepper.steps, checks=stepper.checks, rejected=stepper.rejected)
     if rec["steps"] == 0:
         rec["step_min"] = 0.0
     return rows, rec

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -334,12 +335,26 @@ class TestUsageErrors:
         ["geo", "cylinder", "--beta", "1.5"],
         ["torsion", "evolve", "--n", "30"],
         ["geo", "boundary", "--x0-min", "0.5"],
+        ["csf", "run", "--n", "128", "--record-dt", "0"],
+        ["csf", "bowtie", "--n", "128", "--record-dt", "-0.001"],
+        ["csf", "grimreaper", "--n", "128", "--record-dt", "nan"],
+        ["csf", "run", "--n", "128", "--T", "-1"],
+        ["csf", "run", "--n", "128", "--kmax-spacing", "-1"],
+        ["csf", "run", "--n", "130"],
     ])
     def test_bad_input_prints_error(self, argv, tmp_path, capsys):
         # typed errors end as "error: ..." and exit code 1, not a traceback
         assert main(argv + ["--out", str(tmp_path / "bad")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_csf_budget_fails_fast(self, tmp_path, capsys):
+        # 1e8 strides of 1e-9 to T = 0.1: over MAX_STEPS before the first step
+        start = time.perf_counter()
+        assert main(["csf", "run", "--n", "128", "--T", "0.1", "--record-dt", "1e-9",
+                     "--out", str(tmp_path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_initial_data(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -53,8 +53,12 @@ def brute_force_crossing(P):
 def test_matches_brute_force_pair_loop(n, seed, log_amplitude, start, angle):
     # a perturbed eight, rotated and with its first sample moved, so that the
     # crossing falls in every block position of the search (n > 128 uses
-    # several blocks, 130 and 257 a partial last block)
-    P = make_concinnous_eight(1.0, n_points=n).points
+    # several blocks, 130 and 257 a partial last block); an eight takes a
+    # multiple of 4 points, so the extra ones are dropped from a lobe
+    m = -(-n // 4)
+    P = np.delete(make_concinnous_eight(1.0, n_points=4 * m).points,
+                  np.arange(m // 2, m // 2 + 4 * m - n), axis=0)
+    assert P.shape == (n, 2)
     P = P + 10.0 ** log_amplitude * np.random.default_rng(seed).standard_normal(P.shape)
     c, s = math.cos(angle), math.sin(angle)
     P = np.roll(P @ np.array([[c, s], [-s, c]]), start % n, axis=0)

@@ -1,5 +1,5 @@
 """The tangent-angle/length CSF engine: exact laws, the closure and symmetry
-projections, landing on the end time, and the shared ETDRK4 coefficients."""
+projections, landing on the end time, and the cached ETDRK4 coefficients."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 
 from geomflow.csf import (PlaneCurve, StopRule, csf_evolve, lobe_areas,
                           make_concinnous_eight, resample_uniform)
-from geomflow.csf.evolve import LADDER, ThetaLengthFlow
+from geomflow.csf.evolve import ThetaLengthFlow
 from geomflow.numerics.etd import etdrk4_coefficients
 
 
@@ -94,17 +94,10 @@ class TestSymmetry:
 class TestSteps:
     def test_ladder_coefficients_are_cached(self):
         flow = ThetaLengthFlow(resample_uniform(make_concinnous_eight(1.0, n_points=128).points))
-        coef = flow.coefficients(-5 * LADDER)
-        assert flow.coefficients(-5 * LADDER) is coef
+        coef = flow.etd.coefficients(2.0 ** -5)
+        assert flow.etd.coefficients(2.0 ** -5) is coef
         for got, want in zip(coef, etdrk4_coefficients(flow.linear, 2.0 ** -5)):
             assert np.array_equal(got, want)
-
-    def test_zero_multiplier_gets_rk4_weights(self):
-        h = 0.01
-        E, E2, Q, f1, f2x2, f3 = etdrk4_coefficients(np.zeros(1), h)
-        for got, want in [(E, 1.0), (E2, 1.0), (Q, h / 2), (f1, h / 6), (f2x2, h / 3),
-                          (f3, h / 6)]:
-            assert abs(got[0] - want) <= 1e-15 * max(want, 1.0)
 
     def test_run_records_its_steps_and_phases(self):
         run = csf_evolve(make_concinnous_eight(1.0, n_points=128),

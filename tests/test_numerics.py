@@ -10,6 +10,7 @@ from geomflow.errors import BracketError
 from geomflow.numerics import (PeriodicCubicSpline, StepControl, cyclic_shift, elliptic_K,
                                find_root, integrate_ode, integrate_singular, periodic_grid,
                                periodic_primitive, trig_interpolant)
+from geomflow.numerics.etd import CACHED_STEPS, CHECK_STEPS, Etdrk4, etdrk4_coefficients
 from oracles import fd4_derivative, spectral_derivative
 
 
@@ -112,6 +113,84 @@ class TestDop853Core:
                            StepControl(initial_step=None, abs_tol=1e-8, rel_tol=1e-8),
                            output_times=[0.1])
         assert (tr.stats.accepted, tr.stats.rejected, tr.stats.rhs_evals) == (1, 0, 12)
+
+
+# a stiff, dispersive diagonal part and a time-dependent quadratic remainder
+_ETD_L = np.array([0.0, -1.0, -10.0, -100.0, 5j, -20.0 + 30j])
+_ETD_V0 = np.array([0.5, 0.4, -0.3, 0.2, 0.1 + 0.2j, 0.3 - 0.1j])
+
+
+def _etd_stepper(calls: list | None = None) -> Etdrk4:
+    def remainder(t, v):
+        if calls is not None:
+            calls.append(t)
+        return np.cos(t) * v * v - 0.5 * v + 0.3
+
+    return Etdrk4(_ETD_L, remainder)
+
+
+class TestEtdrk4Core:
+    """The shared ETDRK4 stepper: coefficients, order, the checked step, the
+    remainder evaluations and the coefficient cache."""
+
+    def test_zero_multiplier_gets_rk4_weights(self):
+        h = 0.01
+        E, E2, Q, f1, f2x2, f3 = etdrk4_coefficients(np.zeros(1), h)
+        for got, want in [(E, 1.0), (E2, 1.0), (Q, h / 2), (f1, h / 6), (f2x2, h / 3),
+                          (f3, h / 6)]:
+            assert abs(got[0] - want) <= 1e-15 * max(want, 1.0)
+
+    def test_observed_order_four(self):
+        # halving h divides the error by about 16 (measured 16.0-16.1 here)
+        def fixed_steps(m):
+            etd, v, h = _etd_stepper(), _ETD_V0, 1.0 / m
+            for j in range(m):
+                v = etd.step(v, j * h, h)
+            return v
+
+        ref = fixed_steps(1024)
+        errs = [np.max(np.abs(fixed_steps(m) - ref)) for m in (8, 16, 32, 64)]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(14.0 < r < 18.0 for r in ratios), ratios
+
+    def test_checked_step_is_two_half_steps(self):
+        etd, h, t = _etd_stepper(), 0.1, 0.2
+        seen = []
+        fine = etd.advance(_ETD_V0, t, h, lambda f, c: seen.append((f, c)) or 0.5)
+        ref = _etd_stepper()
+        half = ref.step(ref.step(_ETD_V0, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
+        assert np.array_equal(fine, half) and np.array_equal(seen[0][0], half)
+        assert np.array_equal(seen[0][1], ref.step(_ETD_V0, t, h))
+        assert (etd.steps, etd.checks, etd.rejected, etd.since_check) == (3, 1, 0, 0)
+        assert etd.h_acc == h * 0.9 * 0.5 ** -0.2
+
+    @pytest.mark.parametrize("ratio,factor", [(2.0, 0.9 * 2.0 ** -0.2), (math.nan, 0.2),
+                                              (math.inf, 0.2)])
+    def test_rejected_check_keeps_the_next_step_checked(self, ratio, factor):
+        etd, h = _etd_stepper(), 0.1
+        assert etd.advance(_ETD_V0, 0.0, h, lambda f, c: ratio) is None
+        assert (etd.checks, etd.rejected, etd.since_check) == (1, 1, CHECK_STEPS)
+        assert etd.h_acc == h * factor
+
+    def test_remainder_evaluations(self):
+        # a check shares N(v) between the single step and the first half step
+        calls = []
+        etd = _etd_stepper(calls)
+        v = etd.advance(_ETD_V0, 0.0, 0.1, lambda f, c: 0.0)
+        assert len(calls) == 11 and etd.h_acc == 0.5
+        calls.clear()
+        etd.advance(v, 0.1, 0.1, lambda f, c: 0.0)
+        assert len(calls) == 4 and etd.steps == 4
+
+    def test_coefficient_cache(self):
+        etd = _etd_stepper()
+        coef = etd.coefficients(0.1)
+        assert etd.coefficients(0.1 * (1.0 + 1e-14)) is coef  # equal to 12 digits
+        for got, want in zip(coef, etdrk4_coefficients(_ETD_L, 0.1)):
+            assert np.array_equal(got, want)
+        for j in range(3 * CACHED_STEPS):
+            etd.coefficients(0.01 * (j + 1))
+            assert len(etd._coef) <= CACHED_STEPS
 
 
 def _van_der_pol(t, y):
