@@ -110,35 +110,36 @@ def turning_number(P: np.ndarray) -> float:
     return float(np.sum(turns) / TWO_PI)
 
 
-def _is_plateau(y0: float, y1: float, y2: float) -> bool:
-    scale = max(abs(y0), abs(y1), abs(y2), 1e-300)
-    return abs(y1 - y0) <= 1e-13 * scale or abs(y1 - y2) <= 1e-13 * scale
+def _on_flat(values: np.ndarray, idx: int) -> bool:
+    """Whether the extreme sample and the two after it, or the two before it,
+    agree to 1e-13 of their size: a flat stretch, such as a polygon's straight
+    edge, where the parabola through three samples overshoots. A peak midway
+    between two equal samples is not one."""
+    y = values[np.arange(idx - 2, idx + 3) % values.size]
+    same = np.abs(y - y[2]) <= 1e-13 * max(float(np.max(np.abs(y))), 1e-300)
+    return bool(same[0] and same[1] or same[3] and same[4])
 
 
 def _refine_extreme(values: np.ndarray, idx: int) -> float:
-    """Parabolic refinement of a discrete extremum of a cyclic sequence.
-
-    Plateaus (a neighbor equal to the extreme sample) are returned as-is:
-    they come from polygonal corners or flat stretches where the parabola
-    model overshoots.
-    """
+    """Parabolic refinement of a discrete extremum of a cyclic sequence; a
+    flat stretch keeps its sample value."""
     n = values.size
     y0, y1, y2 = values[(idx - 1) % n], values[idx], values[(idx + 1) % n]
     denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0 or _is_plateau(y0, y1, y2):
+    if denom == 0.0 or _on_flat(values, idx):
         return float(y1)
     return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
 
 
 def _refine_extreme_position(xs: np.ndarray, ys: np.ndarray, idx: int) -> tuple[float, float]:
-    """Value and abscissa of the parabola vertex through three cyclic samples."""
+    """Value and abscissa of the parabola vertex through three cyclic samples;
+    a flat stretch keeps its sample."""
     n = ys.size
     y0, y1, y2 = ys[(idx - 1) % n], ys[idx], ys[(idx + 1) % n]
     denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0 or _is_plateau(y0, y1, y2):
+    if denom == 0.0 or _on_flat(ys, idx):
         return float(y1), float(xs[idx])
-    delta = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
-    delta = float(np.clip(delta, -1.0, 1.0))
+    delta = float(np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0))
     if delta >= 0:
         x_ref = xs[idx] + delta * (xs[(idx + 1) % n] - xs[idx])
     else:

@@ -331,10 +331,11 @@ class ThetaLengthFlow:
         found by regula falsi on the end time, to a few units of roundoff."""
         lo, hi = (0.0, self.time()), (h, t_over)
         best = None
+        Nv = self.rate(self.v)
         for _ in range(12):
             trial = lo[0] + (hi[0] - lo[0]) * (t_end - lo[1]) / (hi[1] - lo[1])
             # trial steps agree to 12 digits near convergence: no cache
-            v = self.etd.step(self.v, 0.0, trial, coef=etdrk4_coefficients(self.linear, trial))
+            v = self.etd.step(self.v, 0.0, trial, etdrk4_coefficients(self.linear, trial), Nv)
             t = self.time(v)
             if best is None or abs(t - t_end) < abs(best[1] - t_end):
                 best = (v, t)
@@ -423,7 +424,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
         if j < -60 * LADDER:
             raise IntegrationError(f"CSF step fell below 2^-60 at t={t:.6g}")
         h = 2.0 ** (j / LADDER)
-        v = etd.advance(flow.v, 0.0, h, flow.error)
+        v = etd.advance(flow.v, 0.0, h, flow.rate(flow.v), flow.error)
         if v is None:  # a rejected check
             seconds["steps"] += perf_counter() - start
             continue

@@ -59,19 +59,16 @@ class Etdrk4:
             coef = self._coef[key] = etdrk4_coefficients(self.L, h)
         return coef
 
-    def step(self, v: np.ndarray, t: float, h: float, Nv: np.ndarray | None = None,
-             coef: tuple | None = None) -> np.ndarray:
-        """The state one step h after v at time t. ``Nv`` is the remainder at
-        v, if already known, and ``coef`` the coefficients of h, if they are
-        not to come from the cache:
+    def step(self, v: np.ndarray, t: float, h: float, coef: tuple,
+             Nv: np.ndarray) -> np.ndarray:
+        """The state one step h after v at time t, from the coefficients
+        ``coef`` of h and the remainder ``Nv`` at v:
 
             a = E2 v + Q N(v),  b = E2 v + Q N(a),  c = E2 a + Q (2 N(b) - N(v)),
             v + h = E v + f1 N(v) + 2 f2 (N(a) + N(b)) + f3 N(c).
         """
-        E, E2, Q, f1, f2x2, f3 = coef or self.coefficients(h)
+        E, E2, Q, f1, f2x2, f3 = coef
         N = self.remainder
-        if Nv is None:
-            Nv = N(t, v)
         E2v = E2 * v
         a = E2v + Q * Nv
         Na = N(t + 0.5 * h, a)
@@ -81,21 +78,22 @@ class Etdrk4:
         Nc = N(t + h, c)
         return E * v + f1 * Nv + f2x2 * (Na + Nb) + f3 * Nc
 
-    def advance(self, v: np.ndarray, t: float, h: float, error,
-                Nv: np.ndarray | None = None) -> np.ndarray | None:
-        """One step h from v at time t. The first step and one in every
-        ``CHECK_STEPS`` after it are also taken as two half steps, which are
-        kept: ``error``(fine, coarse) is then their error ratio against the
-        single step, which sets the accuracy bound ``h_acc`` on the next
-        steps, and a ratio above 1 (or not finite) rejects the step (None)."""
+    def advance(self, v: np.ndarray, t: float, h: float, Nv: np.ndarray,
+                error) -> np.ndarray | None:
+        """One step h from v at time t, with the remainder ``Nv`` at v. The
+        first step and one in every ``CHECK_STEPS`` after it are also taken
+        as two half steps, which are kept: ``error``(fine, coarse) is then
+        their error ratio against the single step, which sets the accuracy
+        bound ``h_acc`` on the next steps, and a ratio above 1 (or not
+        finite) rejects the step (None)."""
         if self.since_check < CHECK_STEPS:
             self.steps += 1
             self.since_check += 1
-            return self.step(v, t, h, Nv)
-        if Nv is None:
-            Nv = self.remainder(t, v)
-        coarse = self.step(v, t, h, Nv)
-        fine = self.step(self.step(v, t, 0.5 * h, Nv), t + 0.5 * h, 0.5 * h)
+            return self.step(v, t, h, self.coefficients(h), Nv)
+        coarse = self.step(v, t, h, self.coefficients(h), Nv)
+        half = self.coefficients(0.5 * h)
+        mid = self.step(v, t, 0.5 * h, half, Nv)
+        fine = self.step(mid, t + 0.5 * h, 0.5 * h, half, self.remainder(t + 0.5 * h, mid))
         self.steps += 3
         self.checks += 1
         ratio = error(fine, coarse)

@@ -124,7 +124,7 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     stepper, flux = torsion_stepper(kappa, n, tau_bar)
     tau = np.array(samples, dtype=float)  # the samples of v, or None until needed
     v = np.fft.rfft(tau)
-    Nv = flux(tau) - stepper.L * v  # the first step starts from the samples themselves
+    Nv = flux(tau) - stepper.L * v  # the remainder at v, at first from the samples themselves
     rho0 = remainder_rate(tau, kappa.constant, tau_bar)
     rec = {"scheme": "etdrk4", "safety": ETD_SAFETY, "rel_tol": REL_TOL,
            "abs_tol": ABS_TOL, "rho0": rho0, "rho_max": rho0, "steps": 0,
@@ -157,14 +157,15 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     for t_out in times:
         h, left = plan(t_out) if t_out > t else (0.0, 0)
         while left:
-            stepped = stepper.advance(v, t, h, error, Nv)
+            stepped = stepper.advance(v, t, h, Nv, error)
             if stepped is None:
                 h, left = plan(t_out)
                 continue
-            v, tau, Nv = stepped, None, None
+            v, tau = stepped, None
             rec["step_min"] = min(rec["step_min"], float(h))
             rec["step_max"] = max(rec["step_max"], float(h))
             t += h
+            Nv = stepper.remainder(t, v)
             left -= 1
             if left and stepper.since_check == 0:  # shorten the rest after a check
                 shorter, more = plan(t_out)

@@ -106,6 +106,12 @@ class TestConcinnousEight:
         assert math.pi < d.theta_max - d.theta_min < 2 * math.pi
         assert d.x_star <= d.x_max
 
+    def test_peak_between_equal_samples_is_refined(self):
+        # the far end x = sqrt(2) lies midway between two samples of equal x;
+        # the parabola vertex through them is 1.2e-8 from it, the sample 5.6e-5
+        d = curve_geometry(make_concinnous_eight(1.0, n_points=512))
+        assert abs(d.x_max - math.sqrt(2.0)) < 1e-6
+
     def test_override_family(self):
         def squashed(t):
             den = 1.0 + math.sin(t) ** 2

@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from geomflow.csf import PlaneCurve, StopRule, csf_evolve  # noqa: E402
+from geomflow.csf import PlaneCurve, StopRule, csf_evolve, make_concinnous_eight  # noqa: E402
 from geomflow.csf.analysis import _dist_points_to_segments  # noqa: E402
 from test_csf_evolve import bent_eight  # noqa: E402
 
@@ -41,6 +41,19 @@ class TestRigidMotions:
             assert d1.length == pytest.approx(d0.length, rel=1e-6)
             assert d1.total_area == pytest.approx(d0.total_area, rel=1e-5)
             assert d1.k_max == pytest.approx(d0.k_max, rel=2e-3)
+
+    def test_symmetric_eight_keeps_its_peak_curvature(self):
+        # the symmetric eight's curvature tip lies midway between two samples
+        # of equal |k|; refined to the parabola vertex, k_max no longer
+        # depends on where the samples sit (4.5e-4 apart before, 1.0e-6 now)
+        curve = make_concinnous_eight(1.0, n_points=128)
+        R = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+        stop = StopRule(time=0.005, kmax_spacing=None)
+        base = csf_evolve(curve, stop, record_dt=0.005)
+        moved = csf_evolve(PlaneCurve(curve.points @ R.T + np.array([0.2, -1.0])), stop,
+                           record_dt=0.005)
+        for d0, d1 in zip(base.diagnostics, moved.diagnostics):
+            assert d1.k_max == pytest.approx(d0.k_max, rel=1e-5)
 
 
 def _fine_polygon(P, factor=32):

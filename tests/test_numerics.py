@@ -129,6 +129,11 @@ def _etd_stepper(calls: list | None = None) -> Etdrk4:
     return Etdrk4(_ETD_L, remainder)
 
 
+def _plain_step(etd: Etdrk4, v: np.ndarray, t: float, h: float) -> np.ndarray:
+    """One ETDRK4 step with freshly computed coefficients and remainder."""
+    return etd.step(v, t, h, etdrk4_coefficients(_ETD_L, h), etd.remainder(t, v))
+
+
 class TestEtdrk4Core:
     """The shared ETDRK4 stepper: coefficients, order, the checked step, the
     remainder evaluations and the coefficient cache."""
@@ -145,7 +150,7 @@ class TestEtdrk4Core:
         def fixed_steps(m):
             etd, v, h = _etd_stepper(), _ETD_V0, 1.0 / m
             for j in range(m):
-                v = etd.step(v, j * h, h)
+                v = _plain_step(etd, v, j * h, h)
             return v
 
         ref = fixed_steps(1024)
@@ -156,11 +161,11 @@ class TestEtdrk4Core:
     def test_checked_step_is_two_half_steps(self):
         etd, h, t = _etd_stepper(), 0.1, 0.2
         seen = []
-        fine = etd.advance(_ETD_V0, t, h, lambda f, c: seen.append((f, c)) or 0.5)
-        ref = _etd_stepper()
-        half = ref.step(ref.step(_ETD_V0, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
+        fine = etd.advance(_ETD_V0, t, h, etd.remainder(t, _ETD_V0),
+                           lambda f, c: seen.append((f, c)) or 0.5)
+        half = _plain_step(etd, _plain_step(etd, _ETD_V0, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
         assert np.array_equal(fine, half) and np.array_equal(seen[0][0], half)
-        assert np.array_equal(seen[0][1], ref.step(_ETD_V0, t, h))
+        assert np.array_equal(seen[0][1], _plain_step(etd, _ETD_V0, t, h))
         assert (etd.steps, etd.checks, etd.rejected, etd.since_check) == (3, 1, 0, 0)
         assert etd.h_acc == h * 0.9 * 0.5 ** -0.2
 
@@ -168,18 +173,20 @@ class TestEtdrk4Core:
                                               (math.inf, 0.2)])
     def test_rejected_check_keeps_the_next_step_checked(self, ratio, factor):
         etd, h = _etd_stepper(), 0.1
-        assert etd.advance(_ETD_V0, 0.0, h, lambda f, c: ratio) is None
+        assert etd.advance(_ETD_V0, 0.0, h, etd.remainder(0.0, _ETD_V0),
+                           lambda f, c: ratio) is None
         assert (etd.checks, etd.rejected, etd.since_check) == (1, 1, CHECK_STEPS)
         assert etd.h_acc == h * factor
 
     def test_remainder_evaluations(self):
-        # a check shares N(v) between the single step and the first half step
+        # N(v) and three stages a step; a check shares N(v) between the
+        # single step and the first half step
         calls = []
         etd = _etd_stepper(calls)
-        v = etd.advance(_ETD_V0, 0.0, 0.1, lambda f, c: 0.0)
+        v = etd.advance(_ETD_V0, 0.0, 0.1, etd.remainder(0.0, _ETD_V0), lambda f, c: 0.0)
         assert len(calls) == 11 and etd.h_acc == 0.5
         calls.clear()
-        etd.advance(v, 0.1, 0.1, lambda f, c: 0.0)
+        etd.advance(v, 0.1, 0.1, etd.remainder(0.1, v), lambda f, c: 0.0)
         assert len(calls) == 4 and etd.steps == 4
 
     def test_coefficient_cache(self):

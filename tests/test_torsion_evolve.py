@@ -85,7 +85,7 @@ def _fixed_steps(data: np.ndarray, T: float, m: int) -> np.ndarray:
     stepper, _ = torsion_stepper(UNIT_CURVATURE, data.size, float(np.mean(data)))
     v, h = np.fft.rfft(data), T / m
     for j in range(m):
-        v = stepper.step(v, j * h, h)
+        v = stepper.step(v, j * h, h, stepper.coefficients(h), stepper.remainder(j * h, v))
     return np.fft.irfft(v, data.size)
 
 
