@@ -110,42 +110,20 @@ def turning_number(P: np.ndarray) -> float:
     return float(np.sum(turns) / TWO_PI)
 
 
-def _on_flat(values: np.ndarray, idx: int) -> bool:
-    """Whether the extreme sample and the two after it, or the two before it,
-    agree to 1e-13 of their size: a flat stretch, such as a polygon's straight
-    edge, where the parabola through three samples overshoots. A peak midway
-    between two equal samples is not one."""
+def _refine_extreme(values: np.ndarray, idx: int) -> tuple[float, float]:
+    """The vertex of the parabola through a discrete extremum of a cyclic
+    sequence and its two neighbours: its value, and its offset from ``idx``
+    in samples (at most one). A peak midway between two equal samples gets
+    its vertex. A flat stretch keeps its sample value: there the extreme and
+    the two samples after it, or before it, agree to 1e-13, as on a
+    polygon's straight edge, and the parabola would overshoot."""
     y = values[np.arange(idx - 2, idx + 3) % values.size]
-    same = np.abs(y - y[2]) <= 1e-13 * max(float(np.max(np.abs(y))), 1e-300)
-    return bool(same[0] and same[1] or same[3] and same[4])
-
-
-def _refine_extreme(values: np.ndarray, idx: int) -> float:
-    """Parabolic refinement of a discrete extremum of a cyclic sequence; a
-    flat stretch keeps its sample value."""
-    n = values.size
-    y0, y1, y2 = values[(idx - 1) % n], values[idx], values[(idx + 1) % n]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0 or _on_flat(values, idx):
-        return float(y1)
-    return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
-
-
-def _refine_extreme_position(xs: np.ndarray, ys: np.ndarray, idx: int) -> tuple[float, float]:
-    """Value and abscissa of the parabola vertex through three cyclic samples;
-    a flat stretch keeps its sample."""
-    n = ys.size
-    y0, y1, y2 = ys[(idx - 1) % n], ys[idx], ys[(idx + 1) % n]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0 or _on_flat(ys, idx):
-        return float(y1), float(xs[idx])
-    delta = float(np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0))
-    if delta >= 0:
-        x_ref = xs[idx] + delta * (xs[(idx + 1) % n] - xs[idx])
-    else:
-        x_ref = xs[idx] + delta * (xs[idx] - xs[(idx - 1) % n])
-    y_ref = y1 - 0.25 * (y0 - y2) * delta
-    return float(y_ref), float(x_ref)
+    denom = y[1] - 2.0 * y[2] + y[3]
+    same = np.abs(y - y[2]) <= 1e-13 * np.max(np.abs(y))
+    if denom == 0.0 or same[0] and same[1] or same[3] and same[4]:
+        return float(y[2]), 0.0
+    delta = float(np.clip(0.5 * (y[1] - y[3]) / denom, -1.0, 1.0))
+    return float(y[2] - 0.25 * (y[1] - y[3]) * delta), delta
 
 
 _CROSSING_CHUNK = 128  # segments per side of one block of the pair search
@@ -286,10 +264,10 @@ def curve_geometry(c: PlaneCurve, time: float = 0.0,
     k, theta = curvature_and_angles(P)
     k_abs = np.abs(k)
     peak = int(np.argmax(k_abs))
-    k_max = _refine_extreme(k_abs, peak)
+    k_max = _refine_extreme(k_abs, peak)[0]
 
-    theta_max = _refine_extreme(theta, int(np.argmax(theta)))
-    theta_min = -_refine_extreme(-theta, int(np.argmin(theta)))
+    theta_max = _refine_extreme(theta, int(np.argmax(theta)))[0]
+    theta_min = -_refine_extreme(-theta, int(np.argmin(theta)))[0]
 
     crossing = None
     try:
@@ -310,10 +288,12 @@ def curve_geometry(c: PlaneCurve, time: float = 0.0,
     right = np.nonzero(xs >= 0.0)[0]
     if crossing is not None and right.size >= 3:
         ix = right[int(np.argmax(xs[right]))]
-        x_max, _ = _refine_extreme_position(ys, xs, ix)
+        x_max = _refine_extreme(xs, ix)[0]
         upper_heights = np.where((xs >= 0.0) & (ys >= 0.0), ys, -np.inf)
         iy = int(np.argmax(upper_heights))
-        y_max, x_star = _refine_extreme_position(xs, ys, iy)
+        y_max, delta = _refine_extreme(ys, iy)
+        side = (iy + (1 if delta >= 0.0 else -1)) % xs.size
+        x_star = float(xs[iy] + abs(delta) * (xs[side] - xs[iy]))
         k_top = _interpolate_at_top(k_abs, upper_heights, iy)
     else:
         x_max = float(np.max(xs))

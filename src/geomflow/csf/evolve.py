@@ -85,13 +85,17 @@ class StopRule:
     ``kmax_spacing`` stops the run once the largest curvature times the
     sample spacing, max|theta_alpha| 2 pi / n on the equal-arclength mesh,
     exceeds the threshold: past that point the samples can no longer
-    resolve the blowup and continuing would only manufacture noise.
+    resolve the blowup and continuing would only manufacture noise. A rule
+    with neither condition, or with one not finite and positive, raises
+    ``SetupError``.
     """
 
     time: float | None = None
     kmax_spacing: float | None = 0.5
 
     def __post_init__(self):
+        if self.time is None and self.kmax_spacing is None:
+            raise SetupError("stop rule has no active condition")
         for name in ("time", "kmax_spacing"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0.0):
@@ -230,14 +234,13 @@ class ThetaLengthFlow:
         self.M = M = n // 2 + 1
         self.alpha = TWO_PI * np.arange(n) / n
         k = np.arange(M, dtype=float)
-        self.linear = np.concatenate([-k * k, np.zeros(3)])
+        self.etd = Etdrk4(np.concatenate([-k * k, np.zeros(3)]), lambda _, v: self.rate(v))
         self.ik = 1j * k
         self.inv_ik = np.zeros(M, dtype=complex)
         self.inv_ik[1:] = 1.0 / self.ik[1:]
         if n % 2 == 0:  # the Nyquist mode has no odd derivative or primitive on the grid
             self.ik[-1] = 0.0
             self.inv_ik[-1] = 0.0
-        self.etd = Etdrk4(self.linear, lambda _, v: self.rate(v))
         self._spectra = np.empty((2, M), dtype=complex)
 
         dx, dy = np.fft.irfft(self.ik * np.fft.rfft(P.T), n)
@@ -335,7 +338,7 @@ class ThetaLengthFlow:
         for _ in range(12):
             trial = lo[0] + (hi[0] - lo[0]) * (t_end - lo[1]) / (hi[1] - lo[1])
             # trial steps agree to 12 digits near convergence: no cache
-            v = self.etd.step(self.v, 0.0, trial, etdrk4_coefficients(self.linear, trial), Nv)
+            v = self.etd.step(self.v, 0.0, trial, etdrk4_coefficients(self.etd.L, trial), Nv)
             t = self.time(v)
             if best is None or abs(t - t_end) < abs(best[1] - t_end):
                 best = (v, t)
@@ -367,8 +370,6 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
     and so does any run once it has taken ``MAX_STEPS`` steps.
     """
     stop = stop or StopRule(time=0.1)
-    if stop.time is None and stop.kmax_spacing is None:
-        raise ValueError("stop rule has no active condition")
     if record_dt is not None:
         if not (math.isfinite(record_dt) and record_dt > 0.0):
             raise SetupError(f"record_dt must be finite and positive, got {record_dt}")

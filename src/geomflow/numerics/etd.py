@@ -21,7 +21,7 @@ CHECK_STEPS = 8  # steps between two step-doubling checks; a check costs two ext
 # Steps that agree to this many digits share their coefficients: equal
 # intervals from ``linspace`` differ in their last bits.
 STEP_DIGITS = 12
-CACHED_STEPS = 32  # a full cache starts over: a CSF run uses at most 27 ladder steps
+CACHED_STEPS = 32  # a full cache starts over; the CSF runs use 22 to 27 ladder steps
 
 
 def etdrk4_coefficients(L: np.ndarray, h: float):

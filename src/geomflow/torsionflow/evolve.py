@@ -122,9 +122,9 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     n = samples.size
     tau_bar = float(np.mean(samples))
     stepper, flux = torsion_stepper(kappa, n, tau_bar)
-    tau = np.array(samples, dtype=float)  # the samples of v, or None until needed
+    tau = np.array(samples, dtype=float)
     v = np.fft.rfft(tau)
-    Nv = flux(tau) - stepper.L * v  # the remainder at v, at first from the samples themselves
+    Nv = flux(tau) - stepper.L * v  # the remainder at v, from the samples of v
     rho0 = remainder_rate(tau, kappa.constant, tau_bar)
     rec = {"scheme": "etdrk4", "safety": ETD_SAFETY, "rel_tol": REL_TOL,
            "abs_tol": ABS_TOL, "rho0": rho0, "rho_max": rho0, "steps": 0,
@@ -132,19 +132,13 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     t = 0.0
     rows = []
 
-    def samples_now() -> np.ndarray:
-        nonlocal tau
-        if tau is None:
-            tau = _positive(np.fft.irfft(v, n), t)
-        return tau
-
     def error(fine: np.ndarray, coarse: np.ndarray) -> float:
         fine, coarse = np.fft.irfft(fine, n), np.fft.irfft(coarse, n)
         return float(np.max(np.abs(fine - coarse) / (ABS_TOL + REL_TOL * np.abs(fine))))
 
     def plan(t_out: float) -> tuple[float, int]:
         """The step and step count for the rest of the interval to t_out."""
-        rho = remainder_rate(samples_now(), kappa.constant, tau_bar)
+        rho = remainder_rate(tau, kappa.constant, tau_bar)
         rec["rho_max"] = max(rec["rho_max"], rho)
         bound = min(ETD_SAFETY / rho if rho > 0.0 else math.inf, stepper.h_acc)
         left = max(1, math.ceil((t_out - t) / bound))
@@ -161,18 +155,19 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
             if stepped is None:
                 h, left = plan(t_out)
                 continue
-            v, tau = stepped, None
+            v = stepped
             rec["step_min"] = min(rec["step_min"], float(h))
             rec["step_max"] = max(rec["step_max"], float(h))
             t += h
-            Nv = stepper.remainder(t, v)
+            tau = _positive(np.fft.irfft(v, n), t)
+            Nv = flux(tau) - stepper.L * v
             left -= 1
             if left and stepper.since_check == 0:  # shorten the rest after a check
                 shorter, more = plan(t_out)
                 if shorter < h:
                     h, left = shorter, more
         t = float(t_out)
-        rows.append(samples_now())
+        rows.append(tau)
     rec.update(steps=stepper.steps, checks=stepper.checks, rejected=stepper.rejected)
     if rec["steps"] == 0:
         rec["step_min"] = 0.0

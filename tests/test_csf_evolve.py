@@ -96,7 +96,7 @@ class TestSteps:
         flow = ThetaLengthFlow(resample_uniform(make_concinnous_eight(1.0, n_points=128).points))
         coef = flow.etd.coefficients(2.0 ** -5)
         assert flow.etd.coefficients(2.0 ** -5) is coef
-        for got, want in zip(coef, etdrk4_coefficients(flow.linear, 2.0 ** -5)):
+        for got, want in zip(coef, etdrk4_coefficients(flow.etd.L, 2.0 ** -5)):
             assert np.array_equal(got, want)
 
     def test_run_records_its_steps_and_phases(self):
