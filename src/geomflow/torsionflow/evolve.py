@@ -124,7 +124,7 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     stepper, flux = torsion_stepper(kappa, n, tau_bar)
     tau = np.array(samples, dtype=float)
     v = np.fft.rfft(tau)
-    Nv = flux(tau) - stepper.L * v  # the remainder at v, from the samples of v
+    Nv = None  # the remainder at v, from the samples of v once a step needs it
     rho0 = remainder_rate(tau, kappa.constant, tau_bar)
     rec = {"scheme": "etdrk4", "safety": ETD_SAFETY, "rel_tol": REL_TOL,
            "abs_tol": ABS_TOL, "rho0": rho0, "rho_max": rho0, "steps": 0,
@@ -151,16 +151,17 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     for t_out in times:
         h, left = plan(t_out) if t_out > t else (0.0, 0)
         while left:
+            if Nv is None:
+                Nv = flux(tau) - stepper.L * v
             stepped = stepper.advance(v, t, h, Nv, error)
             if stepped is None:
                 h, left = plan(t_out)
                 continue
-            v = stepped
+            v, Nv = stepped, None
             rec["step_min"] = min(rec["step_min"], float(h))
             rec["step_max"] = max(rec["step_max"], float(h))
             t += h
             tau = _positive(np.fft.irfft(v, n), t)
-            Nv = flux(tau) - stepper.L * v
             left -= 1
             if left and stepper.since_check == 0:  # shorten the rest after a check
                 shorter, more = plan(t_out)
