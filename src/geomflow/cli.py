@@ -17,13 +17,13 @@ ODE-driven geo commands and of ``torsion reconstruct`` (with its frame-drift
 tolerance), the step record of ``torsion evolve`` (its scheme, tolerances,
 remainder bounds, step counts and step range), the step control and stop
 rule of the csf commands (which also record their accepted steps, checks,
-rejections and the symmetries they held, and time their steps, projections
-and frame diagnostics in ``wall_time_seconds``), and the library constants
-the other commands run with (such as the slope tolerance of ``geo boundary``
-and the closure tolerance of ``torsion stationary``). The
-ODE-driven commands (``geo sphere``, ``boundary``, ``boundingbox``,
-``flowline``, ``geodesic``, ``cylinder``, ``torsion reconstruct`` and
-``stationary``) also record the solver statistics of their integrations:
+rejections and the symmetries they held, and time their steps, projections,
+frame diagnostics, frame analyses and CSV writing in ``wall_time_seconds``),
+and the library constants the other commands run with (such as the slope
+tolerance of ``geo boundary`` and the closure tolerance of ``torsion
+stationary``). The ODE-driven commands (``geo sphere``, ``boundary``,
+``boundingbox``, ``flowline``, ``geodesic``, ``cylinder``, ``torsion
+reconstruct`` and ``stationary``) also record the solver statistics of their integrations:
 accepted and rejected steps, field evaluations and the step range.
 ``verify`` prints each criterion's wall time, or with ``--json`` one JSON
 object per criterion.
@@ -36,12 +36,13 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from time import perf_counter
 
 import numpy as np
 
 from . import __version__
 from .errors import GeomflowError
-from .io_utils import ExperimentWriter
+from .io_utils import ExperimentWriter, csv_block
 
 
 _NOT_PARAMETERS = ("func", "out", "command", "experiment")
@@ -75,21 +76,22 @@ def _stop_record(stop) -> dict:
 
 
 def _write_run(writer: ExperimentWriter, run) -> None:
-    frame_rows = ((t, pi, x, y) for t, frame in zip(run.times, run.frames)
-                  for pi, x, y in zip(range(len(frame.points)), frame.points[:, 0].tolist(),
-                                      frame.points[:, 1].tolist()))
-    writer.csv("frames.csv", ["t", "point_index", "x", "y"], frame_rows)
-    diag_rows = [d.row() for d in run.diagnostics]
     from .csf import EightDiagnostics
-    writer.csv("diagnostics.csv", list(EightDiagnostics.FIELDS), diag_rows)
+    writer.csv("frames.csv", ["t", "point_index", "x", "y"],
+               (csv_block((t,), range(len(frame.points)), frame.points[:, 0].tolist(),
+                          frame.points[:, 1].tolist())
+                for t, frame in zip(run.times, run.frames)))
+    writer.csv("diagnostics.csv", list(EightDiagnostics.FIELDS),
+               [d.row() for d in run.diagnostics])
 
 
-def _finish_run(writer: ExperimentWriter, run) -> None:
+def _finish_run(writer: ExperimentWriter, run, **seconds) -> None:
     """Record how a csf run was stepped, and write its manifest with the
-    seconds of each phase of the run next to the total wall time."""
+    seconds of each phase of the run, and the ``seconds`` of the command's
+    own phases (its analyses, its writing), next to the total wall time."""
     writer.parameters.update(stop_reason=run.stop_reason, steps=run.steps, checks=run.checks,
                              rejected=run.rejected, symmetries=run.symmetries)
-    writer.phase_seconds = {f"csf_{phase}": s for phase, s in run.seconds.items()}
+    writer.phase_seconds = {f"csf_{phase}": s for phase, s in {**run.seconds, **seconds}.items()}
     writer.finish()
 
 
@@ -99,8 +101,9 @@ def cmd_csf_run(args) -> int:
     stop = StopRule(time=args.T, kmax_spacing=args.kmax_spacing)
     writer = _writer(args, {**step_control(), "stop_rule": _stop_record(stop)})
     run = csf_evolve(curve, stop, record_dt=args.record_dt)
+    start = perf_counter()
     _write_run(writer, run)
-    _finish_run(writer, run)
+    _finish_run(writer, run, write=perf_counter() - start)
     return 0
 
 
@@ -120,16 +123,17 @@ def cmd_csf_bowtie(args) -> int:
     writer, stop = _collapse_writer(args)
     run = csf_evolve(curve, stop, record_dt=args.record_dt,
                      expect_double_point=True)
-    _write_run(writer, run)
-    idxs = resolvable_frames(run)
-    tm, px, py = axis_shrink_products(run)
+    start = perf_counter()
+    _, px, py = axis_shrink_products(run)
     rows = []
-    for k in idxs:
+    for k in resolvable_frames(run):
         rec = affine_rescale_and_bowtie(run.frames[k], run.diagnostics[k])
         rows.append([run.times[k], rec.bowtie_distance, rec.ratio_xstar, px[k], py[k]])
+    mid = perf_counter()
+    _write_run(writer, run)
     writer.csv("bowtie.csv", ["t", "bowtie_distance", "ratio_xstar",
                               "minus_ymax_dxmax_dt", "minus_xmax_dymax_dt"], rows)
-    _finish_run(writer, run)
+    _finish_run(writer, run, analysis=mid - start, write=perf_counter() - mid)
     return 0
 
 
@@ -139,11 +143,12 @@ def cmd_csf_grimreaper(args) -> int:
     writer, stop = _collapse_writer(args)
     run = csf_evolve(curve, stop, record_dt=args.record_dt,
                      expect_double_point=True)
-    idxs = resolvable_frames(run)
-    series = grim_reaper_check(run, idxs)
+    start = perf_counter()
+    series = grim_reaper_check(run, resolvable_frames(run))
+    mid = perf_counter()
     writer.csv("grimreaper.csv", ["t", "profile_error", "alpha_angle"],
                zip(series.times, series.errors, series.alphas))
-    _finish_run(writer, run)
+    _finish_run(writer, run, analysis=mid - start, write=perf_counter() - mid)
     return 0
 
 

@@ -96,7 +96,7 @@ def grim_reaper_profile_error(frame: PlaneCurve, diag: EightDiagnostics) -> floa
                                                      np.arange(0, i + 1)]))
     # the right lobe is the arc containing the global curvature maximum
     peak = int(np.argmax(k_abs))
-    lobe = arcs[0] if peak in set(arcs[0].tolist()) else arcs[1]
+    lobe = arcs[0] if i < peak <= j else arcs[1]
     return reaper_profile_defect(theta[lobe], k_abs[lobe] / k_max)
 
 
@@ -127,17 +127,41 @@ class BowtieRecord:
     ratio_xstar: float
 
 
-def _dist_points_to_segments(px, py, ax, ay, bx, by) -> np.ndarray:
-    """Distance from each point (px, py) to the nearest of the segments from
-    (ax, ay) to (bx, by): the square root of the least squared distance, on
-    (points, segments) arrays of one coordinate each."""
-    dx, dy = bx - ax, by - ay
-    pax = px[:, None] - ax
-    pay = py[:, None] - ay
-    tt = np.clip((pax * dx + pay * dy) / (dx * dx + dy * dy), 0.0, 1.0)
-    ex = px[:, None] - (ax + tt * dx)
-    ey = py[:, None] - (ay + tt * dy)
-    return np.sqrt(np.min(ex * ex + ey * ey, axis=1))
+# The bow-tie target: the closed path through these corners, whose image is
+# the two diagonals and the two vertical edges of [-1, 1]^2, and 101 samples
+# along each of its four edges.
+_TIE = np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+_TIE_SAMPLES = np.concatenate([_TIE + tt * (cyclic_shift(_TIE, 1) - _TIE)
+                               for tt in np.linspace(0.0, 1.0, 101)[:, None, None]])
+
+
+def _dist_to_polygon(px, py, vx, vy) -> np.ndarray:
+    """Distance from each point (px, py) to the closed polygon with vertices
+    (vx, vy): the square root of the least squared distance to its edges.
+
+    Only the edges that can hold a nearest point are measured. With d the
+    distance to the nearest vertex and h the longest edge, the nearest point
+    is at most d away and within h/2 of an end of its edge, so that edge has
+    an end within d + h/2 (the radius gets 1e-6 of h more, beyond rounding).
+    The least value is taken over a set that holds every minimiser, so it
+    equals the minimum over all (point, edge) pairs bit for bit."""
+    wx, wy = np.append(vx, vx[0]), np.append(vy, vy[0])    # vertex 0 closes the polygon
+    ex, ey = wx[1:] - vx, wy[1:] - vy
+    d2 = np.subtract.outer(px, wx)
+    ddy = np.subtract.outer(py, wy)
+    d2 *= d2
+    ddy *= ddy
+    d2 += ddy
+    reach = np.sqrt(np.min(d2, axis=1)) + 0.5 * (1.0 + 1e-6) * float(np.max(np.hypot(ex, ey)))
+    near = d2 <= (reach * reach)[:, None]
+    rows, edges = np.divmod(np.flatnonzero(near[:, :-1] | near[:, 1:]), vx.size)
+    ax, ay, dx, dy = vx[edges], vy[edges], ex[edges], ey[edges]
+    qx, qy = px[rows], py[rows]
+    tt = np.clip(((qx - ax) * dx + (qy - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+    fx = qx - (ax + tt * dx)
+    fy = qy - (ay + tt * dy)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return np.sqrt(np.minimum.reduceat(fx * fx + fy * fy, starts))
 
 
 def affine_rescale_and_bowtie(frame: PlaneCurve, diag: EightDiagnostics) -> BowtieRecord:
@@ -147,27 +171,18 @@ def affine_rescale_and_bowtie(frame: PlaneCurve, diag: EightDiagnostics) -> Bowt
     extremes), putting the frame in [-1, 1]^2. The bow-tie target is the
     closed four-corner path whose image is the two diagonals plus the two
     vertical edges; the reported distance is the symmetric Hausdorff distance
-    between it and the rescaled polygon. ``diag`` is the frame's
+    between it and the rescaled polygon, from the polygon's points and from
+    101 samples along each edge of the path. ``diag`` is the frame's
     ``curve_geometry`` record.
     """
     if not (diag.x_max > 0.0 and diag.y_max > 0.0) or math.isnan(diag.x_star):
         raise ValueError("degenerate frame extent; cannot rescale")
     Q = frame.points / np.array([diag.x_max, diag.y_max])
     rescaled = PlaneCurve(Q)
-
-    corners = np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
-    path = [corners[0], corners[1], corners[2], corners[3], corners[0]]
-    seg_a = np.array(path[:-1])
-    seg_b = np.array(path[1:])
-
     qx, qy = Q[:, 0], Q[:, 1]
-    ax, ay, bx, by = seg_a[:, 0], seg_a[:, 1], seg_b[:, 0], seg_b[:, 1]
-    d_curve_to_tie = float(np.max(_dist_points_to_segments(qx, qy, ax, ay, bx, by)))
-    samples = np.concatenate([
-        seg_a + tt * (seg_b - seg_a) for tt in np.linspace(0.0, 1.0, 101)[:, None, None]
-    ])
-    d_tie_to_curve = float(np.max(_dist_points_to_segments(
-        samples[:, 0], samples[:, 1], qx, qy, cyclic_shift(qx, 1), cyclic_shift(qy, 1))))
+    d_curve_to_tie = float(np.max(_dist_to_polygon(qx, qy, _TIE[:, 0], _TIE[:, 1])))
+    d_tie_to_curve = float(np.max(_dist_to_polygon(_TIE_SAMPLES[:, 0], _TIE_SAMPLES[:, 1],
+                                                   qx, qy)))
     return BowtieRecord(
         rescaled=rescaled,
         bowtie_distance=max(d_curve_to_tie, d_tie_to_curve),

@@ -117,16 +117,18 @@ def _refine_extreme(values: np.ndarray, idx: int) -> tuple[float, float]:
     its vertex. A flat stretch keeps its sample value: there the extreme and
     the two samples after it, or before it, agree to 1e-13, as on a
     polygon's straight edge, and the parabola would overshoot."""
-    y = values[np.arange(idx - 2, idx + 3) % values.size]
-    denom = y[1] - 2.0 * y[2] + y[3]
-    same = np.abs(y - y[2]) <= 1e-13 * np.max(np.abs(y))
-    if denom == 0.0 or same[0] and same[1] or same[3] and same[4]:
-        return float(y[2]), 0.0
-    delta = float(np.clip(0.5 * (y[1] - y[3]) / denom, -1.0, 1.0))
-    return float(y[2] - 0.25 * (y[1] - y[3]) * delta), delta
+    n = values.size
+    y0, y1, y2, y3, y4 = (values.item((idx + k) % n) for k in range(-2, 3))
+    denom = y1 - 2.0 * y2 + y3
+    flat = 1e-13 * max(abs(y0), abs(y1), abs(y2), abs(y3), abs(y4))
+    if (denom == 0.0 or abs(y0 - y2) <= flat and abs(y1 - y2) <= flat
+            or abs(y3 - y2) <= flat and abs(y4 - y2) <= flat):
+        return y2, 0.0
+    delta = min(1.0, max(-1.0, 0.5 * (y1 - y3) / denom))
+    return y2 - 0.25 * (y1 - y3) * delta, delta
 
 
-_CROSSING_CHUNK = 128  # segments per side of one block of the pair search
+_RUN = 8  # consecutive segments per bounding box of the crossing search
 
 
 def self_intersection(P: np.ndarray):
@@ -136,52 +138,55 @@ def self_intersection(P: np.ndarray):
     ``point``. Raises TopologyError when there is no crossing or more than
     one distinct crossing. Neighboring segment pairs are excluded.
 
-    Segment pairs i < j are tested in square blocks of ``_CROSSING_CHUNK``,
-    each as broadcast (rows i, columns j) slices of the start points and the
-    edge vectors; blocks are visited in row-major order and the hits within
-    a block in row-major order, so the first hit found is always the same.
+    The segments are cut into runs of ``_RUN`` consecutive ones, each with
+    the bounding box of its segments. Two segments from runs whose boxes are
+    disjoint cannot cross, so the crossing formulas run only on the pairs
+    i < j from runs whose boxes overlap (a run's box always overlaps its own
+    and its neighbours'). The pruning is exact: every pair it skips has
+    disjoint segments. Hits are taken in (i, j) order, the order of a plain
+    loop over all pairs, and hits that coincide geometrically (a crossing
+    that grazes a vertex) merge into the first.
     """
     n = P.shape[0]
-    x, y = P[:, 0], P[:, 1]
-    E = cyclic_shift(P, 1) - P
-    ex, ey = E[:, 0], E[:, 1]
-    found: list[tuple[int, int, np.ndarray]] = []
-    for i0 in range(0, n, _CROSSING_CHUNK):
-        i1 = min(i0 + _CROSSING_CHUNK, n)
-        rows = slice(i0, i1)
-        for j0 in range(i0, n, _CROSSING_CHUNK):
-            j1 = min(j0 + _CROSSING_CHUNK, n)
-            sep = np.arange(j0, j1)[None, :] - np.arange(i0, i1)[:, None]
-            mask = (sep >= 2) & (sep <= n - 2)
-            if not np.any(mask):
-                continue
-            cols = slice(j0, j1)
-            rx, ry = ex[rows, None], ey[rows, None]
-            sx, sy = ex[None, cols], ey[None, cols]
-            denom = rx * sy - ry * sx
-            dqx = x[None, cols] - x[rows, None]
-            dqy = y[None, cols] - y[rows, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (dqx * sy - dqy * sx) / denom
-                u = (dqx * ry - dqy * rx) / denom
-            hit = mask & (denom != 0.0) & (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
-            for ci, cj in zip(*np.nonzero(hit)):
-                gi = i0 + int(ci)
-                found.append((gi, j0 + int(cj), P[gi] + t[ci, cj] * E[gi]))
-    if not found:
+    Q = cyclic_shift(P, 1)
+    E = Q - P
+    x, y, ex, ey = P[:, 0], P[:, 1], E[:, 0], E[:, 1]
+    starts = np.arange(0, n, _RUN)
+    lo = np.minimum.reduceat(np.minimum(P, Q), starts)
+    hi = np.maximum.reduceat(np.maximum(P, Q), starts)
+    lo_x, lo_y, hi_x, hi_y = lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1]
+    overlap = ((lo_x[:, None] <= hi_x) & (lo_x <= hi_x[:, None])
+               & (lo_y[:, None] <= hi_y) & (lo_y <= hi_y[:, None]))
+    ra, rb = np.nonzero(overlap)
+    upper = ra <= rb
+    offsets = np.arange(_RUN)
+    i = (ra[upper, None] * _RUN + offsets)[:, :, None]      # (run pairs, _RUN, 1)
+    j = (rb[upper, None] * _RUN + offsets)[:, None, :]      # (run pairs, 1, _RUN)
+    sep = j - i
+    keep = (sep >= 2) & (sep <= n - 2) & (j < n)
+    i, j = np.broadcast_to(i, keep.shape)[keep], np.broadcast_to(j, keep.shape)[keep]
+    rx, ry, sx, sy = ex[i], ey[i], ex[j], ey[j]
+    denom = rx * sy - ry * sx
+    dqx = x[j] - x[i]
+    dqy = y[j] - y[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (dqx * sy - dqy * sx) / denom
+        u = (dqx * ry - dqy * rx) / denom
+    hits = np.nonzero((denom != 0.0) & (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0))[0]
+    if hits.size == 0:
         raise TopologyError("no self-intersection found")
-    # merge crossings that coincide geometrically (vertex-grazing duplicates)
-    scale = math.sqrt(np.max(np.sum((P - P.mean(axis=0)) ** 2, axis=1)))
-    clusters: list[tuple[int, int, np.ndarray]] = []
-    for gi, gj, pt in found:
-        for _, _, other in clusters:
-            if np.linalg.norm(pt - other) < 1e-6 * scale:
-                break
-        else:
-            clusters.append((gi, gj, pt))
-    if len(clusters) > 1:
-        raise TopologyError(f"found {len(clusters)} distinct self-intersections, expected 1")
-    return clusters[0]
+    found = sorted(((int(i[h]), int(j[h]), P[i[h]] + t[h] * E[i[h]]) for h in hits),
+                   key=lambda hit: hit[:2])
+    if len(found) > 1:
+        # merge crossings that coincide geometrically (vertex-grazing duplicates)
+        scale = math.sqrt(np.max(np.sum((P - P.mean(axis=0)) ** 2, axis=1)))
+        clusters: list[np.ndarray] = []
+        for _, _, pt in found:
+            if all(np.linalg.norm(pt - other) >= 1e-6 * scale for other in clusters):
+                clusters.append(pt)
+        if len(clusters) > 1:
+            raise TopologyError(f"found {len(clusters)} distinct self-intersections, expected 1")
+    return found[0]
 
 
 def _shoelace(Q: np.ndarray) -> float:
@@ -238,15 +243,18 @@ class EightDiagnostics:
 
 def _interpolate_at_top(k_abs: np.ndarray, heights: np.ndarray, iy: int) -> float:
     """|k| at the parabola vertex through the heights around sample ``iy``,
-    by quadratic interpolation; a non-finite neighbour (a sample outside the
-    quadrant) leaves the vertex at the sample."""
+    by quadratic interpolation; a non-finite height (a sample outside the
+    quadrant, tested before any arithmetic on the heights) leaves the vertex
+    at the sample."""
     n = heights.size
-    y0, y1, y2 = heights[(iy - 1) % n], heights[iy], heights[(iy + 1) % n]
-    denom = y0 - 2.0 * y1 + y2
-    delta = 0.0 if (denom == 0.0 or not np.isfinite(denom)) \
-        else float(np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0))
-    k0, k1, k2 = k_abs[(iy - 1) % n], k_abs[iy], k_abs[(iy + 1) % n]
-    return float(k1 + 0.5 * delta * (k2 - k0) + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2))
+    y0, y1, y2 = (heights.item((iy + k) % n) for k in (-1, 0, 1))
+    k0, k1, k2 = (k_abs.item((iy + k) % n) for k in (-1, 0, 1))
+    inside = math.isfinite(y0) and math.isfinite(y1) and math.isfinite(y2)
+    denom = y0 - 2.0 * y1 + y2 if inside else 0.0
+    if denom == 0.0:
+        return k1
+    delta = min(1.0, max(-1.0, 0.5 * (y0 - y2) / denom))
+    return k1 + 0.5 * delta * (k2 - k0) + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2)
 
 
 def curve_geometry(c: PlaneCurve, time: float = 0.0,

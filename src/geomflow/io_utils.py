@@ -12,22 +12,41 @@ from . import __version__
 CSV_FLOAT = "%.17g"
 
 
+def _row_format(kinds) -> str:
+    """The %-format string of a row of values of these types: floats (and
+    float subclasses such as numpy's float64) as ``CSV_FLOAT``, anything else
+    as ``str`` would print it."""
+    return ",".join(CSV_FLOAT if issubclass(kind, float) else "%s" for kind in kinds)
+
+
+def csv_block(lead: tuple, *columns) -> str:
+    """The lines of ``write_csv`` for the rows ``lead + (a[k], b[k], ...)`` of
+    the equal-length, nonempty ``columns`` a, b, ..., each holding values of
+    one type: the leading values are formatted once and every row by one
+    format string. ``write_csv`` writes such a block as it is."""
+    head = (_row_format(map(type, lead)) % lead).replace("%", "%%")
+    fmt = ",".join([head, _row_format(type(column[0]) for column in columns)])
+    return "\n".join(map(fmt.__mod__, zip(*columns)))
+
+
 def write_csv(path: Path, header: list[str], rows) -> Path:
     """Write ``header`` and ``rows`` as CSV. Each row is formatted by one
-    %-format string, built once per sequence of value types: floats (and
-    float subclasses such as numpy's float64) as ``CSV_FLOAT``, anything
-    else as ``str`` would print it."""
+    %-format string (see ``_row_format``), built once per sequence of value
+    types; a row given as a ``str`` is a block of formatted lines
+    (``csv_block``) and is written as it is."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     formats: dict[tuple, str] = {}
     for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+            continue
         row = tuple(row)
         kinds = tuple(map(type, row))
         fmt = formats.get(kinds)
         if fmt is None:
-            fmt = formats[kinds] = ",".join(CSV_FLOAT if issubclass(kind, float) else "%s"
-                                            for kind in kinds)
+            fmt = formats[kinds] = _row_format(kinds)
         lines.append(fmt % row)
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path

@@ -7,6 +7,9 @@
 - ``spectral_derivative`` and ``fd4_derivative``: derivatives of samples on
   a uniform periodic mesh, by Fourier collocation and by fourth-order central
   differences.
+- ``dist_points_to_segments`` and ``bowtie_distance``: point-to-segment
+  distances over the full (points, segments) matrix, and the bow-tie
+  distance of a frame built from them without pruning.
 """
 
 import math
@@ -73,3 +76,33 @@ def fd4_derivative(samples, order):
         return (-np.roll(y, -3) + 8 * np.roll(y, -2) - 13 * np.roll(y, -1)
                 + 13 * np.roll(y, 1) - 8 * np.roll(y, 2) + np.roll(y, 3)) / (8 * h ** 3)
     raise ValueError(f"no fd4 stencil of order {order}")
+
+
+def dist_points_to_segments(px, py, ax, ay, bx, by):
+    """Distance from each point (px, py) to the nearest of the segments from
+    (ax, ay) to (bx, by): the square root of the least squared distance, on
+    (points, segments) arrays of one coordinate each."""
+    dx, dy = bx - ax, by - ay
+    pax = px[:, None] - ax
+    pay = py[:, None] - ay
+    tt = np.clip((pax * dx + pay * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+    ex = px[:, None] - (ax + tt * dx)
+    ey = py[:, None] - (ay + tt * dy)
+    return np.sqrt(np.min(ex * ex + ey * ey, axis=1))
+
+
+def bowtie_distance(points, x_max, y_max):
+    """Symmetric Hausdorff distance between the polygon ``points`` scaled by
+    (1/x_max, 1/y_max) and the closed bow-tie path through (-1, -1), (1, 1),
+    (1, -1), (-1, 1): from the polygon's points to the path's four edges, and
+    from 101 samples along each edge to the polygon's edges."""
+    Q = points / np.array([x_max, y_max])
+    corners = np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+    seg_a, seg_b = corners, np.roll(corners, -1, axis=0)
+    qx, qy = Q[:, 0], Q[:, 1]
+    to_tie = dist_points_to_segments(qx, qy, seg_a[:, 0], seg_a[:, 1], seg_b[:, 0], seg_b[:, 1])
+    samples = np.concatenate([seg_a + tt * (seg_b - seg_a)
+                              for tt in np.linspace(0.0, 1.0, 101)[:, None, None]])
+    to_curve = dist_points_to_segments(samples[:, 0], samples[:, 1], qx, qy,
+                                       np.roll(qx, -1), np.roll(qy, -1))
+    return max(float(np.max(to_tie)), float(np.max(to_curve)))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from geomflow.cli import build_parser, main
+from geomflow.io_utils import csv_block, write_csv
 from geomflow.geoflow import SLOPE_TOL, SPHERE_CONTROL, TIGHT, UNIT_TANGENT_TOL
 from geomflow.torsionflow import CLOSURE_TOL, FRAME_DRIFT_TOL, FRENET_CONTROL
 
@@ -208,9 +209,24 @@ class TestCsfCommands:
         assert params["stop_reason"] == "time reached"
         assert "curve" not in params
         seconds = manifest["wall_time_seconds"]
-        assert set(seconds) == {"total", "csf_steps", "csf_projections", "csf_diagnostics"}
+        assert set(seconds) == {"total", "csf_steps", "csf_projections", "csf_diagnostics",
+                                "csf_write"}
         assert all(s >= 0.0 for s in seconds.values())
         assert seconds["csf_steps"] + seconds["csf_diagnostics"] <= seconds["total"]
+
+    def test_collapse_manifests_time_analysis_and_writing(self, tmp_path):
+        for command, data in (("bowtie", "bowtie.csv"), ("grimreaper", "grimreaper.csv")):
+            out = tmp_path / command
+            assert main(["csf", command, "--n", "128", "--record-dt", "0.02",
+                         "--out", str(out)]) == 0
+            header, rows = read_csv(out / data)
+            assert rows
+            seconds = json.loads((out / f"csf_{command}_manifest.json").read_text())[
+                "wall_time_seconds"]
+            assert set(seconds) == {"total", "csf_steps", "csf_projections", "csf_diagnostics",
+                                    "csf_analysis", "csf_write"}
+            assert all(s >= 0.0 for s in seconds.values())
+            assert sum(s for k, s in seconds.items() if k != "total") <= seconds["total"]
 
     def test_run_ends_exactly_at_T(self, tmp_path):
         out = tmp_path / "csf"
@@ -239,6 +255,20 @@ class TestManifests:
             recorded = {k: manifest["parameters"][k] for k in expected}
             assert recorded == expected
             assert not {"func", "out", "command", "experiment"} & manifest["parameters"].keys()
+
+
+class TestCsvWriter:
+    def test_block_writes_the_bytes_of_its_rows(self, tmp_path):
+        # a block formats its leading values once and its rows by one format,
+        # as write_csv formats each row on its own
+        xs, ys = [0.1, 1.0 / 3.0, -2.5e-300, 1e17], [np.float64(2.0), -0.0, math.pi, 5e-324]
+        for lead in [(0.7,), (np.float64(1e-9), 3), ("50%", 2.5)]:
+            rows = [lead + (k, x, y) for k, (x, y) in enumerate(zip(xs, ys))]
+            header = [f"c{k}" for k in range(len(rows[0]))]
+            by_row = write_csv(tmp_path / "rows.csv", header, rows).read_bytes()
+            by_block = write_csv(tmp_path / "block.csv", header,
+                                 [csv_block(lead, range(4), xs, ys)]).read_bytes()
+            assert by_block == by_row
 
 
 class TestSolverStats:

@@ -5,11 +5,13 @@ are short or synthetic.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from geomflow.csf.curve import _check_concinnity, _three_point, edge_lengths, row_lengths
+from geomflow.csf.curve import (_check_concinnity, _interpolate_at_top, _three_point,
+                                edge_lengths, row_lengths)
 from geomflow.errors import ConstructionError, ResolutionError, TopologyError
 from geomflow.csf import (MIN_TIP_POINTS, PlaneCurve, StopRule, affine_rescale_and_bowtie,
                           axis_shrink_products, csf_evolve, curvature_and_angles,
@@ -18,6 +20,7 @@ from geomflow.csf import (MIN_TIP_POINTS, PlaneCurve, StopRule, affine_rescale_a
                           make_concinnous_eight, reaper_profile_defect, resample_uniform,
                           resolvable_frames, self_intersection, theta_monotonicity_series,
                           turning_number)
+from oracles import bowtie_distance
 
 
 def unit_circle(n=256, r=1.0):
@@ -426,6 +429,30 @@ class TestFrameRecord:
         for run in (collapse_run, upright_run):
             for got, want in zip(axis_shrink_products(run), _reference_axis_shrink_products(run)):
                 assert np.array_equal(got, want)
+
+    def test_top_outside_the_quadrant_keeps_its_sample(self):
+        # a top sample with a neighbour outside the upper-right quadrant (or
+        # outside it itself) keeps its own |k|, and no RuntimeWarning is
+        # raised on the way; with both neighbours inside, the |k| is taken
+        # at the vertex of the parabola through the heights
+        k_abs = np.array([1.0, 2.0, 3.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _interpolate_at_top(k_abs, np.full(4, -np.inf), 0) == 1.0
+            assert _interpolate_at_top(k_abs, np.array([-np.inf, 1.0, 0.5, 0.2]), 1) == 2.0
+            assert _interpolate_at_top(k_abs, np.array([0.0, 1.0, 1.0, 0.0]), 1) == 2.5
+            # the eight moved below the x-axis has no sample in the quadrant
+            P = make_concinnous_eight(1.0, n_points=128).points + np.array([0.2, -1.0])
+            diag = curve_geometry(PlaneCurve(P), expect_double_point=True)
+        assert diag.k_top == abs(curvature_and_angles(P)[0][0])
+
+    def test_bowtie_distance_matches_full_matrix(self, collapse_run):
+        # the pruned distance search against every (point, segment) pair
+        idxs = resolvable_frames(collapse_run)
+        for k in idxs:
+            frame, diag = collapse_run.frames[k], collapse_run.diagnostics[k]
+            rec = affine_rescale_and_bowtie(frame, diag)
+            assert rec.bowtie_distance == bowtie_distance(frame.points, diag.x_max, diag.y_max)
 
     def test_grim_reaper_check_matches_per_frame_measurement(self, collapse_run):
         idxs = resolvable_frames(collapse_run)

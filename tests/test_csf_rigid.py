@@ -10,14 +10,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from geomflow.csf import PlaneCurve, StopRule, csf_evolve, make_concinnous_eight  # noqa: E402
-from geomflow.csf.analysis import _dist_points_to_segments  # noqa: E402
+from oracles import dist_points_to_segments  # noqa: E402
 from test_csf_evolve import bent_eight  # noqa: E402
 
 
 class TestRigidMotions:
     # a moved eight can leave the upper-right quadrant that the quarter-curve
     # measurements (x*, k at the top) look in; they are not compared here
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=8, deadline=None)
     @given(angle=st.floats(0.0, 2 * math.pi), dx=st.floats(-5.0, 5.0), dy=st.floats(-5.0, 5.0))
     def test_frames_move_rigidly(self, angle, dx, dy):
@@ -34,9 +33,9 @@ class TestRigidMotions:
         for f0, f1, d0, d1 in zip(base.frames, moved.frames, base.diagnostics,
                                   moved.diagnostics):
             image = _fine_polygon(f0.points @ R.T + shift)
-            gap = _dist_points_to_segments(f1.points[:, 0], f1.points[:, 1], image[:, 0],
-                                           image[:, 1], np.roll(image[:, 0], -1),
-                                           np.roll(image[:, 1], -1))
+            gap = dist_points_to_segments(f1.points[:, 0], f1.points[:, 1], image[:, 0],
+                                          image[:, 1], np.roll(image[:, 0], -1),
+                                          np.roll(image[:, 1], -1))
             assert float(np.max(gap)) < 1e-5 * d0.length
             assert d1.length == pytest.approx(d0.length, rel=1e-6)
             assert d1.total_area == pytest.approx(d0.total_area, rel=1e-5)
