@@ -15,10 +15,12 @@ manifest's parameters are every parsed argument except ``--out``, and its
 tolerances are the controls the run actually used: the step control of the
 ODE-driven geo commands and of ``torsion reconstruct`` (with its frame-drift
 tolerance), the step record of ``torsion evolve`` (its scheme, tolerances,
-remainder bounds, step counts and step range), the step control and stop
-rule of the csf commands (which also record their accepted steps, checks,
-rejections and the symmetries they held, and time their steps, projections,
-frame diagnostics, frame analyses and CSV writing in ``wall_time_seconds``),
+remainder bounds, step counts and step range; its ETDRK4 remainder calls and
+the state rows they carried go under ``parameters``), the step control and
+stop rule of the csf commands (which also record their accepted steps,
+checks, rejections, remainder calls and rows and the symmetries they held,
+and time their steps, projections, frame diagnostics, frame analyses and CSV
+writing in ``wall_time_seconds``),
 and the library constants the other commands run with (such as the slope
 tolerance of ``geo boundary`` and the closure tolerance of ``torsion
 stationary``). The ODE-driven commands (``geo sphere``, ``boundary``,
@@ -90,7 +92,8 @@ def _finish_run(writer: ExperimentWriter, run, **seconds) -> None:
     seconds of each phase of the run, and the ``seconds`` of the command's
     own phases (its analyses, its writing), next to the total wall time."""
     writer.parameters.update(stop_reason=run.stop_reason, steps=run.steps, checks=run.checks,
-                             rejected=run.rejected, symmetries=run.symmetries)
+                             rejected=run.rejected, remainder_calls=run.remainder_calls,
+                             remainder_rows=run.remainder_rows, symmetries=run.symmetries)
     writer.phase_seconds = {f"csf_{phase}": s for phase, s in {**run.seconds, **seconds}.items()}
     writer.finish()
 
@@ -179,7 +182,9 @@ def cmd_torsion_evolve(args) -> int:
     times = np.linspace(0.0, args.T, args.frames + 1)[1:]
     writer = _writer(args)
     fields = torsion_evolve(tau0, kappa, args.T, output_times=times)
-    writer.tolerances = fields.record
+    writer.tolerances = dict(fields.record)
+    writer.parameters.update((key, writer.tolerances.pop(key))
+                             for key in ("remainder_calls", "remainder_rows"))
     rows = []
     grid = tau0.grid
     for s_idx, s in enumerate(grid):

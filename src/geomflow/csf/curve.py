@@ -41,14 +41,22 @@ class PlaneCurve:
 
 
 def row_lengths(V: np.ndarray) -> np.ndarray:
-    """Length of each row of an (m, 2) array: ``np.linalg.norm(V, axis=1)``,
+    """Length of each row of an (..., 2) array: ``np.linalg.norm(V, axis=-1)``,
     bit for bit, without its dispatch cost."""
-    x, y = V[:, 0], V[:, 1]
+    x, y = V[..., 0], V[..., 1]
     return np.sqrt(x * x + y * y)
 
 
+def _shift(P: np.ndarray, k: int) -> np.ndarray:
+    """Points (..., n, 2) of closed polygons shifted so that point i holds
+    point (i + k) % n: ``cyclic_shift`` along the point axis."""
+    k %= P.shape[-2]
+    return np.concatenate((P[..., k:, :], P[..., :k, :]), axis=-2)
+
+
 def edge_lengths(P: np.ndarray) -> np.ndarray:
-    return row_lengths(cyclic_shift(P, 1) - P)
+    """Edge lengths of a polygon (n, 2) or of a stack of them (..., n, 2)."""
+    return row_lengths(_shift(P, 1) - P)
 
 
 def curve_length(P: np.ndarray) -> float:
@@ -56,10 +64,10 @@ def curve_length(P: np.ndarray) -> float:
 
 
 def _three_point(P: np.ndarray):
-    prev = cyclic_shift(P, -1)
-    nxt = cyclic_shift(P, 1)
-    a = row_lengths(P - prev)[:, None]
-    b = row_lengths(nxt - P)[:, None]
+    prev = _shift(P, -1)
+    nxt = _shift(P, 1)
+    a = row_lengths(P - prev)[..., None]
+    b = row_lengths(nxt - P)[..., None]
     denom = a * b * (a + b)
     first = (a * a * (nxt - P) + b * b * (P - prev)) / denom
     second = 2.0 * (a * (nxt - P) - b * (P - prev)) / denom
@@ -83,17 +91,18 @@ def curvature_vector(P: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 
 
 def curvature_and_angles(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed curvature and unwrapped tangent angle per point, from one stencil.
+    """Signed curvature and unwrapped tangent angle per point, from one
+    stencil, of a polygon (n, 2) or of each of a stack (..., n, 2).
 
     The angle branch puts the midrange nearest pi/2 (the natural branch for
     an eight whose minor axis is the x-axis).
     """
     first, second = _three_point(P)
     speed = row_lengths(first)
-    cross = first[:, 0] * second[:, 1] - first[:, 1] * second[:, 0]
-    theta = np.unwrap(np.arctan2(first[:, 1], first[:, 0]))
-    mid = 0.5 * (theta.max() + theta.min())
-    shift = TWO_PI * round((0.5 * math.pi - mid) / TWO_PI)
+    cross = first[..., 0] * second[..., 1] - first[..., 1] * second[..., 0]
+    theta = np.unwrap(np.arctan2(first[..., 1], first[..., 0]))
+    mid = 0.5 * (theta.max(axis=-1, keepdims=True) + theta.min(axis=-1, keepdims=True))
+    shift = TWO_PI * np.round((0.5 * math.pi - mid) / TWO_PI)
     return cross / speed ** 3, theta + shift
 
 
@@ -129,6 +138,12 @@ def _refine_extreme(values: np.ndarray, idx: int) -> tuple[float, float]:
 
 
 _RUN = 8  # consecutive segments per bounding box of the crossing search
+# Points per crossing search of a block, so max(1, _CROSSING_POINTS // n)
+# frames: at n = 128 one search over four frames takes half the time of four
+# searches, eight or more take longer again, and from n = 512 on (where one
+# frame's candidate pairs number about ten thousand) one frame at a time is
+# fastest.
+_CROSSING_POINTS = 512
 
 
 def self_intersection(P: np.ndarray):
@@ -136,7 +151,10 @@ def self_intersection(P: np.ndarray):
 
     Returns (i, j, point) where segments (i, i+1) and (j, j+1) cross at
     ``point``. Raises TopologyError when there is no crossing or more than
-    one distinct crossing. Neighboring segment pairs are excluded.
+    one distinct crossing. Neighboring segment pairs are excluded. For a
+    stack of polygons (F, n, 2) it searches all of them at once and returns
+    the list of their crossings, with the TopologyError in place of each
+    polygon that has none or more than one.
 
     The segments are cut into runs of ``_RUN`` consecutive ones, each with
     the bounding box of its segments. Two segments from runs whose boxes are
@@ -147,34 +165,51 @@ def self_intersection(P: np.ndarray):
     loop over all pairs, and hits that coincide geometrically (a crossing
     that grazes a vertex) merge into the first.
     """
-    n = P.shape[0]
-    Q = cyclic_shift(P, 1)
+    if P.ndim == 2:
+        found = self_intersection(P[None])[0]
+        if isinstance(found, TopologyError):
+            raise found
+        return found
+    F, n = P.shape[:2]
+    Q = _shift(P, 1)
     E = Q - P
-    x, y, ex, ey = P[:, 0], P[:, 1], E[:, 0], E[:, 1]
     starts = np.arange(0, n, _RUN)
-    lo = np.minimum.reduceat(np.minimum(P, Q), starts)
-    hi = np.maximum.reduceat(np.maximum(P, Q), starts)
-    lo_x, lo_y, hi_x, hi_y = lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1]
-    overlap = ((lo_x[:, None] <= hi_x) & (lo_x <= hi_x[:, None])
-               & (lo_y[:, None] <= hi_y) & (lo_y <= hi_y[:, None]))
-    ra, rb = np.nonzero(overlap)
+    lo = np.minimum.reduceat(np.minimum(P, Q), starts, axis=-2)
+    hi = np.maximum.reduceat(np.maximum(P, Q), starts, axis=-2)
+    lo_x, lo_y, hi_x, hi_y = lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
+    overlap = ((lo_x[:, :, None] <= hi_x[:, None, :]) & (lo_x[:, None, :] <= hi_x[:, :, None])
+               & (lo_y[:, :, None] <= hi_y[:, None, :]) & (lo_y[:, None, :] <= hi_y[:, :, None]))
+    fr, ra, rb = np.nonzero(overlap)
     upper = ra <= rb
     offsets = np.arange(_RUN)
     i = (ra[upper, None] * _RUN + offsets)[:, :, None]      # (run pairs, _RUN, 1)
     j = (rb[upper, None] * _RUN + offsets)[:, None, :]      # (run pairs, 1, _RUN)
     sep = j - i
     keep = (sep >= 2) & (sep <= n - 2) & (j < n)
+    fr = np.broadcast_to(fr[upper, None, None], keep.shape)[keep]
     i, j = np.broadcast_to(i, keep.shape)[keep], np.broadcast_to(j, keep.shape)[keep]
-    rx, ry, sx, sy = ex[i], ey[i], ex[j], ey[j]
+    at_i, at_j = fr * n + i, fr * n + j  # into the polygons' points laid end to end
+    x, y = P[..., 0].ravel(), P[..., 1].ravel()
+    ex, ey = E[..., 0].ravel(), E[..., 1].ravel()
+    rx, ry, sx, sy = ex[at_i], ey[at_i], ex[at_j], ey[at_j]
     denom = rx * sy - ry * sx
-    dqx = x[j] - x[i]
-    dqy = y[j] - y[i]
+    dqx = x[at_j] - x[at_i]
+    dqy = y[at_j] - y[at_i]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (dqx * sy - dqy * sx) / denom
         u = (dqx * ry - dqy * rx) / denom
     hits = np.nonzero((denom != 0.0) & (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0))[0]
+    bounds = np.searchsorted(fr[hits], np.arange(F + 1))
+    return [_unique_crossing(P[f], E[f], i, j, t, hits[bounds[f]:bounds[f + 1]])
+            for f in range(F)]
+
+
+def _unique_crossing(P, E, i, j, t, hits):
+    """The first of the crossings ``hits`` of the segment pairs (i, j) of
+    polygon P, with edges E, at the fractions t of segment i; or the
+    TopologyError of a polygon with none, or with more than one distinct."""
     if hits.size == 0:
-        raise TopologyError("no self-intersection found")
+        return TopologyError("no self-intersection found")
     found = sorted(((int(i[h]), int(j[h]), P[i[h]] + t[h] * E[i[h]]) for h in hits),
                    key=lambda hit: hit[:2])
     if len(found) > 1:
@@ -185,7 +220,7 @@ def self_intersection(P: np.ndarray):
             if all(np.linalg.norm(pt - other) >= 1e-6 * scale for other in clusters):
                 clusters.append(pt)
         if len(clusters) > 1:
-            raise TopologyError(f"found {len(clusters)} distinct self-intersections, expected 1")
+            return TopologyError(f"found {len(clusters)} distinct self-intersections, expected 1")
     return found[0]
 
 
@@ -257,74 +292,99 @@ def _interpolate_at_top(k_abs: np.ndarray, heights: np.ndarray, iy: int) -> floa
     return k1 + 0.5 * delta * (k2 - k0) + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2)
 
 
-def curve_geometry(c: PlaneCurve, time: float = 0.0,
-                   expect_double_point: bool | None = None) -> EightDiagnostics:
+def curve_geometry(c: PlaneCurve | list[PlaneCurve], time: float | list[float] = 0.0,
+                   expect_double_point: bool | None = None
+                   ) -> EightDiagnostics | list[EightDiagnostics]:
     """Measure a frame: areas, length, curvature and tangent-angle extremes,
     quarter-curve extremes x_max / y_max / x*, the double-point half angle,
     and the entries the run analyses read (see ``EightDiagnostics``).
 
-    ``expect_double_point=True`` raises TopologyError when the curve has no
+    ``c`` is one frame (a ``PlaneCurve``) or a block of frames of one size
+    (a list of them) with ``time`` their times; a block gives the list of
+    its frames' records, each equal to the frame's own. The stencils,
+    extreme indices and quadrant masks of a block are measured on its
+    stacked points (F, n, 2), every reduction along a frame's own axis, and
+    the crossings of ``_CROSSING_POINTS`` // n frames at a time; the
+    refinements and lobe areas are measured a frame at a time.
+
+    ``expect_double_point=True`` raises TopologyError when a curve has no
     self-crossing; ``None`` fills the eight-specific fields with NaN instead.
     """
-    P = c.points
+    if isinstance(c, PlaneCurve):
+        return _measure(c.points[None], [time], expect_double_point)[0]
+    return _measure(np.stack([frame.points for frame in c]), time, expect_double_point)
+
+
+def _measure(P: np.ndarray, times, expect_double_point) -> list[EightDiagnostics]:
+    """The ``curve_geometry`` records of the frames P (F, n, 2) at ``times``."""
     edges = edge_lengths(P)
-    L = float(np.sum(edges))
+    lengths, h_min = np.sum(edges, axis=-1), np.min(edges, axis=-1)
     k, theta = curvature_and_angles(P)
-    k_abs = np.abs(k)
-    peak = int(np.argmax(k_abs))
-    k_max = _refine_extreme(k_abs, peak)[0]
+    k_abs, neg_theta = np.abs(k), -theta
+    peaks = np.argmax(k_abs, axis=-1)
+    tops, bottoms = np.argmax(theta, axis=-1), np.argmin(theta, axis=-1)
+    xs, ys = P[..., 0], P[..., 1]
+    right = xs >= 0.0
+    enough = np.count_nonzero(right, axis=-1) >= 3
+    right_tips = np.argmax(np.where(right, xs, -np.inf), axis=-1)
+    upper_heights = np.where(right & (ys >= 0.0), ys, -np.inf)
+    upper_tips = np.argmax(upper_heights, axis=-1)
+    x_tops, y_tops = np.max(xs, axis=-1), np.max(ys, axis=-1)
+    group = max(1, _CROSSING_POINTS // P.shape[1])
+    crossings = [crossing for start in range(0, len(P), group)
+                 for crossing in self_intersection(P[start:start + group])]
 
-    theta_max = _refine_extreme(theta, int(np.argmax(theta)))[0]
-    theta_min = -_refine_extreme(-theta, int(np.argmin(theta)))[0]
+    records = []
+    for f, time in enumerate(times):
+        peak = int(peaks[f])
+        k_max = _refine_extreme(k_abs[f], peak)[0]
+        theta_max = _refine_extreme(theta[f], int(tops[f]))[0]
+        theta_min = -_refine_extreme(neg_theta[f], int(bottoms[f]))[0]
 
-    crossing = None
-    try:
-        crossing = self_intersection(P)
-    except TopologyError:
-        if expect_double_point:
-            raise
+        crossing = crossings[f]
+        if isinstance(crossing, TopologyError):
+            if expect_double_point:
+                raise crossing
+            crossing = None
 
-    if crossing is not None:
-        a1, a2 = lobe_areas(P, crossing)
-        total_area = a1 + a2
-        alpha = 0.5 * (theta_max - theta_min - math.pi)
-    else:
-        total_area = enclosed_area(P)
-        alpha = math.nan
+        if crossing is not None:
+            a1, a2 = lobe_areas(P[f], crossing)
+            total_area = a1 + a2
+            alpha = 0.5 * (theta_max - theta_min - math.pi)
+        else:
+            total_area = enclosed_area(P[f])
+            alpha = math.nan
 
-    xs, ys = P[:, 0], P[:, 1]
-    right = np.nonzero(xs >= 0.0)[0]
-    if crossing is not None and right.size >= 3:
-        ix = right[int(np.argmax(xs[right]))]
-        x_max = _refine_extreme(xs, ix)[0]
-        upper_heights = np.where((xs >= 0.0) & (ys >= 0.0), ys, -np.inf)
-        iy = int(np.argmax(upper_heights))
-        y_max, delta = _refine_extreme(ys, iy)
-        side = (iy + (1 if delta >= 0.0 else -1)) % xs.size
-        x_star = float(xs[iy] + abs(delta) * (xs[side] - xs[iy]))
-        k_top = _interpolate_at_top(k_abs, upper_heights, iy)
-    else:
-        x_max = float(np.max(xs))
-        y_max = float(np.max(ys))
-        x_star = k_top = math.nan
+        if crossing is not None and enough[f]:
+            x, y, iy = xs[f], ys[f], int(upper_tips[f])
+            x_max = _refine_extreme(x, int(right_tips[f]))[0]
+            y_max, delta = _refine_extreme(y, iy)
+            side = (iy + (1 if delta >= 0.0 else -1)) % x.size
+            x_star = float(x[iy] + abs(delta) * (x[side] - x[iy]))
+            k_top = _interpolate_at_top(k_abs[f], upper_heights[f], iy)
+        else:
+            x_max, y_max = float(x_tops[f]), float(y_tops[f])
+            x_star = k_top = math.nan
 
-    return EightDiagnostics(
-        time=time,
-        total_area=total_area,
-        length=L,
-        isoperimetric=L * L / total_area if total_area > 0 else math.inf,
-        x_max=x_max,
-        y_max=y_max,
-        x_star=x_star,
-        alpha_angle=alpha,
-        theta_max=theta_max,
-        theta_min=theta_min,
-        k_max=k_max,
-        h_min=float(np.min(edges)),
-        k_peak=float(k_abs[peak]),
-        k_top=k_top,
-        crossing=crossing,
-    )
+        L = float(lengths[f])
+        records.append(EightDiagnostics(
+            time=time,
+            total_area=total_area,
+            length=L,
+            isoperimetric=L * L / total_area if total_area > 0 else math.inf,
+            x_max=x_max,
+            y_max=y_max,
+            x_star=x_star,
+            alpha_angle=alpha,
+            theta_max=theta_max,
+            theta_min=theta_min,
+            k_max=k_max,
+            h_min=float(h_min[f]),
+            k_peak=float(k_abs[f, peak]),
+            k_top=k_top,
+            crossing=crossing,
+        ))
+    return records
 
 
 def _bernoulli_quarter(scale: float, arc_targets: np.ndarray) -> np.ndarray:

@@ -47,7 +47,9 @@ Frames are recorded whenever the frame stride in time has passed or the
 length has shrunk by ``RECORD_SHRINK`` since the last frame, and at the
 stop. A run ends at its time, when the largest turning per sample
 max|theta_alpha| 2 pi / n passes ``StopRule.kmax_spacing``, or when the
-curve has lost seven decades of length (``LENGTH_FLOOR``).
+curve has lost seven decades of length (``LENGTH_FLOOR``). One evaluation of
+the remainder at each accepted state gives the next step its N(v) and the
+stop tests and step bound their theta_alpha.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ LADDER = 8  # steps per octave: every ladder step is 2 ** (j / LADDER)
 MAX_LENGTH_DROP = 0.07  # largest share of its length a curve may lose in one step
 SYMMETRY_TOL = 1e-9  # a symmetry of the initial samples holds to this share of L
 MAX_STEPS = 2_000_000  # most accepted steps one run may take
+_FRAME_BLOCK = 32  # recorded frames measured together
 # Reflections and half-turn about the centroid that ``detect_symmetries``
 # tries, as the signs they put on (x, y).
 SYMMETRY_CANDIDATES = {"conj": (1.0, -1.0), "neg_conj": (-1.0, 1.0), "neg": (-1.0, -1.0)}
@@ -105,8 +108,9 @@ class StopRule:
 @dataclass
 class CsfRun:
     """Recorded frames and how the run was stepped: accepted steps,
-    step-doubling checks and rejected checks, the names of the symmetries
-    it held, and ``seconds`` spent in the steps, the projections (with the
+    step-doubling checks and rejected checks, the stepper's remainder calls
+    and the state rows they carried, the names of the symmetries it held,
+    and ``seconds`` spent in the steps, the projections (with the
     equal-arclength start) and the frame diagnostics."""
 
     times: list = field(default_factory=list)
@@ -116,6 +120,8 @@ class CsfRun:
     steps: int = 0
     checks: int = 0
     rejected: int = 0
+    remainder_calls: int = 0
+    remainder_rows: int = 0
     symmetries: list = field(default_factory=list)
     seconds: dict = field(default_factory=lambda: dict.fromkeys(
         ("steps", "projections", "diagnostics"), 0.0))
@@ -223,6 +229,12 @@ def close_angles(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _exp_rows(log_length: np.ndarray) -> np.ndarray:
+    """exp of each entry by ``math.exp``, whose last bit ``np.exp`` does not
+    always match: the lengths of stacked states equal those of single ones."""
+    return np.array([math.exp(x) for x in log_length.flat]).reshape(log_length.shape)
+
+
 class ThetaLengthFlow:
     """The flow on an n-point equal-arclength mesh: the state is the complex
     vector [rfft(phi), ln L, q, c], with the linear multipliers -k^2 of phi
@@ -234,14 +246,13 @@ class ThetaLengthFlow:
         self.M = M = n // 2 + 1
         self.alpha = TWO_PI * np.arange(n) / n
         k = np.arange(M, dtype=float)
-        self.etd = Etdrk4(np.concatenate([-k * k, np.zeros(3)]), lambda _, v: self.rate(v))
+        self.etd = Etdrk4(np.concatenate([-k * k, np.zeros(3)]), lambda _, v: self.rate(v)[0])
         self.ik = 1j * k
         self.inv_ik = np.zeros(M, dtype=complex)
         self.inv_ik[1:] = 1.0 / self.ik[1:]
         if n % 2 == 0:  # the Nyquist mode has no odd derivative or primitive on the grid
             self.ik[-1] = 0.0
             self.inv_ik[-1] = 0.0
-        self._spectra = np.empty((2, M), dtype=complex)
 
         dx, dy = np.fft.irfft(self.ik * np.fft.rfft(P.T), n)
         theta = np.unwrap(np.arctan2(dy, dx))
@@ -266,19 +277,21 @@ class ThetaLengthFlow:
         return v[self.M + 1].real - length * length / (2.0 * TWO_PI * TWO_PI)
 
     def theta(self, v=None) -> np.ndarray:
+        """theta of the state ``v`` (default the current one), or of a stack
+        of states (..., M + 3)."""
         v = self.v if v is None else v
-        return self.m * self.alpha + np.fft.irfft(v[:self.M], self.n)
+        phi = np.fft.irfft(v[..., :self.M], self.n)
+        return phi + self.m * self.alpha if self.m else phi
 
-    def theta_alpha(self) -> np.ndarray:
-        return self.m + np.fft.irfft(self.ik * self.v[:self.M], self.n)
-
-    def points(self) -> np.ndarray:
-        """The samples X = c + (L / 2 pi) * primitive(e^{i theta})."""
-        theta = self.theta()
-        x, y = np.fft.irfft(self.inv_ik * np.fft.rfft(np.stack((np.cos(theta), np.sin(theta)))),
-                            self.n)
-        c, scale = self.v[self.M + 2], self.length() / TWO_PI
-        return np.column_stack([c.real + scale * x, c.imag + scale * y])
+    def points(self, states: np.ndarray) -> np.ndarray:
+        """The samples X = c + (L / 2 pi) * primitive(e^{i theta}) of a stack
+        of states (F, M + 3), as an (F, n, 2) array."""
+        theta = self.theta(states)
+        xy = np.fft.irfft(self.inv_ik * np.fft.rfft(np.stack((np.cos(theta), np.sin(theta)),
+                                                             axis=1)), self.n)
+        c = states[:, self.M + 2, None]
+        scale = _exp_rows(states[:, self.M].real)[:, None] / TWO_PI
+        return np.stack((c.real + scale * xy[:, 0], c.imag + scale * xy[:, 1]), axis=-1)
 
     def project(self, theta: np.ndarray) -> np.ndarray:
         theta = close_angles(theta)
@@ -287,38 +300,43 @@ class ThetaLengthFlow:
         return theta
 
     def accept(self, v: np.ndarray) -> None:
-        """Take ``v`` as the state, projected onto closed symmetric curves."""
-        v = v.copy()
-        v[:self.M] = np.fft.rfft(self.project(self.theta(v)) - self.m * self.alpha)
+        """Take ``v``, a stepper result no one else holds, as the state (it is
+        not copied), projected onto closed symmetric curves."""
+        theta = self.project(self.theta(v))
+        np.fft.rfft(theta - self.m * self.alpha if self.m else theta, out=v[:self.M])
         self.v = v
 
     # ------------------------------------------------------------- steps
-    def rate(self, v: np.ndarray) -> np.ndarray:
-        """The remainder: W theta_alpha for phi, and the scalar rates. A curve
-        with the half-turn symmetry keeps its centroid, so its rate is not
-        evaluated."""
-        M, n, spectra = self.M, self.n, self._spectra
+    def rate(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The remainder at ``v``, one state or a stack of them (..., M + 3):
+        W theta_alpha for phi and the scalar rates; and theta_alpha, which
+        the run's stop tests and step bound read. A curve with the half-turn
+        symmetry keeps its centroid, so its rate is not evaluated."""
+        M, n = self.M, self.n
         if self.fixed_centroid:
-            theta_alpha = np.fft.irfft(self.ik * v[:M], n)
+            theta_alpha = np.fft.irfft(self.ik * v[..., :M], n)
         else:
-            spectra[0] = v[:M]
-            np.multiply(self.ik, v[:M], out=spectra[1])
-            phi, theta_alpha = np.fft.irfft(spectra, n)
+            spectra = np.empty(v.shape[:-1] + (2, M), dtype=complex)
+            spectra[..., 0, :] = v[..., :M]
+            np.multiply(self.ik, v[..., :M], out=spectra[..., 1, :])
+            both = np.fft.irfft(spectra, n)
+            phi, theta_alpha = both[..., 0, :], both[..., 1, :]
         if self.m:
             theta_alpha += self.m
         spec = np.fft.rfft(theta_alpha * theta_alpha)
-        mu = spec[0].real / n
+        mu = spec[..., 0].real / n
         spec *= self.inv_ik
         W = np.fft.irfft(spec, n)
-        out = np.zeros(M + 3, dtype=complex)
-        out[:M] = np.fft.rfft(W * theta_alpha)
-        scale = math.exp(v[M].real) / TWO_PI
-        out[M] = -mu
-        out[M + 1] = scale * scale * (1.0 - mu)
+        out = np.zeros(v.shape, dtype=complex)
+        np.fft.rfft(W * theta_alpha, out=out[..., :M])
+        scale = (math.exp(v[M].real) if v.ndim == 1 else _exp_rows(v[..., M].real)) / TWO_PI
+        out[..., M] = -mu
+        out[..., M + 1] = scale * scale * (1.0 - mu)
         if not self.fixed_centroid:
             theta = phi + self.m * self.alpha if self.m else phi
-            out[M + 2] = (scale / n) * ((1j * theta_alpha + W) * np.exp(1j * theta)).sum()
-        return out
+            out[..., M + 2] = (scale / n) * ((1j * theta_alpha + W)
+                                             * np.exp(1j * theta)).sum(axis=-1)
+        return out, theta_alpha
 
     def error(self, fine: np.ndarray, coarse: np.ndarray) -> float:
         """Largest difference of phi and ln L between two results of one
@@ -328,13 +346,14 @@ class ThetaLengthFlow:
         return max(float(np.max(np.abs(np.fft.irfft(diff[:M], self.n)))),
                    abs(diff[M].real)) / TOL
 
-    def step_to_time(self, h: float, t_over: float, t_end: float) -> np.ndarray:
-        """The state one step after ``self.v`` that ends at time ``t_end``,
-        given a step ``h`` that ends at ``t_over`` >= ``t_end``: the step is
-        found by regula falsi on the end time, to a few units of roundoff."""
+    def step_to_time(self, h: float, t_over: float, t_end: float,
+                     Nv: np.ndarray) -> np.ndarray:
+        """The state one step after ``self.v``, whose remainder is ``Nv``,
+        that ends at time ``t_end``, given a step ``h`` that ends at
+        ``t_over`` >= ``t_end``: the step is found by regula falsi on the end
+        time, to a few units of roundoff."""
         lo, hi = (0.0, self.time()), (h, t_over)
         best = None
-        Nv = self.rate(self.v)
         for _ in range(12):
             trial = lo[0] + (hi[0] - lo[0]) * (t_end - lo[1]) / (hi[1] - lo[1])
             # trial steps agree to 12 digits near convergence: no cache
@@ -364,6 +383,13 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
     time stride is an estimate of a 250-frame run: total area over 2*pi
     bounds the extinction time of any figure-eight from above.
 
+    A recorded frame keeps its state; the frames are rebuilt and measured
+    (``curve_geometry``) together in blocks of ``_FRAME_BLOCK`` and at the
+    stop, except frame 0, which is measured at once: the default stride
+    reads its area, and with ``expect_double_point=True`` a curve without a
+    double point fails before the first step. A later frame without one
+    fails when its block is measured.
+
     A ``record_dt`` that is not finite and positive raises ``SetupError``.
     Each step advances t by at most one stride, so a run to a time more than
     ``MAX_STEPS`` strides away raises ``BudgetError`` before its first step,
@@ -381,17 +407,26 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
     run = CsfRun(symmetries=[s.name for s in flow.symmetries])
     seconds = run.seconds
     seconds["projections"] += perf_counter() - clock
+    pending = []  # the states of the recorded frames not measured yet
+
+    def measure():
+        start = perf_counter()
+        frames = [PlaneCurve(P) for P in flow.points(np.array(pending))]
+        times = run.times[len(run.frames):]
+        run.frames.extend(frames)
+        run.diagnostics.extend(curve_geometry(frames, times, expect_double_point))
+        pending.clear()
+        seconds["diagnostics"] += perf_counter() - start
 
     def record(time):
-        start = perf_counter()
-        curve = PlaneCurve(flow.points())
         run.times.append(time)
-        run.frames.append(curve)
-        run.diagnostics.append(curve_geometry(curve, time, expect_double_point))
-        seconds["diagnostics"] += perf_counter() - start
+        pending.append(flow.v)
+        if len(pending) == _FRAME_BLOCK:
+            measure()
 
     t = 0.0
     record(t)
+    measure()
     if record_dt is None:
         horizon = stop.time if stop.time is not None else \
             run.diagnostics[0].total_area / (2.0 * math.pi)
@@ -402,9 +437,13 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
     max_drop = -math.log1p(-MAX_LENGTH_DROP)
 
     etd = flow.etd
+    Nv = None  # the remainder at the state, and its theta_alpha, once it is accepted
     while True:
+        if Nv is None:
+            start = perf_counter()
+            Nv, theta_alpha = flow.rate(flow.v)
+            seconds["steps"] += perf_counter() - start
         length = flow.length()
-        theta_alpha = flow.theta_alpha()
         if length < LENGTH_FLOOR * length0:
             run.stop_reason = "extinction reached"
             break
@@ -425,7 +464,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
         if j < -60 * LADDER:
             raise IntegrationError(f"CSF step fell below 2^-60 at t={t:.6g}")
         h = 2.0 ** (j / LADDER)
-        v = etd.advance(flow.v, 0.0, h, flow.rate(flow.v), flow.error)
+        v = etd.advance(flow.v, 0.0, h, Nv, flow.error)
         if v is None:  # a rejected check
             seconds["steps"] += perf_counter() - start
             continue
@@ -434,11 +473,12 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
         t = flow.time(v)
         final = stop.time is not None and t >= stop.time
         if final:
-            v = flow.step_to_time(h, t, stop.time)
+            v = flow.step_to_time(h, t, stop.time, Nv)
         mid = perf_counter()
         seconds["steps"] += mid - start
         flow.accept(v)
         seconds["projections"] += perf_counter() - mid
+        Nv = None
         run.steps += 1
         t = stop.time if final else flow.time()
         length = flow.length()
@@ -449,5 +489,8 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
             next_length = RECORD_SHRINK * length
     if run.times[-1] != t:
         record(t)
+    if pending:
+        measure()
     run.checks, run.rejected = etd.checks, etd.rejected
+    run.remainder_calls, run.remainder_rows = etd.calls, etd.rows
     return run

@@ -40,7 +40,11 @@ def etdrk4_coefficients(L: np.ndarray, h: float):
 
 class Etdrk4:
     """ETDRK4 steps of v' = L v + ``remainder``(t, v), with the counts of
-    steps taken (a check counts as three), checks and rejected checks."""
+    steps taken (a check counts as three), checks and rejected checks, and
+    of the remainder calls the stepper makes and the state rows they carry
+    (the N(v) that a caller passes in is the caller's). ``remainder`` takes
+    a state with a leading axis of rows, with ``t`` an array (rows, 1) of
+    one time per row, as well as a single state."""
 
     def __init__(self, L: np.ndarray, remainder):
         self.L = L
@@ -48,7 +52,9 @@ class Etdrk4:
         self.h_acc = math.inf
         self.since_check = CHECK_STEPS  # the first step is checked
         self.steps = self.checks = self.rejected = 0
+        self.calls = self.rows = 0
         self._coef = {}
+        self._pairs = {}
 
     def coefficients(self, h: float) -> tuple:
         key = float(f"{h:.{STEP_DIGITS}e}")
@@ -59,16 +65,34 @@ class Etdrk4:
             coef = self._coef[key] = etdrk4_coefficients(self.L, h)
         return coef
 
-    def step(self, v: np.ndarray, t: float, h: float, coef: tuple,
-             Nv: np.ndarray) -> np.ndarray:
+    def coefficient_pair(self, h: float) -> tuple:
+        """``coefficients``(h) and ``coefficients``(h/2) stacked as rows
+        (2, ·): one step of both from one state (``advance``). A pair is
+        cached with the two entries it was stacked from, and stacked anew
+        once either has left their cache."""
+        coef, half = self.coefficients(h), self.coefficients(0.5 * h)
+        key = float(f"{h:.{STEP_DIGITS}e}")
+        entry = self._pairs.get(key)
+        if entry is None or entry[0] is not coef or entry[1] is not half:
+            if len(self._pairs) >= CACHED_STEPS:
+                self._pairs.clear()
+            entry = self._pairs[key] = (
+                coef, half, tuple(np.stack(rows) for rows in zip(coef, half)))
+        return entry[2]
+
+    def step(self, v: np.ndarray, t, h, coef: tuple, Nv: np.ndarray) -> np.ndarray:
         """The state one step h after v at time t, from the coefficients
         ``coef`` of h and the remainder ``Nv`` at v:
 
             a = E2 v + Q N(v),  b = E2 v + Q N(a),  c = E2 a + Q (2 N(b) - N(v)),
             v + h = E v + f1 N(v) + 2 f2 (N(a) + N(b)) + f3 N(c).
-        """
+
+        Stacked coefficients (k, ·) with a step per row, ``h`` of shape
+        (k, 1), take k steps from v at once."""
         E, E2, Q, f1, f2x2, f3 = coef
         N = self.remainder
+        self.calls += 3
+        self.rows += 3 * (E.size // self.L.size)
         E2v = E2 * v
         a = E2v + Q * Nv
         Na = N(t + 0.5 * h, a)
@@ -85,15 +109,23 @@ class Etdrk4:
         as two half steps, which are kept: ``error``(fine, coarse) is then
         their error ratio against the single step, which sets the accuracy
         bound ``h_acc`` on the next steps, and a ratio above 1 (or not
-        finite) rejects the step (None)."""
+        finite) rejects the step (None).
+
+        The single step and the first half step start from the same v and
+        N(v), so a check takes them as one stacked pass (``coefficient_pair``,
+        with the stage times of each row); its results are those of the
+        separate steps bit for bit. A check makes seven remainder calls
+        carrying ten rows, where the three steps one after another would
+        make ten calls."""
         if self.since_check < CHECK_STEPS:
             self.steps += 1
             self.since_check += 1
             return self.step(v, t, h, self.coefficients(h), Nv)
-        coarse = self.step(v, t, h, self.coefficients(h), Nv)
-        half = self.coefficients(0.5 * h)
-        mid = self.step(v, t, 0.5 * h, half, Nv)
-        fine = self.step(mid, t + 0.5 * h, 0.5 * h, half, self.remainder(t + 0.5 * h, mid))
+        coarse, mid = self.step(v, t, np.array([[h], [0.5 * h]]), self.coefficient_pair(h), Nv)
+        fine = self.step(mid, t + 0.5 * h, 0.5 * h, self.coefficients(0.5 * h),
+                         self.remainder(t + 0.5 * h, mid))
+        self.calls += 1
+        self.rows += 1
         self.steps += 3
         self.checks += 1
         ratio = error(fine, coarse)

@@ -88,14 +88,14 @@ def flux_multipliers(kappa: CurvatureProfile, n: int) -> tuple[np.ndarray, np.nd
 
 
 def spectral_flux(mult_u: np.ndarray, mult_p: np.ndarray):
-    """Closure mapping positive torsion samples to the rfft of the right-hand
-    side, ``mult_u`` u^ + ``mult_p`` (tau^{3/2})^: one real FFT of the
-    stacked pair (u, tau^{3/2})."""
-    n = 2 * (mult_u.size - 1)
-    pair = np.empty((2, n))  # reused by every call: rfft copies it out
+    """Closure mapping positive torsion samples, one field (n,) or a stack
+    of them (..., n), to the rfft of the right-hand side, ``mult_u`` u^ +
+    ``mult_p`` (tau^{3/2})^: one real FFT of the pair (u, tau^{3/2}),
+    stacked as (2, ..., n)."""
 
     def flux(tau):
         root = np.sqrt(tau)
+        pair = np.empty((2,) + tau.shape)
         np.divide(1.0, root, out=pair[0])
         np.multiply(tau, root, out=pair[1])
         spec = np.fft.rfft(pair)

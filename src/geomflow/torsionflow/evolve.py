@@ -94,10 +94,14 @@ def _output_times(T: float, output_times) -> np.ndarray:
     return times
 
 
-def _positive(tau: np.ndarray, t: float) -> np.ndarray:
-    low = tau.min()
-    if not low > 0.0:  # also catches NaN
-        raise PositivityError(f"torsion positivity lost at t={t:.6g} (minimum {low:.3g})")
+def _positive(tau: np.ndarray, t) -> np.ndarray:
+    """``tau``, one field or a stack of them, checked positive; ``t`` is its
+    time, or the times of the stacked fields as an array of one per row."""
+    if not tau.min() > 0.0:  # also catches NaN
+        low = tau.min(axis=-1).ravel()
+        row = int(np.argmin(low > 0.0))  # the first row that failed
+        t = np.ravel(t)[row] if np.ndim(t) else t
+        raise PositivityError(f"torsion positivity lost at t={t:.6g} (minimum {low[row]:.3g})")
     return tau
 
 
@@ -105,7 +109,8 @@ def torsion_stepper(kappa: CurvatureProfile, n: int, tau_bar: float):
     """The ETDRK4 stepper about the mean ``tau_bar`` on an ``n``-point mesh,
     whose states are the rfft of the samples, and the flux A u^ + B p^ of
     samples. A stage that goes nonpositive or non-finite raises
-    ``PositivityError`` with its time."""
+    ``PositivityError`` with its time (a stacked stage, that of the first
+    row that failed)."""
     mult_u, mult_p = flux_multipliers(kappa, n)
     L = (-0.5 * tau_bar ** -1.5) * mult_u + (1.5 * math.sqrt(tau_bar)) * mult_p
     flux = spectral_flux(mult_u, mult_p)
@@ -128,7 +133,8 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     rho0 = remainder_rate(tau, kappa.constant, tau_bar)
     rec = {"scheme": "etdrk4", "safety": ETD_SAFETY, "rel_tol": REL_TOL,
            "abs_tol": ABS_TOL, "rho0": rho0, "rho_max": rho0, "steps": 0,
-           "checks": 0, "rejected": 0, "step_min": math.inf, "step_max": 0.0}
+           "checks": 0, "rejected": 0, "remainder_calls": 0, "remainder_rows": 0,
+           "step_min": math.inf, "step_max": 0.0}
     t = 0.0
     rows = []
 
@@ -169,7 +175,8 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
                     h, left = shorter, more
         t = float(t_out)
         rows.append(tau)
-    rec.update(steps=stepper.steps, checks=stepper.checks, rejected=stepper.rejected)
+    rec.update(steps=stepper.steps, checks=stepper.checks, rejected=stepper.rejected,
+               remainder_calls=stepper.calls, remainder_rows=stepper.rows)
     if rec["steps"] == 0:
         rec["step_min"] = 0.0
     return rows, rec
@@ -178,7 +185,8 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
 class EvolvedFields(list):
     """The fields ``torsion_evolve`` returns, in output order, and the
     ``record`` of how the run was stepped: scheme, tolerances, rho at t = 0
-    and its largest value, steps taken, checks, rejected checks, and the
+    and its largest value, steps taken, checks, rejected checks, the
+    stepper's remainder calls and the state rows they carried, and the
     smallest and largest step."""
 
     def __init__(self, fields: list[TorsionField], record: dict):

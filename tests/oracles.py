@@ -10,12 +10,18 @@
 - ``dist_points_to_segments`` and ``bowtie_distance``: point-to-segment
   distances over the full (points, segments) matrix, and the bow-tie
   distance of a frame built from them without pruning.
+- ``frame_geometry``: the ``curve_geometry`` record of one frame, measured
+  on that frame alone, as the library did before it measured blocks of
+  frames as stacks.
 """
 
 import math
 
 import numpy as np
 
+from geomflow.csf import EightDiagnostics, enclosed_area, lobe_areas, self_intersection
+from geomflow.csf.curve import _interpolate_at_top, _refine_extreme
+from geomflow.errors import TopologyError
 from geomflow.geoflow import TIGHT, structure_field
 from geomflow.numerics import integrate_ode
 
@@ -106,3 +112,71 @@ def bowtie_distance(points, x_max, y_max):
     to_curve = dist_points_to_segments(samples[:, 0], samples[:, 1], qx, qy,
                                        np.roll(qx, -1), np.roll(qy, -1))
     return max(float(np.max(to_tie)), float(np.max(to_curve)))
+
+
+def _frame_curvature_and_angles(P):
+    """Signed curvature and the unwrapped tangent angle (midrange nearest
+    pi/2) of one polygon (n, 2), from its three-point stencil."""
+    prev, nxt = np.roll(P, 1, axis=0), np.roll(P, -1, axis=0)
+    a = np.linalg.norm(P - prev, axis=1)[:, None]
+    b = np.linalg.norm(nxt - P, axis=1)[:, None]
+    denom = a * b * (a + b)
+    first = (a * a * (nxt - P) + b * b * (P - prev)) / denom
+    second = 2.0 * (a * (nxt - P) - b * (P - prev)) / denom
+    speed = np.linalg.norm(first, axis=1)
+    cross = first[:, 0] * second[:, 1] - first[:, 1] * second[:, 0]
+    theta = np.unwrap(np.arctan2(first[:, 1], first[:, 0]))
+    mid = 0.5 * (theta.max() + theta.min())
+    shift = 2.0 * math.pi * round((0.5 * math.pi - mid) / (2.0 * math.pi))
+    return cross / speed ** 3, theta + shift
+
+
+def frame_geometry(c, time=0.0, expect_double_point=None):
+    """The ``curve_geometry`` record of the single frame ``c``."""
+    P = c.points
+    edges = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
+    L = float(np.sum(edges))
+    k, theta = _frame_curvature_and_angles(P)
+    k_abs = np.abs(k)
+    peak = int(np.argmax(k_abs))
+    k_max = _refine_extreme(k_abs, peak)[0]
+    theta_max = _refine_extreme(theta, int(np.argmax(theta)))[0]
+    theta_min = -_refine_extreme(-theta, int(np.argmin(theta)))[0]
+
+    crossing = None
+    try:
+        crossing = self_intersection(P)
+    except TopologyError:
+        if expect_double_point:
+            raise
+    if crossing is not None:
+        a1, a2 = lobe_areas(P, crossing)
+        total_area = a1 + a2
+        alpha = 0.5 * (theta_max - theta_min - math.pi)
+    else:
+        total_area = enclosed_area(P)
+        alpha = math.nan
+
+    xs, ys = P[:, 0], P[:, 1]
+    right = np.nonzero(xs >= 0.0)[0]
+    if crossing is not None and right.size >= 3:
+        ix = right[int(np.argmax(xs[right]))]
+        x_max = _refine_extreme(xs, ix)[0]
+        upper_heights = np.where((xs >= 0.0) & (ys >= 0.0), ys, -np.inf)
+        iy = int(np.argmax(upper_heights))
+        y_max, delta = _refine_extreme(ys, iy)
+        side = (iy + (1 if delta >= 0.0 else -1)) % xs.size
+        x_star = float(xs[iy] + abs(delta) * (xs[side] - xs[iy]))
+        k_top = _interpolate_at_top(k_abs, upper_heights, iy)
+    else:
+        x_max = float(np.max(xs))
+        y_max = float(np.max(ys))
+        x_star = k_top = math.nan
+
+    return EightDiagnostics(
+        time=time, total_area=total_area, length=L,
+        isoperimetric=L * L / total_area if total_area > 0 else math.inf,
+        x_max=x_max, y_max=y_max, x_star=x_star, alpha_angle=alpha,
+        theta_max=theta_max, theta_min=theta_min, k_max=k_max,
+        h_min=float(np.min(edges)), k_peak=float(k_abs[peak]), k_top=k_top,
+        crossing=crossing)

@@ -160,7 +160,11 @@ class TestTorsionCommands:
                          "--T", "0.01", "--frames", "1", "--out", str(out)]) == 0
             manifest = json.loads((out / "torsion_evolve_manifest.json").read_text())
             record = torsion_evolve(tau0, UNIT_CURVATURE, 0.01, [0.01]).record
+            counts = {key: record.pop(key) for key in ("remainder_calls", "remainder_rows")}
             assert manifest["tolerances"] == record
+            assert counts.items() <= manifest["parameters"].items()
+            # a check makes seven remainder calls, three of them stacked two-row ones
+            assert counts["remainder_rows"] - counts["remainder_calls"] == 3 * record["checks"]
             assert record["scheme"] == "etdrk4" and record["checks"] >= 1
             assert record["rel_tol"] == 1e-9 and record["abs_tol"] == 1e-10
             assert 0.0 < record["step_min"] <= record["step_max"] <= 2.0 / record["rho0"]
@@ -205,6 +209,7 @@ class TestCsfCommands:
         assert {"tol", "ladder_steps_per_octave", "check_steps"} <= manifest["tolerances"].keys()
         params = manifest["parameters"]
         assert params["steps"] > 0 and params["checks"] >= 1 and params["rejected"] >= 0
+        assert params["remainder_rows"] - params["remainder_calls"] == 3 * params["checks"]
         assert params["symmetries"] == ["conj", "neg_conj", "neg"]
         assert params["stop_reason"] == "time reached"
         assert "curve" not in params

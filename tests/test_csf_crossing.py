@@ -40,7 +40,7 @@ def brute_force_crossing(P):
         if all(np.linalg.norm(hit[2] - other[2]) >= 1e-6 * scale for other in clusters):
             clusters.append(hit)
     if len(clusters) > 1:
-        raise TopologyError("more than one crossing")
+        raise TopologyError(f"more than one crossing: {len(clusters)} distinct")
     return clusters[0]
 
 
@@ -86,13 +86,17 @@ def test_matches_brute_force_pair_loop(n, seed, log_amplitude, start, angle):
 @settings(max_examples=10, deadline=None)
 @given(n=st.sampled_from([128, 200, 512, 1024]), **placements)
 def test_two_crossings_are_refused(n, seed, log_amplitude, start, angle):
-    # (cos t, sin 3t) crosses itself at (0.5, 0) and (-0.5, 0)
+    # (cos t, sin 3t) crosses itself at (0.5, 0) and (-0.5, 0); on the finest
+    # meshes the largest perturbations can zigzag a few short edges into a
+    # third crossing, which the plain loop finds too
     t = 2.0 * math.pi * (np.arange(n) + 0.5) / n
     P = placed(np.column_stack([np.cos(t), np.sin(3.0 * t)]), seed, min(log_amplitude, -3.0),
                start, angle)
-    with pytest.raises(TopologyError, match="more than one"):
+    with pytest.raises(TopologyError, match="more than one") as plain:
         brute_force_crossing(P)
-    with pytest.raises(TopologyError, match="found 2 distinct"):
+    count = int(str(plain.value).split(": ")[1].split()[0])
+    assert count >= 2
+    with pytest.raises(TopologyError, match=f"found {count} distinct"):
         self_intersection(P)
 
 

@@ -123,7 +123,7 @@ _ETD_V0 = np.array([0.5, 0.4, -0.3, 0.2, 0.1 + 0.2j, 0.3 - 0.1j])
 def _etd_stepper(calls: list | None = None) -> Etdrk4:
     def remainder(t, v):
         if calls is not None:
-            calls.append(t)
+            calls.append(v.size // _ETD_L.size)  # the state rows of the call
         return np.cos(t) * v * v - 0.5 * v + 0.3
 
     return Etdrk4(_ETD_L, remainder)
@@ -179,15 +179,18 @@ class TestEtdrk4Core:
         assert etd.h_acc == h * factor
 
     def test_remainder_evaluations(self):
-        # N(v) and three stages a step; a check shares N(v) between the
-        # single step and the first half step
+        # N(v) and three stages a step; a check takes the single step and the
+        # first half step from the shared N(v) as one stacked pass of three
+        # two-row calls, then the second half step
         calls = []
         etd = _etd_stepper(calls)
         v = etd.advance(_ETD_V0, 0.0, 0.1, etd.remainder(0.0, _ETD_V0), lambda f, c: 0.0)
-        assert len(calls) == 11 and etd.h_acc == 0.5
+        assert calls == [1, 2, 2, 2, 1, 1, 1, 1] and etd.h_acc == 0.5
+        assert (etd.calls, etd.rows) == (7, 10)  # the stepper's own, without N(v)
         calls.clear()
         etd.advance(v, 0.1, 0.1, etd.remainder(0.1, v), lambda f, c: 0.0)
-        assert len(calls) == 4 and etd.steps == 4
+        assert calls == [1, 1, 1, 1] and etd.steps == 4
+        assert (etd.calls, etd.rows) == (10, 13)
 
     def test_coefficient_cache(self):
         etd = _etd_stepper()
@@ -198,6 +201,19 @@ class TestEtdrk4Core:
         for j in range(3 * CACHED_STEPS):
             etd.coefficients(0.01 * (j + 1))
             assert len(etd._coef) <= CACHED_STEPS
+
+    def test_coefficient_pair_stacks_the_cached_coefficients(self):
+        # the pair of a check always holds the coefficients a separate single
+        # step and half step would use, also once the cache has started over
+        # and a step equal to 12 digits has computed them anew
+        etd = _etd_stepper()
+        for h in (0.1, 0.1 * (1.0 - 1e-14)):
+            pair = etd.coefficient_pair(h)
+            assert etd.coefficient_pair(h) is pair
+            for rows, coef, half in zip(pair, etd.coefficients(h), etd.coefficients(0.5 * h)):
+                assert np.array_equal(rows, np.stack((coef, half)))
+            for j in range(CACHED_STEPS):
+                etd.coefficients(0.003 * (j + 1))
 
 
 def _van_der_pol(t, y):
