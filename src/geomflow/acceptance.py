@@ -55,8 +55,7 @@ def _verdict(cid, label, passed, details, gating=True) -> CheckResult:
 @lru_cache(maxsize=None)
 def _eight_run():
     eight = make_concinnous_eight(1.0, n_points=512)
-    return csf_evolve(eight, StopRule(kmax_spacing=0.5), record_dt=8e-4,
-                      expect_double_point=True)
+    return csf_evolve(eight, StopRule(kmax_spacing=0.5), record_dt=8e-4)
 
 
 @lru_cache(maxsize=None)

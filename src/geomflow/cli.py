@@ -80,8 +80,7 @@ def _stop_record(stop) -> dict:
 def _write_run(writer: ExperimentWriter, run) -> None:
     from .csf import EightDiagnostics
     writer.csv("frames.csv", ["t", "point_index", "x", "y"],
-               (csv_block((t,), range(len(frame.points)), frame.points[:, 0].tolist(),
-                          frame.points[:, 1].tolist())
+               (csv_block((t,), range(len(frame)), frame[:, 0].tolist(), frame[:, 1].tolist())
                 for t, frame in zip(run.times, run.frames)))
     writer.csv("diagnostics.csv", list(EightDiagnostics.FIELDS),
                [d.row() for d in run.diagnostics])
@@ -124,8 +123,7 @@ def cmd_csf_bowtie(args) -> int:
                       resolvable_frames)
     curve = _load_eight(args)
     writer, stop = _collapse_writer(args)
-    run = csf_evolve(curve, stop, record_dt=args.record_dt,
-                     expect_double_point=True)
+    run = csf_evolve(curve, stop, record_dt=args.record_dt)
     start = perf_counter()
     _, px, py = axis_shrink_products(run)
     rows = []
@@ -144,8 +142,7 @@ def cmd_csf_grimreaper(args) -> int:
     from .csf import csf_evolve, grim_reaper_check, resolvable_frames
     curve = _load_eight(args)
     writer, stop = _collapse_writer(args)
-    run = csf_evolve(curve, stop, record_dt=args.record_dt,
-                     expect_double_point=True)
+    run = csf_evolve(curve, stop, record_dt=args.record_dt)
     start = perf_counter()
     series = grim_reaper_check(run, resolvable_frames(run))
     mid = perf_counter()
@@ -306,7 +303,7 @@ def cmd_geo_geodesic(args) -> int:
     writer = _writer(args, {"unit_tangent_tol": UNIT_TANGENT_TOL,
                             "step_control": asdict(TIGHT)})
     stats = _solver_stats()
-    path = geodesic(v0, args.alpha, args.T, TIGHT, n_samples=args.samples, stats=stats)
+    path = geodesic(v0, args.alpha, args.T, n_samples=args.samples, stats=stats)
     writer.csv("geodesic.csv", ["t", "vx", "vy", "vz", "x", "y", "z"],
                ([t, *map(float, v), *map(float, p)] for t, v, p
                 in zip(path.times, path.tangents, path.positions)))
@@ -320,8 +317,8 @@ def cmd_geo_cylinder(args) -> int:
     from .geoflow import CYLINDER_SETUP_TOL, TIGHT, cylinder_invariant, geodesic, v_beta
     writer = _writer(args, {"setup_tol": CYLINDER_SETUP_TOL, "step_control": asdict(TIGHT)})
     stats = _solver_stats()
-    path = geodesic(v_beta(args.beta, args.alpha), args.alpha, args.T, TIGHT,
-                    n_samples=args.samples, stats=stats)
+    path = geodesic(v_beta(args.beta, args.alpha), args.alpha, args.T, n_samples=args.samples,
+                    stats=stats)
     series, drift = cylinder_invariant(path, args.beta)
     writer.csv("cylinder.csv", ["t", "Q"], zip(path.times, series))
     writer.parameters["relative_drift"] = drift

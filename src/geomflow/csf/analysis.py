@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ResolutionError, TopologyError
 from ..numerics import cyclic_shift
-from .curve import EightDiagnostics, PlaneCurve, curvature_and_angles
+from .curve import EightDiagnostics, curvature_and_angles
 
 MIN_TIP_POINTS = 16  # samples a frame needs across its curvature tip to count as resolved
 
@@ -73,13 +73,13 @@ def reaper_profile_defect(theta: np.ndarray, k_ratio: np.ndarray) -> float:
     return float(np.max(np.abs(prof - np.sin(phi))))
 
 
-def grim_reaper_profile_error(frame: PlaneCurve, diag: EightDiagnostics) -> float:
+def grim_reaper_profile_error(P: np.ndarray, diag: EightDiagnostics) -> float:
     """Sup over the tangent angle in [0, pi] of |k/k_max - sin(angle)| on the
-    right lobe, split from the other at the double point of the frame's
-    ``curve_geometry`` record ``diag``. Raises ResolutionError when fewer
-    than ``MIN_TIP_POINTS`` samples carry the top decade of curvature, and
-    TopologyError when the record has no double point."""
-    P = frame.points
+    right lobe of the frame with points ``P`` (n, 2), split from the other
+    at the double point of the frame's ``curve_geometry`` record ``diag``.
+    Raises ResolutionError when fewer than ``MIN_TIP_POINTS`` samples carry
+    the top decade of curvature, and TopologyError when the record has no
+    double point."""
     k, theta = curvature_and_angles(P)
     k_abs = np.abs(k)
     k_max = float(np.max(k_abs))
@@ -122,7 +122,7 @@ def grim_reaper_check(run, frame_indices) -> GrimReaperSeries:
 
 @dataclass
 class BowtieRecord:
-    rescaled: PlaneCurve
+    rescaled: np.ndarray
     bowtie_distance: float
     ratio_xstar: float
 
@@ -164,8 +164,9 @@ def _dist_to_polygon(px, py, vx, vy) -> np.ndarray:
     return np.sqrt(np.minimum.reduceat(fx * fx + fy * fy, starts))
 
 
-def affine_rescale_and_bowtie(frame: PlaneCurve, diag: EightDiagnostics) -> BowtieRecord:
-    """Rescale the frame into the unit box and measure the distance to the bow-tie.
+def affine_rescale_and_bowtie(P: np.ndarray, diag: EightDiagnostics) -> BowtieRecord:
+    """Rescale the frame with points ``P`` (n, 2) into the unit box and
+    measure the distance to the bow-tie.
 
     The x axis is scaled by 1/x_max and the y axis by 1/y_max (quarter-curve
     extremes), putting the frame in [-1, 1]^2. The bow-tie target is the
@@ -173,18 +174,18 @@ def affine_rescale_and_bowtie(frame: PlaneCurve, diag: EightDiagnostics) -> Bowt
     vertical edges; the reported distance is the symmetric Hausdorff distance
     between it and the rescaled polygon, from the polygon's points and from
     101 samples along each edge of the path. ``diag`` is the frame's
-    ``curve_geometry`` record.
+    ``curve_geometry`` record; a record without a double point (NaN x*)
+    raises ValueError.
     """
     if not (diag.x_max > 0.0 and diag.y_max > 0.0) or math.isnan(diag.x_star):
         raise ValueError("degenerate frame extent; cannot rescale")
-    Q = frame.points / np.array([diag.x_max, diag.y_max])
-    rescaled = PlaneCurve(Q)
+    Q = P / np.array([diag.x_max, diag.y_max])
     qx, qy = Q[:, 0], Q[:, 1]
     d_curve_to_tie = float(np.max(_dist_to_polygon(qx, qy, _TIE[:, 0], _TIE[:, 1])))
     d_tie_to_curve = float(np.max(_dist_to_polygon(_TIE_SAMPLES[:, 0], _TIE_SAMPLES[:, 1],
                                                    qx, qy)))
     return BowtieRecord(
-        rescaled=rescaled,
+        rescaled=Q,
         bowtie_distance=max(d_curve_to_tie, d_tie_to_curve),
         ratio_xstar=diag.x_star / diag.x_max,
     )

@@ -292,31 +292,25 @@ def _interpolate_at_top(k_abs: np.ndarray, heights: np.ndarray, iy: int) -> floa
     return k1 + 0.5 * delta * (k2 - k0) + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2)
 
 
-def curve_geometry(c: PlaneCurve | list[PlaneCurve], time: float | list[float] = 0.0,
-                   expect_double_point: bool | None = None
+def curve_geometry(P: np.ndarray, time: float | list[float] = 0.0
                    ) -> EightDiagnostics | list[EightDiagnostics]:
     """Measure a frame: areas, length, curvature and tangent-angle extremes,
     quarter-curve extremes x_max / y_max / x*, the double-point half angle,
     and the entries the run analyses read (see ``EightDiagnostics``).
 
-    ``c`` is one frame (a ``PlaneCurve``) or a block of frames of one size
-    (a list of them) with ``time`` their times; a block gives the list of
-    its frames' records, each equal to the frame's own. The stencils,
-    extreme indices and quadrant masks of a block are measured on its
-    stacked points (F, n, 2), every reduction along a frame's own axis, and
-    the crossings of ``_CROSSING_POINTS`` // n frames at a time; the
-    refinements and lobe areas are measured a frame at a time.
+    ``P`` is the points of one frame (n, 2), or a block of frames of one
+    size (F, n, 2) with ``time`` their times; a block gives the list of its
+    frames' records, each equal to the frame's own. The stencils, extreme
+    indices and quadrant masks of a block are measured on the whole stack,
+    every reduction along a frame's own axis, and the crossings of
+    ``_CROSSING_POINTS`` // n frames at a time; the refinements and lobe
+    areas are measured a frame at a time.
 
-    ``expect_double_point=True`` raises TopologyError when a curve has no
-    self-crossing; ``None`` fills the eight-specific fields with NaN instead.
+    A frame without a unique self-crossing gets NaN eight-specific fields
+    and ``crossing=None``.
     """
-    if isinstance(c, PlaneCurve):
-        return _measure(c.points[None], [time], expect_double_point)[0]
-    return _measure(np.stack([frame.points for frame in c]), time, expect_double_point)
-
-
-def _measure(P: np.ndarray, times, expect_double_point) -> list[EightDiagnostics]:
-    """The ``curve_geometry`` records of the frames P (F, n, 2) at ``times``."""
+    if P.ndim == 2:
+        return curve_geometry(P[None], [time])[0]
     edges = edge_lengths(P)
     lengths, h_min = np.sum(edges, axis=-1), np.min(edges, axis=-1)
     k, theta = curvature_and_angles(P)
@@ -335,7 +329,7 @@ def _measure(P: np.ndarray, times, expect_double_point) -> list[EightDiagnostics
                  for crossing in self_intersection(P[start:start + group])]
 
     records = []
-    for f, time in enumerate(times):
+    for f, t in enumerate(time):
         peak = int(peaks[f])
         k_max = _refine_extreme(k_abs[f], peak)[0]
         theta_max = _refine_extreme(theta[f], int(tops[f]))[0]
@@ -343,8 +337,6 @@ def _measure(P: np.ndarray, times, expect_double_point) -> list[EightDiagnostics
 
         crossing = crossings[f]
         if isinstance(crossing, TopologyError):
-            if expect_double_point:
-                raise crossing
             crossing = None
 
         if crossing is not None:
@@ -368,7 +360,7 @@ def _measure(P: np.ndarray, times, expect_double_point) -> list[EightDiagnostics
 
         L = float(lengths[f])
         records.append(EightDiagnostics(
-            time=time,
+            time=t,
             total_area=total_area,
             length=L,
             isoperimetric=L * L / total_area if total_area > 0 else math.inf,
@@ -387,6 +379,13 @@ def _measure(P: np.ndarray, times, expect_double_point) -> list[EightDiagnostics
     return records
 
 
+def _lemniscate_quarter(scale: float, t: np.ndarray) -> np.ndarray:
+    """Points (n, 2) of the lemniscate quarter at the parameters t in
+    [0, pi/2]: x = scale sqrt(2) cos t / (1 + sin^2 t), y = x sin t."""
+    x = scale * math.sqrt(2.0) * np.cos(t) / (1.0 + np.sin(t) ** 2)
+    return np.column_stack([x, x * np.sin(t)])
+
+
 def _bernoulli_quarter(scale: float, arc_targets: np.ndarray) -> np.ndarray:
     """Points of the upper-right lemniscate quarter at given arc positions.
 
@@ -395,25 +394,14 @@ def _bernoulli_quarter(scale: float, arc_targets: np.ndarray) -> np.ndarray:
     """
     m_dense = max(8192, 64 * arc_targets.size)
     t = np.linspace(0.0, 0.5 * math.pi, m_dense + 1)
-    denom = 1.0 + np.sin(t) ** 2
-    x = scale * math.sqrt(2.0) * np.cos(t) / denom
-    y = x * np.sin(t)
-    pts = np.column_stack([x, y])
-    chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    chord = np.linalg.norm(np.diff(_lemniscate_quarter(scale, t), axis=0), axis=1)
     s_cum = np.concatenate([[0.0], np.cumsum(chord)])
-    t_at = np.interp(arc_targets, s_cum, t)
-    denom = 1.0 + np.sin(t_at) ** 2
-    xq = scale * math.sqrt(2.0) * np.cos(t_at) / denom
-    return np.column_stack([xq, xq * np.sin(t_at)])
+    return _lemniscate_quarter(scale, np.interp(arc_targets, s_cum, t))
 
 
 def quarter_arc_length(scale: float) -> float:
-    m = 1 << 16
-    t = np.linspace(0.0, 0.5 * math.pi, m + 1)
-    denom = 1.0 + np.sin(t) ** 2
-    x = scale * math.sqrt(2.0) * np.cos(t) / denom
-    pts = np.column_stack([x, x * np.sin(t)])
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+    t = np.linspace(0.0, 0.5 * math.pi, (1 << 16) + 1)
+    return float(np.sum(np.linalg.norm(np.diff(_lemniscate_quarter(scale, t), axis=0), axis=1)))
 
 
 def make_concinnous_eight(scale: float = 1.0, n_points: int = 512) -> PlaneCurve:

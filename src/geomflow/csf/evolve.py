@@ -60,7 +60,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..errors import BudgetError, IntegrationError, SetupError
+from ..errors import BudgetError, IntegrationError, SetupError, TopologyError
 from ..numerics import PeriodicCubicSpline, cyclic_shift
 from ..numerics.etd import CHECK_STEPS, Etdrk4, etdrk4_coefficients
 from ..numerics.interpolation import REFINE
@@ -107,11 +107,13 @@ class StopRule:
 
 @dataclass
 class CsfRun:
-    """Recorded frames and how the run was stepped: accepted steps,
-    step-doubling checks and rejected checks, the stepper's remainder calls
-    and the state rows they carried, the names of the symmetries it held,
-    and ``seconds`` spent in the steps, the projections (with the
-    equal-arclength start) and the frame diagnostics."""
+    """Recorded frames, each its points (n, 2), a row of a stack that
+    ``ThetaLengthFlow.points`` built, with its time and ``curve_geometry``
+    record; and how the run was stepped: accepted steps, step-doubling
+    checks and rejected checks, the stepper's remainder calls and the state
+    rows they carried, the names of the symmetries it held, and ``seconds``
+    spent in the steps, the projections (with the equal-arclength start)
+    and the frame diagnostics."""
 
     times: list = field(default_factory=list)
     frames: list = field(default_factory=list)
@@ -371,8 +373,7 @@ class ThetaLengthFlow:
 
 
 def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
-               record_dt: float | None = None,
-               expect_double_point: bool | None = None) -> CsfRun:
+               record_dt: float | None = None) -> CsfRun:
     """Evolve by curve-shortening flow, recording frames and diagnostics.
 
     The curve is first redistributed uniformly in arc length
@@ -383,12 +384,15 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
     time stride is an estimate of a 250-frame run: total area over 2*pi
     bounds the extinction time of any figure-eight from above.
 
-    A recorded frame keeps its state; the frames are rebuilt and measured
-    (``curve_geometry``) together in blocks of ``_FRAME_BLOCK`` and at the
-    stop, except frame 0, which is measured at once: the default stride
-    reads its area, and with ``expect_double_point=True`` a curve without a
-    double point fails before the first step. A later frame without one
-    fails when its block is measured.
+    A recorded frame keeps its state; the frames are rebuilt as points
+    (``ThetaLengthFlow.points``) and measured (``curve_geometry``) together
+    in blocks of ``_FRAME_BLOCK`` and at the stop, except frame 0, which is
+    measured at once: the default stride reads its area. The flow keeps a
+    figure-eight's single double point until the singularity (Grayson,
+    Invent. Math. 96, 1989), so when frame 0 has one, a later frame without
+    one raises ``TopologyError`` naming its time when its block is measured.
+    The frames of a curve that starts without one get NaN eight-specific
+    fields.
 
     A ``record_dt`` that is not finite and positive raises ``SetupError``.
     Each step advances t by at most one stride, so a run to a time more than
@@ -411,10 +415,15 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
 
     def measure():
         start = perf_counter()
-        frames = [PlaneCurve(P) for P in flow.points(np.array(pending))]
-        times = run.times[len(run.frames):]
+        frames = flow.points(np.array(pending))
+        records = curve_geometry(frames, run.times[len(run.frames):])
+        if (run.diagnostics or records)[0].crossing is not None:  # frame 0 has a double point
+            for d in records:
+                if d.crossing is None:
+                    raise TopologyError(f"the frame at t={d.time:.6g} has no double point, "
+                                        "though frame 0 has one")
         run.frames.extend(frames)
-        run.diagnostics.extend(curve_geometry(frames, times, expect_double_point))
+        run.diagnostics.extend(records)
         pending.clear()
         seconds["diagnostics"] += perf_counter() - start
 

@@ -70,10 +70,11 @@ def _check_unit(v0) -> np.ndarray:
     return v0
 
 
-def geodesic(v0, alpha: float, T: float, ctrl: StepControl | None = None,
-             n_samples: int = 401, stats: SolverStats | None = None) -> GeodesicPath:
-    """Geodesic from the identity with initial unit tangent v0, length T; the
-    integration's counts are added to ``stats`` when it is given."""
+def geodesic(v0, alpha: float, T: float, n_samples: int = 401,
+             stats: SolverStats | None = None) -> GeodesicPath:
+    """Geodesic from the identity with initial unit tangent v0, length T,
+    integrated at ``TIGHT``; the integration's counts are added to ``stats``
+    when it is given."""
     check_alpha(alpha)
     v0 = _check_unit(v0)
     if T < 0.0:
@@ -81,10 +82,9 @@ def geodesic(v0, alpha: float, T: float, ctrl: StepControl | None = None,
     if T == 0.0:
         return GeodesicPath(alpha, np.array([0.0]), v0[None, :].copy(),
                             np.zeros((1, 3)))
-    ctrl = ctrl or TIGHT
     y0 = np.concatenate([v0, np.zeros(3)])
     times = np.linspace(0.0, T, n_samples)
-    traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), ctrl, output_times=times[1:])
+    traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), TIGHT, output_times=times[1:])
     if stats is not None:
         stats.add(traj.stats)
     all_t = np.concatenate([[0.0], traj.times])

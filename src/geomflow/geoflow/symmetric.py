@@ -151,14 +151,10 @@ def _symmetric_runs(x0s, alpha: float, with_quadrature: bool = False,
                                 stats)
 
 
-def symmetric_system(x0: float, alpha: float, with_quadrature: bool = False) -> SymmetricRun:
+def symmetric_system(x0: float, alpha: float) -> SymmetricRun:
     """Integrate the 5-system from (x0, sqrt(1-x0^2), 0, 0, 0) to the z-return,
-    at ``TIGHT``.
-
-    ``with_quadrature`` appends a running integral of y^2 as a sixth state,
-    used to verify the closed-form b(t) = (2/y) * integral of y^2.
-    """
-    return _symmetric_runs([x0], alpha, with_quadrature)[0]
+    at ``TIGHT``."""
+    return _symmetric_runs([x0], alpha)[0]
 
 
 def variational_system(x0: float, alpha: float) -> SymmetricRun:

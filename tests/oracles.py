@@ -13,6 +13,9 @@
 - ``frame_geometry``: the ``curve_geometry`` record of one frame, measured
   on that frame alone, as the library did before it measured blocks of
   frames as stacks.
+- ``lemniscate_eight``: the points of ``make_concinnous_eight``, with the
+  quarter formula written out at each of its uses, as the library had it
+  before one helper computed it.
 """
 
 import math
@@ -131,9 +134,8 @@ def _frame_curvature_and_angles(P):
     return cross / speed ** 3, theta + shift
 
 
-def frame_geometry(c, time=0.0, expect_double_point=None):
-    """The ``curve_geometry`` record of the single frame ``c``."""
-    P = c.points
+def frame_geometry(P, time=0.0):
+    """The ``curve_geometry`` record of the single frame with points ``P``."""
     edges = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
     L = float(np.sum(edges))
     k, theta = _frame_curvature_and_angles(P)
@@ -147,8 +149,7 @@ def frame_geometry(c, time=0.0, expect_double_point=None):
     try:
         crossing = self_intersection(P)
     except TopologyError:
-        if expect_double_point:
-            raise
+        pass
     if crossing is not None:
         a1, a2 = lobe_areas(P, crossing)
         total_area = a1 + a2
@@ -180,3 +181,29 @@ def frame_geometry(c, time=0.0, expect_double_point=None):
         theta_max=theta_max, theta_min=theta_min, k_max=k_max,
         h_min=float(np.min(edges)), k_peak=float(k_abs[peak]), k_top=k_top,
         crossing=crossing)
+
+
+def lemniscate_eight(scale, n_points):
+    """The (n_points, 2) samples of ``make_concinnous_eight(scale, n_points)``."""
+    m = 1 << 16
+    t = np.linspace(0.0, 0.5 * math.pi, m + 1)
+    denom = 1.0 + np.sin(t) ** 2
+    x = scale * math.sqrt(2.0) * np.cos(t) / denom
+    pts = np.column_stack([x, x * np.sin(t)])
+    quarter_len = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+
+    m = n_points // 4
+    arc_targets = (np.arange(m) + 0.5) * (quarter_len / m)
+    t = np.linspace(0.0, 0.5 * math.pi, max(8192, 64 * m) + 1)
+    denom = 1.0 + np.sin(t) ** 2
+    x = scale * math.sqrt(2.0) * np.cos(t) / denom
+    y = x * np.sin(t)
+    chord = np.linalg.norm(np.diff(np.column_stack([x, y]), axis=0), axis=1)
+    s_cum = np.concatenate([[0.0], np.cumsum(chord)])
+    t_at = np.interp(arc_targets, s_cum, t)
+    denom = 1.0 + np.sin(t_at) ** 2
+    xq = scale * math.sqrt(2.0) * np.cos(t_at) / denom
+    yq = xq * np.sin(t_at)
+    rev = slice(None, None, -1)
+    return np.vstack([np.column_stack([xq, yq]), np.column_stack([-xq[rev], -yq[rev]]),
+                      np.column_stack([-xq, yq]), np.column_stack([xq[rev], -yq[rev]])])

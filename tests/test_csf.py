@@ -20,7 +20,7 @@ from geomflow.csf import (MIN_TIP_POINTS, PlaneCurve, StopRule, affine_rescale_a
                           make_concinnous_eight, reaper_profile_defect, resample_uniform,
                           resolvable_frames, self_intersection, theta_monotonicity_series,
                           turning_number)
-from oracles import bowtie_distance
+from oracles import bowtie_distance, lemniscate_eight
 
 
 def unit_circle(n=256, r=1.0):
@@ -45,7 +45,7 @@ def parametric_curve(xy_of_t, n_points):
 
 class TestCurveBasics:
     def test_circle_geometry(self):
-        d = curve_geometry(unit_circle(512))
+        d = curve_geometry(unit_circle(512).points)
         assert d.total_area == pytest.approx(math.pi, abs=1e-4)
         assert d.length == pytest.approx(2 * math.pi, abs=1e-4)
         k, _ = curvature_and_angles(unit_circle(512).points)
@@ -54,10 +54,8 @@ class TestCurveBasics:
     def test_circle_has_no_double_point(self):
         with pytest.raises(TopologyError):
             self_intersection(unit_circle().points)
-        d = curve_geometry(unit_circle())
+        d = curve_geometry(unit_circle().points)
         assert math.isnan(d.alpha_angle) and math.isnan(d.k_top) and d.crossing is None
-        with pytest.raises(TopologyError):
-            curve_geometry(unit_circle(), expect_double_point=True)
 
     def test_row_lengths_is_norm(self):
         V = np.random.default_rng(3).standard_normal((1000, 2)) * np.logspace(-8, 8, 1000)[:, None]
@@ -101,7 +99,7 @@ class TestConcinnousEight:
             assert math.sqrt(np.max(np.min(d2, axis=1))) < 1e-12
 
     def test_geometry_conventions(self):
-        d = curve_geometry(make_concinnous_eight(1.0, n_points=512))
+        d = curve_geometry(make_concinnous_eight(1.0, n_points=512).points)
         assert d.x_max == pytest.approx(math.sqrt(2.0), abs=1e-4)
         assert 0.0 < d.alpha_angle < math.pi / 2
         assert d.alpha_angle == pytest.approx(math.pi / 4, abs=1e-3)
@@ -112,7 +110,7 @@ class TestConcinnousEight:
     def test_peak_between_equal_samples_is_refined(self):
         # the far end x = sqrt(2) lies midway between two samples of equal x;
         # the parabola vertex through them is 1.2e-8 from it, the sample 5.6e-5
-        d = curve_geometry(make_concinnous_eight(1.0, n_points=512))
+        d = curve_geometry(make_concinnous_eight(1.0, n_points=512).points)
         assert abs(d.x_max - math.sqrt(2.0)) < 1e-6
 
     def test_override_family(self):
@@ -130,6 +128,12 @@ class TestConcinnousEight:
         # an embedded ellipse is not a figure-eight at all
         with pytest.raises(ConstructionError):
             _check_concinnity(parametric_curve(lambda t: (2 * math.cos(t), math.sin(t)), 256))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.9])
+    @pytest.mark.parametrize("n", [128, 512, 1024])
+    def test_points_keep_their_bits(self, scale, n):
+        assert np.array_equal(make_concinnous_eight(scale, n_points=n).points,
+                              lemniscate_eight(scale, n))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -226,8 +230,8 @@ class TestEvolve:
     def test_eight_short_run_keeps_symmetry(self):
         eight = make_concinnous_eight(1.0, n_points=256)
         run = csf_evolve(eight, StopRule(time=0.02, kmax_spacing=None),
-                         record_dt=0.005, expect_double_point=True)
-        P = run.frames[-1].points
+                         record_dt=0.005)
+        P = run.frames[-1]
         for refl in (np.array([1.0, -1.0]), np.array([-1.0, 1.0])):
             Q = P * refl
             d2 = np.sum((Q[:, None, :] - P[None, :, :]) ** 2, axis=2)
@@ -242,7 +246,7 @@ class TestEvolve:
     def test_double_point_angle_decreases(self):
         eight = make_concinnous_eight(1.0, n_points=256)
         run = csf_evolve(eight, StopRule(time=0.05, kmax_spacing=None),
-                         record_dt=0.01, expect_double_point=True)
+                         record_dt=0.01)
         alphas = run.series("alpha_angle")
         assert np.all(np.diff(alphas) < 0)
 
@@ -251,12 +255,12 @@ class TestThetaSeries:
     def test_eight_run_verdict(self):
         eight = make_concinnous_eight(1.0, n_points=256)
         run = csf_evolve(eight, StopRule(time=0.03, kmax_spacing=None),
-                         record_dt=0.005, expect_double_point=True)
+                         record_dt=0.005)
         ts = theta_monotonicity_series(run.times, run.diagnostics)
         assert ts.verdict
 
     def test_symmetric_branch_convention(self):
-        d = curve_geometry(make_concinnous_eight(1.0, n_points=512))
+        d = curve_geometry(make_concinnous_eight(1.0, n_points=512).points)
         assert d.theta_min == pytest.approx(-d.theta_max + math.pi, abs=1e-10)
 
     def test_perturbed_balanced_eight(self):
@@ -271,7 +275,7 @@ class TestThetaSeries:
         a1, a2 = lobe_areas(curve.points)
         assert abs(a1 - a2) < 1e-6
         run = csf_evolve(curve, StopRule(time=0.03, kmax_spacing=None),
-                         record_dt=0.005, expect_double_point=True)
+                         record_dt=0.005)
         assert theta_monotonicity_series(run.times, run.diagnostics).verdict
 
     def test_rejects_non_eight(self):
@@ -287,8 +291,8 @@ class TestGrimReaper:
         assert reaper_profile_defect(phi, np.sin(phi)) < 1e-14
 
     def test_initial_lemniscate_is_far_from_profile(self):
-        c = make_concinnous_eight(1.0, n_points=512)
-        err = grim_reaper_profile_error(c, curve_geometry(c, expect_double_point=True))
+        P = make_concinnous_eight(1.0, n_points=512).points
+        err = grim_reaper_profile_error(P, curve_geometry(P))
         assert 0.2 < err < 1.0
 
     def test_resolution_guard(self):
@@ -296,10 +300,8 @@ class TestGrimReaper:
         # 3 samples see in the top curvature decade
         P = make_concinnous_eight(1.0, n_points=128).points.copy()
         P[int(np.argmax(P[:, 0]))] *= 1.05
-        spiked = PlaneCurve(P)
-        diag = curve_geometry(spiked, expect_double_point=True)
         with pytest.raises(ResolutionError, match="only 3 samples"):
-            grim_reaper_profile_error(spiked, diag)
+            grim_reaper_profile_error(P, curve_geometry(P))
 
 
 class TestBowtie:
@@ -311,17 +313,16 @@ class TestBowtie:
         for (x0, y0), (x1, y1) in zip(corners[:-1], corners[1:]):
             for u in np.arange(per_edge) / per_edge:
                 pts.append((x0 + u * (x1 - x0), y0 + u * (y1 - y0)))
-        # nudge exact corner duplicates apart is not needed: consecutive points distinct
-        tie = PlaneCurve(np.array(pts))
-        rec = affine_rescale_and_bowtie(tie, curve_geometry(tie, expect_double_point=True))
+        tie = np.array(pts)
+        rec = affine_rescale_and_bowtie(tie, curve_geometry(tie))
         assert rec.bowtie_distance < 1e-9
 
     def test_bernoulli_initial_ratio(self):
-        c = make_concinnous_eight(1.0, n_points=512)
-        rec = affine_rescale_and_bowtie(c, curve_geometry(c, expect_double_point=True))
+        P = make_concinnous_eight(1.0, n_points=512).points
+        rec = affine_rescale_and_bowtie(P, curve_geometry(P))
         assert 0.0 < rec.ratio_xstar < 1.0
-        assert rec.rescaled.points[:, 0].max() <= 1.0 + 1e-9
-        assert rec.rescaled.points[:, 1].max() <= 1.0 + 1e-9
+        assert rec.rescaled[:, 0].max() <= 1.0 + 1e-9
+        assert rec.rescaled[:, 1].max() <= 1.0 + 1e-9
 
 
 # The per-frame analyses as they were before they read the frame's
@@ -344,8 +345,7 @@ def _reference_tangent_angles(P):
 
 def _reference_resolvable_frames(run):
     out = []
-    for idx, frame in enumerate(run.frames):
-        P = frame.points
+    for idx, P in enumerate(run.frames):
         k = np.abs(_reference_signed_curvature(P))
         k_max = float(np.max(k))
         if k_max == 0.0:
@@ -358,8 +358,7 @@ def _reference_resolvable_frames(run):
 
 def _reference_axis_shrink_products(run):
     px, py = [], []
-    for frame, diag in zip(run.frames, run.diagnostics):
-        P = frame.points
+    for P, diag in zip(run.frames, run.diagnostics):
         k = np.abs(_reference_signed_curvature(P))
         upper_right = (P[:, 0] >= 0.0) & (P[:, 1] >= 0.0)
         masked_y = np.where(upper_right, P[:, 1], -np.inf)
@@ -377,8 +376,7 @@ def _reference_axis_shrink_products(run):
     return np.asarray(run.times, dtype=float), np.array(px), np.array(py)
 
 
-def _reference_profile_error(frame):
-    P = frame.points
+def _reference_profile_error(P):
     k_abs = np.abs(_reference_signed_curvature(P))
     k_max = float(np.max(k_abs))
     if int(np.sum(k_abs >= 0.1 * k_max)) < MIN_TIP_POINTS:
@@ -397,12 +395,12 @@ def collapse_run():
     # the canonical bench job: the n = 128 eight to the singularity stop,
     # 274 frames, about half of them resolvable
     return csf_evolve(make_concinnous_eight(1.0, n_points=128), StopRule(kmax_spacing=0.5),
-                      record_dt=3.2e-3, expect_double_point=True)
+                      record_dt=3.2e-3)
 
 
 class TestFrameRecord:
     def test_curvature_and_angles_match_two_stencils(self, collapse_run):
-        curves = [unit_circle(256).points] + [f.points for f in collapse_run.frames[::10]]
+        curves = [unit_circle(256).points] + collapse_run.frames[::10]
         for P in curves:
             k, theta = curvature_and_angles(P)
             assert np.array_equal(k, _reference_signed_curvature(P))
@@ -411,7 +409,7 @@ class TestFrameRecord:
     def test_curvature_vector_matches_three_point_stencil(self, collapse_run):
         # the step's velocity from its measured gaps has the bits of the
         # second derivative of the full stencil
-        curves = [unit_circle(256).points] + [f.points for f in collapse_run.frames[::10]]
+        curves = [unit_circle(256).points] + collapse_run.frames[::10]
         for P in curves:
             assert np.array_equal(curvature_vector(P, edge_lengths(P)), _three_point(P)[1])
 
@@ -425,7 +423,7 @@ class TestFrameRecord:
         # outside the upper-right quadrant, so its masking matters
         upright = make_concinnous_eight(1.0, n_points=128).points[:, ::-1]
         upright_run = csf_evolve(PlaneCurve(upright), StopRule(time=0.01, kmax_spacing=None),
-                                 record_dt=0.005, expect_double_point=True)
+                                 record_dt=0.005)
         for run in (collapse_run, upright_run):
             for got, want in zip(axis_shrink_products(run), _reference_axis_shrink_products(run)):
                 assert np.array_equal(got, want)
@@ -443,16 +441,16 @@ class TestFrameRecord:
             assert _interpolate_at_top(k_abs, np.array([0.0, 1.0, 1.0, 0.0]), 1) == 2.5
             # the eight moved below the x-axis has no sample in the quadrant
             P = make_concinnous_eight(1.0, n_points=128).points + np.array([0.2, -1.0])
-            diag = curve_geometry(PlaneCurve(P), expect_double_point=True)
+            diag = curve_geometry(P)
         assert diag.k_top == abs(curvature_and_angles(P)[0][0])
 
     def test_bowtie_distance_matches_full_matrix(self, collapse_run):
         # the pruned distance search against every (point, segment) pair
         idxs = resolvable_frames(collapse_run)
         for k in idxs:
-            frame, diag = collapse_run.frames[k], collapse_run.diagnostics[k]
-            rec = affine_rescale_and_bowtie(frame, diag)
-            assert rec.bowtie_distance == bowtie_distance(frame.points, diag.x_max, diag.y_max)
+            P, diag = collapse_run.frames[k], collapse_run.diagnostics[k]
+            rec = affine_rescale_and_bowtie(P, diag)
+            assert rec.bowtie_distance == bowtie_distance(P, diag.x_max, diag.y_max)
 
     def test_grim_reaper_check_matches_per_frame_measurement(self, collapse_run):
         idxs = resolvable_frames(collapse_run)

@@ -1,7 +1,9 @@
 """The tangent-angle/length CSF engine: exact laws, the closure and symmetry
-projections, landing on the end time, and the cached ETDRK4 coefficients."""
+projections, landing on the end time, the cached ETDRK4 coefficients, and
+the double-point rule read from frame 0."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from geomflow.csf import (PlaneCurve, StopRule, csf_evolve, lobe_areas,
                           make_concinnous_eight, resample_uniform)
 from geomflow.csf.evolve import ThetaLengthFlow
+from geomflow.errors import TopologyError
 from geomflow.numerics.etd import etdrk4_coefficients
 
 
@@ -24,8 +27,8 @@ def bent_eight(n=128):
     return PlaneCurve(np.column_stack([x + 0.05 * y, y + 0.1 * x * x]))
 
 
-def lobe_asymmetry(frame, diag):
-    a1, a2 = lobe_areas(frame.points, diag.crossing)
+def lobe_asymmetry(P, diag):
+    a1, a2 = lobe_areas(P, diag.crossing)
     return abs(a1 - a2) / (a1 + a2)
 
 
@@ -53,7 +56,7 @@ class TestExactLaws:
         monkeypatch.setattr(ThetaLengthFlow, "accept", recording_accept)
         curve = make_concinnous_eight(1.0, n_points=128) if shape == "eight" else bent_eight()
         stop = StopRule(kmax_spacing=0.5) if shape == "eight" else StopRule(time=0.1)
-        run = csf_evolve(curve, stop, record_dt=3.2e-3, expect_double_point=True)
+        run = csf_evolve(curve, stop, record_dt=3.2e-3)
         assert len(gaps) == run.steps > 40
         assert max(gaps) <= 1e-13
 
@@ -85,8 +88,7 @@ class TestSymmetry:
         # at n = 1024 the collapse amplifies roundoff asymmetry to about 4e-13
         # by L/L0 = 0.09 unless the engine averages over the symmetry group
         run = csf_evolve(make_concinnous_eight(1.0, n_points=1024),
-                         StopRule(time=0.23, kmax_spacing=None), record_dt=1.0,
-                         expect_double_point=True)
+                         StopRule(time=0.23, kmax_spacing=None), record_dt=1.0)
         assert run.series("length")[-1] < 0.1 * run.series("length")[0]
         assert max(lobe_asymmetry(f, d) for f, d in zip(run.frames, run.diagnostics)) <= 1e-13
 
@@ -105,3 +107,41 @@ class TestSteps:
         assert run.steps > 0 and run.checks >= 1 and run.rejected >= 0
         assert set(run.seconds) == {"steps", "projections", "diagnostics"}
         assert all(s > 0.0 for s in run.seconds.values())
+
+
+def circle_in_block(monkeypatch, block, row):
+    """Make row ``row`` of the ``block``-th block of frames that the flow
+    builds a small circle, a frame without a double point."""
+    points = ThetaLengthFlow.points
+    calls = []
+
+    def patched(self, states):
+        P = points(self, states)
+        calls.append(1)
+        if len(calls) == block:
+            th = (np.arange(self.n) + 0.5) * 2 * math.pi / self.n
+            P[row] = 0.1 * np.column_stack([np.cos(th), np.sin(th)])
+        return P
+
+    monkeypatch.setattr(ThetaLengthFlow, "points", patched)
+
+
+class TestDoublePointRule:
+    """Frame 0 says whether every later frame must keep a double point."""
+
+    def test_eight_that_loses_its_crossing_fails_naming_the_time(self, monkeypatch):
+        # frame 0 is measured alone, so row 3 of the second block is frame 4
+        args = (make_concinnous_eight(1.0, n_points=128), StopRule(time=0.05, kmax_spacing=None),
+                0.005)
+        t = csf_evolve(*args).times[4]
+        circle_in_block(monkeypatch, block=2, row=3)
+        with pytest.raises(TopologyError, match=re.escape(f"t={t:.6g} has no double point")):
+            csf_evolve(*args)
+
+    def test_frame_0_without_a_crossing_asks_for_none(self, monkeypatch):
+        circle_in_block(monkeypatch, block=1, row=0)
+        run = csf_evolve(make_concinnous_eight(1.0, n_points=128),
+                         StopRule(time=0.05, kmax_spacing=None), record_dt=0.005)
+        crossings = [d.crossing is not None for d in run.diagnostics]
+        assert crossings == [False] + [True] * (len(run.frames) - 1)
+        assert math.isnan(run.diagnostics[0].alpha_angle)

@@ -32,8 +32,8 @@ class TestRigidMotions:
         assert moved.times == base.times == [0.0, 0.005]
         for f0, f1, d0, d1 in zip(base.frames, moved.frames, base.diagnostics,
                                   moved.diagnostics):
-            image = _fine_polygon(f0.points @ R.T + shift)
-            gap = dist_points_to_segments(f1.points[:, 0], f1.points[:, 1], image[:, 0],
+            image = _fine_polygon(f0 @ R.T + shift)
+            gap = dist_points_to_segments(f1[:, 0], f1[:, 1], image[:, 0],
                                           image[:, 1], np.roll(image[:, 0], -1),
                                           np.roll(image[:, 1], -1))
             assert float(np.max(gap)) < 1e-5 * d0.length

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from geomflow.csf import (PlaneCurve, StopRule, csf_evolve, curve_geometry,  # noqa: E402
                           make_concinnous_eight, resample_uniform)
 from geomflow.csf.evolve import _FRAME_BLOCK, ThetaLengthFlow  # noqa: E402
-from geomflow.errors import PositivityError, TopologyError  # noqa: E402
+from geomflow.errors import PositivityError  # noqa: E402
 from geomflow.numerics import periodic_grid  # noqa: E402
-from geomflow.numerics.etd import Etdrk4  # noqa: E402
 from geomflow.torsionflow import UNIT_CURVATURE  # noqa: E402
 from geomflow.torsionflow.evolve import torsion_stepper  # noqa: E402
 from oracles import frame_geometry  # noqa: E402
@@ -114,7 +113,7 @@ class TestStackedRemainders:
 def collapse_run():
     # the n = 128 bench eight to the singularity stop, 267 frames
     return csf_evolve(make_concinnous_eight(1.0, n_points=128), StopRule(kmax_spacing=0.5),
-                      record_dt=3.2e-3, expect_double_point=True)
+                      record_dt=3.2e-3)
 
 
 class TestFrameBlocks:
@@ -123,15 +122,15 @@ class TestFrameBlocks:
         for frame, time, diag in zip(collapse_run.frames, collapse_run.times,
                                      collapse_run.diagnostics):
             assert diag.time == time
-            assert_same_record(diag, frame_geometry(frame, time, True))
+            assert_same_record(diag, frame_geometry(frame, time))
 
     def test_a_block_across_a_block_boundary(self, collapse_run):
         lo, hi = 3 * _FRAME_BLOCK - 5, 3 * _FRAME_BLOCK + 6
-        frames, times = collapse_run.frames[lo:hi], collapse_run.times[lo:hi]
-        for got, frame, time in zip(curve_geometry(frames, times, True), frames, times):
-            assert_same_record(got, frame_geometry(frame, time, True))
-        assert_same_record(curve_geometry(frames[0], times[0], True),
-                           frame_geometry(frames[0], times[0], True))
+        frames, times = np.array(collapse_run.frames[lo:hi]), collapse_run.times[lo:hi]
+        for got, frame, time in zip(curve_geometry(frames, times), frames, times):
+            assert_same_record(got, frame_geometry(frame, time))
+        assert_same_record(curve_geometry(frames[0], times[0]),
+                           frame_geometry(frames[0], times[0]))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), log_amplitude=st.floats(-12.0, -2.5),
@@ -144,19 +143,11 @@ class TestFrameBlocks:
         rng = np.random.default_rng(seed)
         c, s = math.cos(angle), math.sin(angle)
         base = np.roll(make_concinnous_eight(1.0, n_points=128).points, start, axis=0)
-        frames = [circle()]
+        frames = [circle().points]
         for _ in range(size):
             P = base + 10.0 ** log_amplitude * rng.standard_normal(base.shape)
-            frames.append(PlaneCurve(P @ np.array([[c, s], [-s, c]]) + np.array(shift)))
+            frames.append(P @ np.array([[c, s], [-s, c]]) + np.array(shift))
+        frames = np.array(frames)
         times = [0.01 * j for j in range(len(frames))]
         for got, frame, time in zip(curve_geometry(frames, times), frames, times):
             assert_same_record(got, frame_geometry(frame, time))
-
-    def test_circle_expecting_a_double_point_fails_before_its_first_step(self, monkeypatch):
-        steps = []
-        advance = Etdrk4.advance
-        monkeypatch.setattr(Etdrk4, "advance",
-                            lambda self, *args: steps.append(1) or advance(self, *args))
-        with pytest.raises(TopologyError):
-            csf_evolve(circle(), StopRule(time=0.01), expect_double_point=True)
-        assert steps == []
