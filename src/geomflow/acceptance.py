@@ -79,8 +79,8 @@ def _quasi_run(kind: str):
     data = 10.0 + np.sin(s) / 2.0 if kind == "half" else 10.0 + np.sin(s) + np.cos(s)
     tau0 = TorsionField(data)
     times = np.linspace(0.0, 1.7, 171)
-    fields = torsion_evolve(tau0, UNIT_CURVATURE, 1.7, output_times=times[1:])
-    return tau0, quasi_period(times, [tau0] + fields)
+    fields = torsion_evolve(tau0, UNIT_CURVATURE, 1.7, output_times=times)
+    return tau0, quasi_period(times, fields.samples)
 
 
 @lru_cache(maxsize=None)

@@ -172,24 +172,25 @@ def _initial_torsion(name: str, n: int):
     return TorsionField(_TORSION_PRESETS[name](periodic_grid(n)))
 
 
+def _record_steps(writer, record: dict) -> None:
+    """Record a torsion run's steps: its counts of remainder calls, state
+    rows and stacked outputs as parameters, the rest as its tolerances."""
+    writer.tolerances = dict(record)
+    writer.parameters.update((key, writer.tolerances.pop(key))
+                             for key in ("remainder_calls", "remainder_rows", "stacked_outputs"))
+
+
 def cmd_torsion_evolve(args) -> int:
     from .torsionflow import CurvatureProfile, torsion_evolve
     tau0 = _initial_torsion(args.initial, args.n)
     kappa = CurvatureProfile(constant=args.kappa)
-    times = np.linspace(0.0, args.T, args.frames + 1)[1:]
+    times = np.linspace(0.0, args.T, args.frames + 1)
     writer = _writer(args)
     fields = torsion_evolve(tau0, kappa, args.T, output_times=times)
-    writer.tolerances = dict(fields.record)
-    writer.parameters.update((key, writer.tolerances.pop(key))
-                             for key in ("remainder_calls", "remainder_rows"))
-    rows = []
+    _record_steps(writer, fields.record)
     grid = tau0.grid
-    for s_idx, s in enumerate(grid):
-        rows.append([0.0, float(s), float(tau0.samples[s_idx])])
-    for t, f in zip(times, fields):
-        for s_idx, s in enumerate(grid):
-            rows.append([float(t), float(s), float(f.samples[s_idx])])
-    writer.csv("torsion.csv", ["t", "s", "tau"], rows)
+    writer.csv("torsion.csv", ["t", "s", "tau"],
+               (csv_block((float(t),), grid, row) for t, row in zip(times, fields.samples)))
     writer.finish()
     return 0
 
@@ -215,6 +216,7 @@ def cmd_torsion_stability(args) -> int:
     from .torsionflow import helix_stability
     writer = _writer(args)
     series = helix_stability(args.amplitude, args.T, n=args.n)
+    _record_steps(writer, series.record)
     writer.csv("stability.csv", ["t", "S"], zip(series.times, series.values))
     writer.finish()
     return 0

@@ -7,6 +7,12 @@ The phi-function weights are taken as means over a circle of
 Comput. 26, 2005), which avoids the cancellation of their closed forms near
 h L = 0. The full circle serves real and imaginary spectra alike; a zero
 multiplier gets the classical RK4 weights h/2, h/6, h/3 and h/6.
+
+Steps taken as rows of one stacked pass give the bits of the separate steps.
+Numpy's complex product rounds differently with its operands swapped, and
+numpy swaps them to reuse a temporary right operand of 2^18 bytes or more in
+place: ``Etdrk4.step`` writes such products as ``np.multiply``, and a stack
+of coefficients is built in blocks below that size.
 """
 
 from __future__ import annotations
@@ -18,23 +24,28 @@ import numpy as np
 CONTOUR_POINTS = 32
 _CONTOUR = np.exp(2j * math.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
 CHECK_STEPS = 8  # steps between two step-doubling checks; a check costs two extra steps
+MAX_GROWTH = 5.0  # most a check may raise the accuracy bound, in multiples of its step
 # Steps that agree to this many digits share their coefficients: equal
 # intervals from ``linspace`` differ in their last bits.
 STEP_DIGITS = 12
 CACHED_STEPS = 32  # a full cache starts over; the CSF runs use 22 to 27 ladder steps
+# Most bytes of one contour temporary (rows, L.size, CONTOUR_POINTS) while a
+# stack of coefficients is built: the whole stack of 128 rows at N = 32 at
+# once raised the peak memory of ``torsion stability`` by 6 MB.
+STACK_BLOCK_BYTES = 2 ** 16
 
 
-def etdrk4_coefficients(L: np.ndarray, h: float):
+def etdrk4_coefficients(L: np.ndarray, h):
     """exp(hL), exp(hL/2) and the weights Q, f1, 2 f2, f3 of one step h
-    (``Etdrk4.step``)."""
+    (``Etdrk4.step``), or of steps ``h`` of shape (k, 1) as rows (k, ·)."""
     hL = h * L
-    z = hL[:, None] + _CONTOUR
+    z = hL[..., None] + _CONTOUR
     ez = np.exp(z)
     z3 = z ** 3
-    q = h * np.mean((np.exp(0.5 * z) - 1.0) / z, axis=1)
-    f1 = h * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3, axis=1)
-    f2 = h * np.mean((2.0 + z + ez * (z - 2.0)) / z3, axis=1)
-    f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3, axis=1)
+    q = h * np.mean((np.exp(0.5 * z) - 1.0) / z, axis=-1)
+    f1 = h * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3, axis=-1)
+    f2 = h * np.mean((2.0 + z + ez * (z - 2.0)) / z3, axis=-1)
+    f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3, axis=-1)
     return np.exp(hL), np.exp(0.5 * hL), q, f1, 2.0 * f2, f3
 
 
@@ -55,6 +66,7 @@ class Etdrk4:
         self.calls = self.rows = 0
         self._coef = {}
         self._pairs = {}
+        self._stack = np.empty(0), ()  # offsets and coefficients (``coefficient_stack``)
 
     def coefficients(self, h: float) -> tuple:
         key = float(f"{h:.{STEP_DIGITS}e}")
@@ -80,6 +92,29 @@ class Etdrk4:
                 coef, half, tuple(np.stack(rows) for rows in zip(coef, half)))
         return entry[2]
 
+    def coefficient_stack(self, offsets: np.ndarray) -> tuple:
+        """The coefficients of the steps ``offsets`` (k,) from one state,
+        stacked as rows (k, ·), built by vectorised ``etdrk4_coefficients``
+        calls over blocks of rows (``STACK_BLOCK_BYTES``). The stack is
+        cached as one entry that serves every run of offsets agreeing with
+        its first rows to ``STEP_DIGITS`` digits of their largest, and grows
+        by the rows a longer run adds: equally spaced outputs repeat their
+        offsets from step to step, though not their count, and not their bits
+        (1e-3 becomes 9.9999999999989e-4 past t = 0.5, which a key rounded
+        to ``STEP_DIGITS`` would tell apart)."""
+        have, coef = self._stack
+        k = min(have.size, offsets.size)
+        if k and np.max(np.abs(have[:k] - offsets[:k])) > 10.0 ** -STEP_DIGITS * offsets[k - 1]:
+            have, coef = have[:0], ()
+        if offsets.size > have.size:
+            per_block = max(1, STACK_BLOCK_BYTES // (16 * CONTOUR_POINTS * self.L.size))
+            blocks = [coef] if coef else []
+            blocks += [etdrk4_coefficients(self.L, offsets[j:j + per_block, None])
+                       for j in range(have.size, offsets.size, per_block)]
+            coef = tuple(map(np.concatenate, zip(*blocks)))
+            self._stack = np.concatenate([have, offsets[have.size:]]), coef
+        return tuple(rows[:offsets.size] for rows in coef)
+
     def step(self, v: np.ndarray, t, h, coef: tuple, Nv: np.ndarray) -> np.ndarray:
         """The state one step h after v at time t, from the coefficients
         ``coef`` of h and the remainder ``Nv`` at v:
@@ -98,9 +133,9 @@ class Etdrk4:
         Na = N(t + 0.5 * h, a)
         b = E2v + Q * Na
         Nb = N(t + 0.5 * h, b)
-        c = E2 * a + Q * (2.0 * Nb - Nv)
+        c = E2 * a + np.multiply(Q, 2.0 * Nb - Nv)
         Nc = N(t + h, c)
-        return E * v + f1 * Nv + f2x2 * (Na + Nb) + f3 * Nc
+        return E * v + f1 * Nv + np.multiply(f2x2, Na + Nb) + f3 * Nc
 
     def advance(self, v: np.ndarray, t: float, h: float, Nv: np.ndarray,
                 error) -> np.ndarray | None:
@@ -131,7 +166,8 @@ class Etdrk4:
         ratio = error(fine, coarse)
         if not math.isfinite(ratio):
             ratio = math.inf
-        self.h_acc = h * (min(5.0, max(0.2, 0.9 * ratio ** -0.2)) if ratio > 0.0 else 5.0)
+        self.h_acc = h * (min(MAX_GROWTH, max(0.2, 0.9 * ratio ** -0.2)) if ratio > 0.0
+                          else MAX_GROWTH)
         if ratio > 1.0:
             self.rejected += 1
             return None

@@ -16,8 +16,11 @@ The right-hand side is A u^ + B (tau^{3/2})^ with the fixed multipliers of
 Fourier space. ``torsion_evolve`` integrates that part exactly with ETDRK4,
 with steps bounded by the rate rho(tau) = k_max^3 max|c3(tau) - c3(tau_bar)|
 + k_max max|c1(tau) - c1(tau_bar)| of the remainder and by a step-doubling
-estimate of the local error (see ``evolve.py``). ``make_torsion_rhs`` is the
-same right-hand side for explicit integrators.
+estimate of the local error. Each step goes to the furthest output time
+within that bound, and the outputs inside it come from one stacked pass
+from its start (see ``evolve.py``), so the evolved fields arrive as one
+stack (F, n) of samples, which ``l2_norm`` measures row by row.
+``make_torsion_rhs`` is the same right-hand side for explicit integrators.
 """
 
 from __future__ import annotations
@@ -142,8 +145,10 @@ def torsion_invariants(tau: TorsionField) -> tuple[float, float]:
     return (float(h * np.sum(np.sqrt(tau.samples))), float(h * np.sum(tau.samples)))
 
 
-def l2_norm(samples: np.ndarray) -> float:
-    """L2 norm on [0, 2*pi] by the periodic trapezoid rule."""
+def l2_norm(samples: np.ndarray) -> float | np.ndarray:
+    """L2 norm on [0, 2*pi] by the periodic trapezoid rule, of one field
+    (n,) or of each row of a stack (F, n)."""
     samples = np.asarray(samples, dtype=float)
-    h = TWO_PI / samples.size
-    return math.sqrt(h * float(np.sum(samples * samples)))
+    h = TWO_PI / samples.shape[-1]
+    norm = np.sqrt(h * np.sum(samples * samples, axis=-1))
+    return float(norm) if norm.ndim == 0 else norm

@@ -17,8 +17,14 @@ imaginary, so the contour means of its coefficients run over the full
 circle. The mode k = 0 has L = 0 and N = 0, so the mean of tau is conserved
 to roundoff and a constant tau is a fixed point.
 
-Each step h is the largest that fits a whole number of steps into the rest
-of its output interval under two bounds:
+From the time t of the last accepted step, the next step goes to the
+furthest output time within the step bound; when even the next output lies
+farther, its interval is split into the fewest equal steps the bound allows.
+The outputs strictly inside a step are single ETDRK4 steps from that step's
+start state and its remainder, taken as one stacked pass with a row per
+output (``Etdrk4.coefficient_stack``), and each row is checked positive at
+its own time. Rejections, the budget projection and the step-doubling checks
+act on the steps alone. The bound is the smaller of two:
 
 - stability: h <= ``ETD_SAFETY`` / rho(tau), where the remainder about the
   mean has rate at most
@@ -26,12 +32,15 @@ of its output interval under two bounds:
       rho(tau) = k_max^3 max|c3(tau) - c3(tau_bar)| + k_max max|c1(tau) - c1(tau_bar)|,
 
   with c3 = tau^{-3/2} / (2 kappa), c1 = kappa tau^{-3/2} / 2 + (3/2) sqrt(tau) / kappa
-  and k_max = N / 2, taken from the current tau at each output time and
-  after each check;
+  and k_max = N / 2, taken from the current tau at each plan: before a step
+  to an output or an interval of equal steps, and after each check;
 - accuracy: the stepper's step-doubling check (``numerics.etd``), whose
   difference of the two results estimates the local error of one step h to
   within 1/16 and must stay below ``ABS_TOL + REL_TOL |tau|``; it sets the
-  accuracy bound (a failed check is redone with the smaller step).
+  accuracy bound (a failed check is redone with the smaller step). A check
+  on a step under a fifth of the bound, cut short to land on an output,
+  cannot confirm the bound, which a check raises at most fivefold
+  (``MAX_GROWTH``): the bound is kept, and the next step is checked.
 
 The accuracy check also catches the slow growth ETDRK4 shows on dispersive
 problems: on the imaginary axis its amplification factor exceeds 1 by about
@@ -43,13 +52,15 @@ alone. A run projected above ``STEP_BUDGET`` steps fails before it takes them.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import BudgetError, DetectionError, PositivityError, SetupError
 from ..numerics import periodic_grid
-from ..numerics.etd import Etdrk4
+from ..numerics.etd import CHECK_STEPS, MAX_GROWTH, Etdrk4
 from .core import (CurvatureProfile, TorsionField, UNIT_CURVATURE, flux_multipliers, l2_norm,
                    spectral_flux)
 
@@ -122,8 +133,9 @@ def torsion_stepper(kappa: CurvatureProfile, n: int, tau_bar: float):
 
 
 def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
-                times: np.ndarray) -> tuple[list[np.ndarray], dict]:
-    """Samples at each output time, and the record of the steps taken."""
+                times: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Samples at each output time stacked as rows (F, n), and the record of
+    the steps taken."""
     n = samples.size
     tau_bar = float(np.mean(samples))
     stepper, flux = torsion_stepper(kappa, n, tau_bar)
@@ -134,35 +146,52 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     rec = {"scheme": "etdrk4", "safety": ETD_SAFETY, "rel_tol": REL_TOL,
            "abs_tol": ABS_TOL, "rho0": rho0, "rho_max": rho0, "steps": 0,
            "checks": 0, "rejected": 0, "remainder_calls": 0, "remainder_rows": 0,
-           "step_min": math.inf, "step_max": 0.0}
+           "stacked_outputs": 0, "step_min": math.inf, "step_max": 0.0}
     t = 0.0
-    rows = []
+    i = 0  # the first output not yet taken
+    bound = math.inf  # the step bound of the last plan
+    rows = np.empty((times.size, n))
 
     def error(fine: np.ndarray, coarse: np.ndarray) -> float:
         fine, coarse = np.fft.irfft(fine, n), np.fft.irfft(coarse, n)
         return float(np.max(np.abs(fine - coarse) / (ABS_TOL + REL_TOL * np.abs(fine))))
 
-    def plan(t_out: float) -> tuple[float, int]:
-        """The step and step count for the rest of the interval to t_out."""
+    def plan() -> tuple[float, int, int]:
+        """The step from t, the steps left to the output they end on, and
+        that output's index: one step to the furthest output within the
+        bound, or equal steps to the next output when it lies farther."""
+        nonlocal bound
         rho = remainder_rate(tau, kappa.constant, tau_bar)
         rec["rho_max"] = max(rec["rho_max"], rho)
         bound = min(ETD_SAFETY / rho if rho > 0.0 else math.inf, stepper.h_acc)
-        left = max(1, math.ceil((t_out - t) / bound))
-        projected = stepper.steps + left + math.ceil((times[-1] - t_out) / bound)
+        reach = (times[i:] - t) / bound
+        j = i + max(0, int(np.searchsorted(reach, 1.0, side="right")) - 1)
+        left = max(1, math.ceil(reach[0])) if j == i else 1
+        projected = stepper.steps + left + math.ceil((times[-1] - times[j]) / bound)
         if projected > STEP_BUDGET:
             raise BudgetError(f"ETDRK4 would take {projected:.3g} steps, over the "
                               f"budget of {STEP_BUDGET}; shorten T or coarsen the mesh")
-        return (t_out - t) / left, left
+        return (times[j] - t) / left, left, j
 
-    for t_out in times:
-        h, left = plan(t_out) if t_out > t else (0.0, 0)
+    while i < times.size:
+        if times[i] <= t:
+            rows[i] = tau
+            i += 1
+            continue
+        h, left, j = plan()
         while left:
             if Nv is None:
                 Nv = flux(tau) - stepper.L * v
+            h_acc = stepper.h_acc
             stepped = stepper.advance(v, t, h, Nv, error)
             if stepped is None:
-                h, left = plan(t_out)
+                h, left, j = plan()
                 continue
+            if stepper.since_check == 0 and MAX_GROWTH * h < bound:
+                # a check on a step cut short to land on an output cannot
+                # confirm the bound: keep it, and check the next step
+                stepper.h_acc, stepper.since_check = h_acc, CHECK_STEPS
+            start, Nstart, t_start = v, Nv, t
             v, Nv = stepped, None
             rec["step_min"] = min(rec["step_min"], float(h))
             rec["step_max"] = max(rec["step_max"], float(h))
@@ -170,11 +199,19 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
             tau = _positive(np.fft.irfft(v, n), t)
             left -= 1
             if left and stepper.since_check == 0:  # shorten the rest after a check
-                shorter, more = plan(t_out)
+                shorter, more, ends = plan()
                 if shorter < h:
-                    h, left = shorter, more
-        t = float(t_out)
-        rows.append(tau)
+                    h, left, j = shorter, more, ends
+        # the outputs strictly inside the last step, as one stacked pass
+        inside = times[i:j][times[i:j] < times[j]]
+        if inside.size:
+            offsets = inside - t_start
+            stack = stepper.step(start, t_start, offsets[:, None],
+                                 stepper.coefficient_stack(offsets), Nstart)
+            rows[i:i + inside.size] = _positive(np.fft.irfft(stack, n), inside)
+            rec["stacked_outputs"] += inside.size
+            i += inside.size
+        t = float(times[j])
     rec.update(steps=stepper.steps, checks=stepper.checks, rejected=stepper.rejected,
                remainder_calls=stepper.calls, remainder_rows=stepper.rows)
     if rec["steps"] == 0:
@@ -182,16 +219,24 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     return rows, rec
 
 
-class EvolvedFields(list):
-    """The fields ``torsion_evolve`` returns, in output order, and the
-    ``record`` of how the run was stepped: scheme, tolerances, rho at t = 0
-    and its largest value, steps taken, checks, rejected checks, the
-    stepper's remainder calls and the state rows they carried, and the
-    smallest and largest step."""
+class EvolvedFields(Sequence):
+    """The fields ``torsion_evolve`` returns, in output order: ``samples``
+    is their stack (F, n), and item k a ``TorsionField`` of a copy of row
+    k. ``record`` says how the run was stepped: scheme, tolerances, rho at
+    t = 0 and its largest value, steps taken, checks, rejected checks, the
+    stepper's remainder calls and the state rows they carried, the outputs
+    taken from stacked passes inside a step, and the smallest and largest
+    step."""
 
-    def __init__(self, fields: list[TorsionField], record: dict):
-        super().__init__(fields)
+    def __init__(self, samples: np.ndarray, record: dict):
+        self.samples = samples
         self.record = record
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, k: int) -> TorsionField:
+        return TorsionField(self.samples[operator.index(k)].copy())
 
 
 def torsion_evolve(tau0: TorsionField, kappa: CurvatureProfile = UNIT_CURVATURE,
@@ -201,24 +246,25 @@ def torsion_evolve(tau0: TorsionField, kappa: CurvatureProfile = UNIT_CURVATURE,
     The steps are ETDRK4's under the stability and accuracy bounds of the
     module docstring. Initial data below ``POSITIVITY_FLOOR`` is refused up
     front, and so is a run projected over ``STEP_BUDGET`` steps
-    (``BudgetError``). A stage that goes nonpositive raises
+    (``BudgetError``). A stage or an output that goes nonpositive raises
     ``PositivityError`` with its time.
     """
     if float(np.min(tau0.samples)) < POSITIVITY_FLOOR:
         raise PositivityError(
             f"initial torsion minimum {np.min(tau0.samples):.3g} is below the "
             f"safety floor {POSITIVITY_FLOOR}")
-    rows, record = _etdrk4_run(tau0.samples, kappa, _output_times(T, output_times))
-    return EvolvedFields([TorsionField(row.copy()) for row in rows], record)
+    return EvolvedFields(*_etdrk4_run(tau0.samples, kappa, _output_times(T, output_times)))
 
 
 @dataclass
 class StabilitySeries:
-    """Deviation-from-helix norm S(t) = ||tau(., t) - 1||_2 over an interval."""
+    """Deviation-from-helix norm S(t) = ||tau(., t) - 1||_2 over an interval,
+    and the ``record`` of the run's steps (``EvolvedFields``)."""
 
     amplitude: float
     times: np.ndarray
     values: np.ndarray
+    record: dict
 
     @property
     def initial(self) -> float:
@@ -240,10 +286,10 @@ def helix_stability(amplitude: float = 0.01, T: float = 50.0, n: int = 32) -> St
     s = periodic_grid(n)
     tau0 = TorsionField(1.0 + amplitude * np.sin(s))
     times = np.linspace(0.0, T, 1001)
-    fields = torsion_evolve(tau0, UNIT_CURVATURE, T, output_times=times[1:])
-    values = [l2_norm(tau0.samples - 1.0)]
-    values.extend(l2_norm(f.samples - 1.0) for f in fields)
-    return StabilitySeries(amplitude=amplitude, times=times, values=np.array(values))
+    fields = torsion_evolve(tau0, UNIT_CURVATURE, T, output_times=times)
+    values = l2_norm(fields.samples - 1.0)
+    return StabilitySeries(amplitude=amplitude, times=times, values=values,
+                           record=fields.record)
 
 
 @dataclass
@@ -254,8 +300,9 @@ class QuasiPeriodResult:
     distances: np.ndarray
 
 
-def quasi_period(times, fields: list[TorsionField]) -> QuasiPeriodResult:
-    """First near-recurrence time of the evolved torsion.
+def quasi_period(times, samples: np.ndarray) -> QuasiPeriodResult:
+    """First near-recurrence time of the evolved torsion, from its samples
+    at ``times`` stacked as rows (F, n).
 
     t* minimizes ||tau(., t) - tau(., 0)||_2 over sampled times from
     ``RECURRENCE_WINDOW_START`` on, refined by a parabola through the
@@ -263,10 +310,11 @@ def quasi_period(times, fields: list[TorsionField]) -> QuasiPeriodResult:
     floor is reported as stationary with t* at the window start.
     """
     times = np.asarray(times, dtype=float)
-    if len(fields) != times.size or times.size < 5:
-        raise ValueError("need matching times/fields with at least 5 frames")
-    base = fields[0].samples
-    dists = np.array([l2_norm(f.samples - base) for f in fields])
+    samples = np.asarray(samples, dtype=float)
+    if len(samples) != times.size or times.size < 5:
+        raise ValueError("need matching times/samples with at least 5 frames")
+    base = samples[0]
+    dists = l2_norm(samples - base)
 
     osc = l2_norm(base - float(np.mean(base)))
     noise = max(1e-3 * osc, 1e-8 * l2_norm(base))

@@ -160,7 +160,8 @@ class TestTorsionCommands:
                          "--T", "0.01", "--frames", "1", "--out", str(out)]) == 0
             manifest = json.loads((out / "torsion_evolve_manifest.json").read_text())
             record = torsion_evolve(tau0, UNIT_CURVATURE, 0.01, [0.01]).record
-            counts = {key: record.pop(key) for key in ("remainder_calls", "remainder_rows")}
+            counts = {key: record.pop(key)
+                      for key in ("remainder_calls", "remainder_rows", "stacked_outputs")}
             assert manifest["tolerances"] == record
             assert counts.items() <= manifest["parameters"].items()
             # a check makes seven remainder calls, three of them stacked two-row ones
@@ -168,6 +169,23 @@ class TestTorsionCommands:
             assert record["scheme"] == "etdrk4" and record["checks"] >= 1
             assert record["rel_tol"] == 1e-9 and record["abs_tol"] == 1e-10
             assert 0.0 < record["step_min"] <= record["step_max"] <= 2.0 / record["rho0"]
+
+    def test_stability_manifest_records_its_steps(self, tmp_path):
+        # the bench's T = 1 job: its 1,000 outputs come from stacked passes
+        # inside 20 counted steps (a check counts as three), where landing a
+        # step on every output took 1,224
+        from geomflow.torsionflow import helix_stability
+        out = tmp_path / "stab"
+        assert main(["torsion", "stability", "--T", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "torsion_stability_manifest.json").read_text())
+        record = helix_stability(0.01, 1.0).record
+        counts = {key: record.pop(key)
+                  for key in ("remainder_calls", "remainder_rows", "stacked_outputs")}
+        assert manifest["tolerances"] == record
+        assert counts.items() <= manifest["parameters"].items()
+        assert record["scheme"] == "etdrk4" and record["rejected"] == 0
+        assert record["steps"] <= 20
+        assert counts["stacked_outputs"] == 1000 - (record["steps"] - 2 * record["checks"])
 
     def test_numerical_failure_exit_code(self, tmp_path):
         out = tmp_path / "bad"

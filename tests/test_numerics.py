@@ -215,6 +215,34 @@ class TestEtdrk4Core:
             for j in range(CACHED_STEPS):
                 etd.coefficients(0.003 * (j + 1))
 
+    def test_coefficient_stack_rows_are_the_single_coefficients(self):
+        # a stack of 200 steps gives each row the bits of its own step: it is
+        # built in blocks below the size at which numpy reuses temporaries in
+        # place and rounds complex products with their operands swapped, as
+        # one call for all 200 rows would
+        etd = _etd_stepper()
+        offsets = np.linspace(0.0, 0.3, 301)[1:]
+        stack = etd.coefficient_stack(offsets[:200])
+        for k, h in enumerate(offsets[:200]):
+            for rows, single in zip(stack, etdrk4_coefficients(_ETD_L, h)):
+                assert np.array_equal(rows[k], single)
+        # the entry serves offsets equal to 12 digits of the largest, also
+        # where 1e-3 has become 9.9999999999989e-4, as times[k] - t does past
+        # t = 0.5, and a shorter run of them, without a new build
+        entry = etd._stack
+        for same in (offsets[:200] * (1.0 + 1e-14), offsets[:200] - 1.1e-16, offsets[:37]):
+            got = etd.coefficient_stack(same)
+            assert etd._stack is entry
+            assert all(np.array_equal(a, b[:same.size]) for a, b in zip(got, stack))
+        # a longer run adds its new rows, and other offsets start over
+        longer = etd.coefficient_stack(offsets)
+        for k, h in enumerate(offsets):
+            for rows, single in zip(longer, etdrk4_coefficients(_ETD_L, h)):
+                assert np.array_equal(rows[k], single)
+        other = etd.coefficient_stack(0.5 * offsets[:10])
+        assert etd._stack[0].size == 10
+        assert np.array_equal(other[0][-1], np.exp(0.5 * offsets[9] * _ETD_L))
+
 
 def _van_der_pol(t, y):
     """Van der Pol field on one state (2,) or on a batch of rows (m, 2), with

@@ -12,6 +12,7 @@ import pytest
 from geomflow.acceptance import linear_mode1_period
 from geomflow.errors import BudgetError, PositivityError
 from geomflow.numerics import StepControl, integrate_ode, periodic_grid
+from geomflow.numerics.etd import Etdrk4
 from geomflow.torsionflow import (STEP_BUDGET, CurvatureProfile, TorsionField,
                                   UNIT_CURVATURE, helix_stability, make_torsion_rhs,
                                   quasi_period, tau_one, torsion_evolve,
@@ -170,14 +171,63 @@ class TestEtdrk4:
         assert time.perf_counter() - start < 1.0
 
 
+class TestOutputsInsideAStep:
+    """Outputs closer together than the step bound: a step goes to the
+    furthest output within the bound, and the outputs inside it come from
+    one stacked pass from the step's start."""
+
+    def test_stacked_pass_equals_single_steps(self):
+        # the helix's bound at t = 0 is 0.064: one checked step to t = 0.06,
+        # and five outputs inside it, each the bits of its own single step
+        # from the start state with freshly built coefficients
+        data = 1.0 + 0.01 * np.sin(periodic_grid(32))
+        times = np.linspace(0.0, 0.06, 7)[1:]
+        fields = torsion_evolve(TorsionField(data), T=0.06, output_times=times)
+        assert fields.record["steps"] == 3 and fields.record["checks"] == 1
+        assert fields.record["stacked_outputs"] == 5
+        stepper, flux = torsion_stepper(UNIT_CURVATURE, 32, float(np.mean(data)))
+        v = np.fft.rfft(data)
+        Nv = flux(data) - stepper.L * v
+        for h, row in zip(times[:-1], fields.samples):
+            single = stepper.step(v, 0.0, h, stepper.coefficients(h), Nv)
+            assert np.array_equal(row, np.fft.irfft(single, 32))
+
+    def test_dense_outputs_take_no_more_steps(self):
+        # the bench's T = 1 stability job: 1,000 outputs cost no step more
+        # than one output at T, and every row stays within 1e-9 of DOP853
+        data = 1.0 + 0.01 * np.sin(periodic_grid(32))
+        times = np.linspace(0.0, 1.0, 1001)[1:]
+        dense = torsion_evolve(TorsionField(data), T=1.0, output_times=times)
+        one = torsion_evolve(TorsionField(data), T=1.0)
+        assert dense.record["steps"] <= one.record["steps"] <= 20
+        ref = _tight_dop853(data, UNIT_CURVATURE, times)
+        assert np.max(np.abs(dense.samples - ref)) < 1e-9
+
+    def test_nonpositive_stacked_row_raises_with_its_time(self, monkeypatch):
+        # the fourth of five outputs inside the first step (0 to 0.06) is
+        # made nonpositive: the error names its time, 0.04
+        step = Etdrk4.step
+
+        def negate_a_row(self, v, t, h, coef, Nv):
+            out = step(self, v, t, h, coef, Nv)
+            if np.ndim(h) and len(h) == 5:  # the output pass, not a check's pair
+                out[3] = -out[3]
+            return out
+
+        monkeypatch.setattr(Etdrk4, "step", negate_a_row)
+        data = 1.0 + 0.01 * np.sin(periodic_grid(32))
+        with pytest.raises(PositivityError, match=r"t=0\.04 "):
+            torsion_evolve(TorsionField(data), T=0.06, output_times=np.linspace(0.0, 0.06, 7)[1:])
+
+
 class TestQuasiPeriod:
     def test_travelling_sine_recurrence(self):
         n = 128
         s = periodic_grid(n)
         data = 10.0 + np.sin(s) / 2.0
         times = np.linspace(0.0, 1.7, 171)
-        fields = torsion_evolve(TorsionField(data), T=1.7, output_times=times[1:])
-        res = quasi_period(times, [TorsionField(data)] + fields)
+        fields = torsion_evolve(TorsionField(data), T=1.7, output_times=times)
+        res = quasi_period(times, fields.samples)
         assert not res.stationary
         assert res.t_star == pytest.approx(1.32, abs=0.05)
 
@@ -205,9 +255,9 @@ class TestQuasiPeriod:
         sol = integrate.solve_ivp(rhs, (0.0, 1.7), data, method="Radau",
                                   rtol=1e-8, atol=1e-8, t_eval=times)
         assert sol.success
-        oracle = quasi_period(times, [TorsionField(y) for y in sol.y.T]).t_star
-        fields = torsion_evolve(TorsionField(data), T=1.7, output_times=times[1:])
-        t_star = quasi_period(times, [TorsionField(data)] + fields).t_star
+        oracle = quasi_period(times, sol.y.T).t_star
+        fields = torsion_evolve(TorsionField(data), T=1.7, output_times=times)
+        t_star = quasi_period(times, fields.samples).t_star
         assert t_star == pytest.approx(oracle, abs=1e-5)
         assert oracle == pytest.approx(linear_mode1_period(10.0), abs=2e-3)
 
@@ -216,15 +266,14 @@ class TestQuasiPeriod:
         rng = np.random.default_rng(0)
         base = tau_one(64)
         times = np.linspace(0.0, 1.0, 11)
-        fields = [base] + [TorsionField(base.samples + 1e-9 * rng.standard_normal(64))
-                           for _ in times[1:]]
-        res = quasi_period(times, fields)
+        noisy = base.samples + 1e-9 * rng.standard_normal((times.size - 1, 64))
+        res = quasi_period(times, np.vstack([base.samples, noisy]))
         assert res.stationary
         assert res.t_star == pytest.approx(0.5)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            quasi_period([0.0, 1.0], [tau_one(64), tau_one(64)])
+            quasi_period([0.0, 1.0], np.vstack([tau_one(64).samples] * 2))
 
 
 class TestHelixStability:

@@ -1,5 +1,5 @@
 """Properties of the fused torsion right-hand side on random positive,
-band-limited torsion fields."""
+band-limited torsion fields, and of the evolution's output grid."""
 
 import math
 
@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from geomflow.numerics import periodic_grid  # noqa: E402
-from geomflow.torsionflow import CurvatureProfile, make_torsion_rhs  # noqa: E402
+from geomflow.torsionflow import (CurvatureProfile, TorsionField, make_torsion_rhs,  # noqa: E402
+                                  torsion_evolve)
+from geomflow.torsionflow.evolve import (ABS_TOL, ETD_SAFETY, REL_TOL,  # noqa: E402
+                                         remainder_rate)
 
 # The mesh sizes the CLI and the acceptance criteria use. On them a constant
 # field has exactly zero non-constant Fourier modes, since the FFT's first
@@ -60,3 +63,32 @@ def test_nonpositive_state_gives_all_nan(n, seed, mean, modes, depth, kappa, whe
         r = make_torsion_rhs(CurvatureProfile(constant=kappa), n)(0.0, tau)
     assert r.shape == (n,)
     assert np.all(np.isnan(r))
+
+
+@settings(max_examples=25, deadline=None)
+@given(amplitude=st.floats(0.02, 0.3),
+       gaps=st.lists(st.one_of(st.floats(0.0, 0.2), st.floats(1.2, 3.0)), min_size=1,
+                     max_size=12))
+@example(amplitude=0.25, gaps=[1e-12, 1.5])
+@example(amplitude=0.25, gaps=[1.5] * 5 + [1e-12, 1.5])
+def test_output_grid_matches_one_output_at_a_time(amplitude, gaps):
+    # gaps in units of the step bound at t = 0: clusters of outputs inside
+    # one step beside gaps that take several; each output must match the run
+    # that ends on it alone, to the sum of the two runs' local tolerances.
+    # In the two examples a checked step is cut short to land on an output
+    # just past its start; its check must not shrink the accuracy bound to
+    # five times that step (it made the runs refuse 3e11 projected steps)
+    s = periodic_grid(32)
+    tau0 = TorsionField(1.0 + amplitude * np.sin(s) + 0.3 * amplitude * np.cos(2.0 * s))
+    bound = ETD_SAFETY / remainder_rate(tau0.samples, 1.0, float(np.mean(tau0.samples)))
+    times = bound * np.cumsum(gaps)
+    assume(times[-1] > 0.0)
+    grid = torsion_evolve(tau0, T=times[-1], output_times=times)
+    tol = ABS_TOL + REL_TOL * float(np.max(tau0.samples))
+    for t, row in zip(times, grid.samples):
+        if t == 0.0:
+            assert np.array_equal(row, tau0.samples)
+            continue
+        alone = torsion_evolve(tau0, T=t, output_times=[t])
+        steps = max(grid.record["steps"], alone.record["steps"])
+        assert np.max(np.abs(row - alone.samples[0])) <= steps * tol
