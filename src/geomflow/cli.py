@@ -34,6 +34,7 @@ object per criterion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -428,7 +429,10 @@ def _add_out(p):
     p.add_argument("--out", default="out", help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    so every ``main`` call of a process shares it."""
     parser = argparse.ArgumentParser(prog="geomflow",
                                      description="geometric-flow experiment runner")
     parser.add_argument("--version", action="version", version=__version__)

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import DetectionError, IntegrationError
+from .roots import find_root
 
 # DOP853 tableau. Stages 0-11 make the step, stage 12 is the field at the new
 # point, stages 13-15 serve the dense output only.
@@ -168,7 +169,7 @@ _W = _power_weights()
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_EVENT_TOL = 1e-12  # width in time to which an event crossing is bisected
+_EVENT_TOL = 1e-12  # time tolerance of Brent's method on an event crossing
 
 
 @dataclass
@@ -197,12 +198,14 @@ class StepControl:
 class SolverStats:
     """What one or more integrations did: accepted and rejected steps (a
     rejection is a trial step that failed the error test or met a non-finite
-    field value), field evaluations (dense-output stages included), and the
-    smallest and largest accepted step (None before any step)."""
+    field value), field evaluations (dense-output stages included), event
+    calls made while locating crossings, and the smallest and largest
+    accepted step (None before any step)."""
 
     accepted: int = 0
     rejected: int = 0
     rhs_evals: int = 0
+    event_evals: int = 0
     min_step: float | None = None
     max_step: float | None = None
 
@@ -211,6 +214,7 @@ class SolverStats:
         self.accepted += other.accepted
         self.rejected += other.rejected
         self.rhs_evals += other.rhs_evals
+        self.event_evals += other.event_evals
         steps = [s for s in (self.min_step, self.max_step, other.min_step, other.max_step)
                  if s is not None]
         if steps:
@@ -299,20 +303,21 @@ def _dense_at(y, coeffs, s):
 
 def _event_crossing(event, event_min_time, t, h, y, coeffs, g_prev, g_new):
     """Time in (max(t, event_min_time), t + h] where ``event`` turns
-    nonpositive on the step's continuous extension, bisected to
-    ``_EVENT_TOL``; None when the crossing lies before ``event_min_time``."""
+    nonpositive on the step's continuous extension ``y``, ``coeffs``, located
+    by Brent's method to ``_EVENT_TOL``; None when the crossing lies before
+    ``event_min_time``."""
     lo, hi = max(t, event_min_time), t + h
-    g_lo = event(lo, _dense_at(y, coeffs, (lo - t) / h)) if lo > t else g_prev
+
+    def g(tq):
+        return event(tq, _dense_at(y, coeffs, (tq - t) / h))
+
+    g_lo = g(lo) if lo > t else g_prev
     if np.sign(g_lo) == np.sign(g_new):
         return None
-    while hi - lo > _EVENT_TOL:
-        mid = 0.5 * (lo + hi)
-        g_mid = event(mid, _dense_at(y, coeffs, (mid - t) / h))
-        if np.sign(g_mid) == np.sign(g_lo) and g_mid != 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # the ends are known; at t + h the polynomial matches the step's own
+    # event value only to rounding, which could lose the sign change
+    ends = {lo: g_lo, hi: g_new}
+    return find_root(lambda tq: ends[tq] if tq in ends else g(tq), (lo, hi), _EVENT_TOL)
 
 
 def integrate_ode(
@@ -341,8 +346,9 @@ def integrate_ode(
     ``event`` maps the state to one value per row (a scalar for a ``(d,)``
     state), and ``event_min_time`` is a scalar or one time per row. Each
     row's first downward zero crossing (positive to nonpositive) after its
-    ``event_min_time`` is located by bisection on that row's continuous
-    extension in the step where it happens, to ``_EVENT_TOL`` in time. The
+    ``event_min_time`` is located by Brent's method on that row's slice of
+    the continuous extension in the step where it happens, to ``_EVENT_TOL``
+    in time; ``event`` then sees that row alone, as a one-row state. The
     run ends at ``t_span[1]`` or once every row has had its event, with the
     last step cut at the latest event time.
     """
@@ -401,6 +407,10 @@ def integrate_ode(
     if event is not None:
         def row_events(t, u):
             return np.reshape(event(t, u.reshape(shape)), -1)
+
+        def one_row_event(t, u):  # the event of one row's (width,) state
+            stats.event_evals += 1
+            return np.reshape(event(t, u.reshape(1, width) if batch else u), -1)[0]
 
         min_times = np.broadcast_to(np.asarray(event_min_time, dtype=float), (n_rows,))
         event_times = np.full(n_rows, np.nan)
@@ -471,13 +481,13 @@ def integrate_ode(
 
         t_end, y_end = t_new, y_new  # last point this step emits
         if event is not None:
-            for r in np.flatnonzero(hits):
-                crossing = _event_crossing(lambda tq, u, r=r: row_events(tq, u)[r], min_times[r],
-                                           t, h, y, coeffs, g_prev[r], g_new[r])
+            for r in np.flatnonzero(hits):  # each row searches its own slice of the step
+                y_r, c_r = y.reshape(n_rows, width)[r], coeffs.reshape(7, n_rows, width)[:, r]
+                crossing = _event_crossing(one_row_event, min_times[r], t, h, y_r, c_r,
+                                           g_prev[r], g_new[r])
                 if crossing is not None:
                     event_times[r] = crossing
-                    state = _dense_at(y, coeffs, (crossing - t) / h)
-                    event_states[r] = state.reshape(n_rows, width)[r]
+                    event_states[r] = _dense_at(y_r, c_r, (crossing - t) / h)
             g_prev = g_new
             finished = hits.any() and not np.isnan(event_times).any()
             if finished:

@@ -2,57 +2,67 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
 from ..errors import BracketError
 
+_EPS = sys.float_info.epsilon
+
 
 def find_root(f: Callable[[float], float], bracket: tuple[float, float], tol: float = 1e-12) -> float:
-    """Root of ``f`` inside ``bracket``, located to bracket width <= ``tol``.
+    """Root of ``f`` inside ``bracket``, to within ``tol`` + 4 eps |root|.
 
-    Secant-accelerated bisection: each iteration proposes the secant point of
-    the current bracket and falls back to the midpoint whenever the proposal
-    leaves the bracket; a bisection step is forced whenever an iteration fails
-    to halve the bracket, so convergence is never slower than bisection.
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4), in the form of scipy's ``brentq``: each step
+    is an inverse quadratic or secant step from the best point so far, or a
+    bisection of the bracket when that step would leave the bracket or shrink
+    too slowly; a step is never shorter than half the tolerance, and the sign
+    change stays bracketed throughout. The search stops once the bracket is
+    narrower than ``tol`` + 4 eps |x|, so a root whose float spacing exceeds
+    ``tol`` ends it too.
     """
-    a, b = float(bracket[0]), float(bracket[1])
-    if not b > a:
+    pre, cur = float(bracket[0]), float(bracket[1])
+    if not cur > pre:
         raise ValueError("bracket must satisfy a < b")
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
+    f_pre, f_cur = f(pre), f(cur)
+    if f_pre == 0.0:
+        return pre
+    if f_cur == 0.0:
+        return cur
     # signs are compared, never multiplied: a product of two tiny values
     # underflows to zero and would pass for a sign change
-    if (fa > 0.0) == (fb > 0.0):
-        raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fa:.3g}, f(b)={fb:.3g}")
+    if (f_pre > 0.0) == (f_cur > 0.0):
+        raise BracketError(f"no sign change on [{pre}, {cur}]: f(a)={f_pre:.3g}, f(b)={f_cur:.3g}")
 
+    # cur is the best point, blk the other end of the bracket around the
+    # root, pre the previous best point; step_pre is the step before last
+    blk = f_blk = step = step_pre = 0.0
     for _ in range(500):
-        width = b - a
-        if width <= tol:
-            break
-        if fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
-        else:
-            x = 0.5 * (a + b)
-        margin = 0.01 * width
-        if not (a + margin < x < b - margin):
-            x = 0.5 * (a + b)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fa > 0.0) != (fx > 0.0):
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-        if b - a > 0.5 * width:
-            m = 0.5 * (a + b)
-            fm = f(m)
-            if fm == 0.0:
-                return m
-            if (fa > 0.0) != (fm > 0.0):
-                b, fb = m, fm
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            blk, f_blk = pre, f_pre
+            step = step_pre = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, cur, blk = cur, blk, cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (tol + 4.0 * _EPS * abs(cur))
+        half = 0.5 * (blk - cur)
+        if f_cur == 0.0 or abs(half) < delta:
+            return cur
+        if abs(step_pre) > delta and abs(f_cur) < abs(f_pre):
+            if pre == blk:  # secant
+                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (pre - cur)
+                d_blk = (f_blk - f_cur) / (blk - cur)
+                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(half) - delta):
+                step_pre, step = step, trial
             else:
-                a, fa = m, fm
-    return 0.5 * (a + b)
+                step_pre = step = half
+        else:
+            step_pre = step = half
+        pre, f_pre = cur, f_cur
+        cur += step if abs(step) > delta else (delta if half > 0.0 else -delta)
+        f_cur = f(cur)
+    return cur

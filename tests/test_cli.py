@@ -279,6 +279,21 @@ class TestManifests:
             assert recorded == expected
             assert not {"func", "out", "command", "experiment"} & manifest["parameters"].keys()
 
+    def test_calls_in_one_process_share_the_parser_not_the_arguments(self, tmp_path):
+        # main reuses one parser per process; each call still gets its own
+        # flags, and the defaults of whatever it leaves out
+        assert build_parser() is build_parser()
+        cases = [(["geo", "period", "--alpha", "0.3", "--beta", "0.6"], "geo_period",
+                  {"alpha": 0.3, "beta": 0.6}),
+                 (["geo", "curvature", "--alpha", "0.75"], "geo_curvature", {"alpha": 0.75}),
+                 (["geo", "period"], "geo_period", {"alpha": 0.5, "beta": 0.7})]
+        for k, (argv, experiment, expected) in enumerate(cases):
+            out = tmp_path / str(k)
+            assert main([*argv, "--out", str(out)]) == 0
+            parameters = json.loads((out / f"{experiment}_manifest.json").read_text())["parameters"]
+            assert {k: parameters[k] for k in expected} == expected
+            assert ("beta" in parameters) == (experiment == "geo_period")
+
 
 class TestCsvWriter:
     def test_block_writes_the_bytes_of_its_rows(self, tmp_path):
@@ -316,15 +331,19 @@ class TestSolverStats:
             manifest = json.loads((out / f"{experiment}_manifest.json").read_text())
             stats.append(manifest["parameters"]["solver_stats"])
         assert stats[0] == stats[1]  # counts only: repeated runs record the same
-        assert set(stats[0]) == {"accepted", "rejected", "rhs_evals", "min_step", "max_step"}
+        assert set(stats[0]) == {"accepted", "rejected", "rhs_evals", "event_evals",
+                                 "min_step", "max_step"}
         assert stats[0]["accepted"] > 0 and stats[0]["rhs_evals"] >= 12 * stats[0]["accepted"]
+        # only the symmetric scans end their runs on an event
+        assert (stats[0]["event_evals"] > 0) == (experiment in ("geo_boundary", "geo_boundingbox"))
         assert 0.0 < stats[0]["min_step"] <= stats[0]["max_step"]
 
     def test_closed_form_stationary_integrates_nothing(self, tmp_path):
         assert main(["torsion", "stationary", "--n", "64", "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "torsion_stationary_manifest.json").read_text())
         assert manifest["parameters"]["solver_stats"] == {
-            "accepted": 0, "rejected": 0, "rhs_evals": 0, "min_step": None, "max_step": None}
+            "accepted": 0, "rejected": 0, "rhs_evals": 0, "event_evals": 0,
+            "min_step": None, "max_step": None}
 
     def test_reconstruct_evaluation_budget(self, tmp_path):
         # 512 grid intervals at the defaults: 17,036 field evaluations with

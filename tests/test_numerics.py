@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geomflow.errors import BracketError
-from geomflow.numerics import (PeriodicCubicSpline, StepControl, cyclic_shift, elliptic_K,
-                               find_root, integrate_ode, integrate_singular, periodic_grid,
-                               periodic_primitive, trig_interpolant)
+from geomflow.numerics import (PeriodicCubicSpline, SolverStats, StepControl, cyclic_shift,
+                               elliptic_K, find_root, integrate_ode, integrate_singular,
+                               periodic_grid, periodic_primitive, trig_interpolant)
 from geomflow.numerics.etd import CACHED_STEPS, CHECK_STEPS, Etdrk4, etdrk4_coefficients
 from oracles import fd4_derivative, spectral_derivative
 
@@ -347,9 +347,9 @@ class TestIntegrateOdeBatch:
             assert np.max(np.abs(tr.y_end[row] - end.y[:, -1])) < 1e-10
 
     def test_event_times_match_lone_runs(self):
-        # a row's event sits as close to its lone run's and to DOP853's as the
-        # bisection width _EVENT_TOL = 1e-12 allows (measured: at most 2.7e-13
-        # from the lone runs, 3.4e-13 from scipy)
+        # a row's event sits as close to its lone run's and to DOP853's as
+        # Brent's tolerance _EVENT_TOL = 1e-12 on the crossing allows (measured:
+        # at most 8.3e-14 from the lone runs, 1.1e-13 from scipy)
         integrate = pytest.importorskip("scipy.integrate")
         y0 = np.array([[2.0, 0.0], [1.0, 0.0], [0.5, 1.5]])
         min_times = np.array([3.0, 0.0, 1.0])
@@ -381,6 +381,25 @@ class TestIntegrateOdeBatch:
         assert np.array_equal(batch.states[:, 0], single.states)
         ts = 6.0 * np.array(fractions)
         assert np.array_equal(batch.sample(ts)[:, 0], single.sample(ts))
+
+    def test_event_location_sees_one_row_and_is_counted(self):
+        # the crossing search evaluates each hit row's own slice of the step,
+        # a (1, d) state, and every such call counts in stats.event_evals
+        shapes = []
+
+        def crossing(t, y):
+            shapes.append(y.shape)
+            return y[..., 0]
+
+        y0 = np.array([[2.0, 0.0], [1.0, 0.0], [0.5, 1.5]])
+        tr = integrate_ode(_van_der_pol, y0, (0.0, 20.0), event=crossing,
+                           event_min_time=[3.0, 0.0, 1.0])
+        assert set(shapes) == {(3, 2), (1, 2)}
+        assert 0 < tr.stats.event_evals == shapes.count((1, 2)) <= 15 * 3
+        total = SolverStats()
+        total.add(tr.stats)
+        total.add(tr.stats)
+        assert total.event_evals == 2 * tr.stats.event_evals
 
     def test_nonfinite_row_is_named(self):
         from geomflow.errors import IntegrationError
@@ -459,6 +478,36 @@ class TestFindRoot:
         x = find_root(lambda x: sign * math.tanh(slope * (x - root)), (a, b), 1e-12)
         assert a <= x <= b
         assert abs(x - root) <= 1e-12
+
+    def test_root_spacing_wider_than_tol_ends_the_search(self):
+        # near 100 the float spacing (1.4e-14) exceeds tol = 1e-14, and the
+        # root lies between two floats, so no call returns zero: the search
+        # stops at tol + 4 eps |x| instead of running to its iteration cap
+        calls = []
+        x = find_root(lambda x: calls.append(x) or x - 100.001 - 5e-15, (0.0, 1000.0), 1e-14)
+        assert abs(x - 100.001) <= 1e-14 + 4.0 * np.finfo(float).eps * 100.001
+        assert len(calls) <= math.ceil(math.log2(1000.0 / 1e-14)) + 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.sampled_from(["linear", "tanh", "atan", "expm1", "sinh"]),
+           root=st.floats(-10.0, 10.0), left=st.floats(1e-6, 10.0), right=st.floats(1e-6, 10.0),
+           slope=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]),
+           tol=st.sampled_from([1e-14, 1e-12, 1e-9, 1e-6]))
+    def test_matches_brentq_within_the_bisection_budget(self, shape, root, left, right, slope,
+                                                        sign, tol):
+        # simple roots of saturating, linear and exponential shapes: the
+        # root agrees with scipy's brentq, and Brent's method makes no more
+        # calls than bisection's ceil(log2(width / tol)) + 2, plus one
+        # (on multiple roots Brent's method may need more than bisection)
+        optimize = pytest.importorskip("scipy.optimize")
+        g = {"linear": lambda u: u, "tanh": math.tanh, "atan": math.atan,
+             "expm1": math.expm1, "sinh": math.sinh}[shape]
+        f = lambda x: sign * g(slope * (x - root))
+        a, b = root - left, root + right
+        calls = []
+        x = find_root(lambda x: calls.append(x) or f(x), (a, b), tol)
+        assert abs(x - optimize.brentq(f, a, b, xtol=tol)) <= tol
+        assert len(calls) <= math.ceil(math.log2((b - a) / tol)) + 3
 
     @settings(max_examples=200, deadline=None)
     @given(root=st.floats(-10.0, 10.0), gap=st.floats(1e-3, 10.0), width=st.floats(1e-3, 10.0),
