@@ -23,8 +23,9 @@ from ..numerics import SolverStats, StepControl, integrate_ode
 from .group import check_alpha
 from .structure import TIGHT, _sigma, level_value, v_beta
 
-# Step control of the sphere scan: one geodesic per direction, so looser.
-SPHERE_CONTROL = StepControl(initial_step=1e-3, abs_tol=1e-10, rel_tol=1e-10)
+# Step control of the sphere scan: one geodesic per direction, so looser;
+# its first step comes from the field, as TIGHT's does.
+SPHERE_CONTROL = StepControl(abs_tol=1e-10, rel_tol=1e-10)
 # How far the initial tangent of a cylinder-invariant geodesic may sit off its
 # level set and off the top/bottom point of its loop.
 CYLINDER_SETUP_TOL = 1e-6

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SetupError
-from ..numerics import SolverStats, StepControl, find_root, integrate_ode
+from ..numerics import SolverStats, StepControl, integrate_ode
 from .group import check_alpha
 
 # Step control of the family's ODE solves (flowlines, geodesics and the
-# symmetric systems).
-TIGHT = StepControl(initial_step=1e-3, abs_tol=1e-12, rel_tol=1e-12)
+# symmetric systems); like every geo control it takes its first step from the
+# field.
+TIGHT = StepControl(abs_tol=1e-12, rel_tol=1e-12)
 # Step control of the variational system: its algebraic identities are held
 # to 1e-8 (criterion 5), which TIGHT misses (2.7e-8 at x0 = 0.8, alpha = 1/2).
-VARIATIONAL_CONTROL = StepControl(initial_step=1e-3, abs_tol=3e-14, rel_tol=3e-14)
+VARIATIONAL_CONTROL = StepControl(abs_tol=3e-14, rel_tol=3e-14)
 
 # Largest deviation from 1 of a tangent's norm that is still normalized rather
 # than refused: components typed on the command line carry only a few digits.
@@ -136,17 +137,14 @@ def admissible_x0_interval(alpha: float) -> tuple[float, float]:
 def beta_from_x0(x0: float, alpha: float) -> float:
     """Label beta of the loop level set through (x0, sqrt(1 - x0^2), 0).
 
-    Matches H at the flat point against H(V_beta):
-        beta^(1+a) * a^(a/2) / (1+a)^((1+a)/2) = x0^a * sqrt(1 - x0^2),
-    solved for beta in (0, 1) by bracketed root finding.
+    Matches H at the flat point against H(V_beta) = beta^(1+a) h_max, where
+    h_max = a^(a/2) / (1+a)^((1+a)/2) is the top of H on the sphere:
+        beta = (x0^a * sqrt(1 - x0^2) / h_max)^(1/(1+a)),
+    held at 1 where rounding near the equilibrium abscissa lifts it above.
     """
     lo, hi = admissible_x0_interval(alpha)
     if not lo < x0 < hi:
         raise ValueError(f"x0={x0} outside the admissible interval ({lo}, {hi})")
     target = x0 ** alpha * math.sqrt(1.0 - x0 * x0)
     h_max = alpha ** (alpha / 2.0) / (1.0 + alpha) ** ((1.0 + alpha) / 2.0)
-
-    def f(beta):
-        return beta ** (1.0 + alpha) * h_max - target
-
-    return find_root(f, (1e-12, 1.0), 1e-14)
+    return min(1.0, (target / h_max) ** (1.0 / (1.0 + alpha)))

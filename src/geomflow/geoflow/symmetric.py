@@ -97,11 +97,13 @@ def _predicted_half_period(x0: float, alpha: float) -> tuple[float, float]:
     return beta, 0.5 * period(alpha, beta).period
 
 
-def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl,
-                         stats: SolverStats | None = None) -> list[SymmetricRun]:
+def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl, stats: SolverStats | None = None,
+                         nodes: bool = True) -> list[SymmetricRun]:
     """Integrate the rows ``y0s`` (one per x0 in ``x0s``) as one batch to
     their first z-returns, each row checked against its own P(beta)/2; the
-    batch's counts are added to ``stats`` when it is given.
+    batch's counts are added to ``stats`` when it is given. Without
+    ``nodes`` the runs keep their end states alone, and only the steps of a
+    z-return build the dense output.
 
     A lone row is integrated as a plain (d,) state: the same bits as its
     one-row batch, at less than half the cost per step (scalar arithmetic
@@ -111,6 +113,7 @@ def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl,
     predicted = np.array(predicted)
     lone = len(x0s) == 1
     traj = integrate_ode(rhs, y0s[0] if lone else y0s, (0.0, 10.0 * predicted.max()), ctrl,
+                         output_times=None if nodes else (),
                          event=lambda t, u: u[..., 2], event_min_time=0.05 * predicted)
     if stats is not None:
         stats.add(traj.stats)
@@ -140,15 +143,16 @@ def _check_x0(x0s, alpha: float) -> np.ndarray:
 
 
 def _symmetric_runs(x0s, alpha: float, with_quadrature: bool = False,
-                    stats: SolverStats | None = None) -> list[SymmetricRun]:
+                    stats: SolverStats | None = None, nodes: bool = True) -> list[SymmetricRun]:
     """The 5-system (6 with ``with_quadrature``) from (x0, sqrt(1-x0^2), 0, 0, 0)
-    for every x0 of ``x0s``, integrated as one batch at ``TIGHT``."""
+    for every x0 of ``x0s``, integrated as one batch at ``TIGHT`` by
+    ``_integrate_to_return``."""
     x0s = _check_x0(x0s, alpha)
     y0s = np.zeros((x0s.size, 6 if with_quadrature else 5))
     y0s[:, 0] = x0s
     y0s[:, 1] = np.sqrt(1.0 - x0s * x0s)
     return _integrate_to_return(_sym_rhs(alpha, with_quadrature), y0s, alpha, x0s, TIGHT,
-                                stats)
+                                stats, nodes)
 
 
 def symmetric_system(x0: float, alpha: float) -> SymmetricRun:
@@ -196,9 +200,10 @@ class BoxScanRecord:
 
 def bounding_box_scan(alpha: float, x0_grid,
                       stats: SolverStats | None = None) -> list[BoxScanRecord]:
-    """Check min a' and min b' over ``BOX_SAMPLES`` points of (0, rho] for
-    each admissible x0, all of them integrated as one batch whose counts are
-    added to ``stats`` when it is given.
+    """Check min a' and min b' at the ``BOX_SAMPLES - 1`` points of
+    linspace(0, rho, BOX_SAMPLES) after 0 for each admissible x0, all of them
+    integrated as one batch whose counts are added to ``stats`` when it is
+    given.
 
     Grid points at or below the equilibrium abscissa sqrt(a/(1+a)) are
     reported as inadmissible and skipped rather than failing the scan: the
@@ -253,10 +258,11 @@ def boundary_curve(alpha: float, x0_grid, stats: SolverStats | None = None) -> B
     """Endpoints (a(rho), b(rho)) over the grid, integrated as one batch, plus
     monotonicity verdicts; b may rise by up to ``SLOPE_TOL`` between grid
     points and still count as nonincreasing. The batch's counts are added to
-    ``stats`` when it is given."""
+    ``stats`` when it is given; the batch stores no nodes, since only the
+    end states are read."""
     xs = np.atleast_1d(np.asarray(x0_grid, dtype=float))
     pts = [BoundaryPoint(x0=run.x0, a_end=float(run.end_state[3]), b_end=float(run.end_state[4]))
-           for run in _symmetric_runs(xs, alpha, stats=stats)]
+           for run in _symmetric_runs(xs, alpha, stats=stats, nodes=False)]
     a_vals = np.array([p.a_end for p in pts])
     b_vals = np.array([p.b_end for p in pts])
     slopes_a = np.gradient(a_vals, xs)

@@ -4,13 +4,14 @@ quadrature with endpoint singularities, and periodic (spectral) calculus.
 """
 
 from .interpolation import PeriodicCubicSpline
-from .ode import SolverStats, StepControl, Trajectory, integrate_ode
+from .ode import IMAGINARY_AXIS_REACH, SolverStats, StepControl, Trajectory, integrate_ode
 from .periodic import cyclic_shift, periodic_grid, periodic_primitive, trig_interpolant
 from .quadrature import QUAD_TOL, integrate_singular
 from .roots import find_root
 from .special import elliptic_K
 
 __all__ = [
+    "IMAGINARY_AXIS_REACH",
     "QUAD_TOL",
     "PeriodicCubicSpline",
     "SolverStats",

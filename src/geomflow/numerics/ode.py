@@ -12,7 +12,14 @@ Dense output is the method's 7th-order continuous extension (section II.6):
 three more stages give one polynomial per step. They are computed only in
 steps that need the polynomial: steps holding an output time strictly
 inside them, steps in which an event happens, and every step of a run that
-stores its nodes for :meth:`Trajectory.sample`.
+stores its nodes for :meth:`Trajectory.sample`. A run with an empty list of
+output times stores nothing but its events, so only its event steps cost 15
+field evaluations.
+
+Unless the control names one, the first trial step comes from the field
+(Hairer, Norsett & Wanner, section II.4): one Euler trial estimates the
+second derivative, and the step is sized so that an 8th-order error term
+would be 0.01 in the scaled max norm.
 """
 
 from __future__ import annotations
@@ -171,17 +178,26 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _EVENT_TOL = 1e-12  # time tolerance of Brent's method on an event crossing
 
+# |h lambda| up to which DOP853's amplification factor on the imaginary axis
+# stays at most 1 (it exceeds 1 + 1e-6 only from 5.96 on): the step cap, over
+# the spectral radius lambda, of an explicit method of lines for a dispersive
+# equation. Modes near the cap are damped (the factor is 0.70 at 5.5), so the
+# cap suits data whose highest modes carry only roundoff.
+IMAGINARY_AXIS_REACH = 5.5
+
 
 @dataclass
 class StepControl:
     """Tolerances and budget for one integration.
 
-    ``initial_step`` is the first trial step; None starts with the whole
-    span. ``max_step`` is optional and caps the step size; useful when the
-    right hand side is a semidiscretized PDE whose stability limit is known.
+    ``initial_step`` is the first trial step, capped by the span (``math.inf``
+    asks for the whole span); None, the default, estimates it from the field
+    at the initial point. ``max_step`` is optional and caps the step size;
+    useful when the right hand side is a semidiscretized PDE whose stability
+    limit is known.
     """
 
-    initial_step: float | None = 1e-3
+    initial_step: float | None = None
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_steps: int = 10_000_000
@@ -198,9 +214,9 @@ class StepControl:
 class SolverStats:
     """What one or more integrations did: accepted and rejected steps (a
     rejection is a trial step that failed the error test or met a non-finite
-    field value), field evaluations (dense-output stages included), event
-    calls made while locating crossings, and the smallest and largest
-    accepted step (None before any step)."""
+    field value), field evaluations (dense-output stages and the first-step
+    trial included), event calls made while locating crossings, and the
+    smallest and largest accepted step (None before any step)."""
 
     accepted: int = 0
     rejected: int = 0
@@ -274,12 +290,14 @@ class Trajectory:
         col = (slice(None),) + (None,) * (self.states.ndim - 1)  # broadcast times over the state
         t0 = self.times[idx]
         s = ((t_arr - t0) / (self.times[idx + 1] - t0))[col]
-        # Horner's rule, gathering one power's coefficients at a time so that
-        # no (k, 7) + state-shape array is built
-        out = self.coeffs[idx, 6]
+        # Horner's rule in place, taking one power's coefficients at a time,
+        # so that no (k, 7) + state-shape array is built
+        out = np.take(self.coeffs[:, 6], idx, axis=0)
         for j in range(5, -1, -1):
-            out = out * s + self.coeffs[idx, j]
-        out = self.states[idx] + out * s
+            out *= s
+            out += np.take(self.coeffs[:, j], idx, axis=0)
+        out *= s
+        out += np.take(self.states, idx, axis=0)
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def row(self, r: int) -> Trajectory:
@@ -320,6 +338,26 @@ def _event_crossing(event, event_min_time, t, h, y, coeffs, g_prev, g_new):
     return find_root(lambda tq: ends[tq] if tq in ends else g(tq), (lo, hi), _EVENT_TOL)
 
 
+def _first_step(evaluate, t0: float, y0: np.ndarray, f0: np.ndarray, ctrl: StepControl,
+                cap: float) -> float:
+    """Hairer, Norsett & Wanner's starting step (section II.4), at most
+    ``cap``: h0 = 0.01 |y0| / |f0| in the max norm scaled as the error is,
+    one field evaluation at t0 + h0 to estimate |f'|, and the step h1 at
+    which an 8th-order error term max(|f0|, |f'|) h1^8 would be 0.01; the
+    first step is min(100 h0, h1)."""
+    scale = ctrl.abs_tol + ctrl.rel_tol * np.abs(y0)
+    d0 = float(np.max(np.abs(y0) / scale))
+    d1 = float(np.max(np.abs(f0) / scale))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, cap)
+    f1 = evaluate(t0 + h0, y0 + h0 * f0)
+    if not np.isfinite(f1).all():  # the stage loop shrinks h0 as far as it must
+        return h0
+    d2 = float(np.max(np.abs(f1 - f0) / scale)) / h0
+    d12 = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d12 <= 1e-15 else (0.01 / d12) ** (1 / 8)
+    return min(100.0 * h0, h1, cap)
+
+
 def integrate_ode(
     field: Callable[[float, np.ndarray], np.ndarray],
     y0,
@@ -340,8 +378,11 @@ def integrate_ode(
 
     With ``output_times`` the trajectory holds exactly those samples: the
     step's end state where a time falls on it, the step's continuous
-    extension where it falls inside. Otherwise every accepted node is stored
-    with its step's extension, for :meth:`Trajectory.sample`.
+    extension where it falls inside. An empty ``output_times`` asks for the
+    events alone: the trajectory holds no samples, and only the steps in
+    which a row's event crosses build the continuous extension. Without
+    ``output_times`` every accepted node is stored with its step's
+    extension, for :meth:`Trajectory.sample`.
 
     ``event`` maps the state to one value per row (a scalar for a ``(d,)``
     state), and ``event_min_time`` is a scalar or one time per row. Each
@@ -385,7 +426,7 @@ def integrate_ode(
     out_req = None
     if output_times is not None:
         out_req = np.asarray(output_times, dtype=float)
-        if out_req.size == 0 or out_req.min() < t0 - 1e-12 or out_req.max() > t1 + 1e-12:
+        if out_req.size and (out_req.min() < t0 - 1e-12 or out_req.max() > t1 + 1e-12):
             raise ValueError("output_times must lie inside t_span")
 
     f = evaluate(t0, y)
@@ -418,9 +459,9 @@ def integrate_ode(
         g_prev = row_events(t0, y)
     finished = False
 
-    h = t1 - t0 if ctrl.initial_step is None else min(ctrl.initial_step, t1 - t0)
-    if ctrl.max_step is not None:
-        h = min(h, ctrl.max_step)
+    cap = t1 - t0 if ctrl.max_step is None else min(t1 - t0, ctrl.max_step)
+    h = (_first_step(evaluate, t0, y, f, ctrl, cap) if ctrl.initial_step is None
+         else min(ctrl.initial_step, cap))
     t = t0
     k = np.empty((16, y.size))
 
@@ -516,7 +557,7 @@ def integrate_ode(
             h = min(h, ctrl.max_step)
 
     if out_req is not None:
-        if not out_ts:
+        if out_req.size and not out_ts:
             raise DetectionError("no output times fell inside the integrated span")
         traj = Trajectory(np.array(out_ts), np.array(out_vals).reshape((-1, n_rows, width)),
                           stats=stats)

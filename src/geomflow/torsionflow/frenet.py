@@ -20,7 +20,7 @@ from ..numerics import SolverStats, StepControl, integrate_ode, trig_interpolant
 from .core import CurvatureProfile, TorsionField
 
 # Each integration spans one grid interval, and its first trial step is the whole interval.
-FRENET_CONTROL = StepControl(initial_step=None, abs_tol=1e-11, rel_tol=1e-11)
+FRENET_CONTROL = StepControl(initial_step=math.inf, abs_tol=1e-11, rel_tol=1e-11)
 FRAME_DRIFT_TOL = 1e-6  # largest orthonormality drift of the frame before correction
 
 

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geomflow.geoflow import (admissible_x0_interval, beta_from_x0, covariant_self_derivative,
                               curvature_data, cylinder_invariant, flow_tangent, geodesic,
                               geodesic_sphere, level_value, scalar_curvature,
                               structure_field, symmetric_system, v_beta)
+from geomflow.numerics import find_root
 from oracles import concatenation_endpoint, group_inv, group_mul
 
 ALPHAS = st.floats(-1.0, 1.0)
@@ -140,6 +141,25 @@ class TestBetaFromX0:
         p0 = np.array([x0, math.sqrt(1 - x0 * x0), 0.0])
         assert level_value(p0, alpha) == pytest.approx(
             level_value(v_beta(beta, alpha), alpha), abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.01, 1.0), frac=st.floats(1e-9, 1.0 - 1e-9))
+    def test_closed_form_is_the_root_of_the_level_match(self, alpha, frac):
+        # the root of beta^(1+a) h_max = x0^a sqrt(1 - x0^2), searched by
+        # Brent's method down to float resolution (tol 0), and the level of
+        # V_beta, both reproduced by the closed form
+        lo, hi = admissible_x0_interval(alpha)
+        x0 = lo + frac * (hi - lo)
+        assume(lo < x0 < hi)
+        beta = beta_from_x0(x0, alpha)
+        level = x0 ** alpha * math.sqrt(1.0 - x0 * x0)
+        h_max = alpha ** (alpha / 2.0) / (1.0 + alpha) ** ((1.0 + alpha) / 2.0)
+        if level >= h_max:  # rounding next to the equilibrium: no root below 1
+            assert beta == 1.0
+        else:
+            root = find_root(lambda b: b ** (1.0 + alpha) * h_max - level, (1e-12, 1.0), 0.0)
+            assert beta == pytest.approx(root, rel=1e-14, abs=0.0)
+        assert level_value(v_beta(beta, alpha), alpha) == pytest.approx(level, rel=1e-14, abs=0.0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

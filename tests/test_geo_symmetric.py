@@ -9,6 +9,8 @@ from geomflow.geoflow import (beta_from_x0, boundary_curve, bounding_box_scan, d
                               g_function_check, geodesic, perfect_vector_checks,
                               symmetric_system, variational_residuals,
                               variational_system)
+from geomflow.geoflow.symmetric import _symmetric_runs
+from geomflow.numerics import SolverStats
 
 
 class TestSymmetricSystem:
@@ -100,6 +102,28 @@ class TestBoundaryCurve:
         bc = boundary_curve(0.5, np.arange(0.60, 0.981, 0.02))
         assert bc.a_increasing
         assert bc.b_nonincreasing
+
+    def test_event_only_batch_keeps_the_bits_of_stored_nodes(self):
+        # the curve's batch stores no nodes: its half periods and end states
+        # are those of the same batch with stored nodes, bit for bit, and it
+        # skips the three dense stages in every step without a z-return
+        alpha, xs = 0.5, np.arange(0.60, 0.981, 0.02)
+        lean, full = SolverStats(), SolverStats()
+        lean_runs = _symmetric_runs(xs, alpha, stats=lean, nodes=False)
+        full_runs = _symmetric_runs(xs, alpha, stats=full)
+        assert [r.rho for r in lean_runs] == [r.rho for r in full_runs]
+        for lean_run, full_run in zip(lean_runs, full_runs):
+            assert np.array_equal(lean_run.end_state, full_run.end_state)
+        points = boundary_curve(alpha, xs).points
+        assert [(p.a_end, p.b_end) for p in points] == [
+            (r.end_state[3], r.end_state[4]) for r in full_runs]
+        assert (lean.accepted, lean.rejected, lean.event_evals) == (
+            full.accepted, full.rejected, full.event_evals)
+        # a z-return at rho lies in the step (times[i], times[i + 1]] that ends at or after it
+        times = full_runs[0].trajectory.times  # the batch's nodes, shared by its rows
+        crossing_steps = np.unique(np.searchsorted(times, [r.rho for r in full_runs]) - 1)
+        assert 0 < crossing_steps.size < full.accepted
+        assert full.rhs_evals - lean.rhs_evals == 3 * (full.accepted - crossing_steps.size)
 
     def test_b_limit_near_one(self):
         run = symmetric_system(0.999, 0.5)

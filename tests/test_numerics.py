@@ -110,9 +110,43 @@ class TestDop853Core:
     def test_output_time_at_a_step_end_needs_no_dense_stages(self):
         # one step over the whole span: the initial field, 11 stages and no more
         tr = integrate_ode(lambda t, y: -y, [1.0], (0.0, 0.1),
-                           StepControl(initial_step=None, abs_tol=1e-8, rel_tol=1e-8),
+                           StepControl(initial_step=math.inf, abs_tol=1e-8, rel_tol=1e-8),
                            output_times=[0.1])
         assert (tr.stats.accepted, tr.stats.rejected, tr.stats.rhs_evals) == (1, 0, 12)
+
+    @staticmethod
+    def _field_times(span, ctrl):
+        """Times of every field call of y' = -y from 1 over (0, span)."""
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return -y
+
+        tr = integrate_ode(field, [1.0], (0.0, span), ctrl, output_times=[span])
+        assert tr.stats.rhs_evals == len(calls)
+        return tr, calls
+
+    def test_first_step_comes_from_the_field(self):
+        # at tolerance 1e-8 the scale is 2e-8: h0 = 0.01 |y0| / |f0| = 0.01, and
+        # the Euler trial to 0.01 gives |f'| = |f0|, so the first step is
+        # h1 = (0.01 / |f0|)^(1/8) = (2e-10)^(1/8) = 0.061; calls 0 and 1 are
+        # the field at t0 and the trial, call 12 is stage 11 at t0 + h
+        tr, calls = self._field_times(10.0, StepControl(abs_tol=1e-8, rel_tol=1e-8))
+        assert calls[1] == 0.01
+        assert calls[12] == pytest.approx(2e-10 ** 0.125, rel=1e-12)
+        assert abs(tr.y_end[0] - math.exp(-10.0)) < 1e-9
+
+    @pytest.mark.parametrize("span, max_step", [(1e-3, None), (10.0, 0.02)])
+    def test_first_step_respects_span_and_max_step(self, span, max_step):
+        tr, calls = self._field_times(
+            span, StepControl(abs_tol=1e-8, rel_tol=1e-8, max_step=max_step))
+        assert calls[1] == min(0.01, span)  # the trial stays inside the span
+        assert calls[12] == min(span, max_step or span)
+        if max_step is None:  # one step, whose end is the output time
+            assert (tr.stats.accepted, tr.stats.rejected, tr.stats.rhs_evals) == (1, 0, 13)
+        else:
+            assert tr.stats.max_step <= max_step
 
 
 # a stiff, dispersive diagonal part and a time-dependent quadratic remainder
@@ -381,6 +415,46 @@ class TestIntegrateOdeBatch:
         assert np.array_equal(batch.states[:, 0], single.states)
         ts = 6.0 * np.array(fractions)
         assert np.array_equal(batch.sample(ts)[:, 0], single.sample(ts))
+
+    def test_sample_has_the_bits_of_the_gathering_reference(self):
+        # sample takes each power's coefficients with np.take and runs Horner's
+        # rule in place; this reference gathers them by fancy indexing into
+        # new arrays, with the same arithmetic, so the bits must agree
+        def reference(tr, t):
+            idx = np.clip(np.searchsorted(tr.times, t, side="right") - 1, 0, len(tr.times) - 2)
+            t0 = tr.times[idx]
+            col = (slice(None),) + (None,) * (tr.states.ndim - 1)
+            s = ((t - t0) / (tr.times[idx + 1] - t0))[col]
+            out = tr.coeffs[idx, 6]
+            for j in range(5, -1, -1):
+                out = out * s + tr.coeffs[idx, j]
+            return tr.states[idx] + out * s
+
+        y0 = np.array([[2.0, 0.0], [1.0, 0.0], [0.5, 1.5]])
+        batch = integrate_ode(_van_der_pol, y0, (0.0, 6.0),
+                              StepControl(abs_tol=1e-10, rel_tol=1e-10))
+        ts = np.linspace(0.0, 6.0, 997)
+        for tr in (batch, batch.row(1)):
+            assert np.array_equal(tr.sample(ts), reference(tr, ts))
+            assert np.array_equal(tr.sample(2.5), reference(tr, np.array([2.5]))[0])
+
+    def test_events_alone_keep_their_bits_and_skip_dense_stages(self):
+        # an empty output_times stores no samples; the events are located on
+        # the same polynomials as in a run with stored nodes, and only the
+        # steps in which a row's event crosses build the three dense stages
+        y0 = np.array([[2.0, 0.0], [1.0, 0.0], [0.5, 1.5]])
+        kwargs = dict(event=lambda t, y: y[..., 0], event_min_time=[3.0, 0.0, 1.0])
+        ctrl = StepControl(abs_tol=1e-12, rel_tol=1e-12)
+        full = integrate_ode(_van_der_pol, y0, (0.0, 20.0), ctrl, **kwargs)
+        lean = integrate_ode(_van_der_pol, y0, (0.0, 20.0), ctrl, output_times=[], **kwargs)
+        assert lean.times.shape == (0,) and lean.states.shape == (0, 3, 2)
+        assert np.array_equal(lean.event_time, full.event_time)
+        assert np.array_equal(lean.event_state, full.event_state)
+        assert (lean.stats.accepted, lean.stats.rejected) == (full.stats.accepted,
+                                                               full.stats.rejected)
+        crossing_steps = np.unique(np.searchsorted(full.times, full.event_time) - 1).size
+        assert full.stats.rhs_evals - lean.stats.rhs_evals == 3 * (full.stats.accepted
+                                                                    - crossing_steps)
 
     def test_event_location_sees_one_row_and_is_counted(self):
         # the crossing search evaluates each hit row's own slice of the step,

@@ -8,7 +8,7 @@ import pytest
 
 from geomflow.acceptance import linear_mode1_period
 from geomflow.errors import ConstructionError, PositivityError, SetupError
-from geomflow.numerics import StepControl, integrate_ode, periodic_grid
+from geomflow.numerics import IMAGINARY_AXIS_REACH, StepControl, integrate_ode, periodic_grid
 from geomflow.torsionflow import (CurvatureProfile, FrenetState, TorsionField,
                                   UNIT_CURVATURE, cdf_transform_roundtrip,
                                   frenet_reconstruct, l2_norm, linearized_solution,
@@ -152,7 +152,7 @@ class TestLinearized:
         def rhs(t, w):
             return -2.0 * spectral_derivative(w, 1) - 0.5 * spectral_derivative(w, 3)
 
-        cap = 2.8 / (0.5 * (n // 2) ** 3 + 2.0 * (n // 2))
+        cap = IMAGINARY_AXIS_REACH / (0.5 * (n // 2) ** 3 + 2.0 * (n // 2))
         ctrl = StepControl(initial_step=cap, abs_tol=1e-11, rel_tol=1e-11,
                            max_steps=10_000_000, max_step=cap)
         traj = integrate_ode(rhs, w0, (0.0, t_end), ctrl)
