@@ -24,7 +24,8 @@ from .geoflow import (bounding_box_scan, boundary_curve, cylinder_invariant,
                       perfect_vector_checks, period_closed_form, period_numeric,
                       scalar_curvature, symmetric_system, v_beta,
                       variational_residuals, variational_system)
-from .numerics import IMAGINARY_AXIS_REACH, StepControl, integrate_ode, periodic_grid
+from .numerics import (IMAGINARY_AXIS_REACH, StepControl, integrate_ode, irfft, periodic_grid,
+                       rfft)
 from .torsionflow import (TorsionField, UNIT_CURVATURE, cdf_transform_roundtrip,
                           helix_stability, l2_norm, linearized_solution,
                           quasi_period, tau_one, torsion_evolve, torsion_invariants,
@@ -293,7 +294,7 @@ def check_14_linearized() -> CheckResult:
     mult[-1] = 0.0
 
     def rhs(t, w):
-        return np.fft.irfft(mult * np.fft.rfft(w), n)
+        return irfft(mult * rfft(w), n)
 
     cap = IMAGINARY_AXIS_REACH / (0.5 * (n // 2) ** 3 + 2.0 * (n // 2))
     ctrl = StepControl(initial_step=cap, abs_tol=1e-11, rel_tol=1e-11,

@@ -15,6 +15,7 @@ from ..numerics import cyclic_shift
 from .curve import EightDiagnostics, curvature_and_angles
 
 MIN_TIP_POINTS = 16  # samples a frame needs across its curvature tip to count as resolved
+_EDGE_RUN = 8  # consecutive edges per bounding box of the nearest-edge search
 
 
 @dataclass
@@ -139,22 +140,13 @@ def _dist_to_polygon(px, py, vx, vy) -> np.ndarray:
     """Distance from each point (px, py) to the closed polygon with vertices
     (vx, vy): the square root of the least squared distance to its edges.
 
-    Only the edges that can hold a nearest point are measured. With d the
-    distance to the nearest vertex and h the longest edge, the nearest point
-    is at most d away and within h/2 of an end of its edge, so that edge has
-    an end within d + h/2 (the radius gets 1e-6 of h more, beyond rounding).
-    The least value is taken over a set that holds every minimiser, so it
-    equals the minimum over all (point, edge) pairs bit for bit."""
+    Only the edges that can hold a nearest point are measured
+    (``_near_edges``). The least value is taken over a set that holds every
+    minimiser, so it equals the minimum over all (point, edge) pairs bit for
+    bit."""
     wx, wy = np.append(vx, vx[0]), np.append(vy, vy[0])    # vertex 0 closes the polygon
     ex, ey = wx[1:] - vx, wy[1:] - vy
-    d2 = np.subtract.outer(px, wx)
-    ddy = np.subtract.outer(py, wy)
-    d2 *= d2
-    ddy *= ddy
-    d2 += ddy
-    reach = np.sqrt(np.min(d2, axis=1)) + 0.5 * (1.0 + 1e-6) * float(np.max(np.hypot(ex, ey)))
-    near = d2 <= (reach * reach)[:, None]
-    rows, edges = np.divmod(np.flatnonzero(near[:, :-1] | near[:, 1:]), vx.size)
+    rows, edges = _near_edges(px, py, wx, wy, float(np.max(np.hypot(ex, ey))))
     ax, ay, dx, dy = vx[edges], vy[edges], ex[edges], ey[edges]
     qx, qy = px[rows], py[rows]
     tt = np.clip(((qx - ax) * dx + (qy - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
@@ -162,6 +154,45 @@ def _dist_to_polygon(px, py, vx, vy) -> np.ndarray:
     fy = qy - (ay + tt * dy)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     return np.sqrt(np.minimum.reduceat(fx * fx + fy * fy, starts))
+
+
+def _near_edges(px, py, wx, wy, longest: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (point, edge) pairs, sorted by point, that can hold a point's
+    nearest point on the closed polygon whose vertices (wx, wy) repeat
+    vertex 0 at the end; ``longest`` is the longest edge.
+
+    A polygon of at most ``_EDGE_RUN`` edges gives every pair. Otherwise its
+    edges are cut into runs of ``_EDGE_RUN`` consecutive ones, each with the
+    bounding box of its edges, as ``self_intersection`` does; a point's
+    distance to a run's box is at most its distance to any edge of the run.
+    The vertices of the run whose box is nearest bound the point's distance
+    d to the polygon from above, so only the runs whose boxes lie within d
+    are kept (the radius gets 1e-6 of ``longest`` more, beyond rounding)."""
+    m = wx.size - 1
+    if m <= _EDGE_RUN:
+        return np.divmod(np.arange(px.size * m), m)
+    starts = np.arange(0, m, _EDGE_RUN)
+    gx = _gap_to_runs(px, wx, starts)
+    gy = _gap_to_runs(py, wy, starts)
+    box = gx * gx + gy * gy                                 # (points, runs)
+    corners = np.minimum(np.argmin(box, axis=1)[:, None] * _EDGE_RUN
+                         + np.arange(_EDGE_RUN + 1), m)     # the nearest run's vertices
+    cx, cy = wx[corners] - px[:, None], wy[corners] - py[:, None]
+    reach = np.sqrt(np.min(cx * cx + cy * cy, axis=1)) + 1e-6 * longest
+    rows, runs = np.nonzero(box <= (reach * reach)[:, None])
+    edges = runs[:, None] * _EDGE_RUN + np.arange(_EDGE_RUN)
+    inside = edges < m
+    return np.broadcast_to(rows[:, None], edges.shape)[inside], edges[inside]
+
+
+def _gap_to_runs(p, w, starts) -> np.ndarray:
+    """Distance along one axis from each coordinate ``p`` to the span of each
+    run of edges that begins at ``starts``, on the closed vertex coordinates
+    ``w``: 0 inside the span, as a (points, runs) array."""
+    lo = np.minimum.reduceat(np.minimum(w[:-1], w[1:]), starts)
+    hi = np.maximum.reduceat(np.maximum(w[:-1], w[1:]), starts)
+    gap = np.maximum(lo - p[:, None], p[:, None] - hi)
+    return np.maximum(gap, 0.0, out=gap)
 
 
 def affine_rescale_and_bowtie(P: np.ndarray, diag: EightDiagnostics) -> BowtieRecord:

@@ -61,7 +61,7 @@ from time import perf_counter
 import numpy as np
 
 from ..errors import BudgetError, IntegrationError, SetupError, TopologyError
-from ..numerics import PeriodicCubicSpline, cyclic_shift
+from ..numerics import PeriodicCubicSpline, cyclic_shift, irfft, rfft
 from ..numerics.etd import CHECK_STEPS, Etdrk4, etdrk4_coefficients
 from ..numerics.interpolation import REFINE
 from .curve import PlaneCurve, curve_geometry, edge_lengths, row_lengths, turning_number
@@ -256,7 +256,7 @@ class ThetaLengthFlow:
             self.ik[-1] = 0.0
             self.inv_ik[-1] = 0.0
 
-        dx, dy = np.fft.irfft(self.ik * np.fft.rfft(P.T), n)
+        dx, dy = irfft(self.ik * rfft(P.T), n)
         theta = np.unwrap(np.arctan2(dy, dx))
         self.m = round(turning_number(P))
         self.symmetries = detect_symmetries(P, theta)
@@ -267,7 +267,7 @@ class ThetaLengthFlow:
         self.v[M + 1] = length * length / (2.0 * TWO_PI * TWO_PI)
         cx, cy = P.mean(axis=0)
         self.v[M + 2] = complex(cx, cy)
-        self.v[:M] = np.fft.rfft(self.project(theta) - self.m * self.alpha)
+        rfft(self.project(theta) - self.m * self.alpha, out=self.v[:M])
 
     # ------------------------------------------------------------ state
     def length(self, v=None) -> float:
@@ -282,15 +282,14 @@ class ThetaLengthFlow:
         """theta of the state ``v`` (default the current one), or of a stack
         of states (..., M + 3)."""
         v = self.v if v is None else v
-        phi = np.fft.irfft(v[..., :self.M], self.n)
+        phi = irfft(v[..., :self.M], self.n)
         return phi + self.m * self.alpha if self.m else phi
 
     def points(self, states: np.ndarray) -> np.ndarray:
         """The samples X = c + (L / 2 pi) * primitive(e^{i theta}) of a stack
         of states (F, M + 3), as an (F, n, 2) array."""
         theta = self.theta(states)
-        xy = np.fft.irfft(self.inv_ik * np.fft.rfft(np.stack((np.cos(theta), np.sin(theta)),
-                                                             axis=1)), self.n)
+        xy = irfft(self.inv_ik * rfft(np.stack((np.cos(theta), np.sin(theta)), axis=1)), self.n)
         c = states[:, self.M + 2, None]
         scale = _exp_rows(states[:, self.M].real)[:, None] / TWO_PI
         return np.stack((c.real + scale * xy[:, 0], c.imag + scale * xy[:, 1]), axis=-1)
@@ -305,7 +304,7 @@ class ThetaLengthFlow:
         """Take ``v``, a stepper result no one else holds, as the state (it is
         not copied), projected onto closed symmetric curves."""
         theta = self.project(self.theta(v))
-        np.fft.rfft(theta - self.m * self.alpha if self.m else theta, out=v[:self.M])
+        rfft(theta - self.m * self.alpha if self.m else theta, out=v[:self.M])
         self.v = v
 
     # ------------------------------------------------------------- steps
@@ -316,21 +315,21 @@ class ThetaLengthFlow:
         symmetry keeps its centroid, so its rate is not evaluated."""
         M, n = self.M, self.n
         if self.fixed_centroid:
-            theta_alpha = np.fft.irfft(self.ik * v[..., :M], n)
+            theta_alpha = irfft(self.ik * v[..., :M], n)
         else:
             spectra = np.empty(v.shape[:-1] + (2, M), dtype=complex)
             spectra[..., 0, :] = v[..., :M]
             np.multiply(self.ik, v[..., :M], out=spectra[..., 1, :])
-            both = np.fft.irfft(spectra, n)
+            both = irfft(spectra, n)
             phi, theta_alpha = both[..., 0, :], both[..., 1, :]
         if self.m:
             theta_alpha += self.m
-        spec = np.fft.rfft(theta_alpha * theta_alpha)
+        spec = rfft(theta_alpha * theta_alpha)
         mu = spec[..., 0].real / n
         spec *= self.inv_ik
-        W = np.fft.irfft(spec, n)
+        W = irfft(spec, n)
         out = np.zeros(v.shape, dtype=complex)
-        np.fft.rfft(W * theta_alpha, out=out[..., :M])
+        rfft(W * theta_alpha, out=out[..., :M])
         scale = (math.exp(v[M].real) if v.ndim == 1 else _exp_rows(v[..., M].real)) / TWO_PI
         out[..., M] = -mu
         out[..., M + 1] = scale * scale * (1.0 - mu)
@@ -345,7 +344,7 @@ class ThetaLengthFlow:
         step, as a share of ``TOL``."""
         M = self.M
         diff = fine - coarse
-        return max(float(np.max(np.abs(np.fft.irfft(diff[:M], self.n)))),
+        return max(float(np.max(np.abs(irfft(diff[:M], self.n)))),
                    abs(diff[M].real)) / TOL
 
     def step_to_time(self, h: float, t_over: float, t_end: float,

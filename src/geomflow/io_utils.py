@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -52,12 +53,29 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float, at any depth of its dicts,
+    lists and tuples, replaced by the string ``"inf"``, ``"-inf"`` or
+    ``"nan"``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0.0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def write_manifest(path: Path, experiment: str, parameters: dict, tolerances: dict,
                    outputs: list[Path], wall_time: float,
                    phase_seconds: dict | None = None) -> Path:
     """Write the JSON manifest. ``wall_time_seconds`` is the one entry that
     differs between repeated runs: the wall time, or with ``phase_seconds``
-    an object of the ``total`` and the seconds of each timed phase."""
+    an object of the ``total`` and the seconds of each timed phase.
+
+    The file is strict JSON, which has no literal for infinity or NaN: a
+    non-finite float is written as the string ``"inf"``, ``"-inf"`` or
+    ``"nan"``, and the dump runs with ``allow_nan=False``."""
     path = Path(path)
     payload = {
         "experiment": experiment,
@@ -68,7 +86,8 @@ def write_manifest(path: Path, experiment: str, parameters: dict, tolerances: di
         else wall_time,
         "version": __version__,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_strict_json(payload), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
     return path
 
 

@@ -5,7 +5,8 @@ quadrature with endpoint singularities, and periodic (spectral) calculus.
 
 from .interpolation import PeriodicCubicSpline
 from .ode import IMAGINARY_AXIS_REACH, SolverStats, StepControl, Trajectory, integrate_ode
-from .periodic import cyclic_shift, periodic_grid, periodic_primitive, trig_interpolant
+from .periodic import (cyclic_shift, irfft, periodic_grid, periodic_primitive, rfft,
+                       trig_interpolant)
 from .quadrature import QUAD_TOL, integrate_singular
 from .roots import find_root
 from .special import elliptic_K
@@ -22,7 +23,9 @@ __all__ = [
     "find_root",
     "integrate_ode",
     "integrate_singular",
+    "irfft",
     "periodic_grid",
     "periodic_primitive",
+    "rfft",
     "trig_interpolant",
 ]

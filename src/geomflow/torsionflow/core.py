@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PositivityError, SetupError
-from ..numerics import periodic_grid
+from ..numerics import irfft, periodic_grid, rfft
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,7 +101,7 @@ def spectral_flux(mult_u: np.ndarray, mult_p: np.ndarray):
         pair = np.empty((2,) + tau.shape)
         np.divide(1.0, root, out=pair[0])
         np.multiply(tau, root, out=pair[1])
-        spec = np.fft.rfft(pair)
+        spec = rfft(pair)
         return mult_u * spec[0] + mult_p * spec[1]
 
     return flux
@@ -123,7 +123,7 @@ def make_torsion_rhs(kappa: CurvatureProfile, n: int):
     def rhs(t, tau):
         if np.min(tau) <= 0.0:
             return np.full(n, np.nan)
-        return np.fft.irfft(flux(tau), n)
+        return irfft(flux(tau), n)
 
     return rhs
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BudgetError, DetectionError, PositivityError, SetupError
-from ..numerics import periodic_grid
+from ..numerics import irfft, periodic_grid, rfft
 from ..numerics.etd import CHECK_STEPS, MAX_GROWTH, Etdrk4
 from .core import (CurvatureProfile, TorsionField, UNIT_CURVATURE, flux_multipliers, l2_norm,
                    spectral_flux)
@@ -127,7 +127,7 @@ def torsion_stepper(kappa: CurvatureProfile, n: int, tau_bar: float):
     flux = spectral_flux(mult_u, mult_p)
 
     def remainder(t: float, v: np.ndarray) -> np.ndarray:
-        return flux(_positive(np.fft.irfft(v, n), t)) - L * v
+        return flux(_positive(irfft(v, n), t)) - L * v
 
     return Etdrk4(L, remainder), flux
 
@@ -140,7 +140,7 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     tau_bar = float(np.mean(samples))
     stepper, flux = torsion_stepper(kappa, n, tau_bar)
     tau = np.array(samples, dtype=float)
-    v = np.fft.rfft(tau)
+    v = rfft(tau)
     Nv = None  # the remainder at v, from the samples of v once a step needs it
     rho0 = remainder_rate(tau, kappa.constant, tau_bar)
     rec = {"scheme": "etdrk4", "safety": ETD_SAFETY, "rel_tol": REL_TOL,
@@ -153,7 +153,7 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
     rows = np.empty((times.size, n))
 
     def error(fine: np.ndarray, coarse: np.ndarray) -> float:
-        fine, coarse = np.fft.irfft(fine, n), np.fft.irfft(coarse, n)
+        fine, coarse = irfft(fine, n), irfft(coarse, n)
         return float(np.max(np.abs(fine - coarse) / (ABS_TOL + REL_TOL * np.abs(fine))))
 
     def plan() -> tuple[float, int, int]:
@@ -196,7 +196,7 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
             rec["step_min"] = min(rec["step_min"], float(h))
             rec["step_max"] = max(rec["step_max"], float(h))
             t += h
-            tau = _positive(np.fft.irfft(v, n), t)
+            tau = _positive(irfft(v, n), t)
             left -= 1
             if left and stepper.since_check == 0:  # shorten the rest after a check
                 shorter, more, ends = plan()
@@ -208,7 +208,7 @@ def _etdrk4_run(samples: np.ndarray, kappa: CurvatureProfile,
             offsets = inside - t_start
             stack = stepper.step(start, t_start, offsets[:, None],
                                  stepper.coefficient_stack(offsets), Nstart)
-            rows[i:i + inside.size] = _positive(np.fft.irfft(stack, n), inside)
+            rows[i:i + inside.size] = _positive(irfft(stack, n), inside)
             rec["stacked_outputs"] += inside.size
             i += inside.size
         t = float(times[j])

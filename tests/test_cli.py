@@ -98,7 +98,9 @@ class TestGeoCommands:
                   {"step_control": asdict(TIGHT), "slope_tol": SLOPE_TOL}),
                  (["torsion", "reconstruct", "--initial", "helix", "--n", "64",
                    "--s-max", "1", "--samples", "5"], "torsion_reconstruct",
-                  {"step_control": asdict(FRENET_CONTROL), "frame_drift_tol": FRAME_DRIFT_TOL}),
+                  # strict JSON: the whole-interval first step math.inf reads "inf"
+                  {"step_control": {**asdict(FRENET_CONTROL), "initial_step": "inf"},
+                   "frame_drift_tol": FRAME_DRIFT_TOL}),
                  (["torsion", "stationary", "--n", "64"], "torsion_stationary",
                   {"closure_tol": CLOSURE_TOL})]
         for argv, experiment, tolerances in cases:
@@ -201,6 +203,19 @@ class TestTorsionCommands:
         header, rows = read_csv(out / "curve.csv")
         assert header == ["s", "x", "y", "z"]
         assert len(rows) == 65
+
+    def test_reconstruct_manifest_is_strict_json(self, tmp_path):
+        # its control starts with the whole interval, math.inf, which strict
+        # JSON has no literal for: the manifest writes it as the string "inf"
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "rec"
+        assert main(["torsion", "reconstruct", "--initial", "helix", "--n", "64",
+                     "--s-max", "1", "--samples", "5", "--out", str(out)]) == 0
+        text = (out / "torsion_reconstruct_manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=refuse)
+        assert manifest["tolerances"]["step_control"]["initial_step"] == "inf"
 
 
 class TestCsfCommands:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from geomflow.errors import BracketError
 from geomflow.numerics import (PeriodicCubicSpline, SolverStats, StepControl, cyclic_shift,
                                elliptic_K, find_root, integrate_ode, integrate_singular,
-                               periodic_grid, periodic_primitive, trig_interpolant)
+                               irfft, periodic_grid, periodic_primitive, rfft, trig_interpolant)
 from geomflow.numerics.etd import CACHED_STEPS, CHECK_STEPS, Etdrk4, etdrk4_coefficients
 from oracles import fd4_derivative, spectral_derivative
 
@@ -731,6 +731,50 @@ class TestPeriodicHelpers:
             for p in pts:
                 assert abs(interp(p) - per_call(data, p)) < 1e-15
             assert np.max(np.abs(interp(pts) - [per_call(data, p) for p in pts])) < 1e-15
+
+
+class TestRealTransforms:
+    """``rfft`` and ``irfft`` call the kernels under ``np.fft.rfft`` and
+    ``np.fft.irfft`` directly: the same bits, on one field, on stacks, and
+    written into strided views."""
+
+    @pytest.mark.parametrize("n", [7, 32, 33, 128, 256, 1024])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_same_bits_as_numpy(self, n, lead):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(lead + (n,))
+        spec = rfft(x)
+        assert spec.shape == lead + (n // 2 + 1,)
+        assert np.array_equal(spec, np.fft.rfft(x))
+        assert np.array_equal(irfft(spec, n), np.fft.irfft(spec, n))
+
+    @pytest.mark.parametrize("n", [7, 32, 33, 128, 256, 1024])
+    def test_writes_into_strided_views(self, n):
+        rng = np.random.default_rng(n + 1)
+        M = n // 2 + 1
+        x = rng.standard_normal(n)
+        v = np.full(M + 3, np.nan, dtype=complex)
+        assert rfft(x, out=v[:M]).base is v
+        assert np.array_equal(v[:M], np.fft.rfft(x)) and np.isnan(v[M:]).all()
+        stack = rng.standard_normal((4, n))
+        out = np.full((4, M + 3), np.nan, dtype=complex)
+        rfft(stack, out=out[..., :M])
+        assert np.array_equal(out[..., :M], np.fft.rfft(stack))
+        assert np.isnan(out[..., M:]).all()
+        # and back, from the strided spectra into a strided real view
+        back = np.full((4, n + 3), np.nan)
+        irfft(out[..., :M], n, out=back[..., :n])
+        assert np.array_equal(back[..., :n], np.fft.irfft(out[..., :M], n))
+        assert np.isnan(back[..., n:]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 300), rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-6, 1e6))
+    def test_same_bits_on_random_data(self, n, rows, seed, scale):
+        x = scale * np.random.default_rng(seed).standard_normal((rows, n))
+        spec = rfft(x)
+        assert np.array_equal(spec, np.fft.rfft(x))
+        assert np.array_equal(irfft(spec, n), np.fft.irfft(spec, n))
 
 
 class TestInterpolation:
