@@ -34,22 +34,29 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
     """Write ``header`` and ``rows`` as CSV. Each row is formatted by one
     %-format string (see ``_row_format``), built once per sequence of value
     types; a row given as a ``str`` is a block of formatted lines
-    (``csv_block``) and is written as it is."""
+    (``csv_block``) and is written as it is.
+
+    Lines are streamed to the file as ``rows`` yields them, so a file never
+    sits in memory whole. If formatting or ``rows`` raises, the partial file
+    is removed before the error propagates."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
     formats: dict[tuple, str] = {}
-    for row in rows:
-        if isinstance(row, str):
-            lines.append(row)
-            continue
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = _row_format(kinds)
-        lines.append(fmt % row)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    try:
+        with open(path, "w", newline="\n") as out:
+            out.write(",".join(header) + "\n")
+            for row in rows:
+                if not isinstance(row, str):
+                    row = tuple(row)
+                    kinds = tuple(map(type, row))
+                    fmt = formats.get(kinds)
+                    if fmt is None:
+                        fmt = formats[kinds] = _row_format(kinds)
+                    row = fmt % row
+                out.write(row + "\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 

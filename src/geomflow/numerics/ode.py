@@ -108,6 +108,11 @@ for _i, _row in enumerate(_A_ROWS):
     for _j, _a in _row.items():
         _A[_i, _j] = _a
 _B = _A[12, :12].copy()
+# The step loop reads stage row i as its first i entries, each kept as its own
+# array, and the nodes as Python floats: slicing _A and indexing _C at every
+# stage cost more than the small products they feed.
+_ROWS = [_A[i, :i].copy() for i in range(16)]
+_NODES = _C.tolist()
 
 # Error weights on stages 0-11: the 8th-order weights minus the 3rd-order
 # ones (E3), and the 5th-order estimate (E5).
@@ -214,9 +219,10 @@ class StepControl:
 class SolverStats:
     """What one or more integrations did: accepted and rejected steps (a
     rejection is a trial step that failed the error test or met a non-finite
-    field value), field evaluations (dense-output stages and the first-step
-    trial included), event calls made while locating crossings, and the
-    smallest and largest accepted step (None before any step)."""
+    field value), field evaluations (dense-output stages, the first-step
+    trial and every stage of a rejected step included), event calls made
+    while locating crossings, and the smallest and largest accepted step
+    (None before any step)."""
 
     accepted: int = 0
     rejected: int = 0
@@ -392,6 +398,12 @@ def integrate_ode(
     in time; ``event`` then sees that row alone, as a one-row state. The
     run ends at ``t_span[1]`` or once every row has had its event, with the
     last step cut at the latest event time.
+
+    A trial step evaluates all eleven of its stages before it checks their
+    values, so a step rejected for a non-finite field value has made every
+    one of those calls, and ``stats.rhs_evals`` counts them; the step is then
+    retried at a quarter of its size. The three dense-output stages are
+    checked together after the last of them.
     """
     ctrl = ctrl or StepControl()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -404,21 +416,18 @@ def integrate_ode(
     batch = y.ndim == 2
     n_rows, width = shape if batch else (1, shape[0])
     stats = SolverStats()
-    if batch:  # the steps run on the flattened state; the field sees the rows
-        row_field = field
-
-        def field(t, u):
-            return np.asarray(row_field(t, u.reshape(shape)), dtype=float).reshape(-1)
-
-        y = y.reshape(-1)
+    y = y.reshape(-1)  # the steps run on the flattened state; the field sees the rows
 
     def evaluate(t, u):
         stats.rhs_evals += 1
-        return np.asarray(field(t, u), dtype=float)
+        return np.asarray(field(t, u.reshape(shape)), dtype=float).reshape(-1)
 
-    def nonfinite(where: str, values: np.ndarray) -> IntegrationError:
+    def nonfinite(where: str, stages) -> IntegrationError:
+        """The error for the non-finite values among the field values
+        ``stages``; in a batch it names the rows of the first non-finite one."""
         msg = f"field returned non-finite values {where}"
         if batch:
+            values = next(v for v in stages if not np.isfinite(v).all())
             bad = ~np.all(np.isfinite(values.reshape(n_rows, width)), axis=1)
             msg += f" in row(s) {np.flatnonzero(bad).tolist()}"
         return IntegrationError(msg)
@@ -431,7 +440,7 @@ def integrate_ode(
 
     f = evaluate(t0, y)
     if not np.all(np.isfinite(f)):
-        raise nonfinite("at the initial point", f)
+        raise nonfinite("at the initial point", [f])
 
     ts = [t0]
     ys = [y.copy()]
@@ -472,18 +481,13 @@ def integrate_ode(
         if last:
             h = t1 - t
         k[0] = f
-        bad = None
         for i in range(1, 12):
-            ki = evaluate(t + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
-            if not np.isfinite(ki).all():
-                bad = ki
-                break
-            k[i] = ki
-        if bad is not None:
+            k[i] = evaluate(t + _NODES[i] * h, y + h * (_ROWS[i] @ k[:i]))
+        if not np.isfinite(k[1:12]).all():
             stats.rejected += 1
             h *= 0.25
             if h < 1e-15 * max(abs(t), 1.0):
-                raise nonfinite(f"near t={t:.6g}", bad)
+                raise nonfinite(f"near t={t:.6g}", k[1:12])
             continue
         y_new = y + h * (_B @ k[:12])
         scale = ctrl.abs_tol + ctrl.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -511,13 +515,13 @@ def integrate_ode(
         if dense or not last:
             k[12] = evaluate(t_new, y_new)
             if not np.isfinite(k[12]).all():
-                raise nonfinite(f"at t={t_new:.6g}", k[12])
+                raise nonfinite(f"at t={t_new:.6g}", k[12:13])
         coeffs = None
         if dense:
             for i in range(13, 16):
-                k[i] = evaluate(t + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
-                if not np.isfinite(k[i]).all():
-                    raise nonfinite(f"near t={t:.6g}", k[i])
+                k[i] = evaluate(t + _NODES[i] * h, y + h * (_ROWS[i] @ k[:i]))
+            if not np.isfinite(k[13:16]).all():
+                raise nonfinite(f"near t={t:.6g}", k[13:16])
             coeffs = h * (_W @ k)
 
         t_end, y_end = t_new, y_new  # last point this step emits

@@ -323,6 +323,52 @@ class TestCsvWriter:
                                  [csv_block(lead, range(4), xs, ys)]).read_bytes()
             assert by_block == by_row
 
+    @staticmethod
+    def _rows(kind):
+        """The rows handed to write_csv and the lines they must write."""
+        values = [(3, 0.1, "a"), (np.float64(1.0 / 3.0), -2, 5e-324), (True, "50%", -0.0)]
+        lines = [",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
+                 for row in values]
+        if kind == "blocks":
+            blocks = [csv_block((0.5,), [1, 2], [0.25, math.pi]), csv_block(("x",), [7], [1e17])]
+            return blocks, ["0.5,1,0.25", "0.5,2,%.17g" % math.pi, "x,7,1e+17"]
+        if kind == "generator":
+            return (list(row) for row in values), lines
+        return ([], []) if kind == "empty" else (values, lines)
+
+    @pytest.mark.parametrize("kind", ["lists", "blocks", "generator", "empty"])
+    def test_file_is_the_header_and_lines(self, tmp_path, kind):
+        rows, lines = self._rows(kind)
+        path = write_csv(tmp_path / "out.csv", ["a", "b", "c"], rows)
+        assert path.read_bytes() == ("\n".join(["a,b,c", *lines]) + "\n").encode()
+
+    def test_failing_rows_leave_no_file(self, tmp_path):
+        def rows():
+            yield (1, 2.0)
+            raise RuntimeError("row source failed")
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(path, ["a", "b"], rows())
+        assert not path.exists()
+
+    def test_rows_stream_to_the_file(self, tmp_path):
+        # 200,000 rows make an 8.8 MB file. Holding it whole (lines, joined
+        # text and bytes) peaked at 37.8 MB under tracemalloc; streamed, the
+        # peak measured 0.16 MB (Python 3.11, numpy 2.4), so 1 MB leaves room
+        # for another interpreter's buffers and still sits far below the file.
+        import tracemalloc
+
+        rows = ((k, k / 7.0, math.sin(k)) for k in range(200_000))
+        tracemalloc.start()
+        try:
+            path = write_csv(tmp_path / "big.csv", ["k", "x", "y"], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 8_000_000
+        assert peak < 1_000_000
+
 
 class TestSolverStats:
     # every ODE-driven command records what its integrations did

@@ -9,8 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from geomflow.csf.curve import (_check_concinnity, _interpolate_at_top, _three_point,
+from geomflow.csf.curve import (_check_concinnity, _interpolate_at_top, _median, _three_point,
                                 edge_lengths, row_lengths)
 from geomflow.errors import ConstructionError, ResolutionError, TopologyError
 from geomflow.csf import (MIN_TIP_POINTS, PlaneCurve, StopRule, affine_rescale_and_bowtie,
@@ -134,6 +135,15 @@ class TestConcinnousEight:
     def test_points_keep_their_bits(self, scale, n):
         assert np.array_equal(make_concinnous_eight(scale, n_points=n).points,
                               lemniscate_eight(scale, n))
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+    @example([1.0, 2.0]).via("even size")
+    @example([1e308, 1.7e308, 1e308]).via("odd size, sums overflow")
+    @example([1.7e308, 1.7e308]).via("even size, the sum overflows")
+    def test_median_matches_numpy_bit_for_bit(self, values):
+        k = np.abs(np.array(values))  # the concinnity check takes the median of |k|
+        with np.errstate(over="ignore"):
+            assert np.float64(_median(k)).tobytes() == np.float64(np.median(k)).tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,21 @@ class TestIntegrateOde:
         with pytest.raises(IntegrationError):
             integrate_ode(lambda t, y: np.array([float("nan")]), [1.0], (0.0, 1.0))
 
+    def test_nonfinite_stage_rejects_the_step_after_all_its_stages(self):
+        # call 4 is stage 3 of the first trial step: the trial still takes all
+        # eleven stages, is rejected, and every later step (15 calls with the
+        # dense stages of the stored nodes) is accepted
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return np.full_like(y, np.nan if len(calls) == 4 else 1.0)
+
+        tr = integrate_ode(field, [0.0], (0.0, 1.0), StepControl(initial_step=0.5))
+        assert tr.stats.rejected == 1
+        assert tr.stats.rhs_evals == len(calls) == 1 + 11 + 15 * tr.stats.accepted
+        assert tr.y_end[0] == pytest.approx(1.0, abs=1e-14)
+
     def test_step_budget(self):
         from geomflow.errors import IntegrationError
         with pytest.raises(IntegrationError):
@@ -486,6 +501,23 @@ class TestIntegrateOdeBatch:
 
         with pytest.raises(IntegrationError, match=r"row\(s\) \[1\]"):
             integrate_ode(field, [[2.0, 0.0], [1.0, 0.0], [0.5, 1.5]], (0.0, 2.0))
+
+    def test_nonfinite_dense_stage_names_its_row(self):
+        from geomflow.errors import IntegrationError
+        calls = []
+
+        def field(t, y):
+            # calls 2-12 are the first step's stages, 13 the field at its end
+            # and 14 its first dense stage
+            calls.append(t)
+            out = np.zeros_like(y)
+            if len(calls) == 14:
+                out[2, 1] = np.nan
+            return out
+
+        with pytest.raises(IntegrationError, match=r"near t=0 in row\(s\) \[2\]"):
+            integrate_ode(field, np.ones((3, 2)), (0.0, 1.0), StepControl(initial_step=0.5))
+        assert len(calls) == 16
 
 
 class TestEllipticK:
