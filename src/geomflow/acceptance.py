@@ -24,12 +24,13 @@ from .geoflow import (bounding_box_scan, boundary_curve, cylinder_invariant,
                       perfect_vector_checks, period_closed_form, period_numeric,
                       scalar_curvature, symmetric_system, v_beta,
                       variational_residuals, variational_system)
-from .numerics import (IMAGINARY_AXIS_REACH, StepControl, integrate_ode, irfft, periodic_grid,
-                       rfft)
-from .torsionflow import (TorsionField, UNIT_CURVATURE, cdf_transform_roundtrip,
-                          helix_stability, l2_norm, linearized_solution,
-                          quasi_period, tau_one, torsion_evolve, torsion_invariants,
-                          torsion_rhs)
+from .numerics.ode import IMAGINARY_AXIS_REACH, StepControl, integrate_ode
+from .numerics.periodic import irfft, periodic_grid, rfft
+from .torsionflow import (TorsionField, UNIT_CURVATURE, helix_stability, l2_norm,
+                          quasi_period, torsion_evolve, torsion_invariants, torsion_rhs)
+from .torsionflow.linear import linearized_solution
+from .torsionflow.stationary import tau_one
+from .torsionflow.transform import cdf_transform_roundtrip
 
 REFERENCE_PERIOD_TABLE = {
     0.1: 14.0792, 0.2: 9.94735, 0.3: 8.11985, 0.4: 7.03114, 0.5: 6.28842,

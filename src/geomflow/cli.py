@@ -53,7 +53,7 @@ _NOT_PARAMETERS = ("func", "out", "command", "experiment")
 
 def _solver_stats():
     """An empty solver-statistics record (imported on use, like the layers)."""
-    from .numerics import SolverStats
+    from .numerics.ode import SolverStats
     return SolverStats()
 
 
@@ -165,7 +165,7 @@ _TORSION_PRESETS = {
 
 
 def _initial_torsion(name: str, n: int):
-    from .numerics import periodic_grid
+    from .numerics.periodic import periodic_grid
     from .torsionflow import TorsionField
     if name not in _TORSION_PRESETS:
         raise SystemExit(f"unknown initial data {name!r}; "
@@ -197,8 +197,9 @@ def cmd_torsion_evolve(args) -> int:
 
 
 def cmd_torsion_stationary(args) -> int:
-    from .torsionflow import (CLOSURE_TOL, stationary_torsion, stationary_torsion_general,
-                              torsion_rhs)
+    from .torsionflow import torsion_rhs
+    from .torsionflow.stationary import (CLOSURE_TOL, stationary_torsion,
+                                         stationary_torsion_general)
     writer = _writer(args, {"closure_tol": CLOSURE_TOL})
     stats = _solver_stats()  # the closed form (A = 0) integrates nothing
     if args.A == 0.0:
@@ -224,7 +225,7 @@ def cmd_torsion_stability(args) -> int:
 
 
 def cmd_torsion_transform(args) -> int:
-    from .torsionflow import cdf_transform_roundtrip
+    from .torsionflow.transform import cdf_transform_roundtrip
     tau0 = _initial_torsion(args.initial, args.n)
     writer = _writer(args)
     record, err = cdf_transform_roundtrip(tau0)
@@ -238,8 +239,8 @@ def cmd_torsion_transform(args) -> int:
 
 
 def cmd_torsion_reconstruct(args) -> int:
-    from .torsionflow import (FRAME_DRIFT_TOL, FRENET_CONTROL, CurvatureProfile,
-                              frenet_reconstruct)
+    from .torsionflow import CurvatureProfile
+    from .torsionflow.frenet import FRAME_DRIFT_TOL, FRENET_CONTROL, frenet_reconstruct
     tau = _initial_torsion(args.initial, args.n)
     writer = _writer(args, {"step_control": asdict(FRENET_CONTROL),
                             "frame_drift_tol": FRAME_DRIFT_TOL})
@@ -258,7 +259,7 @@ def cmd_torsion_reconstruct(args) -> int:
 
 def cmd_geo_period(args) -> int:
     from .geoflow import period_closed_form, period_numeric
-    from .numerics import QUAD_TOL
+    from .numerics.quadrature import QUAD_TOL
     writer = _writer(args, {"tol": QUAD_TOL})
     rows = []
     rec = period_numeric(args.alpha, args.beta)
@@ -273,7 +274,7 @@ def cmd_geo_period(args) -> int:
 
 def cmd_geo_period_table(args) -> int:
     from .geoflow import period_numeric
-    from .numerics import QUAD_TOL
+    from .numerics.quadrature import QUAD_TOL
     writer = _writer(args, {"tol": QUAD_TOL})
     alphas = [round(0.1 * k, 10) for k in range(1, 11)]
     rows = [[a, period_numeric(a, args.beta).period, math.pi * math.sqrt(2.0) / math.sqrt(a)]

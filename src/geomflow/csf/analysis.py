@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ResolutionError, TopologyError
-from ..numerics import cyclic_shift
+from ..numerics.periodic import cyclic_shift
 from .curve import EightDiagnostics, curvature_and_angles
 
 MIN_TIP_POINTS = 16  # samples a frame needs across its curvature tip to count as resolved

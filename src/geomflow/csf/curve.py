@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConstructionError, SetupError, TopologyError
-from ..numerics import cyclic_shift
+from ..numerics.periodic import cyclic_shift
 
 TWO_PI = 2.0 * math.pi
 
@@ -399,9 +399,21 @@ def _bernoulli_quarter(scale: float, arc_targets: np.ndarray) -> np.ndarray:
     return _lemniscate_quarter(scale, np.interp(arc_targets, s_cum, t))
 
 
+_ARC_CHORDS = 1 << 16  # chords of the quarter arc length
+_ARC_BLOCK = 4096      # chords measured at a time
+
+
 def quarter_arc_length(scale: float) -> float:
-    t = np.linspace(0.0, 0.5 * math.pi, (1 << 16) + 1)
-    return float(np.sum(np.linalg.norm(np.diff(_lemniscate_quarter(scale, t), axis=0), axis=1)))
+    """Length of the lemniscate quarter: the sum of its chords between
+    ``_ARC_CHORDS + 1`` uniform parameters. The chords are measured a block
+    at a time into one array, so no (65,537, 2) temporaries are built; every
+    operation but the final sum is elementwise, so blocking changes no bit."""
+    t = np.linspace(0.0, 0.5 * math.pi, _ARC_CHORDS + 1)
+    chord = np.empty(_ARC_CHORDS)
+    for i in range(0, _ARC_CHORDS, _ARC_BLOCK):
+        points = _lemniscate_quarter(scale, t[i:i + _ARC_BLOCK + 1])
+        chord[i:i + _ARC_BLOCK] = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    return float(np.sum(chord))
 
 
 def make_concinnous_eight(scale: float = 1.0, n_points: int = 512) -> PlaneCurve:

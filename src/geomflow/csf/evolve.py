@@ -61,9 +61,9 @@ from time import perf_counter
 import numpy as np
 
 from ..errors import BudgetError, IntegrationError, SetupError, TopologyError
-from ..numerics import PeriodicCubicSpline, cyclic_shift, irfft, rfft
 from ..numerics.etd import CHECK_STEPS, Etdrk4, etdrk4_coefficients
-from ..numerics.interpolation import REFINE
+from ..numerics.interpolation import PeriodicCubicSpline, REFINE
+from ..numerics.periodic import cyclic_shift, irfft, rfft
 from .curve import PlaneCurve, curve_geometry, edge_lengths, row_lengths, turning_number
 
 TWO_PI = 2.0 * math.pi

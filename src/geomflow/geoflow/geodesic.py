@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SetupError
-from ..numerics import SolverStats, StepControl, integrate_ode
+from ..numerics.ode import SolverStats, StepControl, integrate_ode
 from .group import check_alpha
 from .structure import TIGHT, _sigma, level_value, v_beta
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BracketError, SetupError
-from ..numerics import elliptic_K, find_root, integrate_singular
+from ..numerics.quadrature import integrate_singular
+from ..numerics.roots import find_root
+from ..numerics.special import elliptic_K
 from .group import check_alpha
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SetupError
-from ..numerics import SolverStats, StepControl, integrate_ode
+from ..numerics.ode import SolverStats, StepControl, integrate_ode
 from .group import check_alpha
 
 # Step control of the family's ODE solves (flowlines, geodesics and the

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DetectionError, SetupError
-from ..numerics import SolverStats, Trajectory, integrate_ode
+from ..numerics.ode import SolverStats, Trajectory, integrate_ode
 from .group import check_alpha
 from .periods import period
 from .structure import (TIGHT, VARIATIONAL_CONTROL, _sigma, admissible_x0_interval,

@@ -1,31 +1,10 @@
-"""Shared numerical kernels: ODE integration, the ETDRK4 stepper of the
-spectral flows (``numerics.etd``), the elliptic integral K, root finding,
-quadrature with endpoint singularities, and periodic (spectral) calculus.
+"""Shared numerical kernels: ODE integration (``numerics.ode``), the ETDRK4
+stepper of the spectral flows (``numerics.etd``), the elliptic integral K
+(``numerics.special``), root finding (``numerics.roots``), quadrature with
+endpoint singularities (``numerics.quadrature``), periodic (spectral)
+calculus (``numerics.periodic``) and the periodic cubic spline
+(``numerics.interpolation``).
+
+The package re-exports nothing: each caller imports the module it uses, so
+a command loads only the kernels it runs.
 """
-
-from .interpolation import PeriodicCubicSpline
-from .ode import IMAGINARY_AXIS_REACH, SolverStats, StepControl, Trajectory, integrate_ode
-from .periodic import (cyclic_shift, irfft, periodic_grid, periodic_primitive, rfft,
-                       trig_interpolant)
-from .quadrature import QUAD_TOL, integrate_singular
-from .roots import find_root
-from .special import elliptic_K
-
-__all__ = [
-    "IMAGINARY_AXIS_REACH",
-    "QUAD_TOL",
-    "PeriodicCubicSpline",
-    "SolverStats",
-    "StepControl",
-    "Trajectory",
-    "cyclic_shift",
-    "elliptic_K",
-    "find_root",
-    "integrate_ode",
-    "integrate_singular",
-    "irfft",
-    "periodic_grid",
-    "periodic_primitive",
-    "rfft",
-    "trig_interpolant",
-]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PositivityError, SetupError
-from ..numerics import irfft, periodic_grid, rfft
+from ..numerics.periodic import irfft, periodic_grid, rfft
 
 TWO_PI = 2.0 * math.pi
 

@@ -59,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BudgetError, DetectionError, PositivityError, SetupError
-from ..numerics import irfft, periodic_grid, rfft
 from ..numerics.etd import CHECK_STEPS, MAX_GROWTH, Etdrk4
+from ..numerics.periodic import irfft, periodic_grid, rfft
 from .core import (CurvatureProfile, TorsionField, UNIT_CURVATURE, flux_multipliers, l2_norm,
                    spectral_flux)
 

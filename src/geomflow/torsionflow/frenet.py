@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import IntegrationError
-from ..numerics import SolverStats, StepControl, integrate_ode, trig_interpolant
+from ..numerics.ode import SolverStats, StepControl, integrate_ode
+from ..numerics.periodic import trig_interpolant
 from .core import CurvatureProfile, TorsionField
 
 # Each integration spans one grid interval, and its first trial step is the whole interval.

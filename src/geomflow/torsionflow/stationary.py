@@ -19,8 +19,10 @@ import math
 import numpy as np
 
 from ..errors import ConstructionError, SetupError
-from ..numerics import (SolverStats, StepControl, find_root, integrate_ode,
-                        integrate_singular, periodic_grid)
+from ..numerics.ode import SolverStats, StepControl, integrate_ode
+from ..numerics.periodic import periodic_grid
+from ..numerics.quadrature import integrate_singular
+from ..numerics.roots import find_root
 from .core import TWO_PI, TorsionField
 
 CLOSURE_TOL = 1e-6  # largest distance of 2*pi / (orbit period) from a whole number

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PositivityError
-from ..numerics import periodic_grid, periodic_primitive, trig_interpolant
+from ..numerics.periodic import periodic_grid, periodic_primitive, trig_interpolant
 from .core import TWO_PI, TorsionField
 
 NEWTON_ITERS = 4  # Newton steps that polish each seeded inversion

@@ -26,7 +26,7 @@ from geomflow.csf import EightDiagnostics, enclosed_area, lobe_areas, self_inter
 from geomflow.csf.curve import _interpolate_at_top, _refine_extreme
 from geomflow.errors import TopologyError
 from geomflow.geoflow import TIGHT, structure_field
-from geomflow.numerics import integrate_ode
+from geomflow.numerics.ode import integrate_ode
 
 
 def group_mul(p, q, alpha):

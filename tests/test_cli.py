@@ -14,7 +14,8 @@ import pytest
 from geomflow.cli import build_parser, main
 from geomflow.io_utils import csv_block, write_csv
 from geomflow.geoflow import SLOPE_TOL, SPHERE_CONTROL, TIGHT, UNIT_TANGENT_TOL
-from geomflow.torsionflow import CLOSURE_TOL, FRAME_DRIFT_TOL, FRENET_CONTROL
+from geomflow.torsionflow.frenet import FRAME_DRIFT_TOL, FRENET_CONTROL
+from geomflow.torsionflow.stationary import CLOSURE_TOL
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -151,9 +152,9 @@ class TestTorsionCommands:
     def test_evolve_manifest_records_step_control(self, tmp_path):
         # the manifest holds the record of the run that wrote the data: ETDRK4
         # for a profile near its mean and for the strongly varying tau_one
-        from geomflow.torsionflow import (UNIT_CURVATURE, TorsionField, tau_one,
-                                          torsion_evolve)
-        from geomflow.numerics import periodic_grid
+        from geomflow.numerics.periodic import periodic_grid
+        from geomflow.torsionflow import UNIT_CURVATURE, TorsionField, torsion_evolve
+        from geomflow.torsionflow.stationary import tau_one
         cases = [("sin-half", 32, TorsionField(10.0 + np.sin(periodic_grid(32)) / 2.0)),
                  ("tau1", 64, tau_one(64))]
         for initial, n, tau0 in cases:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from geomflow.csf.curve import (_check_concinnity, _interpolate_at_top, _median, _three_point,
-                                edge_lengths, row_lengths)
+from geomflow.csf.curve import (_check_concinnity, _interpolate_at_top, _lemniscate_quarter,
+                                _median, _three_point, edge_lengths, quarter_arc_length,
+                                row_lengths)
 from geomflow.errors import ConstructionError, ResolutionError, TopologyError
 from geomflow.csf import (MIN_TIP_POINTS, PlaneCurve, StopRule, affine_rescale_and_bowtie,
                           axis_shrink_products, csf_evolve, curvature_and_angles,
@@ -144,6 +145,29 @@ class TestConcinnousEight:
         k = np.abs(np.array(values))  # the concinnity check takes the median of |k|
         with np.errstate(over="ignore"):
             assert np.float64(_median(k)).tobytes() == np.float64(np.median(k)).tobytes()
+
+    @given(st.floats(1e-3, 7.5))
+    @example(1.0)
+    def test_quarter_arc_length_matches_the_one_shot_sum(self, scale):
+        # the reference: every chord from one (65,537, 2) array of points
+        t = np.linspace(0.0, 0.5 * math.pi, (1 << 16) + 1)
+        chords = np.linalg.norm(np.diff(_lemniscate_quarter(scale, t), axis=0), axis=1)
+        assert quarter_arc_length(scale) == float(np.sum(chords))
+
+    def test_quarter_arc_length_builds_no_full_size_temporaries(self):
+        # tracemalloc peaks of quarter_arc_length(1.0), Python 3.11 and numpy 2.4:
+        # 3.50 MB computed in one shot, 1.25 MB by blocks (the parameters and the
+        # chords at 0.5 MB each, and one block's temporaries); 2 MB sits between
+        import tracemalloc
+
+        quarter_arc_length(1.0)
+        tracemalloc.start()
+        try:
+            quarter_arc_length(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

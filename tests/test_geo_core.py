@@ -10,7 +10,7 @@ from geomflow.geoflow import (admissible_x0_interval, beta_from_x0, covariant_se
                               curvature_data, cylinder_invariant, flow_tangent, geodesic,
                               geodesic_sphere, level_value, scalar_curvature,
                               structure_field, symmetric_system, v_beta)
-from geomflow.numerics import find_root
+from geomflow.numerics.roots import find_root
 from oracles import concatenation_endpoint, group_inv, group_mul
 
 ALPHAS = st.floats(-1.0, 1.0)

@@ -7,7 +7,7 @@ import pytest
 
 from geomflow.geoflow import (endpoint_times, period, period_closed_form,
                               period_numeric)
-from geomflow.numerics import elliptic_K
+from geomflow.numerics.special import elliptic_K
 
 REFERENCE_TABLE = {
     0.1: 14.0792, 0.2: 9.94735, 0.3: 8.11985, 0.4: 7.03114, 0.5: 6.28842,

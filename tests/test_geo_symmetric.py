@@ -10,7 +10,7 @@ from geomflow.geoflow import (beta_from_x0, boundary_curve, bounding_box_scan, d
                               symmetric_system, variational_residuals,
                               variational_system)
 from geomflow.geoflow.symmetric import _symmetric_runs
-from geomflow.numerics import SolverStats
+from geomflow.numerics.ode import SolverStats
 
 
 class TestSymmetricSystem:

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geomflow.errors import BracketError
-from geomflow.numerics import (PeriodicCubicSpline, SolverStats, StepControl, cyclic_shift,
-                               elliptic_K, find_root, integrate_ode, integrate_singular,
-                               irfft, periodic_grid, periodic_primitive, rfft, trig_interpolant)
 from geomflow.numerics.etd import CACHED_STEPS, CHECK_STEPS, Etdrk4, etdrk4_coefficients
+from geomflow.numerics.interpolation import PeriodicCubicSpline
+from geomflow.numerics.ode import SolverStats, StepControl, integrate_ode
+from geomflow.numerics.periodic import (cyclic_shift, irfft, periodic_grid, periodic_primitive,
+                                        rfft, trig_interpolant)
+from geomflow.numerics.quadrature import _GAUSS32_NODES, _GAUSS32_WEIGHTS, integrate_singular
+from geomflow.numerics.roots import find_root
+from geomflow.numerics.special import elliptic_K
 from oracles import fd4_derivative, spectral_derivative
 
 
@@ -633,6 +637,11 @@ def _period_integrand(alpha, beta):
 
 
 class TestIntegrateSingular:
+    def test_rule_is_numpys_32_point_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        assert np.array_equal(_GAUSS32_NODES, nodes)
+        assert np.array_equal(_GAUSS32_WEIGHTS, weights)
+
     def test_arcsine(self):
         v = integrate_singular(lambda t: 1.0 / np.sqrt(1.0 - t * t), -1.0, 1.0)
         assert v == pytest.approx(math.pi, abs=1e-10)

@@ -15,7 +15,7 @@ from geomflow.csf import (PlaneCurve, StopRule, csf_evolve, curve_geometry,  # n
                           make_concinnous_eight, resample_uniform)
 from geomflow.csf.evolve import _FRAME_BLOCK, ThetaLengthFlow  # noqa: E402
 from geomflow.errors import PositivityError  # noqa: E402
-from geomflow.numerics import periodic_grid  # noqa: E402
+from geomflow.numerics.periodic import periodic_grid  # noqa: E402
 from geomflow.torsionflow import UNIT_CURVATURE  # noqa: E402
 from geomflow.torsionflow.evolve import torsion_stepper  # noqa: E402
 from oracles import frame_geometry  # noqa: E402

@@ -8,12 +8,14 @@ import pytest
 
 from geomflow.acceptance import linear_mode1_period
 from geomflow.errors import ConstructionError, PositivityError, SetupError
-from geomflow.numerics import IMAGINARY_AXIS_REACH, StepControl, integrate_ode, periodic_grid
-from geomflow.torsionflow import (CurvatureProfile, FrenetState, TorsionField,
-                                  UNIT_CURVATURE, cdf_transform_roundtrip,
-                                  frenet_reconstruct, l2_norm, linearized_solution,
-                                  stationary_torsion, stationary_torsion_general,
-                                  tau_one, torsion_invariants, torsion_rhs)
+from geomflow.numerics.ode import IMAGINARY_AXIS_REACH, StepControl, integrate_ode
+from geomflow.numerics.periodic import periodic_grid
+from geomflow.torsionflow import (CurvatureProfile, TorsionField, UNIT_CURVATURE, l2_norm,
+                                  torsion_invariants, torsion_rhs)
+from geomflow.torsionflow.frenet import FrenetState, frenet_reconstruct
+from geomflow.torsionflow.linear import linearized_solution
+from geomflow.torsionflow.stationary import stationary_torsion, stationary_torsion_general, tau_one
+from geomflow.torsionflow.transform import cdf_transform_roundtrip
 from oracles import fd4_derivative, spectral_derivative
 
 

@@ -11,12 +11,13 @@ import pytest
 
 from geomflow.acceptance import linear_mode1_period
 from geomflow.errors import BudgetError, PositivityError
-from geomflow.numerics import StepControl, integrate_ode, periodic_grid
 from geomflow.numerics.etd import Etdrk4
+from geomflow.numerics.ode import StepControl, integrate_ode
+from geomflow.numerics.periodic import periodic_grid
 from geomflow.torsionflow import (STEP_BUDGET, CurvatureProfile, TorsionField,
                                   UNIT_CURVATURE, helix_stability, make_torsion_rhs,
-                                  quasi_period, tau_one, torsion_evolve,
-                                  torsion_invariants)
+                                  quasi_period, torsion_evolve, torsion_invariants)
+from geomflow.torsionflow.stationary import tau_one
 from geomflow.torsionflow.evolve import (ABS_TOL, ETD_SAFETY, REL_TOL, remainder_rate,
                                          torsion_stepper)
 

@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from geomflow.numerics import periodic_grid  # noqa: E402
+from geomflow.numerics.periodic import periodic_grid  # noqa: E402
 from geomflow.torsionflow import (CurvatureProfile, TorsionField, make_torsion_rhs,  # noqa: E402
                                   torsion_evolve)
 from geomflow.torsionflow.evolve import (ABS_TOL, ETD_SAFETY, REL_TOL,  # noqa: E402
