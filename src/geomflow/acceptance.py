@@ -21,9 +21,10 @@ from .csf import (StopRule, affine_rescale_and_bowtie, axis_shrink_products,
                   resolvable_frames, theta_monotonicity_series)
 from .geoflow import (bounding_box_scan, boundary_curve, cylinder_invariant,
                       curvature_data, flow_tangent, g_function_check, geodesic,
-                      perfect_vector_checks, period_closed_form, period_numeric,
+                      period_closed_form, period_numeric,
                       scalar_curvature, symmetric_system, v_beta,
                       variational_residuals, variational_system)
+from .geoflow.perfect import perfect_vector_checks
 from .numerics.ode import IMAGINARY_AXIS_REACH, StepControl, integrate_ode
 from .numerics.periodic import irfft, periodic_grid, rfft
 from .torsionflow import (TorsionField, UNIT_CURVATURE, helix_stability, l2_norm,

@@ -186,7 +186,15 @@ class Symmetry:
     offset: np.ndarray
 
     def average(self, theta: np.ndarray) -> np.ndarray:
-        return 0.5 * (theta + (self.sign * theta[self.perm] + self.offset))
+        """0.5 (theta + (sign theta[perm] + offset)), built on the gathered
+        copy."""
+        image = theta[self.perm]
+        if self.sign < 0.0:
+            np.negative(image, out=image)
+        image += self.offset
+        image += theta
+        image *= 0.5
+        return image
 
 
 def detect_symmetries(P: np.ndarray, theta: np.ndarray) -> list[Symmetry]:
@@ -218,14 +226,18 @@ def close_angles(theta: np.ndarray) -> np.ndarray:
     n = theta.size
     for _ in range(4):
         c, s = np.cos(theta), np.sin(theta)
-        gx, gy = c.sum() / n, s.sum() / n
+        gx, gy = float(c.sum()) / n, float(s.sum()) / n
         if math.hypot(gx, gy) <= 1e-16:
             break
-        cc, ss, cs = (c @ c) / n, (s @ s) / n, (c @ s) / n
+        cc, ss, cs = float(c @ c) / n, float(s @ s) / n, float(c @ s) / n
         det = cc * ss - cs * cs
         a = -(gx * cs + gy * ss) / det
         b = (gx * cc + gy * cs) / det
-        theta = theta + a * c + b * s
+        c *= a  # the new theta = theta + a c + b s, built on c
+        c += theta
+        s *= b
+        c += s
+        theta = c
         if math.hypot(gx, gy) < 1e-8:  # Newton leaves a residual of order |g|^2: below roundoff
             break
     return theta
@@ -248,7 +260,7 @@ class ThetaLengthFlow:
         self.M = M = n // 2 + 1
         self.alpha = TWO_PI * np.arange(n) / n
         k = np.arange(M, dtype=float)
-        self.etd = Etdrk4(np.concatenate([-k * k, np.zeros(3)]), lambda _, v: self.rate(v)[0])
+        self.etd = Etdrk4(np.concatenate([-k * k, np.zeros(3)]), self.remainder)
         self.ik = 1j * k
         self.inv_ik = np.zeros(M, dtype=complex)
         self.inv_ik[1:] = 1.0 / self.ik[1:]
@@ -312,7 +324,9 @@ class ThetaLengthFlow:
         """The remainder at ``v``, one state or a stack of them (..., M + 3):
         W theta_alpha for phi and the scalar rates; and theta_alpha, which
         the run's stop tests and step bound read. A curve with the half-turn
-        symmetry keeps its centroid, so its rate is not evaluated."""
+        symmetry keeps its centroid, so its rate is not evaluated. The
+        per-state scalars are read and written through ``.T[j]``, which is a
+        scalar on one state and a column on a stack."""
         M, n = self.M, self.n
         if self.fixed_centroid:
             theta_alpha = irfft(self.ik * v[..., :M], n)
@@ -325,19 +339,26 @@ class ThetaLengthFlow:
         if self.m:
             theta_alpha += self.m
         spec = rfft(theta_alpha * theta_alpha)
-        mu = spec[..., 0].real / n
+        mu = spec.T[0].real / n
         spec *= self.inv_ik
         W = irfft(spec, n)
-        out = np.zeros(v.shape, dtype=complex)
+        out = np.empty(v.shape, dtype=complex)
         rfft(W * theta_alpha, out=out[..., :M])
-        scale = (math.exp(v[M].real) if v.ndim == 1 else _exp_rows(v[..., M].real)) / TWO_PI
-        out[..., M] = -mu
-        out[..., M + 1] = scale * scale * (1.0 - mu)
-        if not self.fixed_centroid:
+        scale = (math.exp(v[M].real) if v.ndim == 1 else _exp_rows(v.T[M].real)) / TWO_PI
+        entries = out.T
+        entries[M] = -mu
+        entries[M + 1] = scale * scale * (1.0 - mu)
+        if self.fixed_centroid:
+            entries[M + 2] = 0.0
+        else:
             theta = phi + self.m * self.alpha if self.m else phi
-            out[..., M + 2] = (scale / n) * ((1j * theta_alpha + W)
-                                             * np.exp(1j * theta)).sum(axis=-1)
+            entries[M + 2] = (scale / n) * ((1j * theta_alpha + W)
+                                            * np.exp(1j * theta)).sum(axis=-1)
         return out, theta_alpha
+
+    def remainder(self, _t, v: np.ndarray) -> np.ndarray:
+        """The stepper's remainder: ``rate``'s first result."""
+        return self.rate(v)[0]
 
     def error(self, fine: np.ndarray, coarse: np.ndarray) -> float:
         """Largest difference of phi and ln L between two results of one
@@ -456,7 +477,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
             run.stop_reason = "extinction reached"
             break
         if stop.kmax_spacing is not None and \
-                float(np.max(np.abs(theta_alpha))) * TWO_PI / flow.n > stop.kmax_spacing:
+                float(np.abs(theta_alpha).max()) * TWO_PI / flow.n > stop.kmax_spacing:
             run.stop_reason = "singularity reached"
             break
         if stop.time is not None and t >= stop.time:
@@ -476,7 +497,7 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
         if v is None:  # a rejected check
             seconds["steps"] += perf_counter() - start
             continue
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise IntegrationError(f"CSF state went non-finite after t={t:.6g}")
         t = flow.time(v)
         final = stop.time is not None and t >= stop.time

@@ -7,7 +7,6 @@ from .geodesic import (CYLINDER_SETUP_TOL, SPHERE_CONTROL, GeodesicPath, cylinde
                        fibonacci_directions, geodesic, geodesic_sphere)
 from .group import (CurvatureData, check_alpha, covariant_self_derivative,
                     curvature_data, scalar_curvature)
-from .perfect import PerfectVectorReport, perfect_vector_checks
 from .periods import PeriodRecord, endpoint_times, period, period_closed_form, period_numeric
 from .structure import (TIGHT, UNIT_TANGENT_TOL, VARIATIONAL_CONTROL, Flowline,
                         admissible_x0_interval, beta_from_x0, flow_tangent, level_value,
@@ -20,7 +19,7 @@ from .symmetric import (FD_STEP, PASS_FLOOR, SLOPE_TOL, BoundaryCurve, BoundaryP
 __all__ = [
     "BoundaryCurve", "BoundaryPoint", "BoxScanRecord", "CYLINDER_SETUP_TOL", "CurvatureData",
     "FD_STEP", "Flowline", "GCheckPoint", "GeodesicPath", "PASS_FLOOR",
-    "PerfectVectorReport", "PeriodRecord", "SLOPE_TOL", "SPHERE_CONTROL", "SymmetricRun",
+    "PeriodRecord", "SLOPE_TOL", "SPHERE_CONTROL", "SymmetricRun",
     "TIGHT", "UNIT_TANGENT_TOL", "VARIATIONAL_CONTROL",
     "admissible_x0_interval", "beta_from_x0", "boundary_curve", "bounding_box_scan", "check_alpha",
     "covariant_self_derivative", "curvature_data",
@@ -28,7 +27,7 @@ __all__ = [
     "fibonacci_directions", "flow_tangent",
     "g_function_check", "geodesic", "geodesic_sphere",
     "level_value", "period", "period_closed_form", "period_numeric",
-    "perfect_vector_checks", "scalar_curvature", "structure_field",
+    "scalar_curvature", "structure_field",
     "symmetric_system", "unit_tangent", "v_beta", "variational_residuals",
     "variational_system",
 ]

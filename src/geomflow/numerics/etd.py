@@ -11,8 +11,9 @@ multiplier gets the classical RK4 weights h/2, h/6, h/3 and h/6.
 Steps taken as rows of one stacked pass give the bits of the separate steps.
 Numpy's complex product rounds differently with its operands swapped, and
 numpy swaps them to reuse a temporary right operand of 2^18 bytes or more in
-place: ``Etdrk4.step`` writes such products as ``np.multiply``, and a stack
-of coefficients is built in blocks below that size.
+place: ``Etdrk4.step`` builds its stages in place, with the operands of
+each product in a fixed order, and a stack of coefficients is built in
+blocks below that size.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ STACK_BLOCK_BYTES = 2 ** 16
 
 def etdrk4_coefficients(L: np.ndarray, h):
     """exp(hL), exp(hL/2) and the weights Q, f1, 2 f2, f3 of one step h
-    (``Etdrk4.step``), or of steps ``h`` of shape (k, 1) as rows (k, ·)."""
+    (``Etdrk4.step``), or of steps ``h`` of shape (k, 1) as rows (k, ·).
+    All six are complex: exp(hL) and exp(hL/2) of a real L are cast once
+    here, exactly, rather than at each product with the state."""
     hL = h * L
     z = hL[..., None] + _CONTOUR
     ez = np.exp(z)
@@ -46,7 +49,8 @@ def etdrk4_coefficients(L: np.ndarray, h):
     f1 = h * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3, axis=-1)
     f2 = h * np.mean((2.0 + z + ez * (z - 2.0)) / z3, axis=-1)
     f3 = h * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3, axis=-1)
-    return np.exp(hL), np.exp(0.5 * hL), q, f1, 2.0 * f2, f3
+    return (np.exp(hL).astype(complex, copy=False), np.exp(0.5 * hL).astype(complex, copy=False),
+            q, f1, 2.0 * f2, f3)
 
 
 class Etdrk4:
@@ -55,7 +59,9 @@ class Etdrk4:
     of the remainder calls the stepper makes and the state rows they carry
     (the N(v) that a caller passes in is the caller's). ``remainder`` takes
     a state with a leading axis of rows, with ``t`` an array (rows, 1) of
-    one time per row, as well as a single state."""
+    one time per row, as well as a single state, and returns a new array;
+    ``step`` may overwrite that array, and the state it was given, once the
+    call has returned."""
 
     def __init__(self, L: np.ndarray, remainder):
         self.L = L
@@ -123,19 +129,32 @@ class Etdrk4:
             v + h = E v + f1 N(v) + 2 f2 (N(a) + N(b)) + f3 N(c).
 
         Stacked coefficients (k, ·) with a step per row, ``h`` of shape
-        (k, 1), take k steps from v at once."""
+        (k, 1), take k steps from v at once. The stages are built in place,
+        on their own temporaries and on the remainder's results, with the
+        operands of every product in the order above; ``v`` and ``Nv`` are
+        not written."""
         E, E2, Q, f1, f2x2, f3 = coef
         N = self.remainder
         self.calls += 3
         self.rows += 3 * (E.size // self.L.size)
         E2v = E2 * v
-        a = E2v + Q * Nv
+        a = Q * Nv
+        a += E2v
         Na = N(t + 0.5 * h, a)
-        b = E2v + Q * Na
+        b = Q * Na
+        b += E2v
         Nb = N(t + 0.5 * h, b)
-        c = E2 * a + np.multiply(Q, 2.0 * Nb - Nv)
+        d = np.add(Nb, Nb, out=b)  # b is spent: 2 N(b) - N(v) takes its place
+        d -= Nv
+        c = E2 * a
+        c += np.multiply(Q, d, out=d)
         Nc = N(t + h, c)
-        return E * v + f1 * Nv + np.multiply(f2x2, Na + Nb) + f3 * Nc
+        out = E * v
+        out += np.multiply(f1, Nv, out=a)
+        Na += Nb
+        out += np.multiply(f2x2, Na, out=Na)
+        out += np.multiply(f3, Nc, out=Nc)
+        return out
 
     def advance(self, v: np.ndarray, t: float, h: float, Nv: np.ndarray,
                 error) -> np.ndarray | None:

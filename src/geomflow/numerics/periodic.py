@@ -6,16 +6,16 @@ Grids are uniform with the right endpoint excluded: s_j = period * j / n.
 steppers. They call numpy's pocketfft gufuncs, the kernels under
 ``np.fft.rfft`` and ``np.fft.irfft``, with the factors that those wrappers
 pass, so their results are the same bits; an output they allocate is laid
-out as the wrapper's (``empty_like``). At n = 128 a call takes under half
-the wrapper's time, whose argument handling costs more than the transform.
+out as the wrapper's (``empty_like``). The gufuncs' core axis is the last
+one by default, so no ``axes`` argument is passed. At n = 128 a call takes
+under half the wrapper's time, whose argument handling costs more than the
+transform.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
-
-_LAST_AXIS = [(-1,), (), (-1,)]  # the transform runs over the last axis of input and output
 
 
 def rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -25,7 +25,7 @@ def rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty_like(x, shape=x.shape[:-1] + (n // 2 + 1,), dtype=complex)
     kernel = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
-    return kernel(x, 1, axes=_LAST_AXIS, out=out)
+    return kernel(x, 1, out=out)
 
 
 def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -33,7 +33,7 @@ def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     (..., n) real samples, written into ``out`` when it is given."""
     if out is None:
         out = np.empty_like(a, shape=a.shape[:-1] + (n,), dtype=float)
-    return _pocketfft.irfft(a, 1.0 / n, axes=_LAST_AXIS, out=out)
+    return _pocketfft.irfft(a, 1.0 / n, out=out)
 
 
 def periodic_grid(n: int) -> np.ndarray:

@@ -7,10 +7,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomflow.csf import (PlaneCurve, StopRule, csf_evolve, lobe_areas,
                           make_concinnous_eight, resample_uniform)
-from geomflow.csf.evolve import ThetaLengthFlow
+from geomflow.csf.evolve import Symmetry, ThetaLengthFlow, close_angles
 from geomflow.errors import TopologyError
 from geomflow.numerics.etd import etdrk4_coefficients
 
@@ -91,6 +92,45 @@ class TestSymmetry:
                          StopRule(time=0.23, kmax_spacing=None), record_dt=1.0)
         assert run.series("length")[-1] < 0.1 * run.series("length")[0]
         assert max(lobe_asymmetry(f, d) for f, d in zip(run.frames, run.diagnostics)) <= 1e-13
+
+
+def _close_angles_reference(theta):
+    """``close_angles`` as one expression per Newton step, on numpy scalars."""
+    n = theta.size
+    for _ in range(4):
+        c, s = np.cos(theta), np.sin(theta)
+        gx, gy = c.sum() / n, s.sum() / n
+        if math.hypot(gx, gy) <= 1e-16:
+            break
+        cc, ss, cs = (c @ c) / n, (s @ s) / n, (c @ s) / n
+        det = cc * ss - cs * cs
+        a = -(gx * cs + gy * ss) / det
+        b = (gx * cc + gy * cs) / det
+        theta = theta + a * c + b * s
+        if math.hypot(gx, gy) < 1e-8:
+            break
+    return theta
+
+
+class TestProjections:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 300), m=st.integers(-2, 2), seed=st.integers(0, 2**32 - 1),
+           amplitude=st.floats(1e-3, 1.5), sign=st.sampled_from([1.0, -1.0]))
+    def test_same_bits_as_the_expressions(self, n, m, seed, amplitude, sign):
+        # closure on Python-float Newton scalars and the symmetry average on
+        # its gathered copy give the bits of the plain expressions, and
+        # leave their input as it was
+        rng = np.random.default_rng(seed)
+        theta = m * 2.0 * math.pi * np.arange(n) / n + amplitude * rng.standard_normal(n)
+        before = theta.copy()
+        closed = close_angles(theta)
+        assert np.array_equal(closed.view(np.uint64),
+                              _close_angles_reference(theta).view(np.uint64))
+        sym = Symmetry("test", rng.permutation(n), sign,
+                       math.pi * rng.integers(-3, 4, n).astype(float))
+        want = 0.5 * (closed + (sym.sign * closed[sym.perm] + sym.offset))
+        assert np.array_equal(sym.average(closed).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(theta.view(np.uint64), before.view(np.uint64))
 
 
 class TestSteps:

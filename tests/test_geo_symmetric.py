@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from geomflow.geoflow import (beta_from_x0, boundary_curve, bounding_box_scan, dP_dx0,
-                              g_function_check, geodesic, perfect_vector_checks,
-                              symmetric_system, variational_residuals,
+                              g_function_check, geodesic, symmetric_system, variational_residuals,
                               variational_system)
+from geomflow.geoflow.perfect import perfect_vector_checks
 from geomflow.geoflow.symmetric import _symmetric_runs
 from geomflow.numerics.ode import SolverStats
 

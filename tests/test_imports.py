@@ -46,6 +46,12 @@ class TestModuleSets:
         assert "geomflow.numerics.quadrature" in loaded
         assert not {m for m in loaded if m.startswith("numpy.polynomial")}
 
+    def test_geo_boundary_skips_the_perfect_vector_checks(self, tmp_path):
+        # only the acceptance suite calls perfect_vector_checks
+        loaded = _modules_after(["geo", "boundary"], tmp_path)
+        assert "geomflow.geoflow.symmetric" in loaded
+        assert "geomflow.geoflow.perfect" not in loaded
+
 
 def test_tracer_installs_after_cli_setup(tmp_path):
     # bench/tracer.py reads the traced modules from sys.modules once the

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geomflow.csf import make_concinnous_eight, resample_uniform
+from geomflow.csf.evolve import ThetaLengthFlow
 from geomflow.errors import BracketError
 from geomflow.numerics.etd import CACHED_STEPS, CHECK_STEPS, Etdrk4, etdrk4_coefficients
 from geomflow.numerics.interpolation import PeriodicCubicSpline
@@ -15,6 +17,8 @@ from geomflow.numerics.periodic import (cyclic_shift, irfft, periodic_grid, peri
 from geomflow.numerics.quadrature import _GAUSS32_NODES, _GAUSS32_WEIGHTS, integrate_singular
 from geomflow.numerics.roots import find_root
 from geomflow.numerics.special import elliptic_K
+from geomflow.torsionflow import UNIT_CURVATURE
+from geomflow.torsionflow.evolve import torsion_stepper
 from oracles import fd4_derivative, spectral_derivative
 
 
@@ -295,6 +299,65 @@ class TestEtdrk4Core:
         other = etd.coefficient_stack(0.5 * offsets[:10])
         assert etd._stack[0].size == 10
         assert np.array_equal(other[0][-1], np.exp(0.5 * offsets[9] * _ETD_L))
+
+
+def _reference_step(etd: Etdrk4, v, t, h, coef: tuple, Nv) -> np.ndarray:
+    """ETDRK4 step as one expression per stage, with exp(hL) and exp(hL/2)
+    of a real L taken real: the stages that ``Etdrk4.step`` builds in
+    place."""
+    E, E2, Q, f1, f2x2, f3 = coef
+    if np.isrealobj(etd.L):
+        E, E2 = E.real, E2.real
+    N = etd.remainder
+    E2v = E2 * v
+    a = E2v + Q * Nv
+    Na = N(t + 0.5 * h, a)
+    b = E2v + Q * Na
+    Nb = N(t + 0.5 * h, b)
+    c = E2 * a + np.multiply(Q, 2.0 * Nb - Nv)
+    Nc = N(t + h, c)
+    return E * v + f1 * Nv + np.multiply(f2x2, Na + Nb) + f3 * Nc
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The float64 words of a complex array: ``array_equal`` counts -0.0
+    equal to 0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestEtdrk4InPlaceStages:
+    """``Etdrk4.step`` builds its stages in place: the bits of the stage
+    expressions, without writing into v or N(v)."""
+
+    def _check(self, etd, v, t, h, coef, Nv):
+        v0, Nv0 = v.copy(), Nv.copy()
+        got = etd.step(v, t, h, coef, Nv)
+        assert np.array_equal(_bits(v), _bits(v0)) and np.array_equal(_bits(Nv), _bits(Nv0))
+        want = _reference_step(etd, v, t, h, coef, Nv)
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("shear", [0.0, 0.05], ids=["symmetric eight", "bent eight"])
+    def test_csf_flow(self, shear):
+        # real L; one state, and a check's two-row pass of a step and its half
+        P = make_concinnous_eight(1.0, n_points=128).points
+        P = np.column_stack([P[:, 0] + shear * P[:, 1], P[:, 1] + 2.0 * shear * P[:, 0] ** 2])
+        flow = ThetaLengthFlow(resample_uniform(P))
+        assert flow.fixed_centroid == (shear == 0.0)
+        etd, v = flow.etd, flow.v
+        Nv = flow.rate(v)[0]
+        h = 2.0 ** -9
+        self._check(etd, v, 0.0, h, etd.coefficients(h), Nv)
+        self._check(etd, v, 0.0, np.array([[h], [0.5 * h]]), etd.coefficient_pair(h), Nv)
+
+    def test_torsion_flow_on_a_stack(self):
+        # imaginary L; the outputs inside one step as one stacked pass
+        n, t = 128, 0.3
+        tau = 2.0 + 0.5 * np.sin(periodic_grid(n)) + 0.2 * np.cos(3.0 * periodic_grid(n))
+        stepper, flux = torsion_stepper(UNIT_CURVATURE, n, float(np.mean(tau)))
+        v = rfft(tau)
+        offsets = np.linspace(0.0, 2e-4, 6)[1:]
+        self._check(stepper, v, t, offsets[:, None], stepper.coefficient_stack(offsets),
+                    flux(tau) - stepper.L * v)
 
 
 def _van_der_pol(t, y):
@@ -780,14 +843,20 @@ class TestRealTransforms:
     written into strided views."""
 
     @pytest.mark.parametrize("n", [7, 32, 33, 128, 256, 1024])
-    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3), "transposed"])
     def test_same_bits_as_numpy(self, n, lead):
+        # a transposed stack (3, n) walks its last axis with a stride; the
+        # results keep numpy's layout as well as its bits
         rng = np.random.default_rng(n)
-        x = rng.standard_normal(lead + (n,))
-        spec = rfft(x)
+        if lead == "transposed":
+            x, lead = rng.standard_normal((n, 3)).T, (3,)
+        else:
+            x = rng.standard_normal(lead + (n,))
+        spec, want = rfft(x), np.fft.rfft(x)
         assert spec.shape == lead + (n // 2 + 1,)
-        assert np.array_equal(spec, np.fft.rfft(x))
-        assert np.array_equal(irfft(spec, n), np.fft.irfft(spec, n))
+        assert np.array_equal(spec, want) and spec.strides == want.strides
+        back, want = irfft(spec, n), np.fft.irfft(spec, n)
+        assert np.array_equal(back, want) and back.strides == want.strides
 
     @pytest.mark.parametrize("n", [7, 32, 33, 128, 256, 1024])
     def test_writes_into_strided_views(self, n):

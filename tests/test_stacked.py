@@ -69,6 +69,9 @@ class TestStackedRemainders:
             rate, slope = flow.rate(state)
             assert np.array_equal(rates[row], rate) and np.array_equal(slopes[row], slope)
         assert rates[1, flow.M + 2] != 0.0 or fixed  # the centroid rate is computed
+        if fixed:  # and otherwise set to 0, single and stacked
+            assert np.all(rates[:, flow.M + 2] == 0.0)
+            assert all(flow.rate(state)[0][flow.M + 2] == 0.0 for state in (v, w))
 
     def test_torsion_remainder_of_a_stack_is_its_rows(self):
         n = 64
