@@ -159,7 +159,7 @@ def check_06_bounding_box() -> CheckResult:
     n_run = 0
     eq29_worst = 0.0
     for alpha in np.arange(0.1, 1.05, 0.1):
-        recs = bounding_box_scan(round(float(alpha), 10), np.arange(0.60, 0.951, 0.05))
+        recs, _ = bounding_box_scan(round(float(alpha), 10), np.arange(0.60, 0.951, 0.05))
         for r in recs:
             if not r.admissible:
                 n_skip += 1

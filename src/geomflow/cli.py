@@ -25,8 +25,8 @@ and the library constants the other commands run with (such as the slope
 tolerance of ``geo boundary`` and the closure tolerance of ``torsion
 stationary``). The ODE-driven commands (``geo sphere``, ``boundary``,
 ``boundingbox``, ``flowline``, ``geodesic``, ``cylinder``, ``torsion
-reconstruct`` and ``stationary``) also record the solver statistics of their integrations:
-accepted and rejected steps, field evaluations and the step range.
+reconstruct`` and ``stationary``) also record the solver statistics that their results
+carry: accepted and rejected steps, field evaluations and the step range.
 ``verify`` prints each criterion's wall time, or with ``--json`` one JSON
 object per criterion.
 """
@@ -49,12 +49,6 @@ from .io_utils import ExperimentWriter, csv_block
 
 
 _NOT_PARAMETERS = ("func", "out", "command", "experiment")
-
-
-def _solver_stats():
-    """An empty solver-statistics record (imported on use, like the layers)."""
-    from .numerics.ode import SolverStats
-    return SolverStats()
 
 
 def _writer(args, tolerances: dict | None = None) -> ExperimentWriter:
@@ -197,15 +191,15 @@ def cmd_torsion_evolve(args) -> int:
 
 
 def cmd_torsion_stationary(args) -> int:
+    from .numerics.ode import SolverStats
     from .torsionflow import torsion_rhs
     from .torsionflow.stationary import (CLOSURE_TOL, stationary_torsion,
                                          stationary_torsion_general)
     writer = _writer(args, {"closure_tol": CLOSURE_TOL})
-    stats = _solver_stats()  # the closed form (A = 0) integrates nothing
-    if args.A == 0.0:
-        tau = stationary_torsion(args.C, n=args.n)
+    if args.A == 0.0:  # the closed form integrates nothing
+        tau, stats = stationary_torsion(args.C, n=args.n), SolverStats()
     else:
-        tau = stationary_torsion_general(args.A, args.C, n=args.n, stats=stats)
+        tau, stats = stationary_torsion_general(args.A, args.C, n=args.n)
     residual = float(np.max(np.abs(torsion_rhs(tau))))
     writer.csv("stationary.csv", ["s", "tau"], zip(tau.grid, tau.samples))
     writer.parameters["rhs_sup_norm"] = residual
@@ -244,13 +238,12 @@ def cmd_torsion_reconstruct(args) -> int:
     tau = _initial_torsion(args.initial, args.n)
     writer = _writer(args, {"step_control": asdict(FRENET_CONTROL),
                             "frame_drift_tol": FRAME_DRIFT_TOL})
-    stats = _solver_stats()
     curve = frenet_reconstruct(CurvatureProfile(constant=args.kappa), tau,
-                               s_span=(0.0, args.s_max), n_samples=args.samples, stats=stats)
+                               s_span=(0.0, args.s_max), n_samples=args.samples)
     writer.csv("curve.csv", ["s", "x", "y", "z"],
                ([s, *map(float, p)] for s, p in zip(curve.s, curve.positions)))
     writer.parameters["frame_drift"] = curve.frame_drift
-    writer.parameters["solver_stats"] = asdict(stats)
+    writer.parameters["solver_stats"] = asdict(curve.stats)
     writer.finish()
     return 0
 
@@ -289,14 +282,13 @@ def cmd_geo_flowline(args) -> int:
     v0 = unit_tangent(args.vx, args.vy, args.vz)
     writer = _writer(args, {"unit_tangent_tol": UNIT_TANGENT_TOL,
                             "step_control": asdict(TIGHT)})
-    stats = _solver_stats()
-    fl = flow_tangent(v0, args.alpha, args.T, stats=stats)
+    fl = flow_tangent(v0, args.alpha, args.T)
     writer.csv("flowline.csv", ["t", "x", "y", "z", "H"],
                ([t, *map(float, v), h] for t, v, h
                 in zip(fl.times, fl.tangents, fl.level_series)))
     writer.parameters["level_drift"] = fl.level_drift
     writer.parameters["norm_drift"] = fl.norm_drift
-    writer.parameters["solver_stats"] = asdict(stats)
+    writer.parameters["solver_stats"] = asdict(fl.stats)
     writer.finish()
     return 0
 
@@ -306,13 +298,12 @@ def cmd_geo_geodesic(args) -> int:
     v0 = unit_tangent(args.vx, args.vy, args.vz)
     writer = _writer(args, {"unit_tangent_tol": UNIT_TANGENT_TOL,
                             "step_control": asdict(TIGHT)})
-    stats = _solver_stats()
-    path = geodesic(v0, args.alpha, args.T, n_samples=args.samples, stats=stats)
+    path = geodesic(v0, args.alpha, args.T, n_samples=args.samples)
     writer.csv("geodesic.csv", ["t", "vx", "vy", "vz", "x", "y", "z"],
                ([t, *map(float, v), *map(float, p)] for t, v, p
                 in zip(path.times, path.tangents, path.positions)))
     writer.parameters["speed_drift"] = path.speed_drift
-    writer.parameters["solver_stats"] = asdict(stats)
+    writer.parameters["solver_stats"] = asdict(path.stats)
     writer.finish()
     return 0
 
@@ -320,13 +311,11 @@ def cmd_geo_geodesic(args) -> int:
 def cmd_geo_cylinder(args) -> int:
     from .geoflow import CYLINDER_SETUP_TOL, TIGHT, cylinder_invariant, geodesic, v_beta
     writer = _writer(args, {"setup_tol": CYLINDER_SETUP_TOL, "step_control": asdict(TIGHT)})
-    stats = _solver_stats()
-    path = geodesic(v_beta(args.beta, args.alpha), args.alpha, args.T, n_samples=args.samples,
-                    stats=stats)
+    path = geodesic(v_beta(args.beta, args.alpha), args.alpha, args.T, n_samples=args.samples)
     series, drift = cylinder_invariant(path, args.beta)
     writer.csv("cylinder.csv", ["t", "Q"], zip(path.times, series))
     writer.parameters["relative_drift"] = drift
-    writer.parameters["solver_stats"] = asdict(stats)
+    writer.parameters["solver_stats"] = asdict(path.stats)
     writer.finish()
     return 0
 
@@ -335,13 +324,12 @@ def cmd_geo_boundary(args) -> int:
     from .geoflow import SLOPE_TOL, TIGHT, boundary_curve
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
     writer = _writer(args, {"step_control": asdict(TIGHT), "slope_tol": SLOPE_TOL})
-    stats = _solver_stats()
-    bc = boundary_curve(args.alpha, grid, stats=stats)
+    bc = boundary_curve(args.alpha, grid)
     writer.csv("boundary.csv", ["x0", "a", "b", "da_dx0", "db_dx0"],
                ([p.x0, p.a_end, p.b_end, p.da_dx0, p.db_dx0] for p in bc.points))
     writer.parameters["a_increasing"] = bc.a_increasing
     writer.parameters["b_nonincreasing"] = bc.b_nonincreasing
-    writer.parameters["solver_stats"] = asdict(stats)
+    writer.parameters["solver_stats"] = asdict(bc.stats)
     writer.finish()
     return 0
 
@@ -350,8 +338,7 @@ def cmd_geo_boundingbox(args) -> int:
     from .geoflow import PASS_FLOOR, TIGHT, bounding_box_scan
     grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
     writer = _writer(args, {"pass_floor": PASS_FLOOR, "step_control": asdict(TIGHT)})
-    stats = _solver_stats()
-    recs = bounding_box_scan(args.alpha, grid, stats=stats)
+    recs, stats = bounding_box_scan(args.alpha, grid)
     writer.csv("boundingbox.csv",
                ["x0", "admissible", "rho", "min_a_prime", "min_b_prime",
                 "b_integral_residual", "passed"],
@@ -377,8 +364,7 @@ def cmd_geo_gcheck(args) -> int:
 def cmd_geo_sphere(args) -> int:
     from .geoflow import SPHERE_CONTROL, geodesic_sphere
     writer = _writer(args, {"step_control": asdict(SPHERE_CONTROL)})
-    stats = _solver_stats()
-    dirs, ends = geodesic_sphere(args.alpha, args.R, args.n_dirs, stats=stats)
+    dirs, ends, stats = geodesic_sphere(args.alpha, args.R, args.n_dirs)
     writer.csv("sphere.csv", ["dir_x", "dir_y", "dir_z", "end_x", "end_y", "end_z"],
                ([*map(float, d), *map(float, e)] for d, e in zip(dirs, ends)))
     obj_lines = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in ends)

@@ -248,7 +248,8 @@ class EightDiagnostics:
     ``FIELDS`` are the columns of ``diagnostics.csv``. The entries after
     ``k_max`` are what the run analyses read, so that a frame is measured
     once: the smallest edge length, the raw peak |k| (``k_max`` is its
-    parabolic refinement), the |k| at the refined top of the upper-right lobe,
+    parabolic refinement), the |k| at the refined top of the upper-right lobe
+    (quadratic in the vertex offset that refines ``y_max`` and ``x_star``),
     and the double point ``(i, j, point)`` of ``self_intersection`` (None
     without one).
     """
@@ -274,22 +275,6 @@ class EightDiagnostics:
 
     def row(self) -> list[float]:
         return [getattr(self, f) for f in self.FIELDS]
-
-
-def _interpolate_at_top(k_abs: np.ndarray, heights: np.ndarray, iy: int) -> float:
-    """|k| at the parabola vertex through the heights around sample ``iy``,
-    by quadratic interpolation; a non-finite height (a sample outside the
-    quadrant, tested before any arithmetic on the heights) leaves the vertex
-    at the sample."""
-    n = heights.size
-    y0, y1, y2 = (heights.item((iy + k) % n) for k in (-1, 0, 1))
-    k0, k1, k2 = (k_abs.item((iy + k) % n) for k in (-1, 0, 1))
-    inside = math.isfinite(y0) and math.isfinite(y1) and math.isfinite(y2)
-    denom = y0 - 2.0 * y1 + y2 if inside else 0.0
-    if denom == 0.0:
-        return k1
-    delta = min(1.0, max(-1.0, 0.5 * (y0 - y2) / denom))
-    return k1 + 0.5 * delta * (k2 - k0) + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2)
 
 
 def curve_geometry(P: np.ndarray, time: float | list[float] = 0.0
@@ -353,7 +338,8 @@ def curve_geometry(P: np.ndarray, time: float | list[float] = 0.0
             y_max, delta = _refine_extreme(y, iy)
             side = (iy + (1 if delta >= 0.0 else -1)) % x.size
             x_star = float(x[iy] + abs(delta) * (x[side] - x[iy]))
-            k_top = _interpolate_at_top(k_abs[f], upper_heights[f], iy)
+            k0, k1, k2 = (k_abs.item(f, (iy + j) % x.size) for j in (-1, 0, 1))
+            k_top = k1 + 0.5 * delta * (k2 - k0) + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2)
         else:
             x_max, y_max = float(x_tops[f]), float(y_tops[f])
             x_star = k_top = math.nan

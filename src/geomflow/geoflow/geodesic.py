@@ -39,10 +39,7 @@ class GeodesicPath:
     times: np.ndarray
     tangents: np.ndarray
     positions: np.ndarray
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.positions[-1]
+    stats: SolverStats
 
     @property
     def speed_drift(self) -> float:
@@ -71,39 +68,34 @@ def _check_unit(v0) -> np.ndarray:
     return v0
 
 
-def geodesic(v0, alpha: float, T: float, n_samples: int = 401,
-             stats: SolverStats | None = None) -> GeodesicPath:
+def geodesic(v0, alpha: float, T: float, n_samples: int = 401) -> GeodesicPath:
     """Geodesic from the identity with initial unit tangent v0, length T,
-    integrated at ``TIGHT``; the integration's counts are added to ``stats``
-    when it is given."""
+    integrated at ``TIGHT``; its ``stats`` are the integration's (empty at
+    T = 0)."""
     check_alpha(alpha)
     v0 = _check_unit(v0)
     if T < 0.0:
         raise ValueError("geodesic length must be nonnegative")
     if T == 0.0:
         return GeodesicPath(alpha, np.array([0.0]), v0[None, :].copy(),
-                            np.zeros((1, 3)))
+                            np.zeros((1, 3)), SolverStats())
     y0 = np.concatenate([v0, np.zeros(3)])
     times = np.linspace(0.0, T, n_samples)
     traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), TIGHT, output_times=times[1:])
-    if stats is not None:
-        stats.add(traj.stats)
     all_t = np.concatenate([[0.0], traj.times])
     all_y = np.vstack([y0, traj.states])
-    return GeodesicPath(alpha, all_t, all_y[:, :3], all_y[:, 3:])
+    return GeodesicPath(alpha, all_t, all_y[:, :3], all_y[:, 3:], traj.stats)
 
 
-def geodesic_endpoints(v0s, alpha: float, T: float, ctrl: StepControl,
-                       stats: SolverStats | None = None) -> np.ndarray:
+def geodesic_endpoints(v0s, alpha: float, T: float,
+                       ctrl: StepControl) -> tuple[np.ndarray, SolverStats]:
     """Endpoints at length T > 0 of the geodesics from the identity with the
-    unit tangents ``v0s`` (shape (m, 3)), integrated together as one batch
-    whose counts are added to ``stats`` when it is given."""
+    unit tangents ``v0s`` (shape (m, 3)), integrated together as one batch,
+    and the batch's solver statistics."""
     v0s = _check_unit(v0s)
     y0 = np.hstack([v0s, np.zeros_like(v0s)])
     traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), ctrl, output_times=[T])
-    if stats is not None:
-        stats.add(traj.stats)
-    return traj.y_end[:, 3:]
+    return traj.y_end[:, 3:], traj.stats
 
 
 def cylinder_invariant(path: GeodesicPath, beta: float) -> tuple[np.ndarray, float]:
@@ -148,15 +140,15 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def geodesic_sphere(alpha: float, R: float, n_dirs: int = 200,
-                    stats: SolverStats | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Point cloud of the geodesic sphere of radius R, (directions, endpoints),
-    all geodesics integrated as one batch at ``SPHERE_CONTROL``; the batch's
-    counts are added to ``stats`` when it is given."""
+def geodesic_sphere(alpha: float, R: float, n_dirs: int = 200
+                    ) -> tuple[np.ndarray, np.ndarray, SolverStats]:
+    """Point cloud of the geodesic sphere of radius R, (directions, endpoints,
+    solver statistics), all geodesics integrated as one batch at
+    ``SPHERE_CONTROL``."""
     check_alpha(alpha)
     if R <= 0.0:
         raise SetupError("radius must be positive")
     if n_dirs < 100:
         raise SetupError("need at least 100 directions for a meaningful cloud")
     dirs = fibonacci_directions(n_dirs)
-    return dirs, geodesic_endpoints(dirs, alpha, R, SPHERE_CONTROL, stats)
+    return (dirs, *geodesic_endpoints(dirs, alpha, R, SPHERE_CONTROL))

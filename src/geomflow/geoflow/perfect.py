@@ -58,7 +58,7 @@ def perfect_vector_checks(alpha: float, beta: float) -> PerfectVectorReport:
     # holonomy from a second starting point on the same loop
     shifted = flow_tangent(v_plus, alpha, 0.3 * P, n_samples=3).end
     shifted = shifted / np.linalg.norm(shifted)
-    end_plus, end_minus, end_shifted = geodesic_endpoints(
+    (end_plus, end_minus, end_shifted), _ = geodesic_endpoints(
         np.array([v_plus, v_minus, shifted]), alpha, P, TIGHT)
     partner_mismatch = float(np.linalg.norm(end_plus - end_minus))
     endpoint_z = max(abs(end_plus[2]), abs(end_minus[2]))

@@ -84,6 +84,7 @@ class Flowline:
     alpha: float
     times: np.ndarray
     tangents: np.ndarray
+    stats: SolverStats
 
     @property
     def level_series(self) -> np.ndarray:
@@ -107,13 +108,12 @@ class Flowline:
         return self.tangents[-1]
 
 
-def flow_tangent(v0, alpha: float, T: float, n_samples: int = 1001,
-                 stats: SolverStats | None = None) -> Flowline:
+def flow_tangent(v0, alpha: float, T: float, n_samples: int = 1001) -> Flowline:
     """Integrate v' = Sigma(v) for time T without renormalization.
 
     The sphere constraint and the level H are not enforced; their drift is
-    what the returned series measure, so the integration runs at ``TIGHT``.
-    Its counts are added to ``stats`` when it is given.
+    what the returned series measure, so the integration runs at ``TIGHT``,
+    whose solver statistics the flowline keeps.
     """
     check_alpha(alpha)
     v0 = np.asarray(v0, dtype=float)
@@ -121,11 +121,9 @@ def flow_tangent(v0, alpha: float, T: float, n_samples: int = 1001,
         raise SetupError("initial tangent is not a unit vector")
     times = np.linspace(0.0, T, n_samples)
     traj = integrate_ode(_flow_rhs(alpha), v0, (0.0, T), TIGHT, output_times=times[1:])
-    if stats is not None:
-        stats.add(traj.stats)
     all_times = np.concatenate([[0.0], traj.times])
     all_tangents = np.vstack([v0, traj.states])
-    return Flowline(alpha=alpha, times=all_times, tangents=all_tangents)
+    return Flowline(alpha=alpha, times=all_times, tangents=all_tangents, stats=traj.stats)
 
 
 def admissible_x0_interval(alpha: float) -> tuple[float, float]:

@@ -97,13 +97,12 @@ def _predicted_half_period(x0: float, alpha: float) -> tuple[float, float]:
     return beta, 0.5 * period(alpha, beta).period
 
 
-def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl, stats: SolverStats | None = None,
-                         nodes: bool = True) -> list[SymmetricRun]:
+def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl, nodes: bool = True) -> list[SymmetricRun]:
     """Integrate the rows ``y0s`` (one per x0 in ``x0s``) as one batch to
-    their first z-returns, each row checked against its own P(beta)/2; the
-    batch's counts are added to ``stats`` when it is given. Without
-    ``nodes`` the runs keep their end states alone, and only the steps of a
-    z-return build the dense output.
+    their first z-returns, each row checked against its own P(beta)/2; every
+    run's ``trajectory.stats`` is the batch's. Without ``nodes`` the runs
+    keep their end states alone, and only the steps of a z-return build the
+    dense output.
 
     A lone row is integrated as a plain (d,) state: the same bits as its
     one-row batch, at less than half the cost per step (scalar arithmetic
@@ -115,8 +114,6 @@ def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl, stats: SolverStats | None =
     traj = integrate_ode(rhs, y0s[0] if lone else y0s, (0.0, 10.0 * predicted.max()), ctrl,
                          output_times=None if nodes else (),
                          event=lambda t, u: u[..., 2], event_min_time=0.05 * predicted)
-    if stats is not None:
-        stats.add(traj.stats)
     rows = [traj] if lone else [traj.row(r) for r in range(len(x0s))]
     runs = []
     for x0, beta, pred, row in zip(x0s, betas, predicted, rows):
@@ -143,7 +140,7 @@ def _check_x0(x0s, alpha: float) -> np.ndarray:
 
 
 def _symmetric_runs(x0s, alpha: float, with_quadrature: bool = False,
-                    stats: SolverStats | None = None, nodes: bool = True) -> list[SymmetricRun]:
+                    nodes: bool = True) -> list[SymmetricRun]:
     """The 5-system (6 with ``with_quadrature``) from (x0, sqrt(1-x0^2), 0, 0, 0)
     for every x0 of ``x0s``, integrated as one batch at ``TIGHT`` by
     ``_integrate_to_return``."""
@@ -152,7 +149,7 @@ def _symmetric_runs(x0s, alpha: float, with_quadrature: bool = False,
     y0s[:, 0] = x0s
     y0s[:, 1] = np.sqrt(1.0 - x0s * x0s)
     return _integrate_to_return(_sym_rhs(alpha, with_quadrature), y0s, alpha, x0s, TIGHT,
-                                stats, nodes)
+                                nodes)
 
 
 def symmetric_system(x0: float, alpha: float) -> SymmetricRun:
@@ -198,12 +195,11 @@ class BoxScanRecord:
     passed: bool | None = None
 
 
-def bounding_box_scan(alpha: float, x0_grid,
-                      stats: SolverStats | None = None) -> list[BoxScanRecord]:
+def bounding_box_scan(alpha: float, x0_grid) -> tuple[list[BoxScanRecord], SolverStats]:
     """Check min a' and min b' at the ``BOX_SAMPLES - 1`` points of
     linspace(0, rho, BOX_SAMPLES) after 0 for each admissible x0, all of them
-    integrated as one batch whose counts are added to ``stats`` when it is
-    given.
+    integrated as one batch; returns the records and the batch's solver
+    statistics (empty when no row is admissible).
 
     Grid points at or below the equilibrium abscissa sqrt(a/(1+a)) are
     reported as inadmissible and skipped rather than failing the scan: the
@@ -213,14 +209,16 @@ def bounding_box_scan(alpha: float, x0_grid,
     lo, _ = admissible_x0_interval(alpha)
     grid = np.atleast_1d(np.asarray(x0_grid, dtype=float))
     admissible = (grid > lo + 1e-9) & (grid < 1.0)
-    runs = iter(_symmetric_runs(grid[admissible], alpha, with_quadrature=True, stats=stats)
-                if admissible.any() else [])
+    runs = (_symmetric_runs(grid[admissible], alpha, with_quadrature=True)
+            if admissible.any() else [])
+    stats = runs[0].trajectory.stats if runs else SolverStats()
+    pending = iter(runs)
     records = []
     for x0, ok in zip(grid, admissible):
         if not ok:
             records.append(BoxScanRecord(alpha=alpha, x0=float(x0), admissible=False))
             continue
-        run = next(runs)
+        run = next(pending)
         ts = np.linspace(0.0, run.rho, BOX_SAMPLES)[1:]
         u = run.sample(ts)
         x, y, z, a, b, q = u.T
@@ -234,7 +232,7 @@ def bounding_box_scan(alpha: float, x0_grid,
         )
         rec.passed = rec.min_a_prime > PASS_FLOOR and rec.min_b_prime > PASS_FLOOR
         records.append(rec)
-    return records
+    return records, stats
 
 
 @dataclass
@@ -252,17 +250,18 @@ class BoundaryCurve:
     points: list
     a_increasing: bool
     b_nonincreasing: bool
+    stats: SolverStats
 
 
-def boundary_curve(alpha: float, x0_grid, stats: SolverStats | None = None) -> BoundaryCurve:
+def boundary_curve(alpha: float, x0_grid) -> BoundaryCurve:
     """Endpoints (a(rho), b(rho)) over the grid, integrated as one batch, plus
-    monotonicity verdicts; b may rise by up to ``SLOPE_TOL`` between grid
-    points and still count as nonincreasing. The batch's counts are added to
-    ``stats`` when it is given; the batch stores no nodes, since only the
-    end states are read."""
+    monotonicity verdicts and the batch's solver statistics; b may rise by up
+    to ``SLOPE_TOL`` between grid points and still count as nonincreasing.
+    The batch stores no nodes, since only the end states are read."""
     xs = np.atleast_1d(np.asarray(x0_grid, dtype=float))
+    runs = _symmetric_runs(xs, alpha, nodes=False)
     pts = [BoundaryPoint(x0=run.x0, a_end=float(run.end_state[3]), b_end=float(run.end_state[4]))
-           for run in _symmetric_runs(xs, alpha, stats=stats, nodes=False)]
+           for run in runs]
     a_vals = np.array([p.a_end for p in pts])
     b_vals = np.array([p.b_end for p in pts])
     slopes_a = np.gradient(a_vals, xs)
@@ -275,6 +274,7 @@ def boundary_curve(alpha: float, x0_grid, stats: SolverStats | None = None) -> B
         points=pts,
         a_increasing=bool(np.all(np.diff(a_vals) > 0.0)),
         b_nonincreasing=bool(np.all(np.diff(b_vals) <= SLOPE_TOL)),
+        stats=runs[0].trajectory.stats,
     )
 
 

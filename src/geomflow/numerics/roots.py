@@ -10,7 +10,7 @@ from ..errors import BracketError
 _EPS = sys.float_info.epsilon
 
 
-def find_root(f: Callable[[float], float], bracket: tuple[float, float], tol: float = 1e-12) -> float:
+def find_root(f: Callable[[float], float], bracket: tuple[float, float], tol: float) -> float:
     """Root of ``f`` inside ``bracket``, to within ``tol`` + 4 eps |root|.
 
     Brent's method (Brent, *Algorithms for Minimization without

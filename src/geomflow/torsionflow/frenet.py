@@ -26,40 +26,14 @@ FRAME_DRIFT_TOL = 1e-6  # largest orthonormality drift of the frame before corre
 
 
 @dataclass
-class FrenetState:
-    """Position plus right-handed orthonormal frame (T, N, B)."""
-
-    position: np.ndarray
-    T: np.ndarray
-    N: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.T = np.asarray(self.T, dtype=float)
-        self.N = np.asarray(self.N, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        frame = np.vstack([self.T, self.N, self.B])
-        gram = frame @ frame.T
-        if np.max(np.abs(gram - np.eye(3))) > 1e-8:
-            raise ValueError("frame is not orthonormal within 1e-8")
-        if np.dot(np.cross(self.T, self.N), self.B) < 0.0:
-            raise ValueError("frame is not right-handed")
-
-    @classmethod
-    def standard(cls) -> "FrenetState":
-        return cls(np.zeros(3), np.array([1.0, 0.0, 0.0]),
-                   np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-
-
-@dataclass
 class ReconstructedCurve:
     s: np.ndarray
     positions: np.ndarray
     tangents: np.ndarray
     normals: np.ndarray
     binormals: np.ndarray
-    frame_drift: float = 0.0
+    frame_drift: float
+    stats: SolverStats
 
 
 def _orthonormalize(T, N, B):
@@ -73,15 +47,13 @@ def _orthonormalize(T, N, B):
 
 def frenet_reconstruct(kappa: CurvatureProfile, tau: TorsionField,
                        s_span: tuple[float, float] = (0.0, 4.0 * math.pi),
-                       n_samples: int = 513,
-                       stats: SolverStats | None = None) -> ReconstructedCurve:
+                       n_samples: int = 513) -> ReconstructedCurve:
     """Integrate the Frenet system at the constant curvature ``kappa`` from
-    the standard frame at the origin, at ``FRENET_CONTROL``, one integration
-    per grid interval; the torsion is evaluated by trigonometric
-    interpolation of its periodic samples. A curvature that varies along the
-    curve is not supported. The integrations' counts are added to ``stats``
-    when it is given."""
-    init = FrenetState.standard()
+    the standard frame (T, N, B) = I at the origin, at ``FRENET_CONTROL``,
+    one integration per grid interval; the torsion is evaluated by
+    trigonometric interpolation of its periodic samples. A curvature that
+    varies along the curve is not supported. The curve's ``stats`` sum the
+    integrations' counts."""
     tau_of = trig_interpolant(tau.samples)
     k = kappa.constant
 
@@ -94,15 +66,15 @@ def frenet_reconstruct(kappa: CurvatureProfile, tau: TorsionField,
 
     s0, s1 = s_span
     grid = np.linspace(s0, s1, n_samples)
-    y = np.concatenate([init.position, init.T, init.N, init.B])
+    y = np.concatenate([np.zeros(3), np.eye(3).ravel()])
     out = np.empty((n_samples, 12))
     out[0] = y
     drift = 0.0
+    stats = SolverStats()
     for i in range(1, n_samples):
         traj = integrate_ode(rhs, y, (grid[i - 1], grid[i]), FRENET_CONTROL,
                              output_times=[grid[i]])
-        if stats is not None:
-            stats.add(traj.stats)
+        stats.add(traj.stats)
         y = traj.y_end.copy()
         frame = y[3:].reshape(3, 3)
         gram = frame @ frame.T
@@ -116,4 +88,4 @@ def frenet_reconstruct(kappa: CurvatureProfile, tau: TorsionField,
         out[i] = y
     return ReconstructedCurve(
         s=grid, positions=out[:, :3], tangents=out[:, 3:6],
-        normals=out[:, 6:9], binormals=out[:, 9:12], frame_drift=drift)
+        normals=out[:, 6:9], binormals=out[:, 9:12], frame_drift=drift, stats=stats)

@@ -71,15 +71,15 @@ def _orbit_turning_points(A: float, C: float) -> tuple[float, float]:
     return u_min, u_max
 
 
-def stationary_torsion_general(A: float, C: float, n: int = 256,
-                               stats: SolverStats | None = None) -> TorsionField:
+def stationary_torsion_general(A: float, C: float,
+                               n: int = 256) -> tuple[TorsionField, SolverStats]:
     """Stationary profile by quadrature of the reduced first-order equation.
 
     The orbit of u oscillates between the turning points; its s-period must
     divide 2*pi to within ``CLOSURE_TOL`` cycles for the profile to live on
     the periodic mesh, otherwise the constants are rejected. The profile is
-    phased so tau is maximal at s = 0. The counts of the orbit's integration
-    are added to ``stats`` when it is given.
+    phased so tau is maximal at s = 0. Returns the profile and the solver
+    statistics of the orbit's integration.
     """
     u_min, u_max = _orbit_turning_points(A, C)
 
@@ -103,7 +103,5 @@ def stationary_torsion_general(A: float, C: float, n: int = 256,
     ctrl = StepControl(initial_step=1e-4, abs_tol=1e-13, rel_tol=1e-13)
     grid = periodic_grid(n)
     traj = integrate_ode(rhs, [u_min, 0.0], (0.0, TWO_PI), ctrl, output_times=grid[1:])
-    if stats is not None:
-        stats.add(traj.stats)
     u_samples = np.concatenate([[u_min], traj.states[:, 0]])
-    return TorsionField(u_samples ** -2.0)
+    return TorsionField(u_samples ** -2.0), traj.stats

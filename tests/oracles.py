@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from geomflow.csf import EightDiagnostics, enclosed_area, lobe_areas, self_intersection
-from geomflow.csf.curve import _interpolate_at_top, _refine_extreme
+from geomflow.csf.curve import _refine_extreme
 from geomflow.errors import TopologyError
 from geomflow.geoflow import TIGHT, structure_field
 from geomflow.numerics.ode import integrate_ode
@@ -168,7 +168,8 @@ def frame_geometry(P, time=0.0):
         y_max, delta = _refine_extreme(ys, iy)
         side = (iy + (1 if delta >= 0.0 else -1)) % xs.size
         x_star = float(xs[iy] + abs(delta) * (xs[side] - xs[iy]))
-        k_top = _interpolate_at_top(k_abs, upper_heights, iy)
+        k0, k1, k2 = (k_abs[(iy + j) % xs.size] for j in (-1, 0, 1))
+        k_top = float(k1 + 0.5 * delta * (k2 - k0) + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2))
     else:
         x_max = float(np.max(xs))
         y_max = float(np.max(ys))

@@ -27,6 +27,21 @@ def read_csv(path: Path):
     return header, rows
 
 
+def run_outputs(out: Path) -> dict:
+    """The files of one run by name: data files as bytes, and manifests as
+    JSON without their wall times and with output paths reduced to names."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name.endswith("_manifest.json"):
+            manifest = json.loads(path.read_text())
+            del manifest["wall_time_seconds"]
+            manifest["outputs"] = [Path(p).name for p in manifest["outputs"]]
+            files[path.name] = manifest
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
 class TestGeoCommands:
     def test_period_table_reproduces_reference_rows(self, tmp_path):
         out = tmp_path / "table"
@@ -44,18 +59,25 @@ class TestGeoCommands:
         assert manifest["parameters"]["beta"] == 0.999
 
     def test_determinism_byte_identical(self, tmp_path):
-        # the batched scans (sphere, boundary, bounding box) repeat bit for bit too
-        cases = [(["geo", "period-table", "--beta", "0.9"], ["period_table.csv"]),
-                 (["geo", "sphere", "--R", "2", "--n-dirs", "100"], ["sphere.csv", "sphere.obj"]),
-                 (["geo", "boundary", "--x0-min", "0.8", "--x0-max", "0.9"], ["boundary.csv"]),
-                 (["geo", "boundingbox", "--x0-min", "0.7", "--x0-max", "0.8", "--step", "0.05"],
-                  ["boundingbox.csv"])]
-        for i, (argv, files) in enumerate(cases):
-            out1, out2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
-            assert main([*argv, "--out", str(out1)]) == 0
-            assert main([*argv, "--out", str(out2)]) == 0
-            for name in files:
-                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # every command repeats its data files bit for bit, the batched scans
+        # (sphere, boundary, bounding box) included, and its manifest but for
+        # the wall times and the output directory
+        cases = ["geo period-table --beta 0.9", "geo sphere --R 2 --n-dirs 100",
+                 "geo boundary --x0-min 0.8 --x0-max 0.9",
+                 "geo boundingbox --x0-min 0.7 --x0-max 0.8 --step 0.05",
+                 "csf run --n 128", "csf bowtie --n 128", "csf grimreaper --n 128",
+                 "torsion evolve --n 32 --T 0.1 --frames 2",
+                 "torsion stationary --A 1e-9 --C 3 --n 64", "torsion stability --n 32 --T 0.1",
+                 "torsion transform --n 32", "torsion reconstruct --n 32 --s-max 1 --samples 9",
+                 "geo flowline", "geo geodesic", "geo cylinder", "geo gcheck", "geo curvature",
+                 "geo period"]
+        for i, command in enumerate(cases):
+            runs = []
+            for side in "ab":
+                out = tmp_path / f"{i}{side}"
+                assert main([*shlex.split(command), "--out", str(out)]) == 0
+                runs.append(run_outputs(out))
+            assert len(runs[0]) >= 2 and runs[0] == runs[1], command
 
     def test_curvature_tables(self, tmp_path):
         out = tmp_path / "curv"

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from geomflow.csf.curve import (_check_concinnity, _interpolate_at_top, _lemniscate_quarter,
-                                _median, _three_point, edge_lengths, quarter_arc_length,
-                                row_lengths)
+from geomflow.csf.curve import (_check_concinnity, _lemniscate_quarter, _median, _three_point,
+                                edge_lengths, quarter_arc_length, row_lengths)
 from geomflow.errors import ConstructionError, ResolutionError, TopologyError
 from geomflow.csf import (MIN_TIP_POINTS, PlaneCurve, StopRule, affine_rescale_and_bowtie,
                           axis_shrink_products, csf_evolve, curvature_and_angles,
@@ -390,23 +389,35 @@ def _reference_resolvable_frames(run):
     return out
 
 
+def _top_index(P):
+    """The highest sample in the closed upper-right quadrant (sample 0 when
+    none lies in it)."""
+    return int(np.argmax(np.where((P[:, 0] >= 0.0) & (P[:, 1] >= 0.0), P[:, 1], -np.inf)))
+
+
+def _reference_k_top(P):
+    """|k| at the vertex of the parabola through the top height and its two
+    neighbours, quadratic in the vertex offset; a flat top (the top height
+    and the two after it, or before it, agree to 1e-13) keeps its sample."""
+    n, iy = P.shape[0], _top_index(P)
+    k = np.abs(_reference_signed_curvature(P))
+    h = [P[(iy + j) % n, 1] for j in range(-2, 3)]
+    flat = 1e-13 * max(abs(v) for v in h)
+    denom = h[1] - 2.0 * h[2] + h[3]
+    if (denom == 0.0 or max(abs(h[0] - h[2]), abs(h[1] - h[2])) <= flat
+            or max(abs(h[3] - h[2]), abs(h[4] - h[2])) <= flat):
+        delta = 0.0
+    else:
+        delta = float(np.clip(0.5 * (h[1] - h[3]) / denom, -1.0, 1.0))
+    k0, k1, k2 = k[(iy - 1) % n], k[iy], k[(iy + 1) % n]
+    return k1 + 0.5 * delta * (k2 - k0) + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2)
+
+
 def _reference_axis_shrink_products(run):
     px, py = [], []
     for P, diag in zip(run.frames, run.diagnostics):
-        k = np.abs(_reference_signed_curvature(P))
-        upper_right = (P[:, 0] >= 0.0) & (P[:, 1] >= 0.0)
-        masked_y = np.where(upper_right, P[:, 1], -np.inf)
-        iy = int(np.argmax(masked_y))
-        n = P.shape[0]
-        y0, y1, y2 = masked_y[(iy - 1) % n], masked_y[iy], masked_y[(iy + 1) % n]
-        denom = y0 - 2.0 * y1 + y2
-        delta = 0.0 if (denom == 0.0 or not np.isfinite(denom)) \
-            else float(np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0))
-        k0, k1, k2 = k[(iy - 1) % n], k[iy], k[(iy + 1) % n]
-        k_star = (k1 + 0.5 * delta * (k2 - k0)
-                  + 0.5 * delta * delta * (k0 - 2.0 * k1 + k2))
         px.append(diag.y_max * diag.k_max)
-        py.append(diag.x_max * k_star)
+        py.append(diag.x_max * _reference_k_top(P))
     return np.asarray(run.times, dtype=float), np.array(px), np.array(py)
 
 
@@ -454,7 +465,7 @@ class TestFrameRecord:
 
     def test_axis_shrink_products_match_per_frame_measurement(self, collapse_run):
         # on the eight turned upright the top sample's left neighbour lies
-        # outside the upper-right quadrant, so its masking matters
+        # outside the upper-right quadrant, and the vertex is still taken
         upright = make_concinnous_eight(1.0, n_points=128).points[:, ::-1]
         upright_run = csf_evolve(PlaneCurve(upright), StopRule(time=0.01, kmax_spacing=None),
                                  record_dt=0.005)
@@ -462,21 +473,26 @@ class TestFrameRecord:
             for got, want in zip(axis_shrink_products(run), _reference_axis_shrink_products(run)):
                 assert np.array_equal(got, want)
 
-    def test_top_outside_the_quadrant_keeps_its_sample(self):
-        # a top sample with a neighbour outside the upper-right quadrant (or
-        # outside it itself) keeps its own |k|, and no RuntimeWarning is
-        # raised on the way; with both neighbours inside, the |k| is taken
-        # at the vertex of the parabola through the heights
-        k_abs = np.array([1.0, 2.0, 3.0, 4.0])
+    def test_k_top_is_taken_where_y_max_is_refined(self):
+        # k_top is the |k| at the vertex offset that refines y_max and x*: a
+        # neighbour outside the upper-right quadrant no longer holds it at
+        # its sample, a flat top keeps its sample, and no RuntimeWarning is
+        # raised on the way
+        eight = make_concinnous_eight(1.0, n_points=128).points
+        upright = eight[:, ::-1]  # the top sample's left neighbour is outside
+        below = eight + np.array([0.2, -1.0])  # no sample in the quadrant
+        flat = eight.copy()
+        iy = _top_index(eight)
+        flat[iy + 1:iy + 3, 1] = flat[iy, 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _interpolate_at_top(k_abs, np.full(4, -np.inf), 0) == 1.0
-            assert _interpolate_at_top(k_abs, np.array([-np.inf, 1.0, 0.5, 0.2]), 1) == 2.0
-            assert _interpolate_at_top(k_abs, np.array([0.0, 1.0, 1.0, 0.0]), 1) == 2.5
-            # the eight moved below the x-axis has no sample in the quadrant
-            P = make_concinnous_eight(1.0, n_points=128).points + np.array([0.2, -1.0])
-            diag = curve_geometry(P)
-        assert diag.k_top == abs(curvature_and_angles(P)[0][0])
+            diags = [curve_geometry(P) for P in (upright, below, flat)]
+        for P, diag in zip((upright, below, flat), diags):
+            assert diag.k_top == _reference_k_top(P)
+        k_upright, k_flat = (np.abs(curvature_and_angles(P)[0]) for P in (upright, flat))
+        assert upright[_top_index(upright) - 1, 0] < 0.0
+        assert diags[0].k_top != k_upright[_top_index(upright)]
+        assert diags[2].k_top == k_flat[iy]
 
     def test_bowtie_distance_matches_full_matrix(self, collapse_run):
         # the pruned distance search against every (point, segment) pair

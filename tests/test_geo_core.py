@@ -10,6 +10,7 @@ from geomflow.geoflow import (admissible_x0_interval, beta_from_x0, covariant_se
                               curvature_data, cylinder_invariant, flow_tangent, geodesic,
                               geodesic_sphere, level_value, scalar_curvature,
                               structure_field, symmetric_system, v_beta)
+from geomflow.numerics.ode import SolverStats
 from geomflow.numerics.roots import find_root
 from oracles import concatenation_endpoint, group_inv, group_mul
 
@@ -171,28 +172,34 @@ class TestBetaFromX0:
 class TestGeodesics:
     def test_pole_geodesic_is_vertical_line(self):
         path = geodesic(np.array([0.0, 0.0, 1.0]), 0.5, 4.0)
-        assert np.allclose(path.endpoint, [0.0, 0.0, 4.0], atol=1e-12)
+        assert np.allclose(path.positions[-1], [0.0, 0.0, 4.0], atol=1e-12)
+        assert path.stats.accepted > 0 and path.stats.rhs_evals >= 12 * path.stats.accepted
+
+    def test_zero_length_integrates_nothing(self):
+        path = geodesic(np.array([0.0, 0.0, 1.0]), 0.5, 0.0)
+        assert np.array_equal(path.positions, np.zeros((1, 3)))
+        assert path.stats == SolverStats()
 
     def test_concatenation_oracle(self):
         rng = np.random.default_rng(3)
         v0 = rng.standard_normal(3)
         v0 /= np.linalg.norm(v0)
-        frame_end = geodesic(v0, 0.5, 5.0, n_samples=2).endpoint
+        frame_end = geodesic(v0, 0.5, 5.0, n_samples=2).positions[-1]
         concat_end = concatenation_endpoint(v0, 0.5, 5.0)
         assert np.max(np.abs(frame_end - concat_end)) < 1e-5
 
     def test_positive_sector_preserved(self):
         v0 = np.array([0.6, 0.7, math.sqrt(1 - 0.6**2 - 0.7**2)])
         for alpha in (0.3, 0.5, 1.0):
-            end = geodesic(v0, alpha, 5.0, n_samples=2).endpoint
+            end = geodesic(v0, alpha, 5.0, n_samples=2).positions[-1]
             assert end[0] > 0 and end[1] > 0
 
     def test_reflection_equivariance(self):
         v0 = np.array([0.5, 0.6, math.sqrt(1 - 0.5**2 - 0.6**2)])
         alpha = 0.5
-        end = geodesic(v0, alpha, 3.0, n_samples=2).endpoint
-        end_rx = geodesic(v0 * np.array([-1, 1, 1]), alpha, 3.0, n_samples=2).endpoint
-        end_ry = geodesic(v0 * np.array([1, -1, 1]), alpha, 3.0, n_samples=2).endpoint
+        end = geodesic(v0, alpha, 3.0, n_samples=2).positions[-1]
+        end_rx = geodesic(v0 * np.array([-1, 1, 1]), alpha, 3.0, n_samples=2).positions[-1]
+        end_ry = geodesic(v0 * np.array([1, -1, 1]), alpha, 3.0, n_samples=2).positions[-1]
         assert np.max(np.abs(end_rx - end * np.array([-1, 1, 1]))) < 1e-9
         assert np.max(np.abs(end_ry - end * np.array([1, -1, 1]))) < 1e-9
 
@@ -237,12 +244,13 @@ class TestCylinderInvariant:
 
 class TestGeodesicSphere:
     def test_small_radius_is_euclidean(self):
-        dirs, ends = geodesic_sphere(0.5, 0.01, n_dirs=100)
+        dirs, ends, stats = geodesic_sphere(0.5, 0.01, n_dirs=100)
+        assert stats.accepted > 0 and stats.rhs_evals >= 12 * stats.accepted
         assert np.max(np.linalg.norm(ends - 0.01 * dirs, axis=1)) < 1e-4
 
     def test_lobe_asymmetry_grows_with_alpha(self):
-        _, ends1 = geodesic_sphere(1.0, 5.0, n_dirs=100)
-        _, ends0 = geodesic_sphere(0.0, 5.0, n_dirs=100)
+        _, ends1, _ = geodesic_sphere(1.0, 5.0, n_dirs=100)
+        _, ends0, _ = geodesic_sphere(0.0, 5.0, n_dirs=100)
         def asym(e):
             r = np.linalg.norm(e, axis=1)
             return r.max() / r.min()

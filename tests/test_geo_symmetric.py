@@ -36,7 +36,7 @@ class TestSymmetricSystem:
         x, y, z, a, b = run.sample(t_mid)
         path = geodesic(np.array([x, y, z]) / np.linalg.norm([x, y, z]),
                         alpha, 2 * t_mid, n_samples=2)
-        assert np.max(np.abs(path.endpoint - np.array([a, b, 0.0]))) < 1e-7
+        assert np.max(np.abs(path.positions[-1] - np.array([a, b, 0.0]))) < 1e-7
 
     def test_inadmissible_x0_rejected(self):
         with pytest.raises(ValueError):
@@ -80,20 +80,26 @@ class TestVariationalSystem:
 
 class TestBoundingBoxScan:
     def test_half_alpha_grid_passes(self):
-        recs = bounding_box_scan(0.5, np.arange(0.60, 0.951, 0.05))
+        recs, stats = bounding_box_scan(0.5, np.arange(0.60, 0.951, 0.05))
         assert all(r.admissible for r in recs)
+        assert stats.accepted > 0 and stats.event_evals > 0
         assert all(r.passed for r in recs)
 
     def test_sol_grid_passes_with_skips(self):
-        recs = bounding_box_scan(1.0, np.arange(0.60, 0.951, 0.05))
+        recs, _ = bounding_box_scan(1.0, np.arange(0.60, 0.951, 0.05))
         admissible = [r for r in recs if r.admissible]
         skipped = [r for r in recs if not r.admissible]
         # 0.60, 0.65, 0.70 sit below the Sol equilibrium abscissa 1/sqrt(2)
         assert len(skipped) == 3
         assert admissible and all(r.passed for r in admissible)
 
+    def test_scan_without_admissible_rows_integrates_nothing(self):
+        recs, stats = bounding_box_scan(1.0, [0.6, 0.65])
+        assert not any(r.admissible for r in recs)
+        assert stats == SolverStats()
+
     def test_b_closed_form_residual(self):
-        recs = bounding_box_scan(0.5, [0.8])
+        recs, _ = bounding_box_scan(0.5, [0.8])
         assert recs[0].b_integral_residual < 1e-7
 
 
@@ -108,15 +114,19 @@ class TestBoundaryCurve:
         # are those of the same batch with stored nodes, bit for bit, and it
         # skips the three dense stages in every step without a z-return
         alpha, xs = 0.5, np.arange(0.60, 0.981, 0.02)
-        lean, full = SolverStats(), SolverStats()
-        lean_runs = _symmetric_runs(xs, alpha, stats=lean, nodes=False)
-        full_runs = _symmetric_runs(xs, alpha, stats=full)
+        lean_runs = _symmetric_runs(xs, alpha, nodes=False)
+        full_runs = _symmetric_runs(xs, alpha)
+        lean, full = lean_runs[0].trajectory.stats, full_runs[0].trajectory.stats
         assert [r.rho for r in lean_runs] == [r.rho for r in full_runs]
         for lean_run, full_run in zip(lean_runs, full_runs):
             assert np.array_equal(lean_run.end_state, full_run.end_state)
-        points = boundary_curve(alpha, xs).points
+        curve = boundary_curve(alpha, xs)
+        points = curve.points
         assert [(p.a_end, p.b_end) for p in points] == [
             (r.end_state[3], r.end_state[4]) for r in full_runs]
+        # every run of a batch carries the batch's record, and so does the curve
+        assert all(r.trajectory.stats is full for r in full_runs)
+        assert curve.stats == lean
         assert (lean.accepted, lean.rejected, lean.event_evals) == (
             full.accepted, full.rejected, full.event_evals)
         # a z-return at rho lies in the step (times[i], times[i + 1]] that ends at or after it
