@@ -13,20 +13,22 @@ module structure:
 Repeated runs of one configuration produce byte-identical data files. A
 manifest's parameters are every parsed argument except ``--out``, and its
 tolerances are the controls the run actually used: the step control of the
-ODE-driven geo commands and of ``torsion reconstruct`` (with its frame-drift
-tolerance), the step record of ``torsion evolve`` (its scheme, tolerances,
-remainder bounds, step counts and step range; its ETDRK4 remainder calls and
-the state rows they carried go under ``parameters``), the step control and
-stop rule of the csf commands (which also record their accepted steps,
-checks, rejections, remainder calls and rows and the symmetries they held,
-and time their steps, projections, frame diagnostics, frame analyses and CSV
-writing in ``wall_time_seconds``),
-and the library constants the other commands run with (such as the slope
-tolerance of ``geo boundary`` and the closure tolerance of ``torsion
-stationary``). The ODE-driven commands (``geo sphere``, ``boundary``,
-``boundingbox``, ``flowline``, ``geodesic``, ``cylinder``, ``torsion
-reconstruct`` and ``stationary``) also record the solver statistics that their results
-carry: accepted and rejected steps, field evaluations and the step range.
+ODE-driven geo commands, of ``torsion reconstruct`` (one integration over
+the whole arc length, with its frame-drift tolerance) and of ``torsion
+stationary`` when it integrates the orbit (``--A`` not 0), the step record
+of ``torsion evolve`` (its scheme, tolerances, remainder bounds, step counts
+and step range; its ETDRK4 remainder calls and the state rows they carried
+go under ``parameters``), the step control and stop rule of the csf
+commands (which also record their accepted steps, checks, rejections,
+remainder calls and rows and the symmetries they held, and time their
+steps, projections, frame diagnostics, frame analyses and CSV writing in
+``wall_time_seconds``), and the library constants the other commands run
+with (such as the slope tolerance of ``geo boundary`` and the closure
+tolerance of ``torsion stationary``). The ODE-driven commands (``geo
+sphere``, ``boundary``, ``boundingbox``, ``flowline``, ``geodesic``,
+``cylinder``, ``torsion reconstruct`` and ``stationary``) also record the
+solver statistics that their results carry: accepted and rejected steps,
+field evaluations and the step range.
 ``verify`` prints each criterion's wall time, or with ``--json`` one JSON
 object per criterion.
 """
@@ -44,7 +46,7 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__
-from .errors import GeomflowError
+from .errors import GeomflowError, SetupError
 from .io_utils import ExperimentWriter, csv_block
 
 
@@ -193,12 +195,13 @@ def cmd_torsion_evolve(args) -> int:
 def cmd_torsion_stationary(args) -> int:
     from .numerics.ode import SolverStats
     from .torsionflow import torsion_rhs
-    from .torsionflow.stationary import (CLOSURE_TOL, stationary_torsion,
+    from .torsionflow.stationary import (CLOSURE_TOL, STATIONARY_CONTROL, stationary_torsion,
                                          stationary_torsion_general)
     writer = _writer(args, {"closure_tol": CLOSURE_TOL})
     if args.A == 0.0:  # the closed form integrates nothing
         tau, stats = stationary_torsion(args.C, n=args.n), SolverStats()
     else:
+        writer.tolerances["step_control"] = asdict(STATIONARY_CONTROL)
         tau, stats = stationary_torsion_general(args.A, args.C, n=args.n)
     residual = float(np.max(np.abs(torsion_rhs(tau))))
     writer.csv("stationary.csv", ["s", "tau"], zip(tau.grid, tau.samples))
@@ -320,9 +323,23 @@ def cmd_geo_cylinder(args) -> int:
     return 0
 
 
+def _x0_grid(args) -> np.ndarray:
+    """The x0 grid of ``geo boundary`` and ``boundingbox``: from ``x0_min``
+    through ``x0_max`` in strides of ``step``, refused when it is empty or its
+    bounds or stride are not finite, or the stride is not positive."""
+    lo, hi, step = args.x0_min, args.x0_max, args.step
+    if not (np.isfinite([lo, hi, step]).all() and step > 0.0):
+        raise SetupError(f"x0 grid from {lo} to {hi} in strides of {step} needs finite "
+                         "bounds and a finite positive stride")
+    grid = np.arange(lo, hi + 1e-12, step)
+    if grid.size == 0:
+        raise SetupError(f"x0 grid from {lo} to {hi} is empty")
+    return grid
+
+
 def cmd_geo_boundary(args) -> int:
     from .geoflow import SLOPE_TOL, TIGHT, boundary_curve
-    grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
+    grid = _x0_grid(args)
     writer = _writer(args, {"step_control": asdict(TIGHT), "slope_tol": SLOPE_TOL})
     bc = boundary_curve(args.alpha, grid)
     writer.csv("boundary.csv", ["x0", "a", "b", "da_dx0", "db_dx0"],
@@ -336,7 +353,7 @@ def cmd_geo_boundary(args) -> int:
 
 def cmd_geo_boundingbox(args) -> int:
     from .geoflow import PASS_FLOOR, TIGHT, bounding_box_scan
-    grid = np.arange(args.x0_min, args.x0_max + 1e-12, args.step)
+    grid = _x0_grid(args)
     writer = _writer(args, {"pass_floor": PASS_FLOOR, "step_control": asdict(TIGHT)})
     recs, stats = bounding_box_scan(args.alpha, grid)
     writer.csv("boundingbox.csv",

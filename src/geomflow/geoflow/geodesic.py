@@ -69,22 +69,23 @@ def _check_unit(v0) -> np.ndarray:
 
 
 def geodesic(v0, alpha: float, T: float, n_samples: int = 401) -> GeodesicPath:
-    """Geodesic from the identity with initial unit tangent v0, length T,
-    integrated at ``TIGHT``; its ``stats`` are the integration's (empty at
-    T = 0)."""
+    """Geodesic from the identity with initial unit tangent v0 and finite
+    length T >= 0, integrated at ``TIGHT`` and sampled at ``n_samples`` >= 2
+    points; its ``stats`` are the integration's (empty at T = 0, where the
+    path is the identity alone)."""
     check_alpha(alpha)
     v0 = _check_unit(v0)
-    if T < 0.0:
-        raise ValueError("geodesic length must be nonnegative")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise SetupError(f"geodesic length {T} is not finite and nonnegative")
+    if n_samples < 2:
+        raise SetupError(f"need at least 2 samples to span a geodesic, got {n_samples}")
     if T == 0.0:
         return GeodesicPath(alpha, np.array([0.0]), v0[None, :].copy(),
                             np.zeros((1, 3)), SolverStats())
     y0 = np.concatenate([v0, np.zeros(3)])
-    times = np.linspace(0.0, T, n_samples)
-    traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), TIGHT, output_times=times[1:])
-    all_t = np.concatenate([[0.0], traj.times])
-    all_y = np.vstack([y0, traj.states])
-    return GeodesicPath(alpha, all_t, all_y[:, :3], all_y[:, 3:], traj.stats)
+    traj = integrate_ode(_geodesic_rhs(alpha), y0, (0.0, T), TIGHT,
+                         output_times=np.linspace(0.0, T, n_samples))
+    return GeodesicPath(alpha, traj.times, traj.states[:, :3], traj.states[:, 3:], traj.stats)
 
 
 def geodesic_endpoints(v0s, alpha: float, T: float,

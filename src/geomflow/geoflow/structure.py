@@ -119,11 +119,9 @@ def flow_tangent(v0, alpha: float, T: float, n_samples: int = 1001) -> Flowline:
     v0 = np.asarray(v0, dtype=float)
     if abs(np.linalg.norm(v0) - 1.0) > 1e-8:
         raise SetupError("initial tangent is not a unit vector")
-    times = np.linspace(0.0, T, n_samples)
-    traj = integrate_ode(_flow_rhs(alpha), v0, (0.0, T), TIGHT, output_times=times[1:])
-    all_times = np.concatenate([[0.0], traj.times])
-    all_tangents = np.vstack([v0, traj.states])
-    return Flowline(alpha=alpha, times=all_times, tangents=all_tangents, stats=traj.stats)
+    traj = integrate_ode(_flow_rhs(alpha), v0, (0.0, T), TIGHT,
+                         output_times=np.linspace(0.0, T, n_samples))
+    return Flowline(alpha=alpha, times=traj.times, tangents=traj.states, stats=traj.stats)
 
 
 def admissible_x0_interval(alpha: float) -> tuple[float, float]:

@@ -217,7 +217,7 @@ class StepControl:
 
 @dataclass
 class SolverStats:
-    """What one or more integrations did: accepted and rejected steps (a
+    """What one integration did: accepted and rejected steps (a
     rejection is a trial step that failed the error test or met a non-finite
     field value), field evaluations (dense-output stages, the first-step
     trial and every stage of a rejected step included), event calls made
@@ -230,17 +230,6 @@ class SolverStats:
     event_evals: int = 0
     min_step: float | None = None
     max_step: float | None = None
-
-    def add(self, other: SolverStats) -> None:
-        """Fold the counts of ``other`` into this record."""
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        self.rhs_evals += other.rhs_evals
-        self.event_evals += other.event_evals
-        steps = [s for s in (self.min_step, self.max_step, other.min_step, other.max_step)
-                 if s is not None]
-        if steps:
-            self.min_step, self.max_step = min(steps), max(steps)
 
 
 @dataclass

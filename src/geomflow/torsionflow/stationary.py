@@ -26,6 +26,8 @@ from ..numerics.roots import find_root
 from .core import TWO_PI, TorsionField
 
 CLOSURE_TOL = 1e-6  # largest distance of 2*pi / (orbit period) from a whole number
+# Step control of the orbit's integration over one period of s.
+STATIONARY_CONTROL = StepControl(initial_step=1e-4, abs_tol=1e-13, rel_tol=1e-13)
 
 
 def stationary_torsion(C: float, n: int = 256) -> TorsionField:
@@ -79,7 +81,7 @@ def stationary_torsion_general(A: float, C: float,
     divide 2*pi to within ``CLOSURE_TOL`` cycles for the profile to live on
     the periodic mesh, otherwise the constants are rejected. The profile is
     phased so tau is maximal at s = 0. Returns the profile and the solver
-    statistics of the orbit's integration.
+    statistics of the orbit's integration at ``STATIONARY_CONTROL``.
     """
     u_min, u_max = _orbit_turning_points(A, C)
 
@@ -100,8 +102,6 @@ def stationary_torsion_general(A: float, C: float,
         u, du = y
         return np.array([du, A - u + u ** -3])
 
-    ctrl = StepControl(initial_step=1e-4, abs_tol=1e-13, rel_tol=1e-13)
-    grid = periodic_grid(n)
-    traj = integrate_ode(rhs, [u_min, 0.0], (0.0, TWO_PI), ctrl, output_times=grid[1:])
-    u_samples = np.concatenate([[u_min], traj.states[:, 0]])
-    return TorsionField(u_samples ** -2.0), traj.stats
+    traj = integrate_ode(rhs, [u_min, 0.0], (0.0, TWO_PI), STATIONARY_CONTROL,
+                         output_times=periodic_grid(n))
+    return TorsionField(traj.states[:, 0] ** -2.0), traj.stats

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from geomflow.cli import build_parser, main
-from geomflow.io_utils import csv_block, write_csv
+from geomflow.io_utils import csv_block, write_csv, write_manifest
 from geomflow.geoflow import SLOPE_TOL, SPHERE_CONTROL, TIGHT, UNIT_TANGENT_TOL
 from geomflow.torsionflow.frenet import FRAME_DRIFT_TOL, FRENET_CONTROL
-from geomflow.torsionflow.stationary import CLOSURE_TOL
+from geomflow.torsionflow.stationary import CLOSURE_TOL, STATIONARY_CONTROL
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -119,15 +119,18 @@ class TestGeoCommands:
                   {"step_control": asdict(SPHERE_CONTROL)}),
                  (["geo", "boundary", "--x0-min", "0.8", "--x0-max", "0.84"], "geo_boundary",
                   {"step_control": asdict(TIGHT), "slope_tol": SLOPE_TOL}),
+                 # one integration over the whole span, its first step from the field
                  (["torsion", "reconstruct", "--initial", "helix", "--n", "64",
                    "--s-max", "1", "--samples", "5"], "torsion_reconstruct",
-                  # strict JSON: the whole-interval first step math.inf reads "inf"
-                  {"step_control": {**asdict(FRENET_CONTROL), "initial_step": "inf"},
-                   "frame_drift_tol": FRAME_DRIFT_TOL}),
+                  {"step_control": asdict(FRENET_CONTROL), "frame_drift_tol": FRAME_DRIFT_TOL}),
                  (["torsion", "stationary", "--n", "64"], "torsion_stationary",
-                  {"closure_tol": CLOSURE_TOL})]
-        for argv, experiment, tolerances in cases:
-            out = tmp_path / experiment
+                  {"closure_tol": CLOSURE_TOL}),
+                 # A != 0 integrates the orbit, A = 0 takes the closed form
+                 (["torsion", "stationary", "--A", "1e-9", "--C", "3", "--n", "64"],
+                  "torsion_stationary",
+                  {"closure_tol": CLOSURE_TOL, "step_control": asdict(STATIONARY_CONTROL)})]
+        for k, (argv, experiment, tolerances) in enumerate(cases):
+            out = tmp_path / str(k)
             assert main([*argv, "--out", str(out)]) == 0
             manifest = json.loads((out / f"{experiment}_manifest.json").read_text())
             assert manifest["tolerances"] == tolerances
@@ -228,17 +231,19 @@ class TestTorsionCommands:
         assert len(rows) == 65
 
     def test_reconstruct_manifest_is_strict_json(self, tmp_path):
-        # its control starts with the whole interval, math.inf, which strict
-        # JSON has no literal for: the manifest writes it as the string "inf"
+        # strict JSON has no literal for infinity or NaN: a manifest writes
+        # each non-finite float, at any depth, as a string
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        out = tmp_path / "rec"
-        assert main(["torsion", "reconstruct", "--initial", "helix", "--n", "64",
-                     "--s-max", "1", "--samples", "5", "--out", str(out)]) == 0
-        text = (out / "torsion_reconstruct_manifest.json").read_text()
-        manifest = json.loads(text, parse_constant=refuse)
-        assert manifest["tolerances"]["step_control"]["initial_step"] == "inf"
+        path = write_manifest(tmp_path / "m.json", "torsion_reconstruct",
+                              {"s_max": math.inf, "steps": [1.0, -math.inf]},
+                              {"step_control": {"initial_step": math.inf, "max_step": math.nan}},
+                              [], 0.5)
+        manifest = json.loads(path.read_text(), parse_constant=refuse)
+        assert manifest["parameters"] == {"s_max": "inf", "steps": [1.0, "-inf"]}
+        assert manifest["tolerances"] == {"step_control": {"initial_step": "inf",
+                                                           "max_step": "nan"}}
 
 
 class TestCsfCommands:
@@ -430,8 +435,10 @@ class TestSolverStats:
             "min_step": None, "max_step": None}
 
     def test_reconstruct_evaluation_budget(self, tmp_path):
-        # 512 grid intervals at the defaults: 17,036 field evaluations with
-        # RK4(5) from a 1e-3 first step, 6,397 with DOP853 from the interval
+        # 513 samples at the defaults: 17,036 field evaluations with RK4(5)
+        # from a 1e-3 first step in each of the 512 grid intervals, 6,397 with
+        # DOP853 at 1e-11 from the whole interval, and 5,984 in one DOP853
+        # pass at FRENET_CONTROL's 1e-12 (1e-13 would take 7,330)
         assert main(["torsion", "reconstruct", "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "torsion_reconstruct_manifest.json").read_text())
         assert manifest["parameters"]["solver_stats"]["rhs_evals"] <= 6397
@@ -497,6 +504,26 @@ class TestUsageErrors:
         ["csf", "run", "--n", "128", "--T", "-1"],
         ["csf", "run", "--n", "128", "--kmax-spacing", "-1"],
         ["csf", "run", "--n", "130"],
+        # degenerate sample grids
+        ["torsion", "reconstruct", "--samples", "0"],
+        ["torsion", "reconstruct", "--samples", "1"],
+        ["torsion", "reconstruct", "--s-max", "0"],
+        ["torsion", "reconstruct", "--s-max", "-1"],
+        ["torsion", "reconstruct", "--s-max", "nan"],
+        ["torsion", "reconstruct", "--s-max", "inf"],
+        ["geo", "geodesic", "--samples", "0"],
+        ["geo", "geodesic", "--T", "nan"],
+        ["geo", "geodesic", "--T", "inf"],
+        ["geo", "cylinder", "--samples", "1"],
+        ["geo", "cylinder", "--T", "-1"],
+        # degenerate x0 grids
+        ["geo", "boundary", "--step", "0"],
+        ["geo", "boundingbox", "--step", "0"],
+        ["geo", "boundary", "--step", "nan"],
+        ["geo", "boundingbox", "--step", "-0.05"],
+        ["geo", "boundary", "--x0-min", "0.9", "--x0-max", "0.8"],
+        ["geo", "boundingbox", "--x0-min", "0.9", "--x0-max", "0.8"],
+        ["geo", "boundingbox", "--x0-max", "inf"],
     ])
     def test_bad_input_prints_error(self, argv, tmp_path, capsys):
         # typed errors end as "error: ..." and exit code 1, not a traceback
