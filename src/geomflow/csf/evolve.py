@@ -62,8 +62,9 @@ import numpy as np
 
 from ..errors import BudgetError, IntegrationError, SetupError, TopologyError
 from ..numerics.etd import CHECK_STEPS, Etdrk4, etdrk4_coefficients
-from ..numerics.interpolation import PeriodicCubicSpline, REFINE
-from ..numerics.periodic import cyclic_shift, irfft, rfft
+from ..numerics.periodic import (cyclic_shift, invert_monotone, irfft, periodic_primitive, rfft,
+                                 trig_interpolant)
+from ..numerics.roots import find_root
 from .curve import PlaneCurve, curve_geometry, edge_lengths, row_lengths, turning_number
 
 TWO_PI = 2.0 * math.pi
@@ -142,36 +143,47 @@ def step_control() -> dict:
 def resample_uniform(P: np.ndarray) -> np.ndarray:
     """Redistribute polygon samples uniformly in arc length.
 
-    Fits one periodic cubic spline to both coordinates in index space,
-    measures arc length on a refined polyline, anchors the new mesh half a
-    cell past the rightmost x-axis crossing (falling back to the old first
-    point when the curve does not cross), and evaluates the spline at the
-    inverted arc positions. A curve symmetric about an axis through its
-    crossing keeps a symmetric sample set.
+    Takes the trigonometric interpolant of both coordinates in index space,
+    whose arc length is the spectral primitive of its speed; anchors the new
+    mesh half a cell past the rightmost downward x-axis crossing, found by
+    ``find_root`` between the two samples that straddle it (falling back to
+    the old first point when the samples do not cross); and evaluates the
+    interpolant at the arc positions that ``invert_monotone`` inverts. A
+    curve symmetric about an axis through its crossing keeps a symmetric
+    sample set, and samples already uniform in arc length come back up to a
+    cyclic shift.
     """
     n = P.shape[0]
-    spline = PeriodicCubicSpline(P, period=float(n))
-    fine = spline.refined()
-    seg = edge_lengths(fine)
-    s_cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s_cum[-1]
+    curve = trig_interpolant(P, period=float(n))
+    ik = 1j * (TWO_PI / n) * np.arange(n // 2 + 1)
+    if n % 2 == 0:  # the Nyquist mode has no odd derivative on the grid
+        ik[-1] = 0.0
+    speed = np.hypot(*irfft(ik * rfft(P.T), n))
+    mean, osc = periodic_primitive(speed, period=float(n))
+    arc = trig_interpolant(np.column_stack((osc, speed)), period=float(n))
 
-    y = fine[:, 1]
+    def arc_and_speed(u):
+        both = arc(u)
+        return mean * u + both[..., 0], both[..., 1]
+
+    y = P[:, 1]
     y_next = cyclic_shift(y, 1)
     crossing = np.nonzero(((y > 0.0) & (y_next <= 0.0)) | ((y >= 0.0) & (y_next < 0.0)))[0]
     if crossing.size:
         fracs = y[crossing] / (y[crossing] - y_next[crossing])
-        x_cross = fine[crossing, 0] + fracs * (fine[(crossing + 1) % fine.shape[0], 0]
-                                               - fine[crossing, 0])
-        best = int(np.argmax(x_cross))
-        s_anchor = s_cum[crossing[best]] + fracs[best] * seg[crossing[best]]
+        x_cross = P[crossing, 0] + fracs * (P[(crossing + 1) % n, 0] - P[crossing, 0])
+        j = int(crossing[np.argmax(x_cross)])
+        ends = {float(j): y[j], float(j + 1): y_next[j]}  # the samples' own signs
+        u_anchor = find_root(lambda u: ends[u] if u in ends else float(curve(u)[1]),
+                             (j, j + 1), 1e-12)
+        s_anchor = float(arc_and_speed(u_anchor)[0])
     else:
         s_anchor = 0.0
 
-    h_new = total / n
-    targets = (s_anchor + (np.arange(n) + 0.5) * h_new) % total
-    u_targets = np.interp(targets, s_cum, np.arange(n * REFINE + 1) / REFINE)
-    return spline(u_targets)
+    total = mean * n
+    targets = (s_anchor + (np.arange(n) + 0.5) * (total / n)) % total
+    s_nodes = np.append(mean * np.arange(n) + osc, total)
+    return curve(invert_monotone(s_nodes, np.arange(n + 1.0), targets, arc_and_speed))
 
 
 @dataclass
@@ -396,11 +408,12 @@ def csf_evolve(c0: PlaneCurve, stop: StopRule | None = None,
                record_dt: float | None = None) -> CsfRun:
     """Evolve by curve-shortening flow, recording frames and diagnostics.
 
-    The curve is first redistributed uniformly in arc length
-    (``resample_uniform``) and then stepped in tangent-angle/length form
-    (module docstring). Frames (with full diagnostics) are recorded whenever
-    ``record_dt`` time has passed or the length has shrunk by the factor
-    ``RECORD_SHRINK`` since the last record, and at the stop. The default
+    The curve is first redistributed uniformly in arc length on its
+    trigonometric interpolant (``resample_uniform``) and then stepped in
+    tangent-angle/length form (module docstring). Frames (with full
+    diagnostics) are recorded whenever ``record_dt`` time has passed or the
+    length has shrunk by the factor ``RECORD_SHRINK`` since the last record,
+    and at the stop. The default
     time stride is an estimate of a 250-frame run: total area over 2*pi
     bounds the extinction time of any figure-eight from above.
 

@@ -147,8 +147,8 @@ def geodesic_sphere(alpha: float, R: float, n_dirs: int = 200
     solver statistics), all geodesics integrated as one batch at
     ``SPHERE_CONTROL``."""
     check_alpha(alpha)
-    if R <= 0.0:
-        raise SetupError("radius must be positive")
+    if not (math.isfinite(R) and R > 0.0):
+        raise SetupError(f"radius {R} is not finite and positive")
     if n_dirs < 100:
         raise SetupError("need at least 100 directions for a meaningful cloud")
     dirs = fibonacci_directions(n_dirs)

@@ -113,9 +113,12 @@ def flow_tangent(v0, alpha: float, T: float, n_samples: int = 1001) -> Flowline:
 
     The sphere constraint and the level H are not enforced; their drift is
     what the returned series measure, so the integration runs at ``TIGHT``,
-    whose solver statistics the flowline keeps.
+    whose solver statistics the flowline keeps. A T that is not finite and
+    positive raises ``SetupError``.
     """
     check_alpha(alpha)
+    if not (math.isfinite(T) and T > 0.0):
+        raise SetupError(f"flowline time {T} is not finite and positive")
     v0 = np.asarray(v0, dtype=float)
     if abs(np.linalg.norm(v0) - 1.0) > 1e-8:
         raise SetupError("initial tangent is not a unit vector")

@@ -76,19 +76,21 @@ def periodic_primitive(samples: np.ndarray, period: float = 2.0 * np.pi) -> tupl
 def trig_interpolant(samples: np.ndarray, period: float = 2.0 * np.pi):
     """The trigonometric interpolant of periodic samples, as a function of s.
 
-    The spectrum and mode weights are taken once; each evaluation costs O(n)
-    per point via the explicit mode sum. Exact for band-limited data. The
-    Nyquist mode (even n) is treated as a pure cosine.
+    ``samples`` has shape (n,) or (n, d); an evaluation at m points returns
+    (m,) or (m, d), and the d columns share its mode matrix. The spectrum and
+    mode weights are taken once; each evaluation costs O(n) per point via the
+    explicit mode sum. Exact for band-limited data. The Nyquist mode (even n)
+    is treated as a pure cosine.
     """
     y = np.asarray(samples, dtype=float)
-    n = y.size
-    spec = rfft(y) / n
-    k = np.arange(spec.size) * (2.0 * np.pi / period)
-    weights = np.full(spec.size, 2.0)
+    n = y.shape[0]
+    spec = rfft(y.T) / n
+    k = np.arange(spec.shape[-1]) * (2.0 * np.pi / period)
+    weights = np.full(k.size, 2.0)
     weights[0] = 1.0
     if n % 2 == 0:
         weights[-1] = 1.0
-    coef = weights * spec
+    coef = (weights * spec).T
 
     def interp(s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -97,3 +99,24 @@ def trig_interpolant(samples: np.ndarray, period: float = 2.0 * np.pi):
 
     return interp
 
+
+NEWTON_ITERS = 4  # Newton steps that polish each seeded inversion
+
+
+def invert_monotone(sample_x: np.ndarray, sample_y: np.ndarray, targets: np.ndarray,
+                    fwd) -> np.ndarray:
+    """Solve fwd(y) = x for each target x.
+
+    ``sample_x``/``sample_y`` are strictly increasing samples of the map,
+    interpolated linearly for the seed; ``fwd(y)`` returns the map's values
+    and derivatives at y (a spectral representation, exact for band-limited
+    data). ``NEWTON_ITERS`` Newton steps, each kept inside the sampled range,
+    polish the seed.
+    """
+    y = np.interp(targets, sample_x, sample_y)
+    lo, hi = sample_y[0], sample_y[-1]
+    for _ in range(NEWTON_ITERS):
+        value, slope = fwd(y)
+        y = y - (value - targets) / slope
+        y = np.clip(y, lo, hi)
+    return y

@@ -7,10 +7,10 @@ their right endpoint so the periodicity identities (u(0) = u(M)) can be
 read off directly. The inverse chain reconstructs tau from z and the
 round-trip sup error is the fidelity measure of the whole construction.
 
-Inversions seed each point by linear interpolation of the sampled monotone
-map and polish it with ``NEWTON_ITERS`` Newton steps on the trigonometric
-representation (exact for band-limited data), which is what pushes the round
-trip to 1e-10 territory instead of the seed's own h^2.
+Inversions (``numerics.periodic.invert_monotone``) seed each point by linear
+interpolation of the sampled monotone map and polish it with Newton steps on
+the trigonometric representation (exact for band-limited data), which is
+what pushes the round trip to 1e-10 territory instead of the seed's own h^2.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PositivityError
-from ..numerics.periodic import periodic_grid, periodic_primitive, trig_interpolant
+from ..numerics.periodic import (invert_monotone, periodic_grid, periodic_primitive,
+                                 trig_interpolant)
 from .core import TWO_PI, TorsionField
-
-NEWTON_ITERS = 4  # Newton steps that polish each seeded inversion
 
 
 @dataclass
@@ -54,22 +53,6 @@ class TransformRecord:
         return float(abs(self.u[0] - self.u[-1]))
 
 
-def _invert_monotone(sample_x: np.ndarray, sample_y: np.ndarray, targets: np.ndarray,
-                     fwd, fwd_deriv) -> np.ndarray:
-    """Solve fwd(y) = x for each target x.
-
-    ``sample_x``/``sample_y`` are strictly increasing samples of the map,
-    interpolated linearly for the seed; ``fwd``/``fwd_deriv`` evaluate the
-    map and its derivative anywhere (spectral representation).
-    """
-    y = np.interp(targets, sample_x, sample_y)
-    lo, hi = sample_y[0], sample_y[-1]
-    for _ in range(NEWTON_ITERS):
-        y = y - (fwd(y) - targets) / fwd_deriv(y)
-        y = np.clip(y, lo, hi)
-    return y
-
-
 def cdf_transform_roundtrip(tau0: TorsionField) -> tuple[TransformRecord, float]:
     """Build the full forward chain and measure the reconstruction sup error."""
     n = tau0.n
@@ -89,7 +72,7 @@ def cdf_transform_roundtrip(tau0: TorsionField) -> tuple[TransformRecord, float]
         return mean_v * sv + osc_v_of(sv)
 
     xi = np.linspace(0.0, M, n + 1)
-    eta = _invert_monotone(w, s, xi, w_of, v_of)
+    eta = invert_monotone(w, s, xi, lambda sv: (w_of(sv), v_of(sv)))
     eta[0], eta[-1] = 0.0, TWO_PI
     z = 1.0 / v_of(eta)
     u = np.log(z)
@@ -109,7 +92,7 @@ def cdf_transform_roundtrip(tau0: TorsionField) -> tuple[TransformRecord, float]
 
     eta_hat = eta_of(xi)
     s_per = s[:-1]
-    w_back = _invert_monotone(eta_hat, xi, s_per, eta_of, z_of)
+    w_back = invert_monotone(eta_hat, xi, s_per, lambda xiv: (eta_of(xiv), z_of(xiv)))
     v_back = 1.0 / z_of(w_back)
     tau_back = v_back * v_back
     err = float(np.max(np.abs(tau_back - tau0.samples)))

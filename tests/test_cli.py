@@ -524,6 +524,11 @@ class TestUsageErrors:
         ["geo", "boundary", "--x0-min", "0.9", "--x0-max", "0.8"],
         ["geo", "boundingbox", "--x0-min", "0.9", "--x0-max", "0.8"],
         ["geo", "boundingbox", "--x0-max", "inf"],
+        ["geo", "flowline", "--T", "0"],
+        ["geo", "flowline", "--T", "nan"],
+        ["geo", "flowline", "--T", "inf"],
+        ["geo", "sphere", "--R", "nan"],
+        ["geo", "sphere", "--R", "inf"],
     ])
     def test_bad_input_prints_error(self, argv, tmp_path, capsys):
         # typed errors end as "error: ..." and exit code 1, not a traceback

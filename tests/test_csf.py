@@ -175,67 +175,28 @@ class TestConcinnousEight:
             make_concinnous_eight(1.0, n_points=64)
 
 
-def _reference_spline(values, period):
-    """The per-column periodic cubic spline as it was before the batched fit:
-    one transform per coordinate, evaluated through mod/clip/fancy indexing."""
-    y = np.asarray(values, dtype=float)
-    n = y.size
-    h = period / n
-    rhs = 6.0 * (np.roll(y, 1) - 2.0 * y + np.roll(y, -1)) / (h * h)
-    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
-    m = np.fft.irfft(np.fft.rfft(rhs) / eig, n=n)
-
-    def evaluate(s):
-        u = np.mod(s, period) / h
-        j = np.clip(u.astype(int), 0, n - 1)
-        t = u - j
-        jp = (j + 1) % n
-        h2 = h * h
-        return ((1 - t) * y[j] + t * y[jp]
-                + h2 / 6.0 * ((1 - t) ** 3 - (1 - t)) * m[j]
-                + h2 / 6.0 * (t ** 3 - t) * m[jp])
-    return evaluate
-
-
-def _reference_resample(P, refine=4):
-    """``resample_uniform`` as it was with two splines and four evaluations."""
-    n = P.shape[0]
-    sx = _reference_spline(P[:, 0], float(n))
-    sy = _reference_spline(P[:, 1], float(n))
-    u_fine = np.arange(n * refine) / refine
-    fine = np.column_stack([sx(u_fine), sy(u_fine)])
-    seg = np.linalg.norm(np.diff(fine, axis=0, append=fine[:1]), axis=1)
-    s_cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s_cum[-1]
-    y = fine[:, 1]
-    y_next = np.roll(y, -1)
-    crossing = np.nonzero(((y > 0.0) & (y_next <= 0.0)) | ((y >= 0.0) & (y_next < 0.0)))[0]
-    if crossing.size:
-        fracs = y[crossing] / (y[crossing] - y_next[crossing])
-        x_cross = fine[crossing, 0] + fracs * (fine[(crossing + 1) % fine.shape[0], 0]
-                                               - fine[crossing, 0])
-        best = int(np.argmax(x_cross))
-        s_anchor = s_cum[crossing[best]] + fracs[best] * seg[crossing[best]]
-    else:
-        s_anchor = 0.0
-    targets = (s_anchor + (np.arange(n) + 0.5) * (total / n)) % total
-    u_targets = np.interp(targets, s_cum, np.concatenate([u_fine, [float(n)]]))
-    return np.column_stack([sx(u_targets), sy(u_targets)])
-
-
-def _perturbed_eight(n, seed=0, amplitude=1e-3):
-    P = make_concinnous_eight(1.0, n_points=n).points
-    return P + amplitude * np.random.default_rng(seed).standard_normal(P.shape)
-
-
 class TestResample:
     @pytest.mark.parametrize("n", [128, 512])
-    @pytest.mark.parametrize("shape", ["circle", "eight", "perturbed eight"])
-    def test_matches_two_spline_reference(self, shape, n):
-        P = {"circle": lambda: unit_circle(n).points,
-             "eight": lambda: make_concinnous_eight(1.0, n_points=n).points,
-             "perturbed eight": lambda: _perturbed_eight(n)}[shape]()
-        assert np.array_equal(resample_uniform(P), _reference_resample(P))
+    def test_uniform_eight_comes_back_shifted(self, n):
+        # the eight's samples are already uniform in arc length, so the
+        # resample returns them up to a cyclic shift: 1.5e-9 L measured at
+        # n = 128 and 512, where the periodic cubic spline start moved them
+        # by 1.6e-6 L and 9.6e-8 L
+        P = make_concinnous_eight(1.0, n_points=n).points
+        Q = resample_uniform(P)
+        shift = int(np.argmin(row_lengths(P - Q[0])))
+        gap = float(np.max(row_lengths(np.roll(Q, shift, axis=0) - P)))
+        assert gap < 2e-9 * float(np.sum(edge_lengths(P)))
+
+    def test_anchor_at_a_sample_on_the_axis(self):
+        # the sample at angle pi has y = 1.2e-16 > 0 where the interpolant
+        # reads -1.8e-16, so the crossing is bracketed by the samples' own
+        # signs; the new mesh starts half a cell past it (1.8e-15 measured)
+        n = 100
+        th = 2 * math.pi * np.arange(n) / n
+        Q = resample_uniform(np.column_stack([np.cos(th), np.sin(th)]))
+        phi = math.pi + (np.arange(n) + 0.5) * 2 * math.pi / n
+        assert np.max(np.abs(Q - np.column_stack([np.cos(phi), np.sin(phi)]))) < 1e-14
 
     def test_preserves_circle(self):
         P = unit_circle(128).points

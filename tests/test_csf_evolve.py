@@ -1,6 +1,7 @@
 """The tangent-angle/length CSF engine: exact laws, the closure and symmetry
-projections, landing on the end time, the cached ETDRK4 coefficients, and
-the double-point rule read from frame 0."""
+projections, landing on the end time, the extinction time across meshes,
+the cached ETDRK4 coefficients, and the double-point rule read from frame
+0."""
 
 import math
 import re
@@ -66,6 +67,19 @@ class TestExactLaws:
                          StopRule(time=0.0123, kmax_spacing=None), record_dt=0.005)
         assert run.times[-1] == 0.0123 and run.stop_reason == "time reached"
         assert np.all(np.diff(run.times) > 0.0)
+
+
+    def test_extinction_time_agrees_across_meshes(self):
+        # the acceptance eight's T* at n = 128 and 256 differs by 5e-12
+        # (measured, 0.231292564792 and 0.231292564797); the periodic cubic
+        # spline start left the O(n^-2) gap 2.2e-7 here
+        times = []
+        for n in (128, 256):
+            run = csf_evolve(make_concinnous_eight(1.0, n_points=n), StopRule(kmax_spacing=0.5),
+                             record_dt=8e-4)
+            assert run.stop_reason == "extinction reached"
+            times.append(run.times[-1])
+        assert abs(times[0] - times[1]) < 1e-10
 
 
 class TestSymmetry:

@@ -21,8 +21,11 @@ class TestRigidMotions:
     @given(angle=st.floats(0.0, 2 * math.pi), dx=st.floats(-5.0, 5.0), dy=st.floats(-5.0, 5.0))
     def test_frames_move_rigidly(self, angle, dx, dy):
         # The moved input is resampled from another anchor, so its samples sit
-        # elsewhere on the same spline curve: the frames agree to the spline's
-        # interpolation error, and k_max to its sampling-dependent refinement.
+        # elsewhere on the same trigonometric interpolant: the frames agree to
+        # the mesh's resolution of that curve, and k_max to its
+        # sampling-dependent refinement. The interpolant's length is the
+        # moved one's, so the lengths agree to 9e-12 (measured over 30 draws;
+        # 4.5e-8 with the periodic cubic spline start).
         curve = bent_eight()
         R = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
         shift = np.array([dx, dy])
@@ -37,7 +40,7 @@ class TestRigidMotions:
                                           image[:, 1], np.roll(image[:, 0], -1),
                                           np.roll(image[:, 1], -1))
             assert float(np.max(gap)) < 1e-5 * d0.length
-            assert d1.length == pytest.approx(d0.length, rel=1e-6)
+            assert d1.length == pytest.approx(d0.length, rel=1e-9)
             assert d1.total_area == pytest.approx(d0.total_area, rel=1e-5)
             assert d1.k_max == pytest.approx(d0.k_max, rel=2e-3)
 

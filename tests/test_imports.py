@@ -35,9 +35,8 @@ class TestModuleSets:
                                  "--frames", "2"], tmp_path)
         assert {"geomflow.torsionflow.core", "geomflow.torsionflow.evolve"} <= loaded
         unused = {"geomflow.numerics.ode", "geomflow.numerics.quadrature",
-                  "geomflow.numerics.interpolation", "geomflow.torsionflow.frenet",
-                  "geomflow.torsionflow.stationary", "geomflow.torsionflow.transform",
-                  "geomflow.torsionflow.linear"}
+                  "geomflow.torsionflow.frenet", "geomflow.torsionflow.stationary",
+                  "geomflow.torsionflow.transform", "geomflow.torsionflow.linear"}
         assert not unused & loaded
 
     def test_numeric_period_skips_numpy_polynomial(self, tmp_path):

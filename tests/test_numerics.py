@@ -10,10 +10,9 @@ from geomflow.csf import make_concinnous_eight, resample_uniform
 from geomflow.csf.evolve import ThetaLengthFlow
 from geomflow.errors import BracketError
 from geomflow.numerics.etd import CACHED_STEPS, CHECK_STEPS, Etdrk4, etdrk4_coefficients
-from geomflow.numerics.interpolation import PeriodicCubicSpline
 from geomflow.numerics.ode import StepControl, integrate_ode
-from geomflow.numerics.periodic import (cyclic_shift, irfft, periodic_grid, periodic_primitive,
-                                        rfft, trig_interpolant)
+from geomflow.numerics.periodic import (cyclic_shift, invert_monotone, irfft, periodic_grid,
+                                        periodic_primitive, rfft, trig_interpolant)
 from geomflow.numerics.quadrature import _GAUSS32_NODES, _GAUSS32_WEIGHTS, integrate_singular
 from geomflow.numerics.roots import find_root
 from geomflow.numerics.special import elliptic_K
@@ -884,24 +883,32 @@ class TestRealTransforms:
 
 
 class TestInterpolation:
-    def test_periodic_spline_accuracy(self):
-        s = periodic_grid(64)
-        sp = PeriodicCubicSpline(np.sin(s), 2 * math.pi)
-        xs = np.linspace(0.0, 2 * math.pi, 500)
-        assert np.max(np.abs(sp(xs) - np.sin(xs))) < 1e-6
+    @pytest.mark.parametrize("n", [32, 33, 128])
+    def test_columns_match_their_own_interpolants(self, n):
+        # the columns of (n, d) samples share one mode matrix per evaluation
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((n, 3))
+        batched = trig_interpolant(values, period=float(n))
+        columns = [trig_interpolant(values[:, c], period=float(n)) for c in range(3)]
+        pts = rng.uniform(-5.0, 2.0 * n, 200)
+        assert batched(pts).shape == (200, 3) and batched(0.7).shape == (3,)
+        for c, interp in enumerate(columns):
+            assert np.max(np.abs(batched(pts)[:, c] - interp(pts))) < 1e-14
+            assert abs(batched(0.7)[c] - interp(0.7)) < 1e-14
 
-    def test_batched_spline_equals_per_column_fits(self):
-        n = 96
-        values = np.random.default_rng(7).standard_normal((n, 3))
-        batched = PeriodicCubicSpline(values, float(n))
-        columns = [PeriodicCubicSpline(values[:, c], float(n)) for c in range(3)]
-        s = np.random.default_rng(8).uniform(-5.0, 2.0 * n, 400)
-        fine = np.arange(4 * n) / 4
-        for c, sp in enumerate(columns):
-            assert np.array_equal(batched.m[:, c], sp.m)
-            assert np.array_equal(batched(s)[:, c], sp(s))
-            assert np.array_equal(batched.refined()[:, c], sp(fine))
-            assert np.array_equal(sp.refined(), sp(fine))
+    def test_monotone_inversion_solves_the_map(self):
+        # y + 0.3 sin(y) on [0, 2 pi], seeded from 33 samples and polished
+        # against its values and slopes; the targets past either end stay
+        # at the ends of the sampled range
+        def fwd(y):
+            return y + 0.3 * np.sin(y), 1.0 + 0.3 * np.cos(y)
+
+        grid = np.linspace(0.0, 2 * math.pi, 33)
+        targets = np.random.default_rng(3).uniform(0.0, 2 * math.pi, 100)
+        y = invert_monotone(fwd(grid)[0], grid, targets, fwd)
+        assert np.max(np.abs(fwd(y)[0] - targets)) < 1e-14
+        ends = invert_monotone(fwd(grid)[0], grid, np.array([-1.0, 7.0]), fwd)
+        assert np.array_equal(ends, [0.0, 2 * math.pi])
 
     @pytest.mark.parametrize("k", [-3, -1, 0, 1, 5, 13])
     def test_cyclic_shift_is_roll(self, k):
