@@ -3,8 +3,8 @@
 Subpackages:
 
 - ``numerics``: shared kernels (adaptive DOP853 with dense output, elliptic K, bracketed root
-  finding, de-singularized quadrature, spectral periodic primitive,
-  trigonometric interpolation and monotone inversion).
+  finding, de-singularized quadrature, wavenumbers, trigonometric
+  interpolation and the spectral periodic primitive with its inverse).
 - ``csf``: curve-shortening flow on immersed plane curves in
   tangent-angle/length form, with the figure-eight diagnostics and the
   affine bow-tie rescaling.

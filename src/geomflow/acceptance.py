@@ -26,7 +26,7 @@ from .geoflow import (bounding_box_scan, boundary_curve, cylinder_invariant,
                       variational_residuals, variational_system)
 from .geoflow.perfect import perfect_vector_checks
 from .numerics.ode import IMAGINARY_AXIS_REACH, StepControl, integrate_ode
-from .numerics.periodic import irfft, periodic_grid, rfft
+from .numerics.periodic import irfft, periodic_grid, rfft, wavenumbers
 from .torsionflow import (TorsionField, UNIT_CURVATURE, helix_stability, l2_norm,
                           quasi_period, torsion_evolve, torsion_invariants, torsion_rhs)
 from .torsionflow.linear import linearized_solution
@@ -291,9 +291,8 @@ def check_14_linearized() -> CheckResult:
     n = 128
     s = periodic_grid(n)
     w0s = np.sin(s) + 0.3 * np.cos(2 * s)
-    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
+    ik = wavenumbers(n)
     mult = -2.0 * ik - 0.5 * ik ** 3   # -2 D - D^3 / 2, Nyquist mode frozen
-    mult[-1] = 0.0
 
     def rhs(t, w):
         return irfft(mult * rfft(w), n)

@@ -414,8 +414,8 @@ def make_concinnous_eight(scale: float = 1.0, n_points: int = 512) -> PlaneCurve
     The result must pass the concinnity check (a figure-eight whose
     curvature stays bounded away from zero except near the double point).
     """
-    if scale <= 0.0:
-        raise SetupError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise SetupError(f"scale must be finite and positive, got {scale}")
     if n_points < 128 or n_points % 4:
         raise SetupError(f"need a multiple of 4, at least 128, points; got {n_points}")
     m = n_points // 4

@@ -62,8 +62,8 @@ import numpy as np
 
 from ..errors import BudgetError, IntegrationError, SetupError, TopologyError
 from ..numerics.etd import CHECK_STEPS, Etdrk4, etdrk4_coefficients
-from ..numerics.periodic import (cyclic_shift, invert_monotone, irfft, periodic_primitive, rfft,
-                                 trig_interpolant)
+from ..numerics.periodic import (PeriodicPrimitive, cyclic_shift, irfft, rfft, trig_interpolant,
+                                 wavenumbers)
 from ..numerics.roots import find_root
 from .curve import PlaneCurve, curve_geometry, edge_lengths, row_lengths, turning_number
 
@@ -144,27 +144,19 @@ def resample_uniform(P: np.ndarray) -> np.ndarray:
     """Redistribute polygon samples uniformly in arc length.
 
     Takes the trigonometric interpolant of both coordinates in index space,
-    whose arc length is the spectral primitive of its speed; anchors the new
-    mesh half a cell past the rightmost downward x-axis crossing, found by
-    ``find_root`` between the two samples that straddle it (falling back to
-    the old first point when the samples do not cross); and evaluates the
-    interpolant at the arc positions that ``invert_monotone`` inverts. A
-    curve symmetric about an axis through its crossing keeps a symmetric
+    whose arc length is the ``PeriodicPrimitive`` of its speed; anchors the
+    new mesh half a cell past the rightmost downward x-axis crossing, found
+    by ``find_root`` between the two samples that straddle it (falling back
+    to the old first point when the samples do not cross); and evaluates the
+    interpolant at the primitive's ``inverse`` of the uniform arc positions.
+    A curve symmetric about an axis through its crossing keeps a symmetric
     sample set, and samples already uniform in arc length come back up to a
     cyclic shift.
     """
     n = P.shape[0]
     curve = trig_interpolant(P, period=float(n))
-    ik = 1j * (TWO_PI / n) * np.arange(n // 2 + 1)
-    if n % 2 == 0:  # the Nyquist mode has no odd derivative on the grid
-        ik[-1] = 0.0
-    speed = np.hypot(*irfft(ik * rfft(P.T), n))
-    mean, osc = periodic_primitive(speed, period=float(n))
-    arc = trig_interpolant(np.column_stack((osc, speed)), period=float(n))
-
-    def arc_and_speed(u):
-        both = arc(u)
-        return mean * u + both[..., 0], both[..., 1]
+    arc = PeriodicPrimitive(np.hypot(*irfft(wavenumbers(n, float(n)) * rfft(P.T), n)),
+                            period=float(n))
 
     y = P[:, 1]
     y_next = cyclic_shift(y, 1)
@@ -176,14 +168,12 @@ def resample_uniform(P: np.ndarray) -> np.ndarray:
         ends = {float(j): y[j], float(j + 1): y_next[j]}  # the samples' own signs
         u_anchor = find_root(lambda u: ends[u] if u in ends else float(curve(u)[1]),
                              (j, j + 1), 1e-12)
-        s_anchor = float(arc_and_speed(u_anchor)[0])
+        s_anchor = float(arc(u_anchor)[0])
     else:
         s_anchor = 0.0
 
-    total = mean * n
-    targets = (s_anchor + (np.arange(n) + 0.5) * (total / n)) % total
-    s_nodes = np.append(mean * np.arange(n) + osc, total)
-    return curve(invert_monotone(s_nodes, np.arange(n + 1.0), targets, arc_and_speed))
+    targets = (s_anchor + (np.arange(n) + 0.5) * (arc.total / n)) % arc.total
+    return curve(arc.inverse(targets))
 
 
 @dataclass
@@ -273,12 +263,9 @@ class ThetaLengthFlow:
         self.alpha = TWO_PI * np.arange(n) / n
         k = np.arange(M, dtype=float)
         self.etd = Etdrk4(np.concatenate([-k * k, np.zeros(3)]), self.remainder)
-        self.ik = 1j * k
+        self.ik = wavenumbers(n)
         self.inv_ik = np.zeros(M, dtype=complex)
-        self.inv_ik[1:] = 1.0 / self.ik[1:]
-        if n % 2 == 0:  # the Nyquist mode has no odd derivative or primitive on the grid
-            self.ik[-1] = 0.0
-            self.inv_ik[-1] = 0.0
+        np.divide(1.0, self.ik, out=self.inv_ik, where=self.ik != 0.0)
 
         dx, dy = irfft(self.ik * rfft(P.T), n)
         theta = np.unwrap(np.arctan2(dy, dx))

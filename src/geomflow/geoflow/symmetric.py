@@ -310,11 +310,19 @@ def g_function_check(x0_grid=None) -> list[GCheckPoint]:
     Only defined for alpha = 1/2, where the closed-form period makes the
     envelope bound meaningful. A point is flagged inconclusive (never a
     silent pass) when the finite-difference noise is within a decade of |G|.
+    An empty grid, or one with a point outside (lo + ``FD_STEP``,
+    1 - ``FD_STEP``), where the differences would leave the admissible
+    interval (lo, 1), raises ``SetupError``.
     """
-    if x0_grid is None:
-        x0_grid = np.linspace(0.59, 0.995, 28)
+    grid = np.atleast_1d(np.asarray(
+        np.linspace(0.59, 0.995, 28) if x0_grid is None else x0_grid, dtype=float))
+    lo, hi = admissible_x0_interval(0.5)
+    if grid.size == 0 or not np.all((grid > lo + FD_STEP) & (grid < hi - FD_STEP)):
+        raise SetupError(f"the x0 grid must be non-empty and inside ({lo + FD_STEP:.6g}, "
+                         f"{hi - FD_STEP:.6g}), where the differences of step {FD_STEP:g} "
+                         f"stay admissible")
     out = []
-    for x0 in np.atleast_1d(np.asarray(x0_grid, dtype=float)):
+    for x0 in grid:
         d, err = dP_dx0(float(x0))
         envelope = math.pi * (0.5 / math.sqrt(x0) + 2.0 * x0 * math.sqrt(x0) / (1.0 - x0 * x0))
         g = d - envelope

@@ -2,7 +2,8 @@
 stepper of the spectral flows (``numerics.etd``), the elliptic integral K
 (``numerics.special``), root finding (``numerics.roots``), quadrature with
 endpoint singularities (``numerics.quadrature``) and periodic (spectral)
-calculus, interpolation and monotone inversion (``numerics.periodic``).
+calculus (``numerics.periodic``): real transforms, the wavenumber rule,
+trigonometric interpolation and the primitive with its inverse.
 
 The package re-exports nothing: each caller imports the module it uses, so
 a command loads only the kernels it runs.

@@ -1,6 +1,7 @@
-"""Spectral machinery for smooth periodic grid functions on [0, 2*pi).
+"""Spectral calculus of smooth periodic grid functions.
 
-Grids are uniform with the right endpoint excluded: s_j = period * j / n.
+Grids are uniform with the right endpoint excluded: s_j = period * j / n,
+with period 2 pi unless one is given.
 
 ``rfft`` and ``irfft`` are the last-axis real transforms of the spectral
 steppers. They call numpy's pocketfft gufuncs, the kernels under
@@ -11,6 +12,12 @@ out as the wrapper's (``empty_like``). The gufuncs' core axis is the last
 one by default, so no ``axes`` argument is passed. At n = 128 a call takes
 under half the wrapper's time, whose argument handling costs more than the
 transform.
+
+``wavenumbers`` gives the rfft multipliers of d/ds, and is the one place
+that drops the Nyquist mode of an even grid from odd derivatives and
+primitives. ``trig_interpolant`` evaluates the trigonometric interpolant at
+any s, and ``PeriodicPrimitive`` takes the primitive of samples and, where
+they are positive, inverts it.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft.irfft(a, 1.0 / n, out=out)
 
 
-def periodic_grid(n: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(n) / n
+def periodic_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
+    return period * np.arange(n) / n
 
 
 def cyclic_shift(a: np.ndarray, k: int) -> np.ndarray:
@@ -52,50 +59,45 @@ def cyclic_shift(a: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((a[k:], a[:k]))
 
 
-def periodic_primitive(samples: np.ndarray, period: float = 2.0 * np.pi) -> tuple[float, np.ndarray]:
-    """Antiderivative of a periodic grid function, split as mean*s + periodic part.
-
-    Returns ``(mean, osc)`` where the primitive at grid point s_j is
-    mean * s_j + osc[j], osc is periodic with osc[0] = 0, and the
-    antiderivative of the oscillatory part is computed spectrally (exact for
-    band-limited data).
-    """
-    y = np.asarray(samples, dtype=float)
-    n = y.size
-    mean = float(np.mean(y))
-    spec = rfft(y - mean)
-    k = np.fft.rfftfreq(n, d=1.0 / n) * (2.0 * np.pi / period)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prim = np.where(k == 0.0, 0.0, spec / np.where(k == 0.0, 1.0, 1j * k))
+def wavenumbers(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
+    """i k 2 pi / period for k = 0 ... n // 2: the rfft multipliers of d/ds on
+    the n-point grid. The Nyquist entry of an even n is 0: the grid carries
+    only the cosine of that mode, which has no odd derivative or primitive
+    on it."""
+    ik = 1j * (2.0 * np.pi / period) * np.arange(n // 2 + 1)
     if n % 2 == 0:
-        prim[-1] = 0.0  # Nyquist mode has no odd antiderivative on the grid
-    osc = irfft(prim, n)
-    return mean, osc - osc[0]
+        ik[-1] = 0.0
+    return ik
 
 
 def trig_interpolant(samples: np.ndarray, period: float = 2.0 * np.pi):
     """The trigonometric interpolant of periodic samples, as a function of s.
 
-    ``samples`` has shape (n,) or (n, d); an evaluation at m points returns
-    (m,) or (m, d), and the d columns share its mode matrix. The spectrum and
-    mode weights are taken once; each evaluation costs O(n) per point via the
-    explicit mode sum. Exact for band-limited data. The Nyquist mode (even n)
-    is treated as a pure cosine.
+    ``samples`` has shape (n,) or (n, d); an evaluation at one point returns
+    a scalar or (d,), at m points (m,) or (m, d), and the d columns share
+    its mode matrix. The spectrum and mode weights are taken once. An
+    evaluation builds the mode matrix as the powers of e^{i s 2 pi / period},
+    one cumulative product over the modes, and sums it against them: O(n)
+    per point, exact for band-limited data. The Nyquist mode (even n) is
+    treated as a pure cosine.
     """
     y = np.asarray(samples, dtype=float)
     n = y.shape[0]
     spec = rfft(y.T) / n
-    k = np.arange(spec.shape[-1]) * (2.0 * np.pi / period)
-    weights = np.full(k.size, 2.0)
+    weights = np.full(spec.shape[-1], 2.0)
     weights[0] = 1.0
     if n % 2 == 0:
         weights[-1] = 1.0
     coef = (weights * spec).T
+    istep = 1j * (2.0 * np.pi / period)
 
     def interp(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        vals = (np.exp(1j * np.outer(s_arr, k)) @ coef).real
-        return vals[0] if np.ndim(s) == 0 else vals
+        s = np.asarray(s, dtype=float)[..., None]
+        powers = np.empty(s.shape[:-1] + coef.shape[:1], dtype=complex)
+        powers[..., 0] = 1.0
+        powers[..., 1:] = np.exp(istep * s)
+        np.cumprod(powers, axis=-1, out=powers)
+        return (powers @ coef).real
 
     return interp
 
@@ -103,20 +105,43 @@ def trig_interpolant(samples: np.ndarray, period: float = 2.0 * np.pi):
 NEWTON_ITERS = 4  # Newton steps that polish each seeded inversion
 
 
-def invert_monotone(sample_x: np.ndarray, sample_y: np.ndarray, targets: np.ndarray,
-                    fwd) -> np.ndarray:
-    """Solve fwd(y) = x for each target x.
+class PeriodicPrimitive:
+    """F(s) = integral of f from 0 to s, for samples f of a periodic function
+    on the n-point grid of [0, period), with its inverse where f is positive.
 
-    ``sample_x``/``sample_y`` are strictly increasing samples of the map,
-    interpolated linearly for the seed; ``fwd(y)`` returns the map's values
-    and derivatives at y (a spectral representation, exact for band-limited
-    data). ``NEWTON_ITERS`` Newton steps, each kept inside the sampled range,
-    polish the seed.
+    F is mean(f) s plus a periodic part whose spectrum is that of f divided
+    by ``wavenumbers`` (exact for band-limited f). ``nodes`` holds F at the
+    grid, ``total`` F(period) = mean(f) period. A call returns F and f at s,
+    from one two-column trigonometric interpolant.
     """
-    y = np.interp(targets, sample_x, sample_y)
-    lo, hi = sample_y[0], sample_y[-1]
-    for _ in range(NEWTON_ITERS):
-        value, slope = fwd(y)
-        y = y - (value - targets) / slope
-        y = np.clip(y, lo, hi)
-    return y
+
+    def __init__(self, f: np.ndarray, period: float = 2.0 * np.pi):
+        f = np.asarray(f, dtype=float)
+        n = f.size
+        self.period = period
+        self.mean = mean = float(np.mean(f))
+        ik = wavenumbers(n, period)
+        spec = np.zeros_like(ik)
+        np.divide(rfft(f - mean), ik, out=spec, where=ik != 0.0)
+        osc = irfft(spec, n)
+        osc -= osc[0]
+        self.grid = periodic_grid(n, period)
+        self.nodes = mean * self.grid + osc
+        self.total = mean * period
+        self._columns = trig_interpolant(np.column_stack((osc, f)), period)
+
+    def __call__(self, s):
+        """(F(s), f(s)) at a point or an array of points."""
+        both = self._columns(s)
+        return self.mean * s + both[..., 0], both[..., 1]
+
+    def inverse(self, targets: np.ndarray) -> np.ndarray:
+        """The s in [0, period] with F(s) = each target: seeded by linear
+        interpolation of the nodes and polished by ``NEWTON_ITERS`` Newton
+        steps, each kept inside [0, period]."""
+        s = np.interp(targets, np.append(self.nodes, self.total),
+                      np.append(self.grid, self.period))
+        for _ in range(NEWTON_ITERS):
+            value, slope = self(s)
+            s = np.clip(s - (value - targets) / slope, 0.0, self.period)
+        return s

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PositivityError, SetupError
-from ..numerics.periodic import irfft, periodic_grid, rfft
+from ..numerics.periodic import irfft, periodic_grid, rfft, wavenumbers
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,13 +79,11 @@ UNIT_CURVATURE = CurvatureProfile(constant=1.0)
 def flux_multipliers(kappa: CurvatureProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The rfft multipliers (A, B) of the right-hand side A u^ + B (tau^{3/2})^.
 
-    A = ik (kappa - k^2 / kappa) and B = -ik / kappa, both zero at the
-    Nyquist mode (no odd derivative of it lives on the grid).
+    A = ik (kappa - k^2 / kappa) and B = -ik / kappa, with ik from
+    ``wavenumbers``: both are zero at the Nyquist mode.
     """
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    ik = 1j * k
-    if n % 2 == 0:
-        ik[-1] = 0.0
+    ik = wavenumbers(n)
+    k = ik.imag
     kap = kappa.constant
     return ik * (kap - k * k / kap), -ik / kap
 

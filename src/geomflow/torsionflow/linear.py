@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numerics.periodic import irfft, rfft
+from ..numerics.periodic import irfft, rfft, wavenumbers
 
 
 def linearized_solution(w0: np.ndarray, t: float) -> np.ndarray:
@@ -21,10 +21,8 @@ def linearized_solution(w0: np.ndarray, t: float) -> np.ndarray:
     n = w0.size
     if n < 8:
         raise ValueError("grid too small")
-    freqs = np.arange(n // 2 + 1, dtype=float)
-    mult = np.exp(1j * (freqs ** 3 / 2.0 - 2.0 * freqs) * t)
-    if n % 2 == 0:
-        # the grid carries only the cosine component of the Nyquist mode and
-        # both terms of the equation are odd derivatives, so that mode is frozen
-        mult[n // 2] = 1.0
+    # both terms of the equation are odd derivatives, so the Nyquist mode,
+    # whose wavenumber is 0, is frozen
+    k = wavenumbers(n).imag
+    mult = np.exp(1j * (k ** 3 / 2.0 - 2.0 * k) * t)
     return irfft(rfft(w0) * mult, n)

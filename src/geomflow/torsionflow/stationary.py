@@ -32,8 +32,8 @@ STATIONARY_CONTROL = StepControl(initial_step=1e-4, abs_tol=1e-13, rel_tol=1e-13
 
 def stationary_torsion(C: float, n: int = 256) -> TorsionField:
     """Closed-form stationary profile tau = 2/(C + sqrt(C^2-4) sin(2s))."""
-    if C < 2.0:
-        raise SetupError(f"need C >= 2 for a positive stationary profile, got {C}")
+    if not (math.isfinite(C) and C >= 2.0):
+        raise SetupError(f"need a finite C >= 2 for a positive stationary profile, got {C}")
     s = periodic_grid(n)
     amp = math.sqrt(C * C - 4.0)
     return TorsionField(2.0 / (C + amp * np.sin(2.0 * s)))

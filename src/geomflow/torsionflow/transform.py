@@ -7,8 +7,9 @@ their right endpoint so the periodicity identities (u(0) = u(M)) can be
 read off directly. The inverse chain reconstructs tau from z and the
 round-trip sup error is the fidelity measure of the whole construction.
 
-Inversions (``numerics.periodic.invert_monotone``) seed each point by linear
-interpolation of the sampled monotone map and polish it with Newton steps on
+Each leg of the chain is one ``numerics.periodic.PeriodicPrimitive``: w of v,
+then the primitive of z on [0, M]. Its ``inverse`` seeds each point by linear
+interpolation of the primitive's nodes and polishes it with Newton steps on
 the trigonometric representation (exact for band-limited data), which is
 what pushes the round trip to 1e-10 territory instead of the seed's own h^2.
 """
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PositivityError
-from ..numerics.periodic import (invert_monotone, periodic_grid, periodic_primitive,
-                                 trig_interpolant)
+from ..numerics.periodic import PeriodicPrimitive
 from .core import TWO_PI, TorsionField
 
 
@@ -56,44 +56,18 @@ class TransformRecord:
 def cdf_transform_roundtrip(tau0: TorsionField) -> tuple[TransformRecord, float]:
     """Build the full forward chain and measure the reconstruction sup error."""
     n = tau0.n
-    s = np.concatenate([periodic_grid(n), [TWO_PI]])
     v_per = np.sqrt(tau0.samples)
-    v = np.concatenate([v_per, [v_per[0]]])
-
-    mean_v, osc_v = periodic_primitive(v_per)
-    osc_full = np.concatenate([osc_v, [osc_v[0]]])
-    w = mean_v * s + osc_full
-    M = mean_v * TWO_PI
-
-    osc_v_of = trig_interpolant(osc_v)
-    v_of = trig_interpolant(v_per)
-
-    def w_of(sv):
-        return mean_v * sv + osc_v_of(sv)
-
+    w_of = PeriodicPrimitive(v_per)
+    M = w_of.total
     xi = np.linspace(0.0, M, n + 1)
-    eta = invert_monotone(w, s, xi, lambda sv: (w_of(sv), v_of(sv)))
+    eta = w_of.inverse(xi)
     eta[0], eta[-1] = 0.0, TWO_PI
-    z = 1.0 / v_of(eta)
-    u = np.log(z)
-    q = np.sinh(0.5 * z)
+    z = 1.0 / w_of(eta)[1]
+    record = TransformRecord(v=np.append(v_per, v_per[0]), w=np.append(w_of.nodes, M), M=M,
+                             xi=xi, eta=eta, z=z, u=np.log(z), q=np.sinh(0.5 * z))
 
-    record = TransformRecord(v=v, w=w, M=M, xi=xi, eta=eta, z=z, u=u, q=q)
-
-    # Inverse chain: eta_hat = primitive of z on [0, M], then s -> w -> tau.
-    z_per = z[:-1]
-    mean_z, osc_z = periodic_primitive(z_per, period=M)
-
-    osc_z_of = trig_interpolant(osc_z, period=M)
-    z_of = trig_interpolant(z_per, period=M)
-
-    def eta_of(xiv):
-        return mean_z * xiv + osc_z_of(xiv)
-
-    eta_hat = eta_of(xi)
-    s_per = s[:-1]
-    w_back = invert_monotone(eta_hat, xi, s_per, lambda xiv: (eta_of(xiv), z_of(xiv)))
-    v_back = 1.0 / z_of(w_back)
-    tau_back = v_back * v_back
-    err = float(np.max(np.abs(tau_back - tau0.samples)))
+    # Inverse chain: eta_hat = primitive of z on [0, M], then s -> xi -> tau.
+    eta_of = PeriodicPrimitive(z[:-1], period=M)
+    v_back = 1.0 / eta_of(eta_of.inverse(w_of.grid))[1]
+    err = float(np.max(np.abs(v_back * v_back - tau0.samples)))
     return record, err

@@ -529,6 +529,18 @@ class TestUsageErrors:
         ["geo", "flowline", "--T", "inf"],
         ["geo", "sphere", "--R", "nan"],
         ["geo", "sphere", "--R", "inf"],
+        # a scale or C that is not finite
+        ["csf", "run", "--n", "128", "--scale", "nan"],
+        ["csf", "bowtie", "--n", "128", "--scale", "inf"],
+        ["csf", "grimreaper", "--n", "128", "--scale", "nan"],
+        ["csf", "run", "--n", "128", "--scale", "inf"],
+        ["torsion", "stationary", "--C", "nan"],
+        ["torsion", "stationary", "--C", "inf"],
+        # G-check grids whose differences leave the admissible interval, or empty
+        ["geo", "gcheck", "--x0-min", "0.3"],
+        ["geo", "gcheck", "--x0-max", "0.99999"],
+        ["geo", "gcheck", "--x0-min", "nan"],
+        ["geo", "gcheck", "--points", "0"],
     ])
     def test_bad_input_prints_error(self, argv, tmp_path, capsys):
         # typed errors end as "error: ..." and exit code 1, not a traceback

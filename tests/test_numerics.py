@@ -11,8 +11,8 @@ from geomflow.csf.evolve import ThetaLengthFlow
 from geomflow.errors import BracketError
 from geomflow.numerics.etd import CACHED_STEPS, CHECK_STEPS, Etdrk4, etdrk4_coefficients
 from geomflow.numerics.ode import StepControl, integrate_ode
-from geomflow.numerics.periodic import (cyclic_shift, invert_monotone, irfft, periodic_grid,
-                                        periodic_primitive, rfft, trig_interpolant)
+from geomflow.numerics.periodic import (PeriodicPrimitive, cyclic_shift, irfft, periodic_grid,
+                                        rfft, trig_interpolant, wavenumbers)
 from geomflow.numerics.quadrature import _GAUSS32_NODES, _GAUSS32_WEIGHTS, integrate_singular
 from geomflow.numerics.roots import find_root
 from geomflow.numerics.special import elliptic_K
@@ -776,33 +776,71 @@ _MODES = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_siz
 
 
 class TestPeriodicPrimitive:
-    """``periodic_primitive`` against the spectral derivative oracle, on
-    random trigonometric polynomials below the Nyquist mode."""
+    """``PeriodicPrimitive`` against the spectral derivative oracle and the
+    exact primitive, on random trigonometric polynomials below the Nyquist
+    mode."""
 
     @settings(max_examples=200, deadline=None)
     @given(n=_MESHES, mean=st.floats(-5.0, 5.0), modes=_MODES)
     def test_derivative_of_primitive_is_the_samples(self, n, mean, modes):
         f = _trig_polynomial(n, mean, modes)
-        mean_got, osc = periodic_primitive(f)
-        assert mean_got == pytest.approx(mean, abs=1e-14)
-        assert osc[0] == 0.0
-        assert np.max(np.abs(mean_got + spectral_derivative(osc, 1) - f)) < 1e-12
+        prim = PeriodicPrimitive(f)
+        assert prim.mean == pytest.approx(mean, abs=1e-14)
+        assert prim.nodes[0] == 0.0
+        osc = prim.nodes - prim.mean * periodic_grid(n)
+        assert np.max(np.abs(prim.mean + spectral_derivative(osc, 1) - f)) < 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(n=_MESHES, modes=_MODES)
     def test_primitive_of_derivative_is_the_oscillation(self, n, modes):
         g = _trig_polynomial(n, 0.0, modes)
-        mean, osc = periodic_primitive(spectral_derivative(g, 1))
-        assert abs(mean) < 1e-12
-        assert np.max(np.abs(osc - (g - g[0]))) < 1e-12
+        prim = PeriodicPrimitive(spectral_derivative(g, 1))
+        assert abs(prim.mean) < 1e-12
+        assert np.max(np.abs(prim.nodes - (g - g[0]))) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=_MESHES, modes=_MODES, lift=st.floats(0.02, 2.0),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_inverse_undoes_the_primitive(self, n, modes, lift, fracs):
+        # f = c + sum a_m cos(m s) + b_m sin(m s) with c = (1 + lift) sum(|a_m| + |b_m|)
+        # + lift is positive everywhere, not only at the nodes, so F is monotone
+        # (min f / max f reaches about 0.01); targets include 0 and F(2 pi).
+        # 1,000 cases measured at most 3.1e-16 of the total; the bound leaves
+        # room for a draw on which the four Newton steps stop short of it.
+        ab = np.array(modes[:n // 2 - 1])
+        c = (1.0 + lift) * float(np.sum(np.abs(ab))) + lift
+        prim = PeriodicPrimitive(_trig_polynomial(n, c, modes))
+        targets = prim.total * np.array([0.0, 1.0] + fracs)
+        s = prim.inverse(targets)
+        m = np.arange(1, ab.shape[0] + 1)
+        exact = c * s + np.sum((ab[:, 0] * np.sin(np.outer(s, m))
+                                - ab[:, 1] * (np.cos(np.outer(s, m)) - 1.0)) / m, axis=1)
+        assert np.all((s >= 0.0) & (s <= 2.0 * math.pi))
+        assert np.max(np.abs(exact - targets)) < 1e-13 * prim.total
 
 
 class TestPeriodicHelpers:
     def test_primitive_splits_mean_and_oscillation(self):
         s = periodic_grid(64)
-        mean, osc = periodic_primitive(2.0 + np.cos(s))
-        assert mean == pytest.approx(2.0, abs=1e-14)
-        assert np.max(np.abs(mean * s + osc - (2.0 * s + np.sin(s)))) < 1e-12
+        prim = PeriodicPrimitive(2.0 + np.cos(s))
+        assert prim.mean == pytest.approx(2.0, abs=1e-14)
+        assert np.max(np.abs(prim.nodes - (2.0 * s + np.sin(s)))) < 1e-12
+        assert prim.total == pytest.approx(4.0 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [7, 8, 32, 33, 98, 129])
+    @pytest.mark.parametrize("period", [2.0 * math.pi, 1.0, 98.0])
+    def test_wavenumbers(self, n, period):
+        # i k 2 pi / period, with the Nyquist entry 0 for even n only; on the
+        # period 2 pi the integers themselves, also where rfftfreq(n, 1/n) is
+        # not (n = 98)
+        ik = wavenumbers(n, period)
+        k = np.arange(n // 2 + 1)
+        assert ik.shape == k.shape and np.all(ik.real == 0.0)
+        top = k.size - 1 if n % 2 == 0 else k.size
+        assert np.allclose(ik.imag[:top], k[:top] * (2.0 * math.pi / period), rtol=1e-15, atol=0)
+        assert (ik[-1] == 0.0) == (n % 2 == 0)
+        if period == 2.0 * math.pi:
+            assert np.array_equal(ik.imag[:top], k[:top])
 
     def test_trig_interp_reproduces_band_limited(self):
         s = periodic_grid(32)
@@ -812,24 +850,28 @@ class TestPeriodicHelpers:
         assert np.max(np.abs(trig_interpolant(data)(pts) - exact)) < 1e-13
 
     def test_interpolant_matches_per_call_spectrum(self):
-        # the spectrum taken once gives the values of an rfft redone at every
-        # evaluation (the explicit mode sum, written out here), at scalar
-        # points as the Frenet right-hand side asks and at point arrays
+        # the interpolant's mode sum against the same spectrum, redone at
+        # every evaluation and summed in extended precision, at scalar points
+        # as the Frenet right-hand side asks and at point arrays. Measured
+        # over 200 points: 5.0e-16, 1.8e-15 and 5.7e-15 at n = 32, 128 and
+        # 512 for the powers of e^{is}; an exp(i s k) mode matrix reads
+        # 1.1e-15, 8.9e-15 and 2.7e-14.
         def per_call(samples, s):
             spec = np.fft.rfft(samples) / samples.size
-            k = np.arange(spec.size)
             w = np.full(spec.size, 2.0)
             w[0] = w[-1] = 1.0
-            return float((np.exp(1j * s * k) @ (w * spec)).real)
+            ks = np.arange(spec.size, dtype=np.longdouble) * np.longdouble(s)
+            total = np.sum(w * (spec.real * np.cos(ks) - spec.imag * np.sin(ks)))
+            return float(total)
 
         rng = np.random.default_rng(7)
-        for n in (32, 128):
+        for n, bound in ((32, 1e-15), (128, 4e-15), (512, 1.2e-14)):
             data = 1.0 + 0.3 * rng.standard_normal(n)
             interp = trig_interpolant(data)
-            pts = rng.uniform(0.0, 2 * math.pi, 50)
-            for p in pts:
-                assert abs(interp(p) - per_call(data, p)) < 1e-15
-            assert np.max(np.abs(interp(pts) - [per_call(data, p) for p in pts])) < 1e-15
+            pts = rng.uniform(0.0, 2 * math.pi, 200)
+            exact = np.array([per_call(data, p) for p in pts])
+            assert max(abs(interp(p) - e) for p, e in zip(pts, exact)) < bound
+            assert np.max(np.abs(interp(pts) - exact)) < bound
 
 
 class TestRealTransforms:
@@ -897,18 +939,14 @@ class TestInterpolation:
             assert abs(batched(0.7)[c] - interp(0.7)) < 1e-14
 
     def test_monotone_inversion_solves_the_map(self):
-        # y + 0.3 sin(y) on [0, 2 pi], seeded from 33 samples and polished
-        # against its values and slopes; the targets past either end stay
-        # at the ends of the sampled range
-        def fwd(y):
-            return y + 0.3 * np.sin(y), 1.0 + 0.3 * np.cos(y)
-
-        grid = np.linspace(0.0, 2 * math.pi, 33)
+        # F(y) = y + 0.3 sin(y) on [0, 2 pi], the primitive of 32 samples,
+        # seeded from its nodes and polished against its values and slopes;
+        # the targets past either end stay at the ends of the period
+        prim = PeriodicPrimitive(1.0 + 0.3 * np.cos(periodic_grid(32)))
         targets = np.random.default_rng(3).uniform(0.0, 2 * math.pi, 100)
-        y = invert_monotone(fwd(grid)[0], grid, targets, fwd)
-        assert np.max(np.abs(fwd(y)[0] - targets)) < 1e-14
-        ends = invert_monotone(fwd(grid)[0], grid, np.array([-1.0, 7.0]), fwd)
-        assert np.array_equal(ends, [0.0, 2 * math.pi])
+        y = prim.inverse(targets)
+        assert np.max(np.abs(y + 0.3 * np.sin(y) - targets)) < 1e-14
+        assert np.array_equal(prim.inverse(np.array([-1.0, 7.0])), [0.0, 2 * math.pi])
 
     @pytest.mark.parametrize("k", [-3, -1, 0, 1, 5, 13])
     def test_cyclic_shift_is_roll(self, k):
