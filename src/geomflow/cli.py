@@ -23,12 +23,14 @@ commands (which also record their accepted steps, checks, rejections,
 remainder calls and rows and the symmetries they held, and time their
 steps, projections, frame diagnostics, frame analyses and CSV writing in
 ``wall_time_seconds``), and the library constants the other commands run
-with (such as the slope tolerance of ``geo boundary`` and the closure
-tolerance of ``torsion stationary``). The ODE-driven commands (``geo
-sphere``, ``boundary``, ``boundingbox``, ``flowline``, ``geodesic``,
-``cylinder``, ``torsion reconstruct`` and ``stationary``) also record the
-solver statistics that their results carry: accepted and rejected steps,
-field evaluations and the step range.
+with (such as the quadrature tolerance ``QUAD_TOL``, slope tolerance and
+x0-grid budget of ``geo boundary`` and the closure tolerance of ``torsion
+stationary``). The ODE-driven commands (``geo sphere``, ``boundingbox``,
+``flowline``, ``geodesic``, ``cylinder``, ``torsion reconstruct`` and
+``stationary``) also record the solver statistics that their results
+carry: accepted and rejected steps, field evaluations and the step range.
+``geo boundary`` takes its endpoints by quadrature and records the number
+of nodes at which its integrands were evaluated.
 ``verify`` prints each criterion's wall time, or with ``--json`` one JSON
 object per criterion.
 """
@@ -323,14 +325,26 @@ def cmd_geo_cylinder(args) -> int:
     return 0
 
 
+# Most x0 points a ``geo boundary`` or ``boundingbox`` grid may hold. The
+# bounding-box scan, the costlier of the two, measured 0.7-0.8 ms and 45-85 kB
+# a point (3,000 points at alpha = 1/2 and 1/4, 2-CPU x86-64, numpy 2.4), so
+# its largest grid takes about 4 s and 0.4 GB; the boundary measured
+# 0.01-0.09 ms a point (100,000 points).
+MAX_X0_POINTS = 5_000
+
+
 def _x0_grid(args) -> np.ndarray:
     """The x0 grid of ``geo boundary`` and ``boundingbox``: from ``x0_min``
-    through ``x0_max`` in strides of ``step``, refused when it is empty or its
-    bounds or stride are not finite, or the stride is not positive."""
+    through ``x0_max`` in strides of ``step``, refused when it is empty, holds
+    more than ``MAX_X0_POINTS`` points, or its bounds or stride are not
+    finite, or the stride is not positive."""
     lo, hi, step = args.x0_min, args.x0_max, args.step
     if not (np.isfinite([lo, hi, step]).all() and step > 0.0):
         raise SetupError(f"x0 grid from {lo} to {hi} in strides of {step} needs finite "
                          "bounds and a finite positive stride")
+    if np.ceil((hi + 1e-12 - lo) / step) > MAX_X0_POINTS:
+        raise SetupError(f"x0 grid from {lo} to {hi} in strides of {step} exceeds the "
+                         f"budget of {MAX_X0_POINTS} points")
     grid = np.arange(lo, hi + 1e-12, step)
     if grid.size == 0:
         raise SetupError(f"x0 grid from {lo} to {hi} is empty")
@@ -338,15 +352,17 @@ def _x0_grid(args) -> np.ndarray:
 
 
 def cmd_geo_boundary(args) -> int:
-    from .geoflow import SLOPE_TOL, TIGHT, boundary_curve
+    from .geoflow import SLOPE_TOL, boundary_curve
+    from .numerics.quadrature import QUAD_TOL
     grid = _x0_grid(args)
-    writer = _writer(args, {"step_control": asdict(TIGHT), "slope_tol": SLOPE_TOL})
+    writer = _writer(args, {"quad_tol": QUAD_TOL, "slope_tol": SLOPE_TOL,
+                            "max_x0_points": MAX_X0_POINTS})
     bc = boundary_curve(args.alpha, grid)
     writer.csv("boundary.csv", ["x0", "a", "b", "da_dx0", "db_dx0"],
                ([p.x0, p.a_end, p.b_end, p.da_dx0, p.db_dx0] for p in bc.points))
     writer.parameters["a_increasing"] = bc.a_increasing
     writer.parameters["b_nonincreasing"] = bc.b_nonincreasing
-    writer.parameters["solver_stats"] = asdict(bc.stats)
+    writer.parameters["quadrature_nodes"] = bc.nodes
     writer.finish()
     return 0
 

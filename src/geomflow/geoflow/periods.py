@@ -68,6 +68,18 @@ def endpoint_times(alpha: float, beta: float) -> tuple[float, float]:
     return t0, t1
 
 
+def orbit_terms(alpha: float, c, t0, t1, t: np.ndarray):
+    """(e^{2t}, e^{-2at}, R(t)) at the period's times t of the loop with
+    c = beta^2/(a+1) and root times t0, t1; a c e^{2t} and c e^{-2at} are
+    x^2 and y^2 there. R is anchored at the nearer root s, R(t) = R(t) - R(s)
+    written with expm1, so no catastrophic cancellation occurs near the
+    endpoints, and held at 1e-300 where rounding leaves it nonpositive."""
+    ex, ey = np.exp(2.0 * t), np.exp(-2.0 * alpha * t)
+    s = np.where(t >= 0.5 * (t0 - t1), t0, -t1)
+    r = c * (alpha * ex * np.expm1(2.0 * (s - t)) + ey * np.expm1(-2.0 * alpha * (s - t)))
+    return ex, ey, np.where(r > 0.0, r, 1e-300)
+
+
 def period_numeric(alpha: float, beta: float) -> PeriodRecord:
     """Period by de-singularized quadrature of the defining integral, to the
     quadrature's ``QUAD_TOL``."""
@@ -76,36 +88,42 @@ def period_numeric(alpha: float, beta: float) -> PeriodRecord:
         raise SetupError(f"beta={beta} outside (0, 1)")
     t0, t1 = endpoint_times(alpha, beta)
     c = beta * beta / (alpha + 1.0)
-    split = 0.5 * (t0 - t1)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        # Radicand anchored at the nearer root: R(t) = R(t) - R(s) written with
-        # expm1 so no catastrophic cancellation occurs near the endpoints.
-        s = np.where(t >= split, t0, -t1)
-        r = c * (alpha * np.exp(2.0 * t) * np.expm1(2.0 * (s - t))
-                 + np.exp(-2.0 * alpha * t) * np.expm1(-2.0 * alpha * (s - t)))
-        return 2.0 / np.sqrt(np.where(r > 0.0, r, 1e-300))
+        return 2.0 / np.sqrt(orbit_terms(alpha, c, t0, t1, t)[2])
 
     period = integrate_singular(integrand, -t1, t0)
     return PeriodRecord(alpha=alpha, beta=beta, t0=t0, t1=t1, period=period, source="numeric")
 
 
+def orbit_times(alpha: float, beta: float) -> tuple[float, float]:
+    """The root times t0, t1: closed forms at a = 1 and 1/2, ``endpoint_times``
+    otherwise."""
+    if alpha == 1.0:
+        # a e^{2t} + e^{-2t} = 2/beta^2 with a = 1: cosh(2 t0) = 1/beta^2
+        t0 = 0.5 * math.acosh(1.0 / (beta * beta))
+        return t0, t0
+    if alpha == 0.5:
+        # Endpoint times via the real trigonometric form of the cubic roots;
+        # the nominal radicand beta^6 - 1 is negative for beta < 1, so the cube
+        # roots live on the unit circle and their sum is 2 cos(angle/3).
+        b3 = beta ** 3
+        t0 = math.log(2.0 * math.cos(math.acos(-b3) / 3.0) / beta)
+        t1 = math.log((1.0 + 2.0 * math.cos(2.0 * math.asin(b3) / 3.0)) / (2.0 * beta * beta))
+        return t0, t1
+    return endpoint_times(alpha, beta)
+
+
 def _closed_form_sol(beta: float) -> PeriodRecord:
     m = (1.0 - beta * beta) / (1.0 + beta * beta)
     period = 4.0 / math.sqrt(1.0 + beta * beta) * elliptic_K(m)
-    # a e^{2t} + e^{-2t} = 2/beta^2 with a = 1: cosh(2 t0) = 1/beta^2
-    t0 = 0.5 * math.acosh(1.0 / (beta * beta))
-    return PeriodRecord(alpha=1.0, beta=beta, t0=t0, t1=t0, period=period,
+    t0, t1 = orbit_times(1.0, beta)
+    return PeriodRecord(alpha=1.0, beta=beta, t0=t0, t1=t1, period=period,
                         source="closed_form_sol")
 
 
 def _closed_form_half(beta: float) -> PeriodRecord:
-    # Endpoint times via the real trigonometric form of the cubic roots;
-    # the nominal radicand beta^6 - 1 is negative for beta < 1, so the cube
-    # roots live on the unit circle and their sum is 2 cos(angle/3).
-    b3 = beta ** 3
-    t0 = math.log(2.0 * math.cos(math.acos(-b3) / 3.0) / beta)
-    t1 = math.log((1.0 + 2.0 * math.cos(2.0 * math.asin(b3) / 3.0)) / (2.0 * beta * beta))
+    t0, t1 = orbit_times(0.5, beta)
     denom = math.exp(t0 - t1) + 2.0 * math.exp(t1)
     m = 2.0 * (math.exp(t1) - math.exp(-t0)) / denom
     period = 4.0 * math.sqrt(3.0) / (beta * math.sqrt(denom)) * elliptic_K(m)

@@ -12,8 +12,11 @@ carrying along the endpoint coordinates of the associated symmetric geodesic,
 
 The first return of z to zero happens at the half period rho = P/2; the point
 (a(rho), b(rho), 0) traces the boundary curve of perfect symmetric endpoints
-as x0 varies. The variational system appends the derivatives of all five
-quantities with respect to x0 ("barred" variables).
+as x0 varies. The endpoint equations are linear, with integrating factors x
+and y, so ``boundary_curve`` takes a(rho) and b(rho) by quadrature over the
+half orbit instead of integrating the system. The variational system
+appends the derivatives of all five quantities with respect to x0
+("barred" variables).
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ import numpy as np
 
 from ..errors import DetectionError, SetupError
 from ..numerics.ode import SolverStats, Trajectory, integrate_ode
+from ..numerics.quadrature import integrate_singular
 from .group import check_alpha
-from .periods import period
+from .periods import orbit_terms, orbit_times, period
 from .structure import (TIGHT, VARIATIONAL_CONTROL, _sigma, admissible_x0_interval,
                         beta_from_x0)
 
@@ -97,12 +101,10 @@ def _predicted_half_period(x0: float, alpha: float) -> tuple[float, float]:
     return beta, 0.5 * period(alpha, beta).period
 
 
-def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl, nodes: bool = True) -> list[SymmetricRun]:
+def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl) -> list[SymmetricRun]:
     """Integrate the rows ``y0s`` (one per x0 in ``x0s``) as one batch to
     their first z-returns, each row checked against its own P(beta)/2; every
-    run's ``trajectory.stats`` is the batch's. Without ``nodes`` the runs
-    keep their end states alone, and only the steps of a z-return build the
-    dense output.
+    run's ``trajectory.stats`` is the batch's.
 
     A lone row is integrated as a plain (d,) state: the same bits as its
     one-row batch, at less than half the cost per step (scalar arithmetic
@@ -112,7 +114,6 @@ def _integrate_to_return(rhs, y0s, alpha, x0s, ctrl, nodes: bool = True) -> list
     predicted = np.array(predicted)
     lone = len(x0s) == 1
     traj = integrate_ode(rhs, y0s[0] if lone else y0s, (0.0, 10.0 * predicted.max()), ctrl,
-                         output_times=None if nodes else (),
                          event=lambda t, u: u[..., 2], event_min_time=0.05 * predicted)
     rows = [traj] if lone else [traj.row(r) for r in range(len(x0s))]
     runs = []
@@ -139,8 +140,7 @@ def _check_x0(x0s, alpha: float) -> np.ndarray:
     return x0s
 
 
-def _symmetric_runs(x0s, alpha: float, with_quadrature: bool = False,
-                    nodes: bool = True) -> list[SymmetricRun]:
+def _symmetric_runs(x0s, alpha: float, with_quadrature: bool = False) -> list[SymmetricRun]:
     """The 5-system (6 with ``with_quadrature``) from (x0, sqrt(1-x0^2), 0, 0, 0)
     for every x0 of ``x0s``, integrated as one batch at ``TIGHT`` by
     ``_integrate_to_return``."""
@@ -148,8 +148,7 @@ def _symmetric_runs(x0s, alpha: float, with_quadrature: bool = False,
     y0s = np.zeros((x0s.size, 6 if with_quadrature else 5))
     y0s[:, 0] = x0s
     y0s[:, 1] = np.sqrt(1.0 - x0s * x0s)
-    return _integrate_to_return(_sym_rhs(alpha, with_quadrature), y0s, alpha, x0s, TIGHT,
-                                nodes)
+    return _integrate_to_return(_sym_rhs(alpha, with_quadrature), y0s, alpha, x0s, TIGHT)
 
 
 def symmetric_system(x0: float, alpha: float) -> SymmetricRun:
@@ -240,8 +239,8 @@ class BoundaryPoint:
     x0: float
     a_end: float
     b_end: float
-    da_dx0: float = math.nan
-    db_dx0: float = math.nan
+    da_dx0: float
+    db_dx0: float
 
 
 @dataclass
@@ -250,31 +249,48 @@ class BoundaryCurve:
     points: list
     a_increasing: bool
     b_nonincreasing: bool
-    stats: SolverStats
+    nodes: int  # quadrature nodes at which the two integrands were evaluated
 
 
 def boundary_curve(alpha: float, x0_grid) -> BoundaryCurve:
-    """Endpoints (a(rho), b(rho)) over the grid, integrated as one batch, plus
-    monotonicity verdicts and the batch's solver statistics; b may rise by up
-    to ``SLOPE_TOL`` between grid points and still count as nonincreasing.
-    The batch stores no nodes, since only the end states are read."""
-    xs = np.atleast_1d(np.asarray(x0_grid, dtype=float))
-    runs = _symmetric_runs(xs, alpha, nodes=False)
-    pts = [BoundaryPoint(x0=run.x0, a_end=float(run.end_state[3]), b_end=float(run.end_state[4]))
-           for run in runs]
-    a_vals = np.array([p.a_end for p in pts])
-    b_vals = np.array([p.b_end for p in pts])
-    slopes_a = np.gradient(a_vals, xs)
-    slopes_b = np.gradient(b_vals, xs)
-    for p, sa, sb in zip(pts, slopes_a, slopes_b):
-        p.da_dx0 = float(sa)
-        p.db_dx0 = float(sb)
+    """Endpoints (a(rho), b(rho)) over the grid, plus monotonicity verdicts
+    and the quadrature's node count; b may rise by up to ``SLOPE_TOL``
+    between grid points and still count as nonincreasing.
+
+    Along the symmetric system x' = -xz and y' = a yz, so (a x)' = 2 x^2 and
+    (b y)' = 2 y^2, and the endpoints are a(rho) = (2/x(rho)) int x^2 dtau
+    and b(rho) = (2/y(rho)) int y^2 dtau over the half orbit. In the
+    period's time t, where dtau = dt/sqrt(R), the integrals run from -t1 to
+    t0 over a c e^{2t}/sqrt(R) and c e^{-2at}/sqrt(R), c = beta^2/(a+1), and
+    the orbit ends at x(rho) = sqrt(a c) e^{-t1}, y(rho) = sqrt(c) e^{a t1}.
+    Every row's two integrals are taken in one ``integrate_singular`` pass,
+    to ``QUAD_TOL``. A grid of fewer than two points raises ``SetupError``.
+    """
+    xs = _check_x0(x0_grid, alpha)
+    if xs.size < 2:
+        raise SetupError("the boundary curve needs at least two x0 points for its slopes")
+    betas = np.array([beta_from_x0(x0, alpha) for x0 in xs])
+    t0, t1 = np.array([orbit_times(alpha, beta) for beta in betas]).T
+    c = betas * betas / (alpha + 1.0)
+    nodes = 0
+
+    def integrand(t, c, t0, t1):
+        nonlocal nodes
+        nodes += t.size
+        ex, ey, r = orbit_terms(alpha, c, t0, t1, t)
+        w = c / np.sqrt(r)
+        return np.array([alpha * ex * w, ey * w])
+
+    int_x, int_y = integrate_singular(integrand, -t1, t0, c, t0, t1)
+    a_vals = 2.0 * int_x / (np.sqrt(alpha * c) * np.exp(-t1))
+    b_vals = 2.0 * int_y / (np.sqrt(c) * np.exp(alpha * t1))
     return BoundaryCurve(
         alpha=alpha,
-        points=pts,
+        points=[BoundaryPoint(*map(float, row)) for row in
+                zip(xs, a_vals, b_vals, np.gradient(a_vals, xs), np.gradient(b_vals, xs))],
         a_increasing=bool(np.all(np.diff(a_vals) > 0.0)),
         b_nonincreasing=bool(np.all(np.diff(b_vals) <= SLOPE_TOL)),
-        stats=runs[0].trajectory.stats,
+        nodes=nodes,
     )
 
 

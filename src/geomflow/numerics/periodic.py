@@ -79,7 +79,8 @@ def trig_interpolant(samples: np.ndarray, period: float = 2.0 * np.pi):
     evaluation builds the mode matrix as the powers of e^{i s 2 pi / period},
     one cumulative product over the modes, and sums it against them: O(n)
     per point, exact for band-limited data. The Nyquist mode (even n) is
-    treated as a pure cosine.
+    treated as a pure cosine. The sum is numpy's own ``einsum`` loop, not a
+    BLAS product, so its bits do not depend on the BLAS thread count.
     """
     y = np.asarray(samples, dtype=float)
     n = y.shape[0]
@@ -89,6 +90,7 @@ def trig_interpolant(samples: np.ndarray, period: float = 2.0 * np.pi):
     if n % 2 == 0:
         weights[-1] = 1.0
     coef = (weights * spec).T
+    modes = "...k,k->..." if coef.ndim == 1 else "...k,kd->...d"
     istep = 1j * (2.0 * np.pi / period)
 
     def interp(s):
@@ -97,7 +99,7 @@ def trig_interpolant(samples: np.ndarray, period: float = 2.0 * np.pi):
         powers[..., 0] = 1.0
         powers[..., 1:] = np.exp(istep * s)
         np.cumprod(powers, axis=-1, out=powers)
-        return (powers @ coef).real
+        return np.einsum(modes, powers, coef).real
 
     return interp
 

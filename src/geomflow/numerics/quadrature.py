@@ -13,6 +13,7 @@ import numpy as np
 from ..errors import QuadratureError
 
 QUAD_TOL = 1e-10  # relative agreement of two successive resolutions that ends the doubling
+QUAD_BLOCK = 1 << 16  # node values per integrand in one evaluation of a block of rows
 
 # Nodes and weights of the 32-point Gauss-Legendre rule on [-1, 1], the bits of
 # ``numpy.polynomial.legendre.leggauss(32)``: importing numpy.polynomial costs a
@@ -39,40 +40,71 @@ _GAUSS32_WEIGHTS = np.array([
 ])
 
 
-def integrate_singular(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+def integrate_singular(f: Callable[..., np.ndarray], a, b, *params) -> float | np.ndarray:
     """Integral of ``f`` over (a, b) where f blows up like 1/sqrt((t-a)(b-t)).
 
-    ``f`` maps an array of nodes to the array of its values; it is called
-    once per resolution.
+    ``a`` and ``b`` are floats, or equal-length 1-D arrays of m rows, row i
+    integrated over (a[i], b[i]). ``f`` maps a (rows, nodes) array of nodes
+    to their values, of that shape for one integrand or (p, rows, nodes)
+    for p integrands sharing the nodes; ``params`` are per-row arrays
+    aligned with ``a``, and ``f`` receives each of them as a column of the
+    rows it evaluates. It is called once per block of rows at each
+    resolution; a block holds at most ``QUAD_BLOCK`` nodes (or one row).
+    The result is a float (or (p,) array) for float bounds and an (m,) (or
+    (p, m)) array for rows.
 
     The substitution t = mid + half*sin(u) maps (a, b) to (-pi/2, pi/2) and
     contributes a factor half*cos(u) that exactly cancels simple
     inverse-square-root endpoint singularities, leaving a smooth integrand.
     That integrand is evaluated with a composite 32-point Gauss-Legendre rule
     (nodes never touch the endpoints), doubling the panel count until two
-    successive resolutions agree to ``QUAD_TOL``; the result is therefore
-    invariant under a further doubling of the resolution, up to ``QUAD_TOL``.
+    successive resolutions agree to ``QUAD_TOL`` in every integrand of a
+    row; the row keeps the values of that resolution, which are therefore
+    invariant under a further doubling, up to ``QUAD_TOL``. Rows that have
+    converged are not evaluated again.
     """
-    if not b > a:
+    scalar = np.ndim(a) == 0
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    if not np.all(b > a):
         raise ValueError("integration interval must satisfy a < b")
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-
-    prev = None
+    # the per-row columns of the rows still active, compacted as rows converge
+    cols = [a, b, 0.5 * (a + b), 0.5 * (b - a),
+            *(np.atleast_1d(np.asarray(p, dtype=float)) for p in params)]
+    active = np.arange(a.size)
+    result = prev = None
     panels = 1
     while panels <= 1 << 13:
         edges = np.linspace(-0.5 * math.pi, 0.5 * math.pi, panels + 1)
         halfw = 0.5 * (edges[1] - edges[0])
         centers = 0.5 * (edges[:-1] + edges[1:])
         u = (centers[:, None] + halfw * _GAUSS32_NODES[None, :]).ravel()
-        t = np.clip(mid + half * np.sin(u), a, b)
-        vals = np.asarray(f(t), dtype=float) * half * np.cos(u)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("integrand is not integrable after the sine substitution "
-                                  "(non-finite values at interior nodes)")
-        cur = halfw * float(np.sum(_GAUSS32_WEIGHTS[None, :] * vals.reshape(panels, 32)))
-        if prev is not None and abs(cur - prev) <= QUAD_TOL * max(1.0, abs(cur)):
-            return cur
+        sin_u, cos_u = np.sin(u), np.cos(u)
+        step = max(1, QUAD_BLOCK // u.size)
+        parts = []
+        for start in range(0, active.size, step):
+            lo, hi, mid, half, *p = (col[start:start + step, None] for col in cols)
+            t = np.clip(mid + half * sin_u, lo, hi)
+            vals = np.asarray(f(t, *p), dtype=float) * half * cos_u
+            if not np.all(np.isfinite(vals)):
+                raise QuadratureError("integrand is not integrable after the sine substitution "
+                                      "(non-finite values at interior nodes)")
+            weighted = _GAUSS32_WEIGHTS * vals.reshape(vals.shape[:-1] + (panels, 32))
+            parts.append(halfw * np.sum(weighted.reshape(vals.shape), axis=-1))
+        cur = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        if result is None:
+            result = np.empty(cur.shape[:-1] + a.shape)
+        else:
+            ok = np.abs(cur - prev) <= QUAD_TOL * np.maximum(1.0, np.abs(cur))
+            ok = ok.reshape(-1, active.size).all(axis=0)
+            result[..., active[ok]] = cur[..., ok]
+            if ok.all():
+                if not scalar:
+                    return result
+                return float(result[0]) if result.ndim == 1 else result[..., 0]
+            if ok.any():
+                cur, active = cur[..., ~ok], active[~ok]
+                cols = [col[~ok] for col in cols]
         prev = cur
         panels *= 2
-    raise QuadratureError(f"no convergence to tol={QUAD_TOL} at {panels // 2} panels")
+    raise QuadratureError(f"no convergence to tol={QUAD_TOL} at {panels // 2} panels "
+                          f"in {active.size} row(s)")

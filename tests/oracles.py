@@ -16,6 +16,11 @@
 - ``lemniscate_eight``: the points of ``make_concinnous_eight``, with the
   quarter formula written out at each of its uses, as the library had it
   before one helper computed it.
+- ``hyperbolic_distance`` and ``h2xr_distance``: the distance from the
+  identity at the family's two ends, a = -1 (hyperbolic 3-space) and a = 0
+  (H^2 x R), where it has a closed form.
+- ``boundary_endpoint_reference``: the endpoints (a(rho), b(rho)) of the
+  symmetric system from x0, by mpmath at 40 digits.
 """
 
 import math
@@ -208,3 +213,56 @@ def lemniscate_eight(scale, n_points):
     rev = slice(None, None, -1)
     return np.vstack([np.column_stack([xq, yq]), np.column_stack([-xq[rev], -yq[rev]]),
                       np.column_stack([-xq, yq]), np.column_stack([xq[rev], -yq[rev]])])
+
+
+def hyperbolic_distance(p):
+    """Distance from the identity to the points ``p`` (..., 3) at a = -1.
+
+    With w = e^z the metric e^{-2z}(dx^2 + dy^2) + dz^2 is the upper
+    half-space (dx^2 + dy^2 + dw^2)/w^2, with the identity at (0, 0, 1)."""
+    x, y, z = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    wm1 = np.expm1(z)
+    return np.arccosh(1.0 + (x * x + y * y + wm1 * wm1) / (2.0 * np.exp(z)))
+
+
+def h2xr_distance(p):
+    """Distance from the identity to the points ``p`` (..., 3) at a = 0: the
+    metric e^{-2z} dx^2 + dz^2 + dy^2 is the half-plane in (x, w = e^z)
+    times the line in y."""
+    x, y, z = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    wm1 = np.expm1(z)
+    return np.hypot(np.arccosh(1.0 + (x * x + wm1 * wm1) / (2.0 * np.exp(z))), y)
+
+
+def boundary_endpoint_reference(alpha, x0, digits=40):
+    """(a(rho), b(rho)) of the symmetric system from (x0, sqrt(1 - x0^2), 0)
+    at ``digits`` significant digits.
+
+    Along the system (a x)' = 2 x^2 and (b y)' = 2 y^2. On the loop x^a y = H
+    through x0, x = sqrt(a c) e^t and y = sqrt(c) e^{-a t}, with c fixed by
+    H; z^2 = R(t) = 1 - x^2 - y^2 and dtau = dt/sqrt(R), from t0 (x = x0)
+    down to -t1, the other root. mpmath's tanh-sinh rule takes the integrals
+    with their endpoint singularities, and ``findroot`` the root t1."""
+    import mpmath
+
+    with mpmath.workdps(digits + 10):
+        a, x0 = mpmath.mpf(alpha), mpmath.mpf(x0)
+        h = x0 ** a * mpmath.sqrt(1 - x0 * x0)
+        c = (h * (1 + a) ** ((1 + a) / 2) / a ** (a / 2)) ** (2 / (1 + a)) / (1 + a)
+
+        def radicand(t):
+            return 1 - c * (a * mpmath.exp(2 * t) + mpmath.exp(-2 * a * t))
+
+        t0 = mpmath.log(x0 / mpmath.sqrt(a * c))
+        hi = mpmath.mpf(1)  # R(-t) falls for t > 0, from 1 - beta^2 at t = 0
+        while radicand(-hi) > 0:
+            hi *= 2
+        t1 = mpmath.findroot(lambda t: radicand(-t), (0, hi), solver="illinois")
+        # |R|: next to the roots, where the rule's nodes crowd, R is a
+        # rounding error of either sign, and the weights there are negligible
+        int_x = mpmath.quad(lambda t: a * c * mpmath.exp(2 * t) / mpmath.sqrt(abs(radicand(t))),
+                            [-t1, t0])
+        int_y = mpmath.quad(lambda t: c * mpmath.exp(-2 * a * t) / mpmath.sqrt(abs(radicand(t))),
+                            [-t1, t0])
+        return (float(2 * int_x / (mpmath.sqrt(a * c) * mpmath.exp(-t1))),
+                float(2 * int_y / (mpmath.sqrt(c) * mpmath.exp(a * t1))))

@@ -1,5 +1,6 @@
 """CLI: experiment dispatch, file outputs, manifests, determinism."""
 
+import argparse
 import json
 import math
 import re
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomflow.cli import build_parser, main
+from geomflow.cli import MAX_X0_POINTS, _x0_grid, build_parser, main
 from geomflow.io_utils import csv_block, write_csv, write_manifest
 from geomflow.geoflow import SLOPE_TOL, SPHERE_CONTROL, TIGHT, UNIT_TANGENT_TOL
+from geomflow.numerics.quadrature import QUAD_TOL
 from geomflow.torsionflow.frenet import FRAME_DRIFT_TOL, FRENET_CONTROL
 from geomflow.torsionflow.stationary import CLOSURE_TOL, STATIONARY_CONTROL
 
@@ -117,8 +119,10 @@ class TestGeoCommands:
                   {"step_control": asdict(TIGHT), "unit_tangent_tol": UNIT_TANGENT_TOL}),
                  (["geo", "sphere", "--R", "0.5", "--n-dirs", "100"], "geo_sphere",
                   {"step_control": asdict(SPHERE_CONTROL)}),
+                 # endpoints by quadrature, on a grid under the x0 budget
                  (["geo", "boundary", "--x0-min", "0.8", "--x0-max", "0.84"], "geo_boundary",
-                  {"step_control": asdict(TIGHT), "slope_tol": SLOPE_TOL}),
+                  {"quad_tol": QUAD_TOL, "slope_tol": SLOPE_TOL,
+                   "max_x0_points": MAX_X0_POINTS}),
                  # one integration over the whole span, its first step from the field
                  (["torsion", "reconstruct", "--initial", "helix", "--n", "64",
                    "--s-max", "1", "--samples", "5"], "torsion_reconstruct",
@@ -401,7 +405,6 @@ class TestCsvWriter:
 class TestSolverStats:
     # every ODE-driven command records what its integrations did
     CASES = [(["geo", "sphere", "--R", "0.5", "--n-dirs", "100"], "geo_sphere"),
-             (["geo", "boundary", "--x0-min", "0.8", "--x0-max", "0.84"], "geo_boundary"),
              (["geo", "boundingbox", "--x0-min", "0.7", "--x0-max", "0.8"], "geo_boundingbox"),
              (["geo", "flowline", "--T", "1"], "geo_flowline"),
              (["geo", "geodesic", "--T", "0.5", "--samples", "11"], "geo_geodesic"),
@@ -423,9 +426,23 @@ class TestSolverStats:
         assert set(stats[0]) == {"accepted", "rejected", "rhs_evals", "event_evals",
                                  "min_step", "max_step"}
         assert stats[0]["accepted"] > 0 and stats[0]["rhs_evals"] >= 12 * stats[0]["accepted"]
-        # only the symmetric scans end their runs on an event
-        assert (stats[0]["event_evals"] > 0) == (experiment in ("geo_boundary", "geo_boundingbox"))
+        # only the symmetric scan ends its runs on an event
+        assert (stats[0]["event_evals"] > 0) == (experiment == "geo_boundingbox")
         assert 0.0 < stats[0]["min_step"] <= stats[0]["max_step"]
+
+    def test_boundary_records_its_quadrature_instead(self, tmp_path):
+        # the boundary integrates no ODE: its manifest counts the nodes at
+        # which the quadrature evaluated its two integrands
+        nodes = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["geo", "boundary", "--x0-min", "0.8", "--x0-max", "0.84",
+                         "--out", str(out)]) == 0
+            parameters = json.loads((out / "geo_boundary_manifest.json").read_text())["parameters"]
+            assert "solver_stats" not in parameters
+            nodes.append(parameters["quadrature_nodes"])
+        # three rows, each at least two resolutions of 32 and 64 nodes
+        assert nodes[0] == nodes[1] and nodes[0] >= 3 * 96
 
     def test_closed_form_stationary_integrates_nothing(self, tmp_path):
         assert main(["torsion", "stationary", "--n", "64", "--out", str(tmp_path)]) == 0
@@ -522,6 +539,7 @@ class TestUsageErrors:
         ["geo", "boundary", "--step", "nan"],
         ["geo", "boundingbox", "--step", "-0.05"],
         ["geo", "boundary", "--x0-min", "0.9", "--x0-max", "0.8"],
+        ["geo", "boundary", "--x0-min", "0.8", "--x0-max", "0.8"],
         ["geo", "boundingbox", "--x0-min", "0.9", "--x0-max", "0.8"],
         ["geo", "boundingbox", "--x0-max", "inf"],
         ["geo", "flowline", "--T", "0"],
@@ -547,6 +565,19 @@ class TestUsageErrors:
         assert main(argv + ["--out", str(tmp_path / "bad")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["boundary", "boundingbox"])
+    def test_x0_grid_budget_fails_fast(self, command, tmp_path, capsys):
+        # a stride of 1e-7 asks for 3.8 million points on the default interval
+        assert main(["geo", command, "--step", "1e-7", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"budget of {MAX_X0_POINTS} points" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_x0_grid_budget_admits_its_own_size(self):
+        # the budget counts the points that np.arange makes
+        args = argparse.Namespace(x0_min=0.8, x0_max=0.9, step=0.1 / (MAX_X0_POINTS - 1))
+        assert _x0_grid(args).size == MAX_X0_POINTS
 
     def test_csf_budget_fails_fast(self, tmp_path, capsys):
         # 1e8 strides of 1e-9 to T = 0.1: over MAX_STEPS before the first step

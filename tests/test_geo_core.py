@@ -12,7 +12,8 @@ from geomflow.geoflow import (admissible_x0_interval, beta_from_x0, covariant_se
                               structure_field, symmetric_system, v_beta)
 from geomflow.numerics.ode import SolverStats
 from geomflow.numerics.roots import find_root
-from oracles import concatenation_endpoint, group_inv, group_mul
+from oracles import (concatenation_endpoint, group_inv, group_mul, h2xr_distance,
+                     hyperbolic_distance)
 
 ALPHAS = st.floats(-1.0, 1.0)
 POINTS = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
@@ -259,3 +260,31 @@ class TestGeodesicSphere:
     def test_direction_count_guard(self):
         with pytest.raises(ValueError):
             geodesic_sphere(0.5, 1.0, n_dirs=10)
+
+
+DISTANCE = {-1.0: hyperbolic_distance, 0.0: h2xr_distance}
+DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+
+
+class TestClosedFormDistance:
+    """At a = -1 (hyperbolic space) and a = 0 (H^2 x R) no geodesic from the
+    identity has a cut point, so its endpoint at length R lies at distance
+    exactly R, which these two members give in closed form."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=st.sampled_from([-1.0, 0.0]), R=st.floats(0.1, 20.0))
+    def test_sphere_endpoints_lie_at_distance_R(self, alpha, R):
+        # at SPHERE_CONTROL (tolerances 1e-10), 400 directions measured |d - R|
+        # up to 1.1e-11 at R = 1 and 3.0e-11 at R = 10 at both alphas, and 100
+        # directions up to 5.3e-11 at R = 20
+        _, ends, _ = geodesic_sphere(alpha, R, n_dirs=100)
+        assert np.max(np.abs(DISTANCE[alpha](ends) - R)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.sampled_from([-1.0, 0.0]), R=st.floats(0.1, 20.0), v=DIRECTIONS)
+    def test_geodesic_endpoint_lies_at_distance_R(self, alpha, R, v):
+        # at TIGHT (tolerances 1e-12), 20 random directions measured |d - R| up
+        # to 1.6e-12 at R = 20 and 8.4e-13 at R = 10
+        assume(np.linalg.norm(v) > 0.1)
+        path = geodesic(v / np.linalg.norm(v), alpha, R, n_samples=2)
+        assert abs(DISTANCE[alpha](path.positions[-1]) - R) < 1e-11

@@ -8,9 +8,10 @@ import pytest
 from geomflow.geoflow import (beta_from_x0, boundary_curve, bounding_box_scan, dP_dx0,
                               g_function_check, geodesic, symmetric_system, variational_residuals,
                               variational_system)
+from geomflow.errors import SetupError
 from geomflow.geoflow.perfect import perfect_vector_checks
-from geomflow.geoflow.symmetric import _symmetric_runs
 from geomflow.numerics.ode import SolverStats
+from oracles import boundary_endpoint_reference
 
 
 class TestSymmetricSystem:
@@ -109,31 +110,38 @@ class TestBoundaryCurve:
         assert bc.a_increasing
         assert bc.b_nonincreasing
 
-    def test_event_only_batch_keeps_the_bits_of_stored_nodes(self):
-        # the curve's batch stores no nodes: its half periods and end states
-        # are those of the same batch with stored nodes, bit for bit, and it
-        # skips the three dense stages in every step without a z-return
-        alpha, xs = 0.5, np.arange(0.60, 0.981, 0.02)
-        lean_runs = _symmetric_runs(xs, alpha, nodes=False)
-        full_runs = _symmetric_runs(xs, alpha)
-        lean, full = lean_runs[0].trajectory.stats, full_runs[0].trajectory.stats
-        assert [r.rho for r in lean_runs] == [r.rho for r in full_runs]
-        for lean_run, full_run in zip(lean_runs, full_runs):
-            assert np.array_equal(lean_run.end_state, full_run.end_state)
-        curve = boundary_curve(alpha, xs)
-        points = curve.points
-        assert [(p.a_end, p.b_end) for p in points] == [
-            (r.end_state[3], r.end_state[4]) for r in full_runs]
-        # every run of a batch carries the batch's record, and so does the curve
-        assert all(r.trajectory.stats is full for r in full_runs)
-        assert curve.stats == lean
-        assert (lean.accepted, lean.rejected, lean.event_evals) == (
-            full.accepted, full.rejected, full.event_evals)
-        # a z-return at rho lies in the step (times[i], times[i + 1]] that ends at or after it
-        times = full_runs[0].trajectory.times  # the batch's nodes, shared by its rows
-        crossing_steps = np.unique(np.searchsorted(times, [r.rho for r in full_runs]) - 1)
-        assert 0 < crossing_steps.size < full.accepted
-        assert full.rhs_evals - lean.rhs_evals == 3 * (full.accepted - crossing_steps.size)
+    @pytest.mark.parametrize("alpha,x0", [(0.25, 0.8), (0.5, 0.6), (0.5, 0.999), (0.75, 0.9),
+                                          (1.0, 0.72)])
+    def test_endpoints_match_a_40_digit_reference(self, alpha, x0):
+        # the quadrature against mpmath at 40 digits: measured at most 3.2e-13
+        # relative (a at alpha = 1/2, x0 = 0.999) at these points; the
+        # symmetric system's DOP853 end states at TIGHT read up to 7.7e-13
+        # over the same alphas (x0 = lo + 0.01, 0.8, 0.9, 0.95, 0.999)
+        pytest.importorskip("mpmath")
+        ref_a, ref_b = boundary_endpoint_reference(alpha, x0)
+        point = boundary_curve(alpha, [x0, 0.5 * (x0 + 1.0)]).points[0]
+        assert abs(point.a_end / ref_a - 1.0) < 1e-12
+        assert abs(point.b_end / ref_b - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("alpha,grid", [(0.5, np.arange(0.60, 0.981, 0.02)),
+                                            (0.25, np.arange(0.75, 0.96, 0.025)),
+                                            (0.75, np.arange(0.75, 0.96, 0.025)),
+                                            (1.0, np.arange(0.75, 0.96, 0.025))])
+    def test_endpoints_match_the_symmetric_system(self, alpha, grid):
+        # the grids of criteria 7 and 19, against the z-return states of the
+        # 5-system by DOP853 at TIGHT: measured at most 2.1e-12 relative (alpha
+        # = 1/2), 1.5e-12 at alpha = 1
+        curve = boundary_curve(alpha, grid)
+        for point in curve.points:
+            end = symmetric_system(point.x0, alpha).end_state
+            assert abs(point.a_end / end[3] - 1.0) < 1e-11
+            assert abs(point.b_end / end[4] - 1.0) < 1e-11
+        assert curve.nodes > 0
+
+    def test_single_point_grid_rejected(self):
+        # the slopes need two points
+        with pytest.raises(SetupError):
+            boundary_curve(0.5, [0.8])
 
     def test_b_limit_near_one(self):
         run = symmetric_system(0.999, 0.5)

@@ -1,6 +1,10 @@
 """Tests for the shared numerical kernels."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from geomflow.csf import make_concinnous_eight, resample_uniform
 from geomflow.csf.evolve import ThetaLengthFlow
-from geomflow.errors import BracketError
+from geomflow.errors import BracketError, QuadratureError
+from geomflow.geoflow.periods import endpoint_times, orbit_terms, period_numeric
 from geomflow.numerics.etd import CACHED_STEPS, CHECK_STEPS, Etdrk4, etdrk4_coefficients
 from geomflow.numerics.ode import StepControl, integrate_ode
 from geomflow.numerics.periodic import (PeriodicPrimitive, cyclic_shift, irfft, periodic_grid,
@@ -729,6 +734,39 @@ class TestIntegrateSingular:
         assert integrate_singular(f, -1.0, 1.0) == pytest.approx(exact, abs=1e-9)
 
 
+    def test_rows_keep_the_bits_of_single_integrals(self, monkeypatch):
+        # period integrands of several betas in one pass, with a block small
+        # enough to split the rows: each row's value is the float a call over
+        # its own interval returns, so rows that converge late (beta near 1)
+        # do not move the others
+        import geomflow.numerics.quadrature as quadrature
+        alpha, betas = 0.7, np.array([0.3, 0.6, 0.9, 0.999])
+        c = betas ** 2 / (alpha + 1.0)
+        t0, t1 = np.array([endpoint_times(alpha, beta) for beta in betas]).T
+
+        def pair(t, c, t0, t1):
+            r = orbit_terms(alpha, c, t0, t1, t)[2]
+            return np.array([2.0 / np.sqrt(r), c / np.sqrt(r)])
+
+        single = [integrate_singular(lambda t, k=k: pair(t, c[k], t0[k], t1[k]), -t1[k], t0[k])
+                  for k in range(betas.size)]
+        sizes = []
+        monkeypatch.setattr(quadrature, "QUAD_BLOCK", 128)
+        rows = integrate_singular(lambda t, *p: sizes.append(t.size) or pair(t, *p),
+                                  -t1, t0, c, t0, t1)
+        assert rows.shape == (2, betas.size)
+        assert all(np.array_equal(rows[:, k], single[k]) for k in range(betas.size))
+        assert rows[0, 0] == period_numeric(alpha, betas[0]).period
+        assert sizes == [128, 128, 128]  # four rows of 32 nodes, then two blocks of 2 x 64
+
+    def test_unconverged_rows_raise(self):
+        # cos(1e7 t) is far beyond the finest resolution; cos(t) converges
+        with pytest.raises(QuadratureError, match="in 1 row"):
+            integrate_singular(lambda t, s: np.cos(s * t) / np.sqrt(1.0 - t * t),
+                               np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
+                               np.array([1.0, 1e7]))
+
+
 class TestPeriodicDerivative:
     """The derivative oracles of ``oracles.py`` against closed forms, before
     they check the library."""
@@ -872,6 +910,23 @@ class TestPeriodicHelpers:
             exact = np.array([per_call(data, p) for p in pts])
             assert max(abs(interp(p) - e) for p, e in zip(pts, exact)) < bound
             assert np.max(np.abs(interp(pts) - exact)) < bound
+
+    def test_mode_sum_bits_do_not_depend_on_blas_threads(self):
+        # the n = 512 eight's resampling, whose interpolant calls sum 257
+        # modes over 512 points, in two processes with one and two BLAS
+        # threads: a BLAS product there differed in the last bits
+        script = ("import hashlib, sys; from geomflow.csf import make_concinnous_eight, "
+                  "resample_uniform; points = make_concinnous_eight(1.0, n_points=512).points; "
+                  "sys.stdout.write(hashlib.sha256(resample_uniform(points).tobytes()).hexdigest())")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True)
+            digests.append(done.stdout)
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestRealTransforms:

@@ -5,8 +5,8 @@ Usage (from the repository root):
     python3 tools/output_digests.py [--keep DIR] > digests.json
 
 Runs, in this process and one after another, with the BLAS and OpenMP pools
-pinned to one thread (the csf start's interpolant sums go through BLAS,
-whose last bits depend on its thread count):
+pinned to one thread (a BLAS product's last bits may depend on its thread
+count; the trigonometric interpolant's mode sums no longer call BLAS):
 
 - the 18 CLI commands at their defaults;
 - ``torsion stationary --A 1e-9 --C 3 --n 64`` (the orbit integration that
